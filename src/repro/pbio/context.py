@@ -33,8 +33,8 @@ from repro.obs.spans import observe_phase, sample_t0, span
 from repro.pbio.convert import ConversionPlan, plan_conversion
 from repro.pbio.decode import RecordDecoder, decoder_for_format
 from repro.pbio.encode import (
-    HEADER_LEN, EncodedRecord, RecordEncoder, build_header,
-    encoder_for_format, is_batch, parse_batch, parse_header,
+    FLAG_BATCH, HEADER_LEN, EncodedRecord, RecordEncoder, build_header,
+    encoder_for_format, parse_batch, parse_header_flags,
 )
 from repro.pbio.fields import FieldList
 from repro.pbio.format import FormatID, IOFormat
@@ -294,16 +294,19 @@ class IOContext:
             self._encoders[fmt.format_id] = encoder
         return encoder
 
-    def encode(self, format_name: str | IOFormat, record: dict) -> bytes:
-        """Encode *record*; returns header + body wire bytes."""
+    def encode(self, format_name: str | IOFormat, record: dict, *,
+               parts: bool = False) -> bytes | tuple:
+        """Encode *record*; returns header + body wire bytes — or,
+        for transports, the same bytes unjoined (``parts=True``, see
+        :meth:`~repro.pbio.encode.RecordEncoder.encode_wire_parts`)."""
         fmt = (format_name if isinstance(format_name, IOFormat)
                else self.lookup_format(format_name))
         t0 = sample_t0()
-        wire = self.encoder_for(fmt).encode_wire(record)
+        wire = self.encoder_for(fmt).encode_wire_parts(record)
         if t0:
             observe_phase("marshal", t0)
-        self.stats.count_encoded(1, len(wire))
-        return wire
+        self.stats.count_encoded(1, sum(map(len, wire)))
+        return wire if parts else b"".join(wire)
 
     def encode_many(self, format_name: str | IOFormat,
                     records) -> bytes:
@@ -342,9 +345,6 @@ class IOContext:
     def decode(self, data: bytes, *, arrays: str = "list") \
             -> DecodedRecord:
         """Decode a wire record under its *sender's* field view."""
-        if is_batch(data):
-            raise DecodeError(
-                "data is a record batch; use decode_many()")
         fid, body = self._split(data)
         fmt = self._resolve_wire_format(fid)
         t0 = sample_t0()
@@ -404,7 +404,10 @@ class IOContext:
         return plan.apply(record)
 
     def _split(self, data: bytes) -> tuple[FormatID, memoryview]:
-        fid, body_len = parse_header(data)
+        fid, flags, body_len = parse_header_flags(data)
+        if flags & FLAG_BATCH:
+            raise DecodeError(
+                "data is a record batch; use decode_many()")
         body = memoryview(data)[HEADER_LEN:]
         if len(body) < body_len:
             raise DecodeError(

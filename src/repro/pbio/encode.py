@@ -70,6 +70,7 @@ from repro.pbio.plancache import (
 from repro.pbio.types import FieldType
 
 HEADER_MAGIC = b"PB"
+_MAGIC_0, _MAGIC_1 = HEADER_MAGIC  # is_batch compares ints, no slice
 HEADER_VERSION = 1
 HEADER_LEN = 16
 _HEADER_STRUCT = struct.Struct(">2sBB8sI")
@@ -105,9 +106,9 @@ STRUCT_CODES: dict[tuple[str, int], str] = {
 _NUMPY_KINDS = {"integer": "i", "unsigned": "u", "float": "f",
                 "enumeration": "u", "boolean": "u"}
 
-#: var-array payloads at least this large spill out of the pooled body
-#: as zero-copy segments when encoding in parts mode (below it the
-#: extra frame part costs more than the memcpy it saves)
+#: typed var-array payloads at least this large spill out of the
+#: record body as zero-copy segments (below it the extra frame part
+#: costs more than the memcpy it saves)
 SPILL_MIN_BYTES = 4096
 
 #: stdlib array.array typecodes by (numpy kind char, itemsize) — the
@@ -234,7 +235,7 @@ def build_header(format_id: FormatID, body_length: int,
                                format_id.to_bytes(), body_length)
 
 
-def _parse_header_raw(data) -> tuple[FormatID, int, int]:
+def parse_header_flags(data) -> tuple[FormatID, int, int]:
     """Parse a header; returns (format id, flags, body length)."""
     if len(data) < HEADER_LEN:
         raise WireParseError(
@@ -258,7 +259,7 @@ def parse_header(data: bytes, *,
     downstream slice or allocation.  (The default stays lenient for
     callers inspecting a bare 16-byte header.)
     """
-    fid, _flags, body_len = _parse_header_raw(data)
+    fid, _flags, body_len = parse_header_flags(data)
     if require_body and body_len > len(data) - HEADER_LEN:
         raise WireParseError(
             f"record truncated: header says {body_len} body bytes, "
@@ -268,8 +269,8 @@ def parse_header(data: bytes, *,
 
 def is_batch(data) -> bool:
     """True when *data* starts with a record-batch header."""
-    return (len(data) >= 4 and bytes(data[:2]) == HEADER_MAGIC
-            and bool(data[3] & FLAG_BATCH))
+    return (len(data) >= 4 and data[0] == _MAGIC_0
+            and data[1] == _MAGIC_1 and bool(data[3] & FLAG_BATCH))
 
 
 def build_batch(format_id: FormatID, bodies, *,
@@ -294,7 +295,7 @@ def build_batch(format_id: FormatID, bodies, *,
 
 def parse_batch(data) -> tuple[FormatID, bool, list[memoryview]]:
     """Split a record batch into (format id, big-endian?, bodies)."""
-    fid, flags, total = _parse_header_raw(data)
+    fid, flags, total = parse_header_flags(data)
     if not flags & FLAG_BATCH:
         raise WireParseError("not a record batch (FLAG_BATCH clear)")
     payload = memoryview(data)[HEADER_LEN:]
@@ -459,6 +460,11 @@ class RecordEncoder:
             self._ops = self._compile(self.field_list, enums=fmt.enums,
                                       _record_plan=self._plan_ops)
         self._length_links = _length_links(self.field_list)
+        #: (name, element size) of the fields whose payload can spill
+        self._spillable = tuple(
+            (f.name, f.size) for f in self.field_list
+            if bulk and f.field_type.dynamic_dim is not None
+            and f.field_type.kind in _NUMPY_KINDS)
 
     # -- public ---------------------------------------------------------------
 
@@ -476,50 +482,43 @@ class RecordEncoder:
         return body
 
     def encode_wire(self, record: dict) -> bytes:
-        """Header + body, encoding through the buffer pool.
-
-        One join produces the wire: the pooled body is copied exactly
-        once, into the final frame, never into an intermediate."""
-        record = self._normalize(record, self.field_list,
-                                 self._length_links,
-                                 path=self.format.name)
-        body = self._pool.acquire(self.field_list.record_length)
-        try:
-            for op in self._ops:
-                op(record, body, 0)
-            header = build_header(self.format.format_id, len(body),
-                                  big_endian=self._big)
-            return b"".join((header, body))
-        finally:
-            self._pool.release(body)
+        """Header + body as one ``bytes``: the parts, joined once."""
+        return b"".join(self.encode_wire_parts(record))
 
     def encode_wire_parts(self, record: dict) -> tuple:
-        """Wire parts ``(header, piece, ...)`` without concatenation.
+        """The wire as a tuple of buffers, without concatenation.
 
-        The broadcast fan-out path frames records directly from these
-        parts (one join builds the whole transport frame), so the wire
-        bytes are copied once instead of once per layer.  Bulk array
-        payloads of at least :data:`SPILL_MIN_BYTES` are returned as
-        zero-copy ``memoryview`` segments over the **caller's array**
-        — a 1 MB grid is never copied by the codec at all, only by the
-        transport's single frame join.  Consume (join/send) the parts
-        before mutating the source arrays.
+        Transports frame records directly from these parts (a gather
+        send, or one join for the whole frame), so the wire bytes are
+        copied at most once instead of once per layer.  A record whose
+        top-level var array is a typed buffer (``np.ndarray`` /
+        ``array.array``) of at least :data:`SPILL_MIN_BYTES` runs on a
+        :class:`_PartsBody` and gets such payloads back as zero-copy
+        ``memoryview`` segments over the **caller's array**, between
+        ``bytes`` pieces — consume (join/send) them before mutating
+        the arrays.  Any other record runs the same ops on a plain
+        pooled ``bytearray`` and is one part.
         """
         record = self._normalize(record, self.field_list,
                                  self._length_links,
                                  path=self.format.name)
-        body = self._parts_pool.acquire(self.field_list.record_length)
+        spill = False
+        for name, elem in self._spillable:
+            value = record[name]
+            spill |= isinstance(value, (np.ndarray, array.array)) \
+                and len(value) * elem >= SPILL_MIN_BYTES
+        pool = self._parts_pool if spill else self._pool
+        body = pool.acquire(self.field_list.record_length)
         try:
             for op in self._ops:
                 op(record, body, 0)
             header = build_header(self.format.format_id, len(body),
                                   big_endian=self._big)
-            if not body.segments:
-                return header, bytes(body)
+            if not (spill and body.segments):
+                return (b"".join((header, body)),)
             parts = [header]
             prev = 0
-            raw = memoryview(body)
-            try:
+            with memoryview(body) as raw:
                 for cut, segment in body.segments:
                     if cut > prev:
                         parts.append(bytes(raw[prev:cut]))
@@ -527,12 +526,11 @@ class RecordEncoder:
                     prev = cut
                 if bytearray.__len__(body) > prev:
                     parts.append(bytes(raw[prev:]))
-            finally:
-                raw.release()
             return tuple(parts)
         finally:
-            body.segments.clear()
-            self._parts_pool.release(body)
+            if spill:
+                body.segments.clear()
+            pool.release(body)
 
     def encode_bodies(self, records) -> list[bytes]:
         """Encode many records, reusing one pooled buffer throughout.

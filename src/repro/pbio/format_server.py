@@ -162,6 +162,10 @@ class FormatServer:
         with self._lock:
             return len(self._by_id)
 
+    def __bool__(self) -> bool:
+        # or ``server or FormatServer()`` un-shares an empty shared one
+        return True
+
 
 _GLOBAL = FormatServer()
 

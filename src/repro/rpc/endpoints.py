@@ -51,8 +51,9 @@ def _unpack(data: bytes) -> tuple[int, int, str, bytes]:
         raise ProtocolError("truncated RPC envelope")
     kind, call_id, name_len = _ENVELOPE.unpack_from(data)
     start = _ENVELOPE.size
-    name = data[start:start + name_len].decode("utf-8")
-    return kind, call_id, name, data[start + name_len:]
+    # over TCP a large DATA payload is a view of the frame's buffer
+    name = bytes(data[start:start + name_len]).decode("utf-8")
+    return kind, call_id, name, bytes(data[start + name_len:])
 
 
 Handler = Callable[[dict], dict]

@@ -104,8 +104,11 @@ class Connection:
     # -- sending ------------------------------------------------------------
 
     def send(self, format_name: str | IOFormat, record: dict) -> None:
-        """Encode *record* under a locally registered format and send."""
-        wire = self.context.encode(format_name, record)
+        """Encode *record* under a locally registered format and send
+        it as wire parts: a large typed array goes from the caller's
+        buffer to the kernel uncopied, and is the caller's to mutate
+        again as soon as this returns."""
+        wire = self.context.encode(format_name, record, parts=True)
         self.channel.send(Frame(FrameType.DATA, wire))
         self.records_sent += 1
 
@@ -188,7 +191,7 @@ class Connection:
             return
         converter = self._converter_for(fmt, target)
         self.channel.send(Frame(FrameType.DATA,
-                                converter.encode_record(record)))
+                                converter.encode_record_parts(record)))
         self.records_sent += 1
 
     def _converter_for(self, fmt: IOFormat, target: FormatID):

@@ -38,6 +38,8 @@ class InProcChannel(Channel):
     def send(self, frame: Frame) -> None:
         if self._closed.is_set():
             raise TransportError("send on closed channel")
+        if type(frame.payload) is tuple:  # parts alias the sender's arrays
+            frame = Frame(frame.type, b"".join(frame.payload))
         if self.byte_time:
             time.sleep(self.byte_time * (len(frame.payload) + 5))
         self.bytes_sent += len(frame.payload) + 5

@@ -43,6 +43,7 @@ from repro.errors import ProtocolError
 from repro.pbio.format import FormatID
 
 _LEN = struct.Struct(">I")
+_PREFIX = struct.Struct(">IB")  # length (type byte + payload) | type
 MAX_FRAME = 256 * 1024 * 1024  # defensive cap
 
 _DIGEST_LEN = 8
@@ -72,13 +73,24 @@ class FrameType(enum.IntEnum):
 
 @dataclass(frozen=True)
 class Frame:
-    """One decoded transport frame."""
+    """One transport frame.  Outbound, ``payload`` may be a tuple of
+    buffers (a record's wire parts, sent unjoined); inbound, a large
+    DATA / DATA_BATCH payload may be a read-only ``memoryview`` of the
+    frame's private receive buffer.  Otherwise it is ``bytes``."""
 
     type: FrameType
-    payload: bytes
+    payload: bytes | memoryview | tuple
+
+    def buffers(self) -> list:
+        """The frame as it goes on the wire, unjoined:
+        ``[5-byte prefix, *payload parts]``."""
+        parts = self.payload
+        if type(parts) is not tuple:
+            parts = (parts,)
+        return [_PREFIX.pack(sum(map(len, parts)) + 1, self.type), *parts]
 
     def encode(self) -> bytes:
-        return frame_bytes(self.type, self.payload)
+        return b"".join(self.buffers())
 
 
 def frame_bytes(ftype: int, *parts: bytes) -> bytes:
@@ -89,18 +101,27 @@ def frame_bytes(ftype: int, *parts: bytes) -> bytes:
     one copy for the whole frame instead of one per layer.
     """
     total = sum(len(p) for p in parts)
-    return b"".join((_LEN.pack(total + 1), bytes((ftype,))) + parts)
+    return b"".join((_PREFIX.pack(total + 1, ftype),) + parts)
 
 
-def decode_frame(data: bytes) -> Frame:
-    """Decode one framed message (length prefix already stripped)."""
+def decode_frame(data: bytes, payload=None) -> Frame:
+    """Decode one framed message (length prefix already stripped).
+
+    A transport that received the payload into a buffer of its own
+    passes it as *payload* (*data* is then the type byte): a record
+    frame keeps that buffer, uncopied; control payloads become
+    ``bytes``."""
     if not data:
         raise ProtocolError("empty frame")
     try:
         ftype = FrameType(data[0])
     except ValueError:
         raise ProtocolError(f"unknown frame type {data[0]}") from None
-    return Frame(type=ftype, payload=bytes(data[1:]))
+    if payload is None:
+        payload = bytes(data[1:])
+    elif ftype not in (FrameType.DATA, FrameType.DATA_BATCH):
+        payload = bytes(payload)
+    return Frame(type=ftype, payload=payload)
 
 
 def read_frame_from(read_exactly) -> Frame | None:

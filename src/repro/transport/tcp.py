@@ -33,7 +33,7 @@ class TCPChannel(Channel):
     dropping a partial frame would desynchronize the stream.
 
     Sends hold a lock: two threads sharing one channel would otherwise
-    interleave partial ``sendall`` writes and corrupt the frame stream.
+    interleave partial writes and corrupt the frame stream.
 
     ``max_frame_len`` caps the length prefix :meth:`recv` accepts
     (default :data:`~repro.transport.messages.MAX_FRAME`); an
@@ -47,6 +47,9 @@ class TCPChannel(Channel):
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._closed = False
         self._buffer = bytearray()
+        #: a large frame's own buffer and fill count, across recv calls
+        self._frame: bytearray | None = None
+        self._frame_have = 0
         self._send_lock = threading.Lock()
         self.max_frame_len = max_frame_len
         self.bytes_sent = 0
@@ -68,16 +71,10 @@ class TCPChannel(Channel):
         return self._sock.fileno()
 
     def send(self, frame: Frame) -> None:
-        if self._closed:
-            raise TransportError("send on closed channel")
-        data = frame.encode()
-        with self._send_lock:
-            try:
-                self._sock.sendall(data)
-            except OSError as exc:
-                raise TransportError(f"send failed: {exc}") from None
-            self.bytes_sent += len(data)
-            self.frames_sent += 1
+        """Gather-send ``[prefix, *payload parts]`` unjoined; returns
+        once the kernel holds every byte, so the caller may then
+        mutate the arrays the parts alias."""
+        self._send_buffers(frame.buffers(), 1)
 
     def send_many(self, frames) -> None:
         """Send several frames with scatter-gather ``sendmsg`` (one
@@ -85,41 +82,45 @@ class TCPChannel(Channel):
         Where ``sendmsg`` is unavailable the frames are joined and
         shipped in bounded chunks, so peak memory stays one chunk —
         not a second copy of the whole batch."""
+        buffers = [frame.encode() for frame in frames]
+        self._send_buffers(buffers, len(buffers))
+
+    def _send_buffers(self, buffers: list, frames: int) -> None:
         if self._closed:
             raise TransportError("send on closed channel")
-        buffers = [frame.encode() for frame in frames]
-        if not buffers:
-            return
-        total = sum(len(b) for b in buffers)
+        total = sum(map(len, buffers))
         with self._send_lock:
             try:
                 if hasattr(self._sock, "sendmsg"):
-                    self._sendmsg_all(buffers)
+                    self._sendmsg_all(buffers, total)
                 else:  # pragma: no cover - non-POSIX fallback
                     self._sendall_chunked(buffers)
             except OSError as exc:
                 raise TransportError(f"send failed: {exc}") from None
             self.bytes_sent += total
-            self.frames_sent += len(buffers)
+            self.frames_sent += frames
 
-    def _sendmsg_all(self, buffers: list[bytes]) -> None:
-        """Drain *buffers* through sendmsg, advancing past partial
-        writes without re-copying."""
-        pending = [memoryview(b) for b in buffers]
+    def _sendmsg_all(self, pending: list, left: int) -> None:
+        """Drain the *left* bytes of *pending* through sendmsg; a
+        partial write resumes from a ``memoryview`` window of the cut
+        buffer, never a copy."""
         start = 0
-        while start < len(pending):
+        while left:
             window = pending[start:start + _SENDMSG_BATCH]
             sent = self._sock.sendmsg(window)
+            left -= sent
+            if not left:
+                return
             for view in window:
                 if sent >= len(view):
                     sent -= len(view)
                     start += 1
                 else:
-                    pending[start] = view[sent:]
+                    pending[start] = memoryview(view)[sent:]
                     break
 
-    def _sendall_chunked(self, buffers: list[bytes]) -> None:
-        chunk: list[bytes] = []
+    def _sendall_chunked(self, buffers: list) -> None:
+        chunk: list = []
         size = 0
         for buf in buffers:
             chunk.append(buf)
@@ -143,35 +144,84 @@ class TCPChannel(Channel):
             raise TransportError(f"bad frame length {length}")
         if length > self.max_frame_len:
             raise FrameTooLargeError(length, self.max_frame_len)
-        if not self._fill(4 + length, deadline, timeout):
+        if length <= _RECV_CHUNK:
+            if not self._fill(4 + length, deadline, timeout):
+                raise TransportError("connection closed mid-frame")
+            frame = decode_frame(bytes(self._buffer[4:4 + length]))
+            del self._buffer[:4 + length]
+            return frame
+        # A large frame's payload is read straight into a buffer of its
+        # own: private (decoded arrays alias it for their lifetime) and
+        # starting at the payload, so those arrays stay aligned.  The
+        # prefix and type byte wait in _buffer: a timed-out recv
+        # resumes here.
+        size = length - 1
+        if not (self._fill(5, deadline, timeout)
+                and self._fill_frame(size, deadline, timeout)):
             raise TransportError("connection closed mid-frame")
-        frame = decode_frame(bytes(self._buffer[4:4 + length]))
-        del self._buffer[:4 + length]
-        return frame
+        payload, self._frame = self._frame, None
+        head = self._buffer[4:5]
+        del self._buffer[:5]
+        return decode_frame(
+            head, memoryview(payload)[:size].toreadonly())
 
     def _fill(self, n: int, deadline, timeout) -> bool:
         """Grow the buffer to *n* bytes.  False on orderly EOF;
         raises TransportError on timeout (buffer preserved)."""
         while len(self._buffer) < n:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TransportError(
-                        f"recv timed out after {timeout}s")
-                self._sock.settimeout(remaining)
-            else:
-                self._sock.settimeout(None)
-            try:
-                chunk = self._sock.recv(_RECV_CHUNK)
-            except socket.timeout:
-                raise TransportError(
-                    f"recv timed out after {timeout}s") from None
-            except OSError as exc:
-                raise TransportError(f"recv failed: {exc}") from None
+            chunk = self._read(deadline, timeout)
             if not chunk:
                 return False
             self._buffer.extend(chunk)
         return True
+
+    def _fill_frame(self, size: int, deadline, timeout) -> bool:
+        """``recv_into`` the large frame's own buffer until it holds
+        *size* bytes; EOF and timeout as :meth:`_fill` (progress kept).
+        The buffer only doubles, and only when full, so it never
+        exceeds twice what the peer really sent, whatever the prefix
+        announced; it starts at *size* halved towards the bytes in
+        hand, so the doublings end on *size* with nothing to spare."""
+        if self._frame is None:
+            head = self._buffer[5:5 + size]
+            del self._buffer[5:5 + size]
+            room = size
+            while (room + 1) // 2 >= max(len(head), _RECV_CHUNK):
+                room = (room + 1) // 2
+            self._frame = head + bytes(room - len(head))
+            self._frame_have = len(head)
+        frame = self._frame
+        while self._frame_have < size:
+            if self._frame_have == len(frame):
+                frame *= 2
+            with memoryview(frame) as view, \
+                    view[self._frame_have:size] as window:
+                got = self._read(deadline, timeout, window)
+            if not got:
+                return False
+            self._frame_have += got
+        return True
+
+    def _read(self, deadline, timeout, window: memoryview | None = None):
+        """One socket read under the caller's deadline: a fresh chunk,
+        or the byte count read into *window*; falsy on orderly EOF."""
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TransportError(
+                    f"recv timed out after {timeout}s")
+            self._sock.settimeout(remaining)
+        else:
+            self._sock.settimeout(None)
+        try:
+            if window is None:
+                return self._sock.recv(_RECV_CHUNK)
+            return self._sock.recv_into(window)
+        except socket.timeout:
+            raise TransportError(
+                f"recv timed out after {timeout}s") from None
+        except OSError as exc:
+            raise TransportError(f"recv failed: {exc}") from None
 
     def close(self) -> None:
         if not self._closed:

@@ -57,6 +57,18 @@ class TestServer:
         assert stats["lookups"] == 1
         assert stats["formats"] == 1
 
+    def test_empty_shared_server_survives_or_default(self):
+        """Regression: an empty server was falsy through ``__len__``,
+        so ``server or FormatServer()`` silently un-shared it."""
+        shared = FormatServer()
+        assert len(shared) == 0
+
+        def endpoint(format_server=None):
+            return format_server or FormatServer()
+
+        assert endpoint(shared) is shared
+        assert endpoint() is not shared
+
     def test_global_server_is_singleton(self):
         assert global_format_server() is global_format_server()
 

@@ -128,6 +128,20 @@ class TestOverTCP:
         client.close()
         thread.join(5)
 
+    @pytest.mark.parametrize("protocol", ["xml", "pbio"])
+    def test_large_payloads_over_tcp(self, protocol):
+        """Both directions above the TCP receive chunk, where a DATA
+        payload reaches the endpoint as a view of the frame buffer."""
+        client_ch, server_ch = tcp_pair()
+        server = RPCServer(make_codec(protocol), server_ch)
+        server.register("echo", echo_handler)
+        thread = server.serve_in_thread()
+        client = RPCClient(make_codec(protocol), client_ch)
+        text = "grid " * 40_000  # 200 kB
+        assert client.call("echo", {"text": text}) == {"text": text}
+        client.close()
+        thread.join(5)
+
 
 class TestBinaryCodec:
     def test_methods_derived_from_signatures(self):

@@ -69,6 +69,17 @@ class TestChannelSemantics:
         a.send(data(payload))
         assert b.recv(timeout=10).payload == payload
 
+    def test_parts_payload_arrives_as_one_buffer(self, pair):
+        a, b = pair
+        source = bytearray(b"body" * 10)
+        parts = (b"head", memoryview(source), b"tail")
+        a.send(Frame(FrameType.DATA, parts))
+        expected = b"".join(parts)
+        source[:] = bytes(len(source))  # the receiver holds its own copy
+        got = b.recv(timeout=5).payload
+        assert isinstance(got, bytes) and got == expected
+        assert a.bytes_sent == 5 + len(expected)
+
     def test_stats_counters(self, pair):
         a, _b = pair
         a.send(data(b"xyz"))
@@ -277,4 +288,125 @@ class TestFrameCap:
         a.send(data(b"k" * 512))
         assert b.recv(timeout=5).payload == b"k" * 512
         a.close()
+        b.close()
+
+
+class _CountingSocket:
+    """Socket proxy that counts sendmsg calls."""
+
+    def __init__(self, sock):
+        self._real = sock
+        self.sendmsg_calls = 0
+
+    def sendmsg(self, buffers):
+        self.sendmsg_calls += 1
+        return self._real.sendmsg(buffers)
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+def _drain(channel, into, *, pause=0.0):
+    import time
+    while True:
+        frame = channel.recv(timeout=20)
+        if frame is None:
+            return
+        into.append(bytes(frame.payload))
+        time.sleep(pause)
+
+
+class TestLargeFrames:
+    """Frames above the receive chunk: read by recv_into into a buffer
+    of their own, sent as gathered parts."""
+
+    def test_large_frame_in_bursts_survives_recv_timeouts(self):
+        a, b = tcp_pair()
+        payload = bytes(range(256)) * (8 * 1024)  # 2 MiB
+        raw = data(payload).encode()
+        cuts = [0, 300 * 1024, 1000 * 1024, len(raw)]
+        for start, end in zip(cuts, cuts[1:-1]):
+            a._sock.sendall(raw[start:end])
+            with pytest.raises(TransportError, match="timed out"):
+                b.recv(timeout=0.05)
+        tail = threading.Thread(target=a._sock.sendall,
+                                args=(raw[cuts[-2]:],))
+        tail.start()
+        frame = b.recv(timeout=10)
+        tail.join(10)
+        assert frame.payload == payload
+        a.send(data(b"next"))  # and the stream is still in step
+        assert b.recv(timeout=5).payload == b"next"
+        a.close()
+        b.close()
+
+    def test_lying_prefix_costs_what_was_sent(self):
+        import struct
+        import tracemalloc
+        a, b = tcp_pair()
+        announced = 200 * 1024 * 1024  # under the 256 MiB cap
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            a._sock.sendall(struct.pack(">IB", announced, FrameType.DATA)
+                            + b"k" * 1024)
+            with pytest.raises(TransportError, match="timed out"):
+                b.recv(timeout=0.2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024, peak
+        a.close()
+        b.close()
+
+    def test_partial_sendmsg_resumes_inside_a_part(self):
+        import socket
+        a, b = tcp_pair()
+        a._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                           16 * 1024)
+        a._sock.settimeout(20)  # timeout mode: sendmsg writes partially
+        a._sock = _CountingSocket(a._sock)
+        received = []
+        reader = threading.Thread(target=_drain, args=(b, received),
+                                  kwargs={"pause": 0.01})
+        reader.start()
+        grid = bytearray(bytes(range(256)) * (32 * 1024))  # 8 MiB
+        parts = (b"head" * 4, memoryview(grid), b"tail")
+        a.send(Frame(FrameType.DATA, parts))
+        assert a._sock.sendmsg_calls > 1
+        assert a.bytes_sent == 5 + sum(len(p) for p in parts)
+        assert a.frames_sent == 1
+        expected = b"".join(parts)
+        grid[:] = bytes(len(grid))  # send returned: source is ours again
+        a.close()
+        reader.join(30)
+        assert not reader.is_alive()
+        assert received == [expected]
+        b.close()
+
+    def test_two_threads_large_parts_frames_do_not_interleave(self):
+        a, b = tcp_pair()
+        received = []
+        reader = threading.Thread(target=_drain, args=(b, received))
+        reader.start()
+
+        def writer(tag):
+            body = memoryview(tag * (300 * 1024))
+            for i in range(12):
+                a.send(Frame(FrameType.DATA,
+                             (tag * 16, body, b"%02d" % i)))
+
+        writers = [threading.Thread(target=writer, args=(tag,))
+                   for tag in (b"x", b"y")]
+        for w in writers:
+            w.start()
+        for w in writers:
+            w.join(30)
+            assert not w.is_alive()
+        a.close()
+        reader.join(30)
+        assert not reader.is_alive()
+        assert sorted(received) == sorted(
+            tag * (16 + 300 * 1024) + b"%02d" % i
+            for tag in (b"x", b"y") for i in range(12))
         b.close()
