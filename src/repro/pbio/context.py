@@ -17,8 +17,13 @@ Typical sender::
 Typical receiver::
 
     ctx = IOContext()
-    name, record = ctx.decode(wire)          # sender's field view
+    decoded = ctx.decode(wire)     # DecodedRecord, sender's field view
     record = ctx.decode_as(wire, "JoinRequest")  # receiver's view
+
+``decode`` makes the one checked pass over the record header and finds
+the decoder bound to its raw digest in one table probe; a
+:class:`~repro.transport.connection.Connection` returns the same
+:class:`DecodedRecord`, unwrapped.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from repro.obs.spans import observe_phase, sample_t0, span
 from repro.pbio.convert import ConversionPlan, plan_conversion
 from repro.pbio.decode import RecordDecoder, decoder_for_format
 from repro.pbio.encode import (
-    FLAG_BATCH, HEADER_LEN, EncodedRecord, RecordEncoder, build_header,
-    encoder_for_format, parse_batch, parse_header_flags,
+    FLAG_BATCH, HEADER_LEN, RecordEncoder, encoder_for_format,
+    parse_batch, split_header,
 )
 from repro.pbio.fields import FieldList
 from repro.pbio.format import FormatID, IOFormat
@@ -145,9 +150,11 @@ for _name in ContextStats._FIELDS:
 del _name
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DecodedRecord:
-    """Result of :meth:`IOContext.decode`."""
+    """A record under its sender's field view: what
+    :meth:`IOContext.decode` builds and ``Connection.receive`` returns
+    (as ``ReceivedMessage``), the same object."""
 
     format_name: str
     format_id: FormatID
@@ -166,8 +173,13 @@ class IOContext:
         #: every version of a name this context holds native bindings
         #: for, oldest first (grown by register_evolution)
         self._versions: dict[str, list[IOFormat]] = {}
-        self._encoders: dict[FormatID, RecordEncoder] = {}
+        #: keyed by ``FormatID.value``: an int hashes in C
+        self._encoders: dict[int, RecordEncoder] = {}
         self._decoders: dict[tuple[FormatID, str], RecordDecoder] = {}
+        #: arrays mode -> raw wire digest -> (bound ``decoder.decode``,
+        #: format name, FormatID).  Ids are content-addressed, so an
+        #: entry never goes stale and nothing invalidates the table.
+        self._bound: dict[str, dict[bytes, tuple]] = {}
         self._wire_formats: dict[FormatID, IOFormat] = {}
         self._conversions: dict[tuple[FormatID, str], ConversionPlan] = {}
         #: marshaling counters (records/bytes in each direction)
@@ -266,7 +278,7 @@ class IOContext:
             raise UnknownFormatError(
                 f"format {name!r} not registered with this context")
         self._versions.pop(name, None)
-        self._encoders.pop(fmt.format_id, None)
+        self._encoders.pop(fmt.format_id.value, None)
         self._conversions = {key: plan
                              for key, plan in self._conversions.items()
                              if key[1] != name}
@@ -286,12 +298,12 @@ class IOContext:
     # -- encoding ---------------------------------------------------------------
 
     def encoder_for(self, fmt: IOFormat) -> RecordEncoder:
-        encoder = self._encoders.get(fmt.format_id)
+        key = fmt.format_id.value
+        encoder = self._encoders.get(key)
         if encoder is None:
             # L2: the process-wide digest-keyed plan cache, so every
             # context encoding the same format shares one compiled plan
-            encoder = encoder_for_format(fmt)
-            self._encoders[fmt.format_id] = encoder
+            encoder = self._encoders[key] = encoder_for_format(fmt)
         return encoder
 
     def encode(self, format_name: str | IOFormat, record: dict, *,
@@ -305,7 +317,8 @@ class IOContext:
         wire = self.encoder_for(fmt).encode_wire_parts(record)
         if t0:
             observe_phase("marshal", t0)
-        self.stats.count_encoded(1, sum(map(len, wire)))
+        self.stats.count_encoded(1, len(wire[0]) if len(wire) == 1
+                                 else sum(map(len, wire)))
         return wire if parts else b"".join(wire)
 
     def encode_many(self, format_name: str | IOFormat,
@@ -342,44 +355,52 @@ class IOContext:
             self._decoders[key] = decoder
         return decoder
 
+    def _bind(self, digest: bytes, arrays: str) -> tuple:
+        """First record of a wire format in this arrays mode: resolve
+        digest -> format -> compiled decoder once and remember the
+        result under the raw digest."""
+        fid = FormatID.from_bytes(digest)
+        fmt = self._resolve_wire_format(fid)
+        entry = (self.decoder_for(fmt, arrays=arrays).decode, fmt.name,
+                 fid)
+        self._bound.setdefault(arrays, {})[digest] = entry
+        return entry
+
     def decode(self, data: bytes, *, arrays: str = "list") \
             -> DecodedRecord:
-        """Decode a wire record under its *sender's* field view."""
-        fid, body = self._split(data)
-        fmt = self._resolve_wire_format(fid)
+        """Decode a wire record under its *sender's* field view: one
+        header pass, one table probe, one result object."""
+        digest, flags, body_len = split_header(data, require_body=True)
+        if flags & FLAG_BATCH:
+            raise DecodeError(
+                "data is a record batch; use decode_many()")
+        try:
+            decode, name, fid = self._bound[arrays][digest]
+        except KeyError:
+            decode, name, fid = self._bind(digest, arrays)
         t0 = sample_t0()
-        record = self.decoder_for(fmt, arrays=arrays).decode(body)
+        record = decode(
+            memoryview(data)[HEADER_LEN:HEADER_LEN + body_len])
         if t0:
             observe_phase("unmarshal", t0)
         self.stats.count_decoded(1, len(data))
-        return DecodedRecord(format_name=fmt.name, format_id=fid,
-                             record=record)
+        return DecodedRecord(name, fid, record)
 
     def decode_many(self, data: bytes, *, arrays: str = "list") \
             -> list[DecodedRecord]:
         """Decode a shared-header record batch produced by
-        :meth:`encode_many` under its sender's field view."""
-        name, fid, records = self.decode_many_records(
-            data, arrays=arrays)
-        return [DecodedRecord(format_name=name, format_id=fid,
-                              record=record) for record in records]
-
-    def decode_many_records(self, data: bytes, *,
-                            arrays: str = "list") \
-            -> tuple[str, FormatID, list[dict]]:
-        """Batch decode without per-record wrapping: the format name
-        and id once, plus the raw record dicts.  This is the hot path
-        for batched streaming — callers that build their own envelope
-        (e.g. transport connections) skip a dataclass per record."""
+        :meth:`encode_many` under its sender's field view: the format
+        is resolved once for every record in it."""
         fid, _big, bodies = parse_batch(data)
         fmt = self._resolve_wire_format(fid)
         decode = self.decoder_for(fmt, arrays=arrays).decode
         t0 = sample_t0()
-        records = [decode(body) for body in bodies]
+        records = [DecodedRecord(fmt.name, fid, decode(body))
+                   for body in bodies]
         if t0:
             observe_phase("unmarshal", t0)
         self.stats.count_decoded(len(records), len(data))
-        return fmt.name, fid, records
+        return records
 
     def decode_as(self, data: bytes, native_name: str, *,
                   arrays: str = "list") -> dict:
@@ -387,33 +408,16 @@ class IOContext:
         registered *native_name* format view (restricted evolution:
         added wire fields dropped, missing ones defaulted)."""
         native = self.lookup_format(native_name)
-        fid, body = self._split(data)
-        wire = self._resolve_wire_format(fid)
-        t0 = sample_t0()
-        record = self.decoder_for(wire, arrays=arrays).decode(body)
-        if t0:
-            observe_phase("unmarshal", t0)
-        key = (fid, native_name)
+        decoded = self.decode(data, arrays=arrays)
+        key = (decoded.format_id, native_name)
         plan = self._conversions.get(key)
         if plan is None:
+            wire = self._resolve_wire_format(decoded.format_id)
             with span("bind", view=native_name):
                 plan = plan_conversion(wire, native)
             self._conversions[key] = plan
             self.stats.count_conversion()
-        self.stats.count_decoded(1, len(data))
-        return plan.apply(record)
-
-    def _split(self, data: bytes) -> tuple[FormatID, memoryview]:
-        fid, flags, body_len = parse_header_flags(data)
-        if flags & FLAG_BATCH:
-            raise DecodeError(
-                "data is a record batch; use decode_many()")
-        body = memoryview(data)[HEADER_LEN:]
-        if len(body) < body_len:
-            raise DecodeError(
-                f"record truncated: header says {body_len} body bytes, "
-                f"got {len(body)}")
-        return fid, body[:body_len]
+        return plan.apply(decoded.record)
 
     # -- convenience -------------------------------------------------------------
 
@@ -426,16 +430,3 @@ class IOContext:
     def roundtrip(self, format_name: str, record: dict) -> dict:
         """Encode then decode under the same format (testing aid)."""
         return self.decode(self.encode(format_name, record)).record
-
-
-def encode_with_header(fmt: IOFormat, record: EncodedRecord | dict) \
-        -> bytes:
-    """Module-level helper mirroring :meth:`IOContext.encode` for code
-    that holds an :class:`IOFormat` but no context."""
-    if isinstance(record, EncodedRecord):
-        enc = record
-    else:
-        enc = encoder_for_format(fmt).encode(record)
-    header = build_header(enc.format_id, len(enc.body),
-                          big_endian=fmt.architecture.byte_order == "big")
-    return header + enc.body

@@ -235,23 +235,10 @@ def build_header(format_id: FormatID, body_length: int,
                                format_id.to_bytes(), body_length)
 
 
-def parse_header_flags(data) -> tuple[FormatID, int, int]:
-    """Parse a header; returns (format id, flags, body length)."""
-    if len(data) < HEADER_LEN:
-        raise WireParseError(
-            f"record shorter than header ({len(data)} < {HEADER_LEN})")
-    magic, version, flags, fid, body_len = _HEADER_STRUCT.unpack_from(
-        data)
-    if magic != HEADER_MAGIC:
-        raise WireParseError(f"bad record magic {magic!r}")
-    if version != HEADER_VERSION:
-        raise WireParseError(f"unsupported record version {version}")
-    return FormatID.from_bytes(fid), flags, body_len
-
-
-def parse_header(data: bytes, *,
-                 require_body: bool = False) -> tuple[FormatID, int]:
-    """Parse a record header; returns (format id, body length).
+def split_header(data, *, require_body: bool = False) \
+        -> tuple[bytes, int, int]:
+    """The one checked pass over a record header; returns (raw 8-byte
+    format digest, flags, body length).
 
     With ``require_body`` the declared body length is checked against
     the buffer — wire-facing callers holding the whole record must set
@@ -259,12 +246,29 @@ def parse_header(data: bytes, *,
     downstream slice or allocation.  (The default stays lenient for
     callers inspecting a bare 16-byte header.)
     """
-    fid, _flags, body_len = parse_header_flags(data)
+    if len(data) < HEADER_LEN:
+        raise WireParseError(
+            f"record shorter than header ({len(data)} < {HEADER_LEN})")
+    magic, version, flags, digest, body_len = \
+        _HEADER_STRUCT.unpack_from(data)
+    if magic != HEADER_MAGIC:
+        raise WireParseError(f"bad record magic {magic!r}")
+    if version != HEADER_VERSION:
+        raise WireParseError(f"unsupported record version {version}")
     if require_body and body_len > len(data) - HEADER_LEN:
         raise WireParseError(
             f"record truncated: header says {body_len} body bytes, "
             f"got {len(data) - HEADER_LEN}")
-    return fid, body_len
+    return digest, flags, body_len
+
+
+def parse_header(data: bytes, *,
+                 require_body: bool = False) -> tuple[FormatID, int]:
+    """:func:`split_header` for callers that want the
+    :class:`FormatID`; returns (format id, body length)."""
+    digest, _flags, body_len = split_header(
+        data, require_body=require_body)
+    return FormatID.from_bytes(digest), body_len
 
 
 def is_batch(data) -> bool:
@@ -295,7 +299,7 @@ def build_batch(format_id: FormatID, bodies, *,
 
 def parse_batch(data) -> tuple[FormatID, bool, list[memoryview]]:
     """Split a record batch into (format id, big-endian?, bodies)."""
-    fid, flags, total = parse_header_flags(data)
+    digest, flags, total = split_header(data)
     if not flags & FLAG_BATCH:
         raise WireParseError("not a record batch (FLAG_BATCH clear)")
     payload = memoryview(data)[HEADER_LEN:]
@@ -326,7 +330,8 @@ def parse_batch(data) -> tuple[FormatID, bool, list[memoryview]]:
                 f"{offset}) extends past the {total}-byte payload")
         bodies.append(payload[offset:offset + length])
         offset += length
-    return fid, bool(flags & FLAG_BIG_ENDIAN), bodies
+    return (FormatID.from_bytes(digest), bool(flags & FLAG_BIG_ENDIAN),
+            bodies)
 
 
 def explode_batch(data) -> list[bytes]:
@@ -440,6 +445,10 @@ class RecordEncoder:
         self._bo = fmt.architecture.struct_byte_order_char
         self._byte_order = fmt.architecture.byte_order
         self._big = fmt.architecture.byte_order == "big"
+        #: the 12 header bytes every record of this format shares; only
+        #: the u32 body length after them varies
+        self._header12 = build_header(
+            fmt.format_id, 0, big_endian=self._big)[:12]
         ptr_size = fmt.architecture.sizeof("pointer")
         self._ptr = struct.Struct(
             self._bo + ("I" if ptr_size == 4 else "Q"))
@@ -512,11 +521,10 @@ class RecordEncoder:
         try:
             for op in self._ops:
                 op(record, body, 0)
-            header = build_header(self.format.format_id, len(body),
-                                  big_endian=self._big)
+            length = _COUNT32.pack(len(body))
             if not (spill and body.segments):
-                return (b"".join((header, body)),)
-            parts = [header]
+                return (b"".join((self._header12, length, body)),)
+            parts = [self._header12 + length]
             prev = 0
             with memoryview(body) as raw:
                 for cut, segment in body.segments:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import (
     FormatRegistrationError, LayoutError, UnknownFormatError,
@@ -86,7 +87,6 @@ class IOFormat:
                     f"enumeration field {field.name!r} requires a value "
                     "table")
         self._canonical: bytes | None = None
-        self._format_id: FormatID | None = None
 
     # -- identity ------------------------------------------------------------
 
@@ -99,12 +99,12 @@ class IOFormat:
             self._canonical = serialize_format(self)
         return self._canonical
 
-    @property
+    @cached_property
     def format_id(self) -> FormatID:
-        if self._format_id is None:
-            digest = hashlib.sha256(self.canonical_bytes()).digest()
-            self._format_id = FormatID(int.from_bytes(digest[:8], "big"))
-        return self._format_id
+        # computed once, then a plain instance attribute: the encode
+        # path reads it per record
+        digest = hashlib.sha256(self.canonical_bytes()).digest()
+        return FormatID(int.from_bytes(digest[:8], "big"))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IOFormat):

@@ -2,10 +2,12 @@
 
 A :class:`Connection` binds an :class:`~repro.pbio.context.IOContext`
 to a :class:`~repro.transport.base.Channel`.  Sending encodes a record
-and ships a DATA frame.  Receiving resolves the record's format ID —
-from the local context/server cache if the format has been seen, else
-by a FMT_REQ/FMT_RSP exchange with the peer (the connection-
-establishment cost the paper describes) — then decodes.
+and ships a DATA frame.  Receiving hands the payload to the context
+unparsed — the context makes the one pass over the record header — and
+returns the context's own :class:`~repro.pbio.context.DecodedRecord`.
+Only a format ID the context cannot resolve costs a FMT_REQ/FMT_RSP
+exchange with the peer (the connection-establishment cost the paper
+describes) and a second decode.
 
 The receive loop also services the peer's FMT_REQ frames, so two
 endpoints blocked in ``receive()``/negotiation cannot deadlock; DATA
@@ -16,13 +18,12 @@ and delivered in order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from repro.errors import (
     DecodeError, FormatRegistrationError, ProtocolError,
     TransportError, UnknownFormatError,
 )
-from repro.pbio.context import IOContext
+from repro.pbio.context import DecodedRecord, IOContext
 from repro.pbio.encode import explode_batch, is_batch, parse_header
 from repro.pbio.evolution import DownConverter, down_converter
 from repro.pbio.format import FormatID, IOFormat
@@ -59,13 +60,8 @@ def count_negotiation(chosen: FormatID | None, chain) -> None:
     NEGOTIATED_VERSIONS.labels(version).inc()
 
 
-@dataclass(frozen=True)
-class ReceivedMessage:
-    """A decoded application record delivered by a connection."""
-
-    format_name: str
-    format_id: FormatID
-    record: dict
+#: what a connection delivers: the object ``IOContext.decode`` built
+ReceivedMessage = DecodedRecord
 
 
 class Connection:
@@ -213,37 +209,20 @@ class Connection:
     def receive(self, timeout: float | None = None) \
             -> ReceivedMessage | None:
         """Deliver the next application record (None on orderly close)."""
-        wire = self._next_data(timeout)
-        if wire is None:
-            return None
-        try:
-            fid, _body_len = parse_header(wire, require_body=True)
-            self._ensure_format(fid, timeout)
-            decoded = self.context.decode(wire, arrays=self.arrays)
-        except DecodeError:
-            _count_malformed("bad_record")
-            raise
-        self.records_received += 1
-        return ReceivedMessage(format_name=decoded.format_name,
-                               format_id=decoded.format_id,
-                               record=decoded.record)
+        message = self._receive(self._next_data, self.context.decode,
+                                timeout)
+        if message is not None:
+            self.records_received += 1
+        return message
 
     def receive_as(self, native_name: str,
                    timeout: float | None = None) -> dict | None:
         """Like :meth:`receive` but converted to the receiver's own
         registered format view (restricted evolution applies)."""
-        wire = self._next_data(timeout)
-        if wire is None:
-            return None
-        try:
-            fid, _ = parse_header(wire, require_body=True)
-            self._ensure_format(fid, timeout)
-            record = self.context.decode_as(wire, native_name,
-                                            arrays=self.arrays)
-        except DecodeError:
-            _count_malformed("bad_record")
-            raise
-        self.records_received += 1
+        record = self._receive(self._next_data, self.context.decode_as,
+                               timeout, native_name)
+        if record is not None:
+            self.records_received += 1
         return record
 
     def receive_many(self, timeout: float | None = None) \
@@ -251,31 +230,37 @@ class Connection:
         """Deliver the next DATA_BATCH whole: one frame, one format
         resolution, one decoder for every record in it.  A plain DATA
         frame yields a one-element list; None means orderly close."""
-        wire = self._next_payload(timeout)
-        if wire is None:
-            return None
-        try:
-            fid, _body_len = parse_header(wire)
-            self._ensure_format(fid, timeout)
-            if is_batch(wire):
-                name, fid, records = \
-                    self.context.decode_many_records(
-                        wire, arrays=self.arrays)
-                out = [ReceivedMessage(format_name=name, format_id=fid,
-                                       record=record)
-                       for record in records]
-            else:
-                d = self.context.decode(wire, arrays=self.arrays)
-                out = [ReceivedMessage(format_name=d.format_name,
-                                       format_id=d.format_id,
-                                       record=d.record)]
-        except DecodeError:
-            _count_malformed("bad_record")
-            raise
-        self.records_received += len(out)
+        out = self._receive(self._next_payload, self._decode_whole,
+                            timeout)
+        if out is not None:
+            self.records_received += len(out)
         return out
 
     # -- internals ----------------------------------------------------------
+
+    def _receive(self, fetch, decode, timeout: float | None, *args):
+        """The one place wire input meets the context: the next wire
+        from *fetch* goes to *decode* unparsed.  A format the context
+        cannot resolve is negotiated with the peer and the decode
+        retried, once; every record rejected is counted, here only."""
+        try:
+            wire = fetch(timeout)
+            if wire is None:
+                return None
+            try:
+                return decode(wire, *args, arrays=self.arrays)
+            except UnknownFormatError:
+                self._ensure_format(parse_header(wire)[0], timeout)
+                return decode(wire, *args, arrays=self.arrays)
+        except DecodeError:
+            _count_malformed("bad_record")
+            raise
+
+    def _decode_whole(self, wire: bytes, *, arrays: str) -> list:
+        """receive_many's *decode*: a batch or a single record."""
+        if is_batch(wire):
+            return self.context.decode_many(wire, arrays=arrays)
+        return [self.context.decode(wire, arrays=arrays)]
 
     def _next_payload(self, timeout: float | None) -> bytes | None:
         """The next DATA or DATA_BATCH payload, servicing metadata

@@ -71,11 +71,12 @@ class FrameType(enum.IntEnum):
     LIN_RSP = 13  # payload = name + negotiated digest + full chain
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Frame:
-    """One transport frame.  Outbound, ``payload`` may be a tuple of
-    buffers (a record's wire parts, sent unjoined); inbound, a large
-    DATA / DATA_BATCH payload may be a read-only ``memoryview`` of the
+    """One transport frame, built once each way per message: a plain
+    two-slot class.  Outbound, ``payload`` may be a tuple of buffers (a
+    record's wire parts, sent unjoined); inbound, a large DATA /
+    DATA_BATCH payload may be a read-only ``memoryview`` of the
     frame's private receive buffer.  Otherwise it is ``bytes``."""
 
     type: FrameType
@@ -87,7 +88,8 @@ class Frame:
         parts = self.payload
         if type(parts) is not tuple:
             parts = (parts,)
-        return [_PREFIX.pack(sum(map(len, parts)) + 1, self.type), *parts]
+        size = len(parts[0]) if len(parts) == 1 else sum(map(len, parts))
+        return [_PREFIX.pack(size + 1, self.type), *parts]
 
     def encode(self) -> bytes:
         return b"".join(self.buffers())
@@ -104,6 +106,9 @@ def frame_bytes(ftype: int, *parts: bytes) -> bytes:
     return b"".join((_PREFIX.pack(total + 1, ftype),) + parts)
 
 
+_FRAME_TYPES = {ftype.value: ftype for ftype in FrameType}
+
+
 def decode_frame(data: bytes, payload=None) -> Frame:
     """Decode one framed message (length prefix already stripped).
 
@@ -113,15 +118,14 @@ def decode_frame(data: bytes, payload=None) -> Frame:
     ``bytes``."""
     if not data:
         raise ProtocolError("empty frame")
-    try:
-        ftype = FrameType(data[0])
-    except ValueError:
-        raise ProtocolError(f"unknown frame type {data[0]}") from None
+    ftype = _FRAME_TYPES.get(data[0])
+    if ftype is None:
+        raise ProtocolError(f"unknown frame type {data[0]}")
     if payload is None:
         payload = bytes(data[1:])
     elif ftype not in (FrameType.DATA, FrameType.DATA_BATCH):
         payload = bytes(payload)
-    return Frame(type=ftype, payload=payload)
+    return Frame(ftype, payload)
 
 
 def read_frame_from(read_exactly) -> Frame | None:

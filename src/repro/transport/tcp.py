@@ -50,6 +50,9 @@ class TCPChannel(Channel):
         #: a large frame's own buffer and fill count, across recv calls
         self._frame: bytearray | None = None
         self._frame_have = 0
+        #: whether the last settimeout left the socket blocking, so a
+        #: blocking read costs no ioctl; unknown (False) until one ran
+        self._blocking = False
         self._send_lock = threading.Lock()
         self.max_frame_len = max_frame_len
         self.bytes_sent = 0
@@ -139,16 +142,20 @@ class TCPChannel(Channel):
             if len(self._buffer) == 0:
                 return None  # orderly close at a frame boundary
             raise TransportError("connection closed mid-frame")
-        (length,) = _LEN.unpack(self._buffer[:4])
+        (length,) = _LEN.unpack_from(self._buffer)
         if length == 0:
             raise TransportError(f"bad frame length {length}")
         if length > self.max_frame_len:
             raise FrameTooLargeError(length, self.max_frame_len)
         if length <= _RECV_CHUNK:
-            if not self._fill(4 + length, deadline, timeout):
+            end = 4 + length
+            if not self._fill(end, deadline, timeout):
                 raise TransportError("connection closed mid-frame")
-            frame = decode_frame(bytes(self._buffer[4:4 + length]))
-            del self._buffer[:4 + length]
+            # the payload's one copy out of the reassembly buffer (the
+            # view is released before the del below resizes it)
+            frame = decode_frame(
+                self._buffer[4:5], bytes(memoryview(self._buffer)[5:end]))
+            del self._buffer[:end]
             return frame
         # A large frame's payload is read straight into a buffer of its
         # own: private (decoded arrays alias it for their lifetime) and
@@ -211,8 +218,10 @@ class TCPChannel(Channel):
                 raise TransportError(
                     f"recv timed out after {timeout}s")
             self._sock.settimeout(remaining)
-        else:
+            self._blocking = False
+        elif not self._blocking:
             self._sock.settimeout(None)
+            self._blocking = True
         try:
             if window is None:
                 return self._sock.recv(_RECV_CHUNK)
