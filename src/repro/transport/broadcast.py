@@ -6,9 +6,10 @@ information to large numbers of clients", where scalability "implies
 the need to reduce per-client or per-source processing".
 :class:`BroadcastPublisher` makes that reduction concrete: each record
 is marshaled **once** through the context's fused encoder plan, framed
-once, and the *same* immutable bytes object is queued to every
-subscriber — per-client work is a queue append plus a share of a
-scatter-gather ``sendmsg``, independent of record complexity.
+once, and the *same* immutable bytes object is offered to every
+subscriber — per-client work is one non-blocking ``send`` (behind a
+full socket buffer: a queue append plus a share of a scatter-gather
+``sendmsg``), independent of record complexity.
 
 Per-client costs that cannot be shared are amortized instead:
 
@@ -81,14 +82,20 @@ class BackpressurePolicy(enum.Enum):
 class BroadcastStats:
     """Publisher-lifetime counters and high-water marks.
 
-    All mutation goes through :meth:`count` / :meth:`max_update`,
-    which take one class-wide lock and bump the per-publisher value
-    *and* the process-wide aggregate together — exact under concurrent
+    All mutation goes through :meth:`count` / :meth:`max_update` (or
+    ``_record``: one fan-out's worth at once), which take one
+    class-wide lock and bump the per-publisher values *and* the
+    process-wide aggregates together — exact under concurrent
     publishers, and centrally snapshottable: the aggregates surface in
     the :mod:`repro.obs` registry as
     ``repro_broadcast_events_total{event=...}`` (counters summed over
     publishers) and ``repro_broadcast_*_high_water`` gauges (maxima
     over publishers) via a snapshot-time collector.
+
+    ``queue_high_water`` is the most bytes one subscriber had waiting
+    in user space after a data frame was offered to it: 0 while every
+    frame writes through to the kernel, else the backlog behind a
+    full socket buffer.
     """
 
     _COUNTERS = ("messages_broadcast", "frames_enqueued",
@@ -108,18 +115,23 @@ class BroadcastStats:
             setattr(self, "_" + name, 0)
 
     def count(self, name: str, n: int = 1) -> None:
-        attr = "_" + name
-        with BroadcastStats._LOCK:
-            setattr(self, attr, getattr(self, attr) + n)
-            BroadcastStats._TOTALS[name] += n
+        self._record({name: n}, {})
 
     def max_update(self, name: str, value: int) -> None:
-        attr = "_" + name
+        self._record({}, {name: value})
+
+    def _record(self, counts: dict, maxima: dict) -> None:
         with BroadcastStats._LOCK:
-            if value > getattr(self, attr):
-                setattr(self, attr, value)
-            if value > BroadcastStats._MAXIMA[name]:
-                BroadcastStats._MAXIMA[name] = value
+            for name, n in counts.items():
+                attr = "_" + name
+                setattr(self, attr, getattr(self, attr) + n)
+                BroadcastStats._TOTALS[name] += n
+            for name, value in maxima.items():
+                attr = "_" + name
+                if value > getattr(self, attr):
+                    setattr(self, attr, value)
+                if value > BroadcastStats._MAXIMA[name]:
+                    BroadcastStats._MAXIMA[name] = value
 
     def __getattr__(self, name: str) -> int:
         if name in BroadcastStats._COUNTERS or \
@@ -348,7 +360,7 @@ class BroadcastPublisher:
                  down_convert=None) -> int:
         t0 = sample_t0()
         clients = self.server.clients()
-        reached = 0
+        reached = waiting = 0
         #: frames re-encoded for stale versions this fan-out: built at
         #: most once per *version*, shared by every subscriber on it
         variants: dict[FormatID, tuple[IOFormat, bytes]] = {}
@@ -362,22 +374,24 @@ class BroadcastPublisher:
                     old_fmt = self._version_format(fmt.name, target)
                     cached = (old_fmt, down_convert(old_fmt))
                     variants[target] = cached
-                    self.stats.count("frames_down_converted")
                 send_fmt, frame = cached
             if send_fmt.format_id not in client.announced:
                 self._announce(client, send_fmt)
             if self._offer(client, frame):
                 reached += 1
+                waiting = max(waiting, client.queued_bytes)
         if t0:
             observe_phase("transport", t0)
-        stats = self.stats
-        stats.count("messages_broadcast", records)
         # one encode regardless of subscriber count — the whole
         # point; frame overhead (5 bytes) excluded
-        stats.count("bytes_encoded", len(data) - 5)
-        stats.count("frames_enqueued", reached)
-        stats.count("bytes_queued", reached * len(data))
-        stats.max_update("subscriber_high_water", len(clients))
+        self.stats._record(
+            {"messages_broadcast": records,
+             "bytes_encoded": len(data) - 5,
+             "frames_enqueued": reached,
+             "bytes_queued": reached * len(data),
+             "frames_down_converted": len(variants)},
+            {"queue_high_water": waiting,
+             "subscriber_high_water": len(clients)})
         return reached
 
     def _announce(self, client: ClientHandle, fmt: IOFormat) -> None:
@@ -425,11 +439,7 @@ class BroadcastPublisher:
                     return self._evict(client)
                 if not client.open:
                     return False
-        queued = self.server.enqueue(client, data)
-        if queued:
-            self.stats.max_update("queue_high_water",
-                                  client.queued_bytes)
-        return queued
+        return self.server.enqueue(client, data)
 
     def _evict(self, client: ClientHandle) -> bool:
         self.server.request_close(

@@ -7,12 +7,13 @@ deployment — "single servers must provide information to large numbers
 of clients" — needs hundreds.  :class:`EventLoopServer` accepts every
 subscriber on the same thread, reassembles inbound frames
 incrementally (the same length-prefix protocol as
-:class:`~repro.transport.tcp.TCPChannel`), and drains per-client write
-queues with scatter-gather ``sendmsg`` so a burst of broadcast frames
-costs one syscall per client, not one per frame.
+:class:`~repro.transport.tcp.TCPChannel`).  Outbound frames write
+through: :meth:`EventLoopServer.enqueue` sends on the caller's thread
+while the client's queue is empty, and the loop thread only drains a
+backlog, with scatter-gather ``sendmsg`` — one syscall per backlogged
+client, not one per frame.
 
-The loop itself is policy-free: writes are queued with
-:meth:`EventLoopServer.enqueue` and bounded-queue backpressure
+The loop itself is policy-free: bounded-queue backpressure
 (``block`` / ``drop-oldest`` / ``disconnect-slow``) is composed on top
 by :class:`~repro.transport.broadcast.BroadcastPublisher`.
 
@@ -397,7 +398,19 @@ class EventLoopServer:
 
     def enqueue(self, client: ClientHandle, data: bytes, *,
                 droppable: bool = True) -> bool:
-        """Queue *data* (one whole encoded frame) for *client*.
+        """Send or queue *data* (one whole encoded frame) for *client*.
+
+        Write-through: while the client's queue is empty the frame
+        goes to the kernel here, on the calling thread, in one
+        non-blocking ``send`` under the server lock.  An empty queue
+        means every earlier byte is written and the loop thread is not
+        inside a ``sendmsg`` for this client (entries stay queued
+        until accounted), so no two threads ever send on one socket
+        and the stream keeps enqueue order.  What the kernel did not
+        take is queued for the loop thread, woken on that empty ->
+        non-empty transition only.  A send error never raises or runs
+        a callback here: it becomes ``close_reason`` plus a close
+        request, for ``on_disconnect`` on the loop thread.
 
         Returns False when the client is already gone.  Unbounded:
         callers that need backpressure check ``queued_bytes`` first
@@ -406,13 +419,31 @@ class EventLoopServer:
         with self._lock:
             if not client.open or client.closing:
                 return False
-            client.write_queue.append([memoryview(data), droppable])
-            client.queued_bytes += len(data)
             client.frames_enqueued += 1
+            queue = client.write_queue
+            backlog, sent = bool(queue), 0
+            if not backlog:
+                try:
+                    sent = client.sock.send(data)
+                except BlockingIOError:
+                    pass
+                except OSError as exc:
+                    client.close_reason = TransportError(
+                        f"send failed: {exc}")
+                    self._close_requests.append(
+                        (client, client.close_reason, False))
+                client.sent_bytes += sent
+                if sent == len(data):
+                    client.frames_sent += 1
+                    return True
+                client.head_offset = sent
+                self._want_write.add(client.id)
+            queue.append([memoryview(data), droppable])
+            client.queued_bytes += len(data) - sent
             if client.queued_bytes > client.queue_high_water:
                 client.queue_high_water = client.queued_bytes
-            self._want_write.add(client.id)
-        self._poller.wake()
+        if not backlog:
+            self._poller.wake()
         return True
 
     def drop_oldest(self, client: ClientHandle,
@@ -621,10 +652,8 @@ class EventLoopServer:
             while True:
                 chunk = client.sock.recv(_RECV_CHUNK)
                 if not chunk:
-                    if client.closing:
-                        self._close_client(client, client.close_reason)
-                    else:
-                        self._close_client(client, None)
+                    # a reason: graceful close's, or enqueue's error
+                    self._close_client(client, client.close_reason)
                     return
                 buf.extend(chunk)
                 if len(chunk) < _RECV_CHUNK:

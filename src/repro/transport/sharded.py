@@ -316,7 +316,7 @@ class _ShardWorkerPublisher(BroadcastPublisher):
         """Queue one pre-encoded wire frame to every shard subscriber
         on the matching version; returns subscribers reached."""
         t0 = sample_t0()
-        reached = 0
+        reached = waiting = 0
         for client in self.server.clients():
             target = client.negotiated.get(name)
             if not (target is None and primary or target == fid):
@@ -325,13 +325,14 @@ class _ShardWorkerPublisher(BroadcastPublisher):
                 self._announce_id(client, fid)
             if self._offer(client, frame):
                 reached += 1
+                waiting = max(waiting, client.queued_bytes)
         if t0:
             observe_phase("transport", t0)
-        self.stats.count("messages_broadcast")
-        self.stats.count("frames_enqueued", reached)
-        self.stats.count("bytes_queued", reached * len(frame))
-        self.stats.max_update("subscriber_high_water",
-                              self.server.client_count)
+        self.stats._record(
+            {"messages_broadcast": 1, "frames_enqueued": reached,
+             "bytes_queued": reached * len(frame)},
+            {"queue_high_water": waiting,
+             "subscriber_high_water": self.server.client_count})
         return reached
 
     def shard_cutover(self, name: str, new_fid: FormatID) -> int:
@@ -1065,7 +1066,6 @@ class ShardedBroadcastServer:
             old_fmt = self._version_format(fmt.name, fid)
             frames.append((fid, down_convert(old_fmt),
                            flags & ~_F_PRIMARY))
-            self.stats.count("frames_down_converted")
         t0 = sample_t0()
         name_bytes = _pack_name(fmt.name)
         reached = 0
@@ -1086,12 +1086,13 @@ class ShardedBroadcastServer:
                 self._mark_dead(handle)
         if t0:
             observe_phase("transport", t0)
-        self.stats.count("messages_broadcast", records)
-        self.stats.count("bytes_encoded", len(data) - 5)
-        self.stats.count("frames_enqueued", reached)
-        self.stats.count("bytes_queued", reached * len(data))
-        self.stats.max_update("subscriber_high_water",
-                              self.subscriber_count)
+        self.stats._record(
+            {"messages_broadcast": records,
+             "bytes_encoded": len(data) - 5,
+             "frames_enqueued": reached,
+             "bytes_queued": reached * len(data),
+             "frames_down_converted": len(pinned)},
+            {"subscriber_high_water": self.subscriber_count})
         return reached
 
     # -- synchronization -----------------------------------------------------

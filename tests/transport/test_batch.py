@@ -103,32 +103,38 @@ class TestNegotiation:
         a, b = make_pair(shared_server=False)
         a.context.register_layout("SimpleData", SPECS)
         results = []
-        done = threading.Event()
+        got_all = threading.Event()
 
+        # nothing here waits on a timer: the batch's arrival sets
+        # got_all, a.close() ends the receiver and b.close() the
+        # pump; every timeout is a backstop only a real fault reaches
         def receiver():
             while True:
-                msg = b.receive(timeout=5)
+                msg = b.receive(timeout=60)
                 if msg is None:
                     break
                 results.append(msg)
-            done.set()
+                if len(results) == 6:
+                    got_all.set()
 
         def pump():
             # a services b's FMT_REQ from inside its own receive()
             try:
-                a.receive(timeout=5)
+                a.receive(timeout=60)
             except TransportError:
                 pass
 
-        rt = threading.Thread(target=receiver)
-        pt = threading.Thread(target=pump)
+        rt = threading.Thread(target=receiver, daemon=True)
+        pt = threading.Thread(target=pump, daemon=True)
         rt.start()
         pt.start()
         a.send_many("SimpleData", records(6))
-        done.wait(5)
+        assert got_all.wait(20), "batch never arrived"
         a.close()
-        rt.join(5)
-        pt.join(5)
+        rt.join(10)
+        b.close()
+        pt.join(10)
+        assert not rt.is_alive() and not pt.is_alive()
         assert len(results) == 6
         assert b.negotiations == 1
 

@@ -311,6 +311,11 @@ class TestSlowConsumers:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         sock.connect((pub.host, pub.port))
         assert pub.wait_for_subscribers(1, timeout=5)
+        # frames write through to the kernel while it takes them:
+        # without this loopback's multi-MB send buffer absorbs the
+        # whole flood and nothing ever queues, let alone drops
+        pub.server.clients()[0].sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
         buf = bytearray()
 
         def trickle():

@@ -269,11 +269,14 @@ class TestDropOldest:
                 server.drop_oldest(box["client"], 15)
                 return 10  # kernel accepted exactly the first frame
 
-        box = {}
-        client = ClientHandle(0, RacingSock(), ("test", 0))
-        box["client"] = client
-        for payload in (b"a" * 10, b"b" * 10, b"c" * 10):
-            server.enqueue(client, payload, droppable=True)
+        # queued first (enqueue's own write-through send fails on the
+        # unconnected socket), then drained through the racing one
+        client = self._client_with_queue(server, [
+            (b"a" * 10, True), (b"b" * 10, True), (b"c" * 10, True),
+        ])
+        box = {"client": client}
+        client.sock.close()
+        client.sock = RacingSock()
         server._writable(client)
         # frame "a" was sent and accounted; "b" and "c" must still be
         # queued intact (the drop found nothing safely removable)
