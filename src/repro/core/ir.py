@@ -139,9 +139,15 @@ class IRSet:
 
     formats: dict[str, FormatIR] = field(default_factory=dict)
     enums: dict[str, EnumIR] = field(default_factory=dict)
+    #: ``(format name, architecture)`` -> structure layout, filled by
+    #: the pbio target so a type nested by several messages is laid
+    #: out once; whoever replaces a format clears it
+    layouts: dict = field(default_factory=dict, repr=False,
+                          compare=False)
 
     def add_format(self, fmt: FormatIR) -> None:
         self.formats[fmt.name] = fmt
+        self.layouts.clear()
 
     def add_enum(self, enum: EnumIR) -> None:
         self.enums[enum.name] = enum
@@ -163,6 +169,7 @@ class IRSet:
     def merge(self, other: "IRSet") -> None:
         self.formats.update(other.formats)
         self.enums.update(other.enums)
+        self.layouts.clear()
 
     def dependencies(self, name: str) -> tuple[str, ...]:
         """Names of nested formats *name* references, depth-first,
@@ -177,6 +184,16 @@ class IRSet:
                     seen.append(f.type.format_name)
         visit(name)
         return tuple(seen)
+
+    def depends_on(self, name: str, changed: frozenset) -> bool:
+        """True if *name* is one of the formats in *changed* or nests
+        one at any depth (a nested format that is gone counts)."""
+        if name in changed:
+            return True
+        try:
+            return not changed.isdisjoint(self.dependencies(name))
+        except XMITError:
+            return True
 
     def complexity(self, name: str) -> int:
         """Total field count including nested formats — the paper's

@@ -393,6 +393,7 @@ class FormatRegistry:
         fmap = self.ir.formats
         for name in names:
             fmap.defer(name, schema, replace=True)
+        self.ir.layouts.clear()  # as IRSet.merge does on the eager path
         self.stats.count("deferred_formats", len(names))
         self.loads += 1
         self._sources[url] = _Source(

@@ -19,8 +19,7 @@ from repro.core.binding import BindingToken
 from repro.core.ir import FieldIR, FormatIR, IRSet, TypeRef
 from repro.core.targets.base import MetadataTarget
 from repro.errors import TargetError
-from repro.pbio.fields import FieldList
-from repro.pbio.layout import compute_layout
+from repro.pbio.layout import StructLayout, compute_layout
 from repro.pbio.machine import Architecture, NATIVE
 from repro.pbio.format import IOFormat
 
@@ -36,22 +35,7 @@ class PBIOTarget(MetadataTarget):
                                      self.target_name)
         arch: Architecture = options.get("architecture", NATIVE)
         fmt_ir = ir.format(format_name)
-
-        # Lay out nested formats first (dependencies before dependents).
-        subformats: dict[str, FieldList] = {}
-        sub_alignments: dict[str, int] = {}
-        for dep_name in ir.dependencies(format_name):
-            dep_layout = compute_layout(
-                self._specs(ir, ir.format(dep_name), arch),
-                architecture=arch, subformats=subformats,
-                sub_alignments=sub_alignments)
-            subformats[dep_name] = dep_layout.field_list
-            sub_alignments[dep_name] = dep_layout.alignment
-
-        layout = compute_layout(self._specs(ir, fmt_ir, arch),
-                                architecture=arch,
-                                subformats=subformats,
-                                sub_alignments=sub_alignments)
+        layout = self._layout(ir, format_name, arch)
         enums = {f.name: ir.enum(f.type.enum_name).values
                  for f in fmt_ir.fields if f.type.is_enum}
         io_format = IOFormat(format_name, layout.field_list, enums)
@@ -60,7 +44,29 @@ class PBIOTarget(MetadataTarget):
             artifact=io_format,
             details={"architecture": arch,
                      "alignment": layout.alignment,
-                     "subformats": dict(subformats)})
+                     "subformats": {
+                         dep: self._layout(ir, dep, arch).field_list
+                         for dep in ir.dependencies(format_name)}})
+
+    def _layout(self, ir: IRSet, format_name: str,
+                arch: Architecture) -> StructLayout:
+        """The layout of *format_name* on *arch*, nested formats first;
+        computed once per loaded IR however many messages nest it."""
+        layout = ir.layouts.get((format_name, arch))
+        # equal Architectures share a key, but field lists nest by identity
+        if layout is None or layout.architecture is not arch:
+            fmt_ir = ir.format(format_name)
+            nested = {f.type.format_name: self._layout(
+                          ir, f.type.format_name, arch)
+                      for f in fmt_ir.fields if f.type.is_nested}
+            layout = compute_layout(
+                self._specs(ir, fmt_ir, arch), architecture=arch,
+                subformats={name: sub.field_list
+                            for name, sub in nested.items()},
+                sub_alignments={name: sub.alignment
+                                for name, sub in nested.items()})
+            ir.layouts[format_name, arch] = layout
+        return layout
 
     # -- IR -> field specs -------------------------------------------------------
 

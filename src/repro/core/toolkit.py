@@ -67,12 +67,14 @@ class XMIT:
 
     def refresh(self, url: str) -> tuple[str, ...]:
         """Re-fetch *url* and propagate any format changes (bindings
-        for changed formats are invalidated)."""
+        for changed formats, and for every format that nests one, are
+        invalidated)."""
         changed = self.registry.refresh(url)
         if changed:
+            stale = frozenset(changed)
             self._bindings = {
                 key: token for key, token in self._bindings.items()
-                if key[0] not in changed}
+                if not self.ir.depends_on(key[0], stale)}
         return changed
 
     @property

@@ -120,6 +120,12 @@ MALFORMED_FRAMES = REGISTRY.counter(
     "down healthy peers",
     labels=("layer", "reason"))
 
+MALFORMED_DOCUMENTS = REGISTRY.counter(
+    "repro_malformed_documents_total",
+    "Discovery documents rejected by a resource limit (a hostile "
+    "schema gets a typed error, not an exhausted interpreter)",
+    labels=("layer", "reason"))
+
 SENDMSG_BATCH = REGISTRY.histogram(
     "repro_transport_sendmsg_batch_frames",
     "Queue entries drained per scatter-gather sendmsg",

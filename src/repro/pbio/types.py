@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import LayoutError
 
@@ -119,11 +120,14 @@ class FieldType:
         return self.base + "".join(f"[{d}]" for d in self.dims)
 
 
+@lru_cache(maxsize=1024)
 def parse_field_type(type_string: str) -> FieldType:
     """Parse a PBIO type string into a :class:`FieldType`.
 
     Raises :class:`LayoutError` on grammar violations (bad base name,
-    malformed dimensions, dynamic dimension not first).
+    malformed dimensions, dynamic dimension not first).  The result is
+    immutable and memoised (errors are not; bounded, since discovery
+    keeps minting subformat names), so callers may re-ask per access.
     """
     text = type_string.strip()
     bracket = text.find("[")

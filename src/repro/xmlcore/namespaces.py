@@ -9,6 +9,8 @@ attribute.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import XMLNamespaceError
 from repro.xmlcore.chars import is_ncname
 from repro.xmlcore.dom import Document, Element
@@ -58,11 +60,13 @@ class QName:
         return self.local
 
 
+@lru_cache(maxsize=1024)
 def split_qname(name: str) -> tuple[str | None, str]:
     """Split a raw qualified name into ``(prefix or None, local)``.
 
     Enforces the namespaces spec's QName shape: at most one colon, and
-    both sides must be NCNames.
+    both sides must be NCNames.  Memoised (errors are not): a document
+    repeats a small vocabulary of tag and attribute names.
     """
     if ":" not in name:
         return None, name

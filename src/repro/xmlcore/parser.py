@@ -36,6 +36,19 @@ from repro.xmlcore.reader import Reader
 _ENCODING_DECL_RE = re.compile(
     rb'^<\?xml[^>]*?encoding\s*=\s*["\']([A-Za-z][A-Za-z0-9._-]*)["\']')
 
+#: a whole attribute -- S Name Eq quoted value -- whose value has nothing
+#: to normalise (tab, newline), expand ('&') or reject ('<'; the caller
+#: checks for non-Char)
+_PLAIN_ATTRIBUTE_RE = re.compile(
+    f"{chars.S}+({chars.NAME}){chars.S}*={chars.S}*"
+    "([\"'])([^<&\"'\t\n]*)\\2")
+_CHAR_DATA_RE = re.compile("[^<&]*")
+
+#: The parser recurses two frames per element level (every tree walk
+#: after it, one): a hostile document gets a typed error well inside
+#: the interpreter's default 1000-frame limit, not a RecursionError.
+MAX_ELEMENT_DEPTH = 320
+
 
 def parse(text: str, *, namespaces: bool = True) -> Document:
     """Parse an XML document from a string into a :class:`Document`.
@@ -75,6 +88,7 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.reader = Reader(text)
         self.entities = EntityTable()
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # document structure
@@ -226,17 +240,11 @@ class _Parser:
 
     def _parse_name(self) -> str:
         r = self.reader
-        start = r.peek()
-        if not start or not chars.is_name_start_char(start):
-            raise r.error(f"name expected, found {start!r}")
-        pos = r.pos + 1
-        text = r.text
-        n = len(text)
-        while pos < n and chars.is_name_char(text[pos]):
-            pos += 1
-        name = text[r.pos:pos]
-        r.pos = pos
-        return name
+        match = chars.NAME_RE.match(r.text, r.pos)
+        if match is None:
+            raise r.error(f"name expected, found {r.peek()!r}")
+        r.pos = match.end()
+        return match.group()
 
     def _parse_element(self) -> Element:
         r = self.reader
@@ -247,7 +255,14 @@ class _Parser:
         if r.match("/>"):
             return elem
         r.expect(">", "'>' closing start tag")
+        self._depth += 1
+        if self._depth > MAX_ELEMENT_DEPTH:
+            from repro.obs.metrics import MALFORMED_DOCUMENTS
+            MALFORMED_DOCUMENTS.labels("xmlcore", "nesting").inc()
+            raise r.error(
+                f"elements nested deeper than {MAX_ELEMENT_DEPTH} levels")
         self._parse_content(elem)
+        self._depth -= 1
         # _parse_content consumed "</"; now the tag name must match.
         end_name = self._parse_name()
         if end_name != name:
@@ -260,17 +275,23 @@ class _Parser:
     def _parse_attributes(self, elem: Element) -> None:
         r = self.reader
         while True:
-            ws = r.skip_whitespace()
-            nxt = r.peek()
-            if nxt in (">", "/") or not nxt:
-                return
-            if not ws:
-                raise r.error("whitespace required between attributes")
-            name = self._parse_name()
-            r.skip_whitespace()
-            r.expect("=", f"'=' after attribute name {name!r}")
-            r.skip_whitespace()
-            value = self._parse_attribute_value()
+            match = _PLAIN_ATTRIBUTE_RE.match(r.text, r.pos)
+            if match is not None \
+                    and not chars.NON_CHAR_RE.search(match.group(3)):
+                r.pos = match.end()
+                name, _quote, value = match.groups()
+            else:  # the last one, or one to step through
+                ws = r.skip_whitespace()
+                nxt = r.peek()
+                if nxt in (">", "/") or not nxt:
+                    return
+                if not ws:
+                    raise r.error("whitespace required between attributes")
+                name = self._parse_name()
+                r.skip_whitespace()
+                r.expect("=", f"'=' after attribute name {name!r}")
+                r.skip_whitespace()
+                value = self._parse_attribute_value()
             if name in elem.attributes:
                 raise r.error(f"duplicate attribute {name!r}")
             elem.attributes[name] = Attr(name, value)
@@ -372,20 +393,15 @@ class _Parser:
     def _scan_char_data(self) -> str:
         """Consume the maximal run of plain character data."""
         r = self.reader
-        text = r.text
-        n = len(text)
-        start = r.pos
-        pos = start
-        while pos < n and text[pos] not in "<&":
-            pos += 1
-        r.pos = pos
-        return text[start:pos]
+        match = _CHAR_DATA_RE.match(r.text, r.pos)
+        r.pos = match.end()
+        return match.group()
 
     def _check_chars(self, data: str) -> None:
-        for ch in data:
-            if not chars.is_xml_char(ch):
-                raise self.reader.error(
-                    f"illegal character U+{ord(ch):04X} in content")
+        match = chars.NON_CHAR_RE.search(data)
+        if match is not None:
+            raise self.reader.error(
+                f"illegal character U+{ord(match.group()):04X} in content")
 
     def _finish_comment(self) -> Comment:
         """Parse a comment body; '<!--' already consumed."""

@@ -11,7 +11,7 @@ rest of the parser only ever sees ``\\n``.
 from __future__ import annotations
 
 from repro.errors import XMLWellFormednessError
-from repro.xmlcore.chars import WHITESPACE
+from repro.xmlcore.chars import WHITESPACE_RE
 
 
 def normalize_line_endings(text: str) -> str:
@@ -94,13 +94,8 @@ class Reader:
     def skip_whitespace(self) -> int:
         """Skip a run of XML whitespace; return how many chars skipped."""
         start = self.pos
-        text = self.text
-        n = len(text)
-        pos = self.pos
-        while pos < n and text[pos] in WHITESPACE:
-            pos += 1
-        self.pos = pos
-        return pos - start
+        self.pos = WHITESPACE_RE.match(self.text, start).end()
+        return self.pos - start
 
     def require_whitespace(self, context: str) -> None:
         if not self.skip_whitespace():
@@ -117,14 +112,3 @@ class Reader:
         chunk = self.text[self.pos:idx]
         self.pos = idx + len(terminator)
         return chunk
-
-    def read_while_in(self, allowed: frozenset[str] | set[str]) -> str:
-        """Consume the maximal run of characters in *allowed*."""
-        text = self.text
-        n = len(text)
-        start = self.pos
-        pos = start
-        while pos < n and text[pos] in allowed:
-            pos += 1
-        self.pos = pos
-        return text[start:pos]

@@ -96,6 +96,69 @@ class TestPBIOTarget:
         assert fl["label"].type == "string"
 
 
+class TestLayoutSharing:
+    """A nested type is laid out once per (loaded IR, architecture),
+    whichever targets and messages ask for it."""
+
+    @pytest.fixture
+    def fresh_ir(self):
+        return compile_schema(parse_schema_text(XSD))
+
+    def count_layouts(self, monkeypatch) -> list:
+        from repro.core.targets import pbio_target
+        calls = []
+
+        def counting(specs, **kwargs):
+            calls.append([spec[0] for spec in specs])
+            return compute_layout(specs, **kwargs)
+        compute_layout = pbio_target.compute_layout
+        monkeypatch.setattr(pbio_target, "compute_layout", counting)
+        return calls
+
+    def test_one_layout_per_type_across_generates(self, fresh_ir,
+                                                  monkeypatch):
+        calls = self.count_layouts(monkeypatch)
+        point = PBIOTarget().generate(fresh_ir, "Point")
+        track = PBIOTarget().generate(fresh_ir, "Track")
+        PBIOTarget().generate(fresh_ir, "Track")
+        assert len(calls) == 2  # Point, Track: not 1 + 2 + 2
+        assert track.artifact.field_list.subformat("Point") \
+            is point.artifact.field_list
+        assert track.details["subformats"]["Point"] \
+            is point.artifact.field_list
+
+    def test_per_architecture(self, fresh_ir, monkeypatch):
+        calls = self.count_layouts(monkeypatch)
+        for arch in (X86_64, SPARC_32, X86_64):
+            token = PBIOTarget().generate(fresh_ir, "Track",
+                                          architecture=arch)
+            assert token.artifact.field_list.subformat("Point") \
+                .architecture is arch
+        assert len(calls) == 4
+
+    def test_an_equal_but_distinct_architecture_is_laid_out_again(
+            self, fresh_ir):
+        import copy
+        twin = copy.copy(X86_64)
+        assert twin == X86_64 and twin is not X86_64
+        PBIOTarget().generate(fresh_ir, "Track", architecture=X86_64)
+        token = PBIOTarget().generate(fresh_ir, "Track",
+                                      architecture=twin)
+        assert token.artifact.architecture is twin
+
+    def test_replacing_a_format_drops_the_layouts(self, fresh_ir):
+        before = PBIOTarget().generate(fresh_ir, "Track")
+        wider = compile_schema(parse_schema_text(XSD.replace(
+            '<xsd:element name="y" type="xsd:double" />',
+            '<xsd:element name="y" type="xsd:double" />'
+            '<xsd:element name="z" type="xsd:double" />')))
+        fresh_ir.add_format(wider.format("Point"))
+        after = PBIOTarget().generate(fresh_ir, "Track")
+        assert after.artifact == PBIOTarget().generate(
+            wider, "Track").artifact
+        assert after.artifact != before.artifact
+
+
 class TestPythonTarget:
     def test_class_generated_and_installed(self, ir):
         token = PythonClassTarget().generate(ir, "Track")

@@ -27,6 +27,31 @@ XSD_V2 = XSD_V1.replace(
     '  <xsd:element name="units" type="xsd:string" />\n'
     "</xsd:complexType>")
 
+#: Msg nests Point directly, Outer nests it through Msg, Other not at all
+XSD_NESTED = """
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:complexType name="Point">
+    <xsd:element name="x" type="xsd:double" />
+    <xsd:element name="y" type="xsd:double" />
+  </xsd:complexType>
+  <xsd:complexType name="Msg">
+    <xsd:element name="at" type="Point" />
+  </xsd:complexType>
+  <xsd:complexType name="Outer">
+    <xsd:element name="msg" type="Msg" />
+    <xsd:element name="n" type="xsd:int" />
+  </xsd:complexType>
+  <xsd:complexType name="Other">
+    <xsd:element name="n" type="xsd:int" />
+  </xsd:complexType>
+</xsd:schema>
+"""
+
+XSD_NESTED_V2 = XSD_NESTED.replace(
+    '<xsd:element name="y" type="xsd:double" />',
+    '<xsd:element name="y" type="xsd:double" />'
+    '<xsd:element name="z" type="xsd:double" />')
+
 
 class TestDiscovery:
     def test_load_text(self):
@@ -127,6 +152,47 @@ class TestRefresh:
         after = xmit.bind("SimpleData")
         assert before is not after
         assert "units" in after.artifact.field_list
+
+    def test_refresh_invalidates_dependents(self):
+        """Regression: only Point's own IR changes, but Msg and Outer
+        nest it — their cached tokens (and layouts) held the old
+        16-byte Point."""
+        url = publish_document("toolkit-r5.xsd", XSD_NESTED)
+        xmit = XMIT()
+        xmit.load_url(url)
+        before = {name: xmit.bind(name) for name in xmit.format_names}
+        assert before["Msg"].artifact.field_list.record_length == 16
+        publish_document("toolkit-r5.xsd", XSD_NESTED_V2)
+        assert xmit.refresh(url) == ("Point",)
+        fresh = XMIT()
+        fresh.load_text(XSD_NESTED_V2)
+        for name in ("Point", "Msg", "Outer"):
+            after = xmit.bind(name)
+            assert after is not before[name]
+            assert after.artifact == fresh.bind(name).artifact
+        assert xmit.bind("Msg").artifact.field_list.record_length == 24
+        assert xmit.bind("Other") is before["Other"]
+
+    def test_refresh_that_removes_a_nested_format(self):
+        """Msg stays loaded (its own document did not change) but the
+        Point it nests is gone: its token must not outlive that."""
+        point, msg = XSD_NESTED.split('  <xsd:complexType name="Msg">')
+        point_url = publish_document(
+            "toolkit-r6-point.xsd", point + "</xsd:schema>")
+        msg_url = publish_document(
+            "toolkit-r6-msg.xsd",
+            '<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">'
+            '<xsd:include schemaLocation="toolkit-r6-point.xsd" />'
+            '<xsd:complexType name="Msg">' + msg)
+        xmit = XMIT()
+        xmit.load_url(point_url)
+        xmit.load_url(msg_url)
+        assert xmit.bind("Msg").artifact.field_list.record_length == 16
+        publish_document("toolkit-r6-point.xsd", XSD_V1)
+        assert "Point" in xmit.refresh(point_url)
+        assert not xmit.ir.layouts
+        with pytest.raises(XMITError, match="Point"):
+            xmit.bind("Msg")
 
     def test_refresh_reports_added_formats(self):
         url = publish_document("toolkit-r4.xsd", XSD_V1)

@@ -147,3 +147,40 @@ class TestFormatChangePropagation:
         out = ctx.decode_as(wire, "Telemetry")
         assert "units" not in out
         assert out["seq"] == 1
+
+    def test_refresh_of_a_nested_type_reaches_the_messages_using_it(self):
+        """Point gains a field; Msg's own definition is untouched but
+        its records grow, and a live context that re-registers it must
+        marshal the new layout."""
+        name = "e2e-refresh-nested.xsd"
+        nested = XSD.replace(
+            "</xsd:schema>",
+            '<xsd:complexType name="Point">'
+            '<xsd:element name="x" type="xsd:double" />'
+            '<xsd:element name="y" type="xsd:double" />'
+            "</xsd:complexType>"
+            '<xsd:complexType name="Msg">'
+            '<xsd:element name="at" type="Point" />'
+            "</xsd:complexType></xsd:schema>")
+        url = publish_document(name, nested)
+        xmit = XMIT()
+        xmit.load_url(url)
+        server = FormatServer()
+        old_ctx = IOContext(format_server=server)
+        old = xmit.register_with_context(old_ctx, "Msg")
+        assert old.field_list.record_length == 16
+
+        publish_document(name, nested.replace(
+            '<xsd:element name="y" type="xsd:double" />',
+            '<xsd:element name="y" type="xsd:double" />'
+            '<xsd:element name="z" type="xsd:double" />'))
+        assert xmit.refresh(url) == ("Point",)
+
+        new_ctx = IOContext(format_server=server)
+        new = xmit.register_with_context(new_ctx, "Msg")
+        assert new.field_list.record_length == 24
+        assert new.format_id != old.format_id
+        record = {"at": {"x": 1.0, "y": 2.0, "z": 3.0}}
+        wire = new_ctx.encode("Msg", record)
+        # the old endpoint learns the new format from the server
+        assert old_ctx.decode(wire).record == record

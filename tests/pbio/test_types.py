@@ -103,3 +103,41 @@ class TestProperties:
     def test_char_array_is_inline(self):
         assert parse_field_type("char[8]").is_inline
         assert not parse_field_type("char[*]").is_inline
+
+
+class TestMemo:
+    """One parse per distinct type string: ``IOField.field_type``,
+    ``FieldList`` and ``compute_layout`` all re-ask."""
+
+    def test_same_string_same_immutable_object(self):
+        first = parse_field_type("double[n_memo][3]")
+        assert parse_field_type("double[n_memo][3]") is first
+        with pytest.raises(AttributeError):  # frozen: safe to share
+            first.base = "float"
+        assert isinstance(hash(first), int)
+
+    def test_field_access_does_not_reparse(self):
+        from repro.pbio.fields import IOField
+        field = IOField("v", "float[7]", 4, 0)
+        parse_field_type("float[7]")
+        hits = parse_field_type.cache_info().hits
+        assert field.field_type is field.field_type
+        assert parse_field_type.cache_info().hits == hits + 2
+
+    def test_errors_are_raised_every_time(self):
+        misses = parse_field_type.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(LayoutError, match="string"):
+                parse_field_type("string[5]")
+        assert parse_field_type.cache_info().misses == misses + 2
+
+    def test_bounded(self):
+        """Discovery mints subformat names without end (``cold_start``
+        does every iteration); the memo must not grow with them."""
+        maxsize = parse_field_type.cache_info().maxsize
+        assert maxsize is not None
+        for i in range(maxsize + 50):
+            parse_field_type(f"Minted{i}[4]")
+        assert parse_field_type.cache_info().currsize == maxsize
+        assert parse_field_type(f"Minted{maxsize + 49}[4]").base \
+            == f"Minted{maxsize + 49}"

@@ -298,7 +298,10 @@ def test_peer_reset_before_publish_closes_on_the_loop_thread():
                            struct.pack("ii", 1, 0))
     reader.sock.close()  # RST, not FIN
     pub.publish("SimpleData", record(1))  # must not raise
-    assert wait_until(lambda: not client.open)
+    # the loop clears client.open before it runs on_disconnect, so
+    # wait for the callback itself
+    assert wait_until(lambda: pub.disconnects)
+    assert not client.open
     pub.publish("SimpleData", record(2))
     ((cid, thread, reason),) = pub.disconnects
     assert cid == client.id
@@ -336,7 +339,8 @@ def test_send_error_on_the_publishing_thread_never_raises_there():
     assert pub.publish("SimpleData", record(0)) == 2  # announced
     client.sock = BrokenPipeSock(client.sock)
     assert pub.publish("SimpleData", record(1)) == 2
-    assert wait_until(lambda: not client.open)
+    assert wait_until(lambda: pub.disconnects)  # see the test above
+    assert not client.open
     loop = pub.server._thread.ident
     assert client.sock.send_threads == [threading.get_ident()]
     ((cid, thread, reason),) = pub.disconnects

@@ -58,11 +58,6 @@ class TestScanning:
         with pytest.raises(XMLWellFormednessError, match="unterminated"):
             r.read_until("-->", "comment")
 
-    def test_read_while_in(self):
-        r = Reader("aaabbb")
-        assert r.read_while_in(frozenset("a")) == "aaa"
-        assert r.peek() == "b"
-
 
 class TestLocation:
     def test_first_line(self):

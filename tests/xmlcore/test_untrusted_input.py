@@ -3,8 +3,10 @@
 The metadata path parses XML fetched over the network, so the same
 untrusted-input discipline applies: surrogate and out-of-range code
 points in character references must be rejected with the typed
-well-formedness error (never ``ValueError`` out of ``chr()``), and a
-document truncated mid-reference or mid-entity must fail cleanly.
+well-formedness error (never ``ValueError`` out of ``chr()``), a
+document truncated mid-reference or mid-entity must fail cleanly, and
+one nested past ``MAX_ELEMENT_DEPTH`` must get the typed error rather
+than exhaust the interpreter's stack.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 from repro.errors import XMLWellFormednessError
 from repro.xmlcore import parse
 from repro.xmlcore.entities import EntityTable, decode_char_reference
+from repro.xmlcore.parser import MAX_ELEMENT_DEPTH
 
 
 def reject(text: str) -> XMLWellFormednessError:
@@ -98,3 +101,42 @@ class TestEntityTableExpansion:
         table.declare("e", "ok &#xDC00; bad")
         with pytest.raises(XMLWellFormednessError):
             table.resolve("e")
+
+
+class TestNestingLimit:
+    """The parser recurses per element level; a hostile document must
+    get the typed error, with a position, not a ``RecursionError``."""
+
+    @pytest.fixture(autouse=True)
+    def _obs_on(self):
+        from repro.obs import runtime
+        saved = runtime.enabled
+        runtime.enabled = True
+        yield
+        runtime.enabled = saved
+
+    def test_deep_nesting_is_a_counted_well_formedness_error(self):
+        from repro.obs.metrics import MALFORMED_DOCUMENTS
+        series = MALFORMED_DOCUMENTS.labels("xmlcore", "nesting")
+        before = series.value
+        exc = reject("<a>" * 5000 + "</a>" * 5000)
+        assert "nested deeper" in str(exc)
+        assert exc.line == 1
+        assert exc.column == 3 * (MAX_ELEMENT_DEPTH + 1) + 1
+        assert series.value == before + 1
+
+    def test_deep_nesting_across_lines_reports_the_line(self):
+        exc = reject("<a>\n" * 5000)
+        assert (exc.line, exc.column) == (MAX_ELEMENT_DEPTH + 1, 4)
+
+    def test_the_limit_itself_parses(self):
+        doc = parse("<a>" * MAX_ELEMENT_DEPTH + "</a>" * MAX_ELEMENT_DEPTH)
+        depth, node = 1, doc.root
+        while len(node):
+            node = next(iter(node))
+            depth += 1
+        assert depth == MAX_ELEMENT_DEPTH
+
+    def test_empty_elements_do_not_count_as_a_level(self):
+        parse("<a>" * MAX_ELEMENT_DEPTH + "<a/>"
+              + "</a>" * MAX_ELEMENT_DEPTH)
