@@ -34,11 +34,6 @@ BENCH_FANOUT_PATH = Path(__file__).resolve().parents[1] / \
 BENCH_OBS_PATH = Path(__file__).resolve().parents[1] / \
     "BENCH_obs.json"
 
-#: Where the decode-hardening numbers land; consumed by
-#: ``benchmarks/check_hardening_gate.py`` in CI.
-BENCH_HARDENING_PATH = Path(__file__).resolve().parents[1] / \
-    "BENCH_hardening.json"
-
 #: Where the down-conversion cost numbers land; consumed by
 #: ``benchmarks/check_evolution_gate.py`` in CI.
 BENCH_EVOLUTION_PATH = Path(__file__).resolve().parents[1] / \
@@ -62,7 +57,6 @@ BENCH_CATALOG_PATH = Path(__file__).resolve().parents[1] / \
 _FUSED_METRICS: dict = {}
 _FANOUT_METRICS: dict = {}
 _OBS_METRICS: dict = {}
-_HARDENING_METRICS: dict = {}
 _EVOLUTION_METRICS: dict = {}
 _BULK_METRICS: dict = {}
 _SHARDED_METRICS: dict = {}
@@ -115,14 +109,6 @@ def obs_metrics() -> dict:
 
 
 @pytest.fixture
-def hardening_metrics() -> dict:
-    """Session-wide sink for the bounds-checked-decode cost numbers
-    (``test_ext_hardening``); flushed to BENCH_hardening.json at
-    session end."""
-    return _HARDENING_METRICS
-
-
-@pytest.fixture
 def evolution_metrics() -> dict:
     """Session-wide sink for the sender-side down-conversion cost
     numbers (``test_abl_evolution_cost``); flushed to
@@ -164,10 +150,6 @@ def pytest_sessionfinish(session, exitstatus):
     if _OBS_METRICS:
         BENCH_OBS_PATH.write_text(
             json.dumps(_OBS_METRICS, indent=2, sort_keys=True) + "\n")
-    if _HARDENING_METRICS:
-        BENCH_HARDENING_PATH.write_text(
-            json.dumps(_HARDENING_METRICS, indent=2, sort_keys=True) +
-            "\n")
     if _EVOLUTION_METRICS:
         BENCH_EVOLUTION_PATH.write_text(
             json.dumps(_EVOLUTION_METRICS, indent=2, sort_keys=True) +

@@ -108,15 +108,6 @@ class ConversionError(PBIOError):
     format expected by the receiver."""
 
 
-class PlanCacheError(PBIOError):
-    """A persisted codec plan failed verification on load (digest
-    mismatch, layout inconsistency, truncated or foreign entry).
-
-    Never escapes :func:`repro.pbio.encode.encoder_for_format` /
-    :func:`repro.pbio.decode.decoder_for_format` — a failing cache
-    entry is counted and the plan is recompiled from metadata."""
-
-
 # ---------------------------------------------------------------------------
 # Baseline wire formats
 # ---------------------------------------------------------------------------

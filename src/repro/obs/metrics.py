@@ -56,16 +56,15 @@ CODEC_PLANS = REGISTRY.counter(
     "repro_codec_plans_total",
     "Compiled codec plan cache outcomes in "
     "encoder_for_format/decoder_for_format (miss counts actual "
-    "compiles — single-flight losers and persistent-tier loads are "
-    "not misses)",
+    "compiles — single-flight losers are hits)",
     labels=("kind", "outcome"))
 
 PLAN_CACHE = REGISTRY.counter(
     "repro_plan_cache_total",
-    "Compiled-plan cache tier outcomes: tier=memory counts LRU "
-    "hits/evictions, tier=disk counts persistent-tier loads "
-    "(hit/miss/corrupt/stale/invalid) and writes (store/store_error); "
-    "see docs/PLAN_CACHE.md",
+    "Plan cache tier outcomes: tier=memory counts LRU "
+    "hits/evictions, tier=disk counts format entries read "
+    "(hit/corrupt/stale/invalid), written (store/store_error) and "
+    "purged; see docs/PLAN_CACHE.md",
     labels=("tier", "outcome"))
 
 # -- format evolution -------------------------------------------------------
@@ -153,9 +152,9 @@ FAULTS_INJECTED = REGISTRY.counter(
 def _codec_plan_collector():
     """Buffer-pool reuse summed over the process-wide cached codec
     plans — read at snapshot time, free on the encode path."""
-    from repro.pbio.encode import _ENCODER_CACHE
+    from repro.pbio.encode import ENCODERS
     acquires = reuses = 0
-    for encoder in list(_ENCODER_CACHE.values()):
+    for encoder in ENCODERS.plans():
         acquires += encoder._pool.acquires
         reuses += encoder._pool.reuses
     return [

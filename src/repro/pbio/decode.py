@@ -18,25 +18,15 @@ benchmarking and byte-equality tests).
 from __future__ import annotations
 
 import struct
-import threading
 
 import numpy as np
 
-from repro.errors import DecodeError, LayoutError, PlanCacheError
-from repro.pbio.encode import (
-    _MAX_RUN_GAP, _fusible, numpy_dtype, parse_batch, struct_code,
-)
+from repro.errors import DecodeError
+from repro.pbio.encode import parse_batch
 from repro.pbio.fields import FieldList, IOField
-from repro.pbio.format import FormatID, IOFormat
-from repro.pbio.plancache import (
-    PlanLRU, active_plan_cache, single_flight,
-    _count as _plan_cache_count,
-)
-from repro.pbio.types import FieldType
-
-#: version of the persistable plan snapshot produced by
-#: :meth:`RecordDecoder.plan_snapshot`; bump on layout changes
-PLAN_VERSION = 1
+from repro.pbio.format import IOFormat
+from repro.pbio.plancache import PlanFrontEnd, compile_codec
+from repro.pbio.walk import Step, numpy_dtype, struct_code, walk_fields
 
 
 def _round_up(value: int, align: int) -> int:
@@ -56,20 +46,19 @@ class RecordDecoder:
     reused — pass records through :func:`materialize_record` before
     repooling the buffer (see ``docs/MARSHALING.md``).
 
-    ``validate`` (default on) treats the wire as untrusted: every
-    wire-derived pointer must land inside the record's variable region
-    ``[record_length, len(body)]`` — never aliasing the fixed section —
-    and every element count is clamped against the remaining body bytes
-    *before* any list or array is allocated.  Violations raise
+    The wire is untrusted: every wire-derived pointer must land inside
+    the record's variable region ``[record_length, len(body)]`` —
+    never aliasing the fixed section — and every element count is
+    clamped against the remaining body bytes *before* any list or
+    array is allocated.  Violations raise
     :class:`~repro.errors.DecodeError` naming the field.
-    ``validate=False`` keeps the trusting pre-hardening closures, for
-    the benchmark gate (``benchmarks/check_hardening_gate.py``) and
-    byte-equality A/B runs only — never for data off a socket.
+
+    ``fuse=False`` keeps the per-field plan the fused one is
+    differentially tested against.
     """
 
     def __init__(self, fmt: IOFormat, *, arrays: str = "list",
-                 fuse: bool = True, validate: bool = True,
-                 plan: dict | None = None) -> None:
+                 fuse: bool = True) -> None:
         if arrays not in ("list", "numpy", "view"):
             raise DecodeError(f"arrays must be 'list', 'numpy' or "
                               f"'view', got {arrays!r}")
@@ -77,7 +66,6 @@ class RecordDecoder:
         self.field_list = fmt.field_list
         self.arrays = arrays
         self.fuse = fuse
-        self.validate = validate
         self.fused_runs = 0
         self.fused_fields = 0
         self._bo = fmt.architecture.struct_byte_order_char
@@ -86,16 +74,9 @@ class RecordDecoder:
         self._ptr = struct.Struct(
             self._bo + ("I" if ptr_size == 4 else "Q"))
         self._count = struct.Struct(self._bo + "I")
-        # a persisted *plan* (repro.pbio.plancache) replays the op
-        # sequence after layout re-verification; plan-loaded decoders
-        # are never re-snapshotted
-        if plan is not None:
-            self._plan_ops: list | None = None
-            self._ops = self._ops_from_plan(plan, fmt.enums)
-        else:
-            self._plan_ops = []
-            self._ops = self._compile(self.field_list, enums=fmt.enums,
-                                      _record_plan=self._plan_ops)
+        # (name, op) in field order; a fused run's name is None and
+        # its op fills the record dict itself
+        self._ops = self._compile(self.field_list, fmt.enums)
 
     # -- public ---------------------------------------------------------------
 
@@ -138,55 +119,24 @@ class RecordDecoder:
 
     # -- compilation ------------------------------------------------------------
 
-    def _compile(self, field_list: FieldList, enums, *,
-                 _record_plan: list | None = None):
-        ops: list[tuple] = []
-        run: list[tuple[IOField, FieldType]] = []
-        for field in field_list:
-            ftype = field.field_type
-            if self.fuse and _fusible(field, ftype):
-                if run and (field.offset - (run[-1][0].offset +
-                                            run[-1][0].size)
-                            > _MAX_RUN_GAP):
-                    self._flush_run(ops, run, enums, _record_plan)
-                    run = []
-                run.append((field, ftype))
-                continue
-            self._flush_run(ops, run, enums, _record_plan)
-            run = []
-            ops.append((field.name,
-                        self._compile_field(field_list, field, ftype,
-                                            enums)))
-            if _record_plan is not None:
-                _record_plan.append(("field", field.name))
-        self._flush_run(ops, run, enums, _record_plan)
-        return ops
+    def _compile(self, field_list: FieldList, enums) -> list[tuple]:
+        """One ``(name, op)`` per :func:`~repro.pbio.walk.walk_fields`
+        step."""
+        emit = self._EMITTERS
+        return [(None if step.kind == "run" else step.field.name,
+                 emit[step.kind](self, step, enums))
+                for step in walk_fields(field_list, fuse=self.fuse)]
 
-    def _flush_run(self, ops: list, run: list, enums,
-                   record_plan: list | None = None) -> None:
-        if not run:
-            return
-        if len(run) == 1:
-            field, ftype = run[0]
-            ops.append((field.name,
-                        self._compile_scalar(field, ftype, enums)))
-            if record_plan is not None:
-                record_plan.append(("field", field.name))
-        else:
-            op, spec = self._compile_fused_run(run, enums)
-            ops.append((None, op))
-            self.fused_runs += 1
-            self.fused_fields += len(run)
-            if record_plan is not None:
-                record_plan.append(("run", spec))
-
-    def _compile_fused_run(self, run: list, enums):
+    def _compile_fused_run(self, step: Step, enums):
         """One unpack_from for a contiguous run of scalar fields.
 
         Padding holes become ``x`` pad codes; per-field
         post-processing (bool, char, enum table lookups) is applied to
         the unpacked tuple, with numeric identities skipped.
         """
+        run = step.run
+        self.fused_runs += 1
+        self.fused_fields += len(run)
         start = run[0][0].offset
         parts: list[str] = []
         names: list[str] = []
@@ -220,23 +170,10 @@ class RecordDecoder:
                     out[n] = p(v) if p is not None else v
                     i += 1
         op.run_names = run_names
-        spec = {"start": start, "format": unpacker.format,
-                "names": list(run_names)}
-        return op, spec
+        return op
 
-    def _compile_field(self, field_list: FieldList, field: IOField,
-                       ftype: FieldType, enums):
-        if ftype.kind == "subformat":
-            return self._compile_subformat(field_list, field, ftype)
-        if ftype.is_string:
-            return self._compile_string(field)
-        if not ftype.dims:
-            return self._compile_scalar(field, ftype, enums)
-        if ftype.is_inline:
-            return self._compile_fixed_array(field, ftype, enums)
-        return self._compile_var_array(field, ftype, enums)
-
-    def _compile_scalar(self, field: IOField, ftype: FieldType, enums):
+    def _compile_scalar(self, step: Step, enums):
+        field, ftype = step.field, step.ftype
         offset = field.offset
         kind = ftype.kind
         unpacker = struct.Struct(self._bo + struct_code(kind, field.size))
@@ -251,20 +188,11 @@ class RecordDecoder:
             return _p(value)
         return op
 
-    def _compile_string(self, field: IOField):
-        offset = field.offset
+    def _compile_string(self, step: Step, enums):
+        offset = step.field.offset
         ptr = self._ptr
-        name = field.name
+        name = step.field.name
         var_start = self.field_list.record_length
-
-        if not self.validate:
-            def legacy_op(body, base):
-                where = ptr.unpack_from(body, base + offset)[0]
-                if where == 0:
-                    return None
-                end = _find_nul(body, where, name)
-                return bytes(body[where:end]).decode("utf-8")
-            return legacy_op
 
         def op(body, base):
             where = ptr.unpack_from(body, base + offset)[0]
@@ -278,8 +206,8 @@ class RecordDecoder:
             return bytes(body[where:end]).decode("utf-8")
         return op
 
-    def _compile_fixed_array(self, field: IOField, ftype: FieldType,
-                             enums):
+    def _compile_fixed_array(self, step: Step, enums):
+        field, ftype = step.field, step.ftype
         offset = field.offset
         count = ftype.static_element_count
         kind = ftype.kind
@@ -302,33 +230,31 @@ class RecordDecoder:
             return post(arr)
         return op
 
-    def _compile_var_array(self, field: IOField, ftype: FieldType,
-                           enums):
+    def _compile_var_array(self, step: Step, enums):
+        field, ftype = step.field, step.ftype
         offset = field.offset
         kind = ftype.kind
         name = field.name
         ptr = self._ptr
         counter = self._count
-        dim = ftype.dynamic_dim
-        self_sized = dim.length_field is None
-        length_field = dim.length_field
+        self_sized = step.sizing is None
+        sized_by = None if self_sized else \
+            self._sizing_reader(step.sizing, name)
         trailing = ftype.static_element_count
         var_start = self.field_list.record_length
-        validate = self.validate
 
         if kind == "char":
             def char_op(body, base):
                 where = ptr.unpack_from(body, base + offset)[0]
                 if where == 0:
                     return None
-                if validate:
-                    _check_pointer(body, where, var_start, name,
-                                   4 if self_sized else 0)
+                _check_pointer(body, where, var_start, name,
+                               4 if self_sized else 0)
                 if self_sized:
                     n = counter.unpack_from(body, where)[0]
                     start = where + 4
                 else:
-                    n = self._sizing_value(body, base, length_field, name)
+                    n = sized_by(body, base)
                     start = where
                 _check_bounds(body, start, n, name)
                 return bytes(body[start:start + n]).decode(
@@ -344,15 +270,13 @@ class RecordDecoder:
             where = ptr.unpack_from(body, base + offset)[0]
             if where == 0:
                 return None if self_sized else []
-            if validate:
-                _check_pointer(body, where, var_start, name,
-                               4 if self_sized else 0)
+            _check_pointer(body, where, var_start, name,
+                           4 if self_sized else 0)
             if self_sized:
                 n = counter.unpack_from(body, where)[0] * trailing
                 start = _round_up(where + 4, elem)
             else:
-                n = self._sizing_value(body, base, length_field,
-                                       name) * trailing
+                n = sized_by(body, base) * trailing
                 start = where
             # clamp n against the remaining bytes BEFORE frombuffer
             # allocates: a smashed counter must never drive a
@@ -362,16 +286,14 @@ class RecordDecoder:
             return post(arr)
         return op
 
-    def _compile_subformat(self, field_list: FieldList, field: IOField,
-                           ftype: FieldType):
+    def _compile_subformat(self, step: Step, enums):
+        field, ftype, sub_list = step.field, step.ftype, step.sub
         offset = field.offset
         name = field.name
-        sub_list = field_list.subformat(ftype.base)
-        sub_ops = self._compile(sub_list, enums={})
+        sub_ops = self._compile(sub_list, {})
         stride = sub_list.record_length
         ptr = self._ptr
         counter = self._count
-        dim = ftype.dynamic_dim
 
         def decode_sub(body, base):
             out: dict = {}
@@ -393,23 +315,22 @@ class RecordDecoder:
                         for i in range(count)]
             return fixed_op
 
-        self_sized = dim.length_field is None
-        length_field = dim.length_field
+        self_sized = step.sizing is None
+        sized_by = None if self_sized else \
+            self._sizing_reader(step.sizing, name)
         var_start = self.field_list.record_length
-        validate = self.validate
 
         def var_op(body, base):
             where = ptr.unpack_from(body, base + offset)[0]
             if where == 0:
                 return None if self_sized else []
-            if validate:
-                _check_pointer(body, where, var_start, name,
-                               4 if self_sized else 0)
+            _check_pointer(body, where, var_start, name,
+                           4 if self_sized else 0)
             if self_sized:
                 n = counter.unpack_from(body, where)[0]
                 zone = _round_up(where + 4, 8)
             else:
-                n = self._sizing_value(body, base, length_field, name)
+                n = sized_by(body, base)
                 zone = where
             # FieldList guarantees stride >= 1, so this also clamps n
             # itself before the list below is built
@@ -418,125 +339,25 @@ class RecordDecoder:
                     for i in range(n)]
         return var_op
 
-    def _sizing_value(self, body, base: int, length_field: str,
-                      array_name: str) -> int:
-        sizing = self.field_list[length_field]
-        stype = sizing.field_type
-        unpacker = struct.Struct(
-            self._bo + struct_code(stype.kind, sizing.size))
-        n = unpacker.unpack_from(body, base + sizing.offset)[0]
-        if n < 0:
-            raise DecodeError(
-                f"field {array_name!r}: negative element count {n}")
-        return n
+    def _sizing_reader(self, sizing: IOField, array_name: str):
+        """``count(body, base)`` for a var array sized by *sizing* — a
+        field of the record the array itself lives in (*base* is that
+        record's, top-level or nested), resolved once at compile time."""
+        unpack = struct.Struct(self._bo + struct_code(
+            sizing.field_type.kind, sizing.size)).unpack_from
+        at = sizing.offset
 
-    # -- persistable plans -------------------------------------------------------
+        def count(body, base):
+            n = unpack(body, base + at)[0]
+            if n < 0:
+                raise DecodeError(
+                    f"field {array_name!r}: negative element count {n}")
+            return n
+        return count
 
-    def plan_snapshot(self) -> dict | None:
-        """A JSON-safe description of this compiled plan for the
-        persistent tier, or None for plan-loaded decoders.
-
-        Decoder fused runs are plain closures (no exec-generated
-        source), so the snapshot stores only their layout — start
-        offset, struct format, field names; loading re-derives the
-        same closures from live metadata after verifying the stored
-        layout matches, which skips the run-partitioning pass."""
-        if self._plan_ops is None:
-            return None
-        ops = [["field", payload] if kind == "field"
-               else ["run", dict(payload)]
-               for kind, payload in self._plan_ops]
-        return {"version": PLAN_VERSION, "arrays": self.arrays,
-                "fuse": self.fuse, "validate": self.validate,
-                "record_length": self.field_list.record_length,
-                "ops": ops}
-
-    @property
-    def plan_source(self) -> str:
-        return ""   # decoder plans carry no generated source
-
-    def _ops_from_plan(self, plan, enums):
-        """Rebuild the op list from a persisted plan snapshot,
-        re-verifying every stored layout fact against the live field
-        list (see the encoder-side twin for the trust model)."""
-        if not isinstance(plan, dict):
-            raise PlanCacheError("plan is not a mapping")
-        if plan.get("version") != PLAN_VERSION:
-            raise PlanCacheError(
-                f"plan version {plan.get('version')!r} != "
-                f"{PLAN_VERSION}")
-        if (plan.get("arrays") != self.arrays
-                or plan.get("fuse") != self.fuse
-                or plan.get("validate") != self.validate):
-            raise PlanCacheError("plan compiled under different options")
-        if plan.get("record_length") != self.field_list.record_length:
-            raise PlanCacheError("plan record length mismatch")
-        entries = plan.get("ops")
-        if not isinstance(entries, list):
-            raise PlanCacheError("plan ops missing")
-        ops: list[tuple] = []
-        covered: list[str] = []
-        for entry in entries:
-            try:
-                kind, payload = entry
-            except (TypeError, ValueError):
-                raise PlanCacheError(
-                    f"malformed plan op {entry!r}") from None
-            if kind == "field":
-                field = self._plan_field(payload)
-                ops.append((field.name, self._compile_field(
-                    self.field_list, field, field.field_type, enums)))
-                covered.append(field.name)
-            elif kind == "run":
-                op, names = self._load_fused_run(payload, enums)
-                ops.append((None, op))
-                covered.extend(names)
-                self.fused_runs += 1
-                self.fused_fields += len(names)
-            else:
-                raise PlanCacheError(f"unknown plan op kind {kind!r}")
-        if covered != list(self.field_list.names()):
-            raise PlanCacheError(
-                "plan does not cover the format's fields in order")
-        return ops
-
-    def _plan_field(self, name) -> IOField:
-        try:
-            return self.field_list[name]
-        except (LayoutError, TypeError):
-            raise PlanCacheError(
-                f"plan references unknown field {name!r}") from None
-
-    def _load_fused_run(self, spec, enums):
-        try:
-            start = spec["start"]
-            fmt_str = spec["format"]
-            names = list(spec["names"])
-        except (KeyError, TypeError) as exc:
-            raise PlanCacheError(
-                f"fused run spec unusable: {exc}") from None
-        if not names or not isinstance(start, int):
-            raise PlanCacheError("fused run layout unusable")
-        run: list[tuple[IOField, FieldType]] = []
-        pos = start
-        for n in names:
-            field = self._plan_field(n)
-            ftype = field.field_type
-            if not _fusible(field, ftype) or field.offset < pos:
-                raise PlanCacheError(
-                    f"field {n!r} cannot join this fused run")
-            pos = field.offset + field.size
-            run.append((field, ftype))
-        if (run[0][0].offset != start or start < 0
-                or pos > self.field_list.record_length):
-            raise PlanCacheError("fused run outside the fixed section")
-        op, rebuilt = self._compile_fused_run(run, enums)
-        if rebuilt != {"start": start, "format": fmt_str,
-                       "names": names}:
-            raise PlanCacheError(
-                f"stored fused run {spec!r} does not match the "
-                f"derived layout {rebuilt!r}")
-        return op, names
+    _EMITTERS = {"run": _compile_fused_run, "scalar": _compile_scalar,
+                 "string": _compile_string, "fixed": _compile_fixed_array,
+                 "var": _compile_var_array, "sub": _compile_subformat}
 
 
 def _check_pointer(body, where: int, var_start: int, name: str,
@@ -637,86 +458,23 @@ def materialize_record(record, *, arrays: str = "list"):
 # process-wide codec plan cache
 # ---------------------------------------------------------------------------
 
-_MAX_CACHED_PLANS = 256
-_DECODER_CACHE = PlanLRU(_MAX_CACHED_PLANS, "decoder")
-_DECODER_LOCK = threading.Lock()
-_DECODER_FLIGHTS: dict[tuple[FormatID, str, bool, bool], object] = {}
+DECODERS = PlanFrontEnd("decoder")
 
 
-def decoder_for_format(fmt: IOFormat, *, arrays: str = "list",
-                       fuse: bool = True,
-                       validate: bool = True) -> RecordDecoder:
+def decoder_for_format(fmt: IOFormat, *,
+                       arrays: str = "list") -> RecordDecoder:
     """The process-wide compiled decoder for *fmt* (keyed by the
-    format's digest-derived ID plus the array representation).
-
-    Mirrors :func:`~repro.pbio.encode.encoder_for_format`: in-process
-    LRU over an optional persistent on-disk tier, single-flight
-    compilation, and a ``repro_codec_plans_total`` miss counted only
-    for actual compiles."""
-    from repro.obs import runtime as _obs
-    key = (fmt.format_id, arrays, fuse, validate)
-    decoder = _DECODER_CACHE.get(key)
-    if decoder is not None:
-        if _obs.enabled:
-            from repro.obs.metrics import CODEC_PLANS
-            CODEC_PLANS.labels("decoder", "hit").inc()
-        return decoder
-    decoder, built = single_flight(
-        _DECODER_LOCK, _DECODER_FLIGHTS, _DECODER_CACHE, key,
-        lambda: _build_decoder(fmt, arrays, fuse, validate))
-    if not built and _obs.enabled:
-        from repro.obs.metrics import CODEC_PLANS
-        CODEC_PLANS.labels("decoder", "hit").inc()
-    return decoder
-
-
-def _build_decoder(fmt: IOFormat, arrays: str, fuse: bool,
-                   validate: bool) -> RecordDecoder:
-    from repro.obs import runtime as _obs
-    options = {"arrays": arrays, "fuse": fuse, "validate": validate}
-    store = active_plan_cache()
-    if store is not None:
-        snapshot = store.load("decoder", fmt, options)
-        if snapshot is not None:
-            try:
-                if _obs.enabled:
-                    from repro.obs.spans import span
-                    with span("plan_cache_load", kind="decoder",
-                              format=fmt.name):
-                        return RecordDecoder(
-                            fmt, arrays=arrays, fuse=fuse,
-                            validate=validate, plan=snapshot)
-                return RecordDecoder(fmt, arrays=arrays, fuse=fuse,
-                                     validate=validate, plan=snapshot)
-            except PlanCacheError:
-                _plan_cache_count("invalid")
-    if _obs.enabled:
-        from repro.obs.metrics import CODEC_PLANS
-        from repro.obs.spans import span
-        CODEC_PLANS.labels("decoder", "miss").inc()
-        with span("compile_plan", kind="decoder", format=fmt.name):
-            decoder = RecordDecoder(fmt, arrays=arrays, fuse=fuse,
-                                    validate=validate)
-    else:
-        decoder = RecordDecoder(fmt, arrays=arrays, fuse=fuse,
-                                validate=validate)
-    if store is not None:
-        plan = decoder.plan_snapshot()
-        if plan is not None:
-            store.store("decoder", fmt, options, plan)
-    return decoder
+    format's digest-derived ID plus the array representation); the
+    mirror of :func:`~repro.pbio.encode.encoder_for_format`."""
+    return DECODERS.get((fmt.format_id, arrays), lambda: compile_codec(
+        "decoder", RecordDecoder, fmt, arrays=arrays))
 
 
 def clear_decoder_cache(*, persistent: bool = True) -> None:
     """Drop all cached decoder plans (tests and format churn); also
-    purges the decoder side of the active persistent tier unless
-    ``persistent=False`` (see
+    purges the active disk tier unless ``persistent=False`` (see
     :func:`~repro.pbio.encode.clear_encoder_cache`)."""
-    _DECODER_CACHE.clear()
-    if persistent:
-        store = active_plan_cache()
-        if store is not None:
-            store.purge("decoder")
+    DECODERS.clear(persistent=persistent)
 
 
 def decode_record(fmt: IOFormat, body: bytes) -> dict:

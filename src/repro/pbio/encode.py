@@ -48,26 +48,19 @@ same-format records under one header.
 from __future__ import annotations
 
 import array
-import base64
-import marshal
 import struct
 import sys
-import threading
-import types
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import (
-    EncodeError, LayoutError, PlanCacheError, WireParseError,
-)
+from repro.errors import EncodeError, WireParseError
 from repro.pbio.fields import FieldList, IOField
 from repro.pbio.format import FormatID, IOFormat
-from repro.pbio.plancache import (
-    PlanLRU, active_plan_cache, single_flight,
-    _count as _plan_cache_count,
+from repro.pbio.plancache import PlanFrontEnd, compile_codec
+from repro.pbio.walk import (
+    NUMPY_KINDS, Step, numpy_dtype, struct_code, walk_fields,
 )
-from repro.pbio.types import FieldType
 
 HEADER_MAGIC = b"PB"
 _MAGIC_0, _MAGIC_1 = HEADER_MAGIC  # is_batch compares ints, no slice
@@ -79,32 +72,6 @@ _COUNT32 = struct.Struct(">I")
 #: header flag bits
 FLAG_BIG_ENDIAN = 0x1
 FLAG_BATCH = 0x2
-
-#: padding gaps larger than this break a fused run (a run spanning a
-#: huge hole would pack pad bytes instead of skipping them)
-_MAX_RUN_GAP = 16
-
-#: version of the persistable plan snapshot produced by
-#: :meth:`RecordEncoder.plan_snapshot`; bump on layout changes so
-#: older persisted plans are rejected (and recompiled), never misread
-PLAN_VERSION = 1
-
-#: struct format characters by (kind, element size).
-STRUCT_CODES: dict[tuple[str, int], str] = {
-    ("integer", 1): "b", ("integer", 2): "h",
-    ("integer", 4): "i", ("integer", 8): "q",
-    ("unsigned", 1): "B", ("unsigned", 2): "H",
-    ("unsigned", 4): "I", ("unsigned", 8): "Q",
-    ("enumeration", 1): "B", ("enumeration", 2): "H",
-    ("enumeration", 4): "I", ("enumeration", 8): "Q",
-    ("float", 4): "f", ("float", 8): "d",
-    ("boolean", 1): "B",
-    ("char", 1): "B",
-}
-
-#: numpy dtype kind letters by field kind (sized at use).
-_NUMPY_KINDS = {"integer": "i", "unsigned": "u", "float": "f",
-                "enumeration": "u", "boolean": "u"}
 
 #: typed var-array payloads at least this large spill out of the
 #: record body as zero-copy segments (below it the extra frame part
@@ -120,26 +87,6 @@ _TYPECODE_KINDS: dict[str, tuple[str, int]] = (
 )
 
 _NATIVE_ORDER_CHAR = "<" if sys.byteorder == "little" else ">"
-
-
-def struct_code(kind: str, size: int) -> str:
-    try:
-        return STRUCT_CODES[(kind, size)]
-    except KeyError:
-        raise EncodeError(
-            f"no wire representation for {kind} of size {size}") from None
-
-
-def numpy_dtype(kind: str, size: int, byte_order: str,
-                field_name: str | None = None) -> np.dtype:
-    try:
-        letter = _NUMPY_KINDS[kind]
-    except KeyError:
-        where = f"field {field_name!r}: " if field_name else ""
-        raise EncodeError(
-            f"{where}no bulk representation for kind {kind}") from None
-    prefix = "<" if byte_order == "little" else ">"
-    return np.dtype(f"{prefix}{letter}{size}")
 
 
 class BulkStats:
@@ -218,11 +165,6 @@ class EncodedRecord:
 
     format_id: FormatID
     body: bytes
-
-    @property
-    def wire_bytes(self) -> bytes:
-        return build_header(self.format_id, len(self.body),
-                            big_endian=False) + self.body
 
     def __len__(self) -> int:
         return HEADER_LEN + len(self.body)
@@ -435,7 +377,7 @@ class RecordEncoder:
     """
 
     def __init__(self, fmt: IOFormat, *, fuse: bool = True,
-                 bulk: bool = True, plan: dict | None = None) -> None:
+                 bulk: bool = True) -> None:
         self.format = fmt
         self.field_list = fmt.field_list
         self.fuse = fuse
@@ -455,25 +397,14 @@ class RecordEncoder:
         self._count = struct.Struct(self._bo + "I")
         self._pool = BufferPool()
         self._parts_pool = BufferPool(factory=_PartsBody)
-        # ops run in field order; each is fn(record, body, base).
-        # With a persisted *plan* (from repro.pbio.plancache) the ops
-        # are rebuilt from the snapshot — no source generation or
-        # compile() — after re-verifying its layout against the live
-        # field list; such encoders are never re-snapshotted.
-        self._plan_sources: list[str] = []
-        if plan is not None:
-            self._plan_ops: list | None = None
-            self._ops = self._ops_from_plan(plan, fmt.enums)
-        else:
-            self._plan_ops = []
-            self._ops = self._compile(self.field_list, enums=fmt.enums,
-                                      _record_plan=self._plan_ops)
+        # ops run in field order; each is fn(record, body, base)
+        self._ops = self._compile(self.field_list, fmt.enums)
         self._length_links = _length_links(self.field_list)
         #: (name, element size) of the fields whose payload can spill
         self._spillable = tuple(
             (f.name, f.size) for f in self.field_list
             if bulk and f.field_type.dynamic_dim is not None
-            and f.field_type.kind in _NUMPY_KINDS)
+            and f.field_type.kind in NUMPY_KINDS)
 
     # -- public ---------------------------------------------------------------
 
@@ -623,53 +554,21 @@ class RecordEncoder:
     # -- compilation ------------------------------------------------------------
 
     def _compile(self, field_list: FieldList,
-                 enums: dict[str, tuple[str, ...]], *,
-                 _record_plan: list | None = None):
-        ops = []
-        run: list[tuple[IOField, FieldType]] = []
-        for field in field_list:
-            ftype = field.field_type
-            if self.fuse and _fusible(field, ftype):
-                if run and (field.offset - (run[-1][0].offset +
-                                            run[-1][0].size)
-                            > _MAX_RUN_GAP):
-                    self._flush_run(ops, run, enums, _record_plan)
-                    run = []
-                run.append((field, ftype))
-                continue
-            self._flush_run(ops, run, enums, _record_plan)
-            run = []
-            ops.append(self._compile_field(field_list, field, ftype,
-                                           enums))
-            if _record_plan is not None:
-                _record_plan.append(("field", field.name))
-        self._flush_run(ops, run, enums, _record_plan)
-        return ops
+                 enums: dict[str, tuple[str, ...]]) -> list:
+        """One op per :func:`~repro.pbio.walk.walk_fields` step."""
+        emit = self._EMITTERS
+        return [emit[step.kind](self, step, enums)
+                for step in walk_fields(field_list, fuse=self.fuse)]
 
-    def _flush_run(self, ops: list, run: list, enums,
-                   record_plan: list | None = None) -> None:
-        if not run:
-            return
-        if len(run) == 1:
-            field, ftype = run[0]
-            ops.append(self._compile_scalar(field, ftype, enums))
-            if record_plan is not None:
-                record_plan.append(("field", field.name))
-        else:
-            op, spec, src = self._compile_fused_run(run, enums)
-            ops.append(op)
-            self.fused_runs += 1
-            self.fused_fields += len(run)
-            if record_plan is not None:
-                record_plan.append(("run", spec))
-                self._plan_sources.append(src)
-
-    def _compile_fused_run(self, run: list, enums):
+    def _compile_fused_run(self, step: Step, enums):
         """One pack_into for a contiguous run of scalar fields.
 
         Padding holes between fields become ``x`` pad codes, so the
         compiled struct writes the run's full byte span in one call.
         """
+        run = step.run
+        self.fused_runs += 1
+        self.fused_fields += len(run)
         start = run[0][0].offset
         parts: list[str] = []
         pairs: list[tuple] = []   # (convert, name) in pack-arg order
@@ -707,27 +606,13 @@ class RecordEncoder:
             "    except (_struct_error, TypeError, ValueError,\n"
             "            KeyError) as exc:\n"
             "        _diag(record, _singles, exc)\n")
-        code = compile(src, "<fused-run>", "exec")
-        exec(code, env)
-        spec = {"start": start, "format": packer.format,
-                "names": [name for _c, name in pairs],
-                "_code": code}
-        return env["_fused"], spec, src
+        # the one exec in the package: source generated right here,
+        # from layout facts — never anything read from disk or a peer
+        exec(compile(src, "<fused-run>", "exec"), env)
+        return env["_fused"]
 
-    def _compile_field(self, field_list: FieldList, field: IOField,
-                       ftype: FieldType, enums):
-        kind = ftype.kind
-        if kind == "subformat":
-            return self._compile_subformat(field_list, field, ftype)
-        if ftype.is_string:
-            return self._compile_string(field)
-        if not ftype.dims:
-            return self._compile_scalar(field, ftype, enums)
-        if ftype.is_inline:
-            return self._compile_fixed_array(field, ftype, enums)
-        return self._compile_var_array(field, ftype, enums)
-
-    def _compile_scalar(self, field: IOField, ftype: FieldType, enums):
+    def _compile_scalar(self, step: Step, enums):
+        field, ftype = step.field, step.ftype
         name, offset = field.name, field.offset
         kind = ftype.kind
         packer = struct.Struct(self._bo + struct_code(kind, field.size))
@@ -742,8 +627,8 @@ class RecordEncoder:
                     f"{record[name]!r}: {exc}") from None
         return op
 
-    def _compile_string(self, field: IOField):
-        name, offset = field.name, field.offset
+    def _compile_string(self, step: Step, enums):
+        name, offset = step.field.name, step.field.offset
         ptr = self._ptr
 
         def op(record, body, base):
@@ -761,8 +646,8 @@ class RecordEncoder:
             ptr.pack_into(body, base + offset, where)
         return op
 
-    def _compile_fixed_array(self, field: IOField, ftype: FieldType,
-                             enums):
+    def _compile_fixed_array(self, step: Step, enums):
+        field, ftype = step.field, step.ftype
         name, offset = field.name, field.offset
         count = ftype.static_element_count
         kind = ftype.kind
@@ -822,13 +707,13 @@ class RecordEncoder:
             body[base + offset:base + offset + nbytes] = data
         return op
 
-    def _compile_var_array(self, field: IOField, ftype: FieldType,
-                           enums):
+    def _compile_var_array(self, step: Step, enums):
+        field, ftype = step.field, step.ftype
         name, offset = field.name, field.offset
         kind = ftype.kind
         ptr = self._ptr
         counter = self._count
-        self_sized = ftype.dynamic_dim.length_field is None
+        self_sized = step.sizing is None
         trailing = ftype.static_element_count  # row-major trailing dims
         if kind == "char":
             def char_op(record, body, base):
@@ -912,11 +797,10 @@ class RecordEncoder:
                           where if self_sized else start)
         return op
 
-    def _compile_subformat(self, field_list: FieldList, field: IOField,
-                           ftype: FieldType):
+    def _compile_subformat(self, step: Step, enums):
+        field, ftype, sub_list = step.field, step.ftype, step.sub
         name, offset = field.name, field.offset
-        sub_list = field_list.subformat(ftype.base)
-        sub_ops = self._compile(sub_list, enums={})
+        sub_ops = self._compile(sub_list, {})
         sub_links = _length_links(sub_list)
         stride = sub_list.record_length
         normalize = self._normalize
@@ -947,7 +831,7 @@ class RecordEncoder:
                         op(sub, body, at)
             return fixed_op
 
-        self_sized = ftype.dynamic_dim.length_field is None
+        self_sized = step.sizing is None
 
         def var_op(record, body, base):
             value = record[name]
@@ -976,172 +860,9 @@ class RecordEncoder:
                           where if self_sized else zone)
         return var_op
 
-    # -- persistable plans -------------------------------------------------------
-
-    def plan_snapshot(self) -> dict | None:
-        """A JSON-safe description of this compiled plan for the
-        persistent tier (``repro.pbio.plancache``), or None for
-        plan-loaded encoders (never re-stored).
-
-        Fused runs carry their layout (start offset, struct format,
-        field names) plus the ``marshal``-serialized code object of
-        the exec-generated pack call — the part of compilation worth
-        persisting.  Every other op is recorded by field name and
-        recompiled from live metadata on load (closure construction is
-        cheap, and subformat internals always recompile — their plans
-        are not flattened into the snapshot).
-        """
-        if self._plan_ops is None:
-            return None
-        ops: list = []
-        for kind, payload in self._plan_ops:
-            if kind == "field":
-                ops.append(["field", payload])
-            else:
-                ops.append(["run", {
-                    "start": payload["start"],
-                    "format": payload["format"],
-                    "names": list(payload["names"]),
-                    "code_b64": base64.b64encode(marshal.dumps(
-                        payload["_code"])).decode("ascii"),
-                }])
-        return {"version": PLAN_VERSION, "fuse": self.fuse,
-                "bulk": self.bulk,
-                "record_length": self.field_list.record_length,
-                "ops": ops}
-
-    @property
-    def plan_source(self) -> str:
-        """Generated source of every top-level fused run (debugging
-        aid, persisted alongside the plan)."""
-        return "\n\n".join(self._plan_sources)
-
-    def _ops_from_plan(self, plan, enums):
-        """Rebuild the op list from a persisted plan snapshot.
-
-        The entry already passed :class:`~repro.pbio.plancache.
-        PlanCache` verification (integrity + metadata digest), but
-        this layer still re-derives every layout fact from the live
-        field list: a stored run must name real fusible fields whose
-        offsets regenerate exactly the struct format persisted, and
-        the op sequence must cover the format's fields in declaration
-        order.  Only then is the marshalled pack call exec'd.  Any
-        inconsistency raises :class:`PlanCacheError` and the caller
-        recompiles from metadata.
-        """
-        if not isinstance(plan, dict):
-            raise PlanCacheError("plan is not a mapping")
-        if plan.get("version") != PLAN_VERSION:
-            raise PlanCacheError(
-                f"plan version {plan.get('version')!r} != "
-                f"{PLAN_VERSION}")
-        if plan.get("fuse") != self.fuse or plan.get("bulk") != self.bulk:
-            raise PlanCacheError("plan compiled under different options")
-        if plan.get("record_length") != self.field_list.record_length:
-            raise PlanCacheError("plan record length mismatch")
-        entries = plan.get("ops")
-        if not isinstance(entries, list):
-            raise PlanCacheError("plan ops missing")
-        ops: list = []
-        covered: list[str] = []
-        for entry in entries:
-            try:
-                kind, payload = entry
-            except (TypeError, ValueError):
-                raise PlanCacheError(
-                    f"malformed plan op {entry!r}") from None
-            if kind == "field":
-                field = self._plan_field(payload)
-                ops.append(self._compile_field(
-                    self.field_list, field, field.field_type, enums))
-                covered.append(field.name)
-            elif kind == "run":
-                op, names = self._load_fused_run(payload, enums)
-                ops.append(op)
-                covered.extend(names)
-                self.fused_runs += 1
-                self.fused_fields += len(names)
-            else:
-                raise PlanCacheError(f"unknown plan op kind {kind!r}")
-        if covered != list(self.field_list.names()):
-            raise PlanCacheError(
-                "plan does not cover the format's fields in order")
-        return ops
-
-    def _plan_field(self, name) -> IOField:
-        try:
-            return self.field_list[name]
-        except (LayoutError, TypeError):
-            raise PlanCacheError(
-                f"plan references unknown field {name!r}") from None
-
-    def _load_fused_run(self, spec, enums):
-        try:
-            start = spec["start"]
-            fmt_str = spec["format"]
-            names = list(spec["names"])
-            code = marshal.loads(base64.b64decode(spec["code_b64"]))
-        except (KeyError, TypeError, ValueError, EOFError) as exc:
-            raise PlanCacheError(
-                f"fused run spec unusable: {exc}") from None
-        if not isinstance(code, types.CodeType):
-            raise PlanCacheError("fused run payload is not code")
-        if not names or not isinstance(start, int):
-            raise PlanCacheError("fused run layout unusable")
-        # re-derive the run layout from live metadata; the persisted
-        # struct format must match exactly (offsets, pad holes, byte
-        # order) before the stored code is trusted to address it
-        parts: list[str] = []
-        singles: list[tuple] = []
-        converts: list = []
-        pos = start
-        for n in names:
-            field = self._plan_field(n)
-            ftype = field.field_type
-            if not _fusible(field, ftype):
-                raise PlanCacheError(f"field {n!r} is not fusible")
-            if field.offset < pos:
-                raise PlanCacheError(
-                    f"fused run fields out of order at {n!r}")
-            if field.offset > pos:
-                parts.append(f"{field.offset - pos}x")
-            code_ch = struct_code(ftype.kind, field.size)
-            parts.append(code_ch)
-            convert = _scalar_converter(ftype.kind, field,
-                                        enums.get(n))
-            converts.append(convert)
-            singles.append((n, convert,
-                            struct.Struct(self._bo + code_ch)))
-            pos = field.offset + field.size
-        expected = self._bo + "".join(parts)
-        if fmt_str != expected:
-            raise PlanCacheError(
-                f"stored pack format {fmt_str!r} != derived "
-                f"{expected!r}")
-        if start < 0 or pos > self.field_list.record_length:
-            raise PlanCacheError("fused run outside the fixed section")
-        packer = struct.Struct(expected)
-        env = {"_p": packer, "_diag": _diagnose_fused_failure,
-               "_singles": tuple(singles), "EncodeError": EncodeError,
-               "_struct_error": struct.error}
-        for i, convert in enumerate(converts):
-            env[f"_c{i}"] = convert
-        try:
-            exec(code, env)
-            fn = env["_fused"]
-        except Exception as exc:
-            raise PlanCacheError(
-                f"fused run code rejected: {exc}") from None
-        if not callable(fn):
-            raise PlanCacheError("fused run did not define _fused")
-        return fn, names
-
-
-def _fusible(field: IOField, ftype: FieldType) -> bool:
-    """True for fields a fused scalar run may absorb: fixed-size
-    atomic scalars living inline in the fixed section."""
-    return (not ftype.dims and not ftype.is_string
-            and (ftype.kind, field.size) in STRUCT_CODES)
+    _EMITTERS = {"run": _compile_fused_run, "scalar": _compile_scalar,
+                 "string": _compile_string, "fixed": _compile_fixed_array,
+                 "var": _compile_var_array, "sub": _compile_subformat}
 
 
 def _diagnose_fused_failure(record: dict, singles, exc) -> None:
@@ -1290,102 +1011,32 @@ def _scalar_converter(kind: str, field: IOField,
 # process-wide codec plan cache
 # ---------------------------------------------------------------------------
 
-_MAX_CACHED_PLANS = 256
-_ENCODER_CACHE = PlanLRU(_MAX_CACHED_PLANS, "encoder")
-_ENCODER_LOCK = threading.Lock()
-_ENCODER_FLIGHTS: dict[tuple[FormatID, bool, bool], object] = {}
+ENCODERS = PlanFrontEnd("encoder")
 
 
-def encoder_for_format(fmt: IOFormat, *, fuse: bool = True,
-                       bulk: bool = True) -> RecordEncoder:
+def encoder_for_format(fmt: IOFormat) -> RecordEncoder:
     """The process-wide compiled encoder for *fmt*.
 
     Keyed by the format's digest-derived :class:`FormatID` (identical
     metadata registered anywhere shares one ID, hence one plan), so
     every context, wire codec and one-shot helper reuses a single
-    compiled plan per format.
-
-    Two cache tiers sit under this call: an in-process LRU (capacity
-    :data:`_MAX_CACHED_PLANS`, recency-refreshed on every hit) and —
-    when ``REPRO_PLAN_CACHE_DIR`` or
-    :func:`~repro.pbio.plancache.configure_plan_cache` names one — a
-    persistent on-disk tier shared across processes.  Concurrent
-    misses on one key compile exactly once (single-flight), so the
-    ``repro_codec_plans_total`` miss counter counts actual compiles:
-    single-flight losers count as hits, and a persistent-tier load
-    counts under ``repro_plan_cache_total{tier="disk"}`` instead,
-    filing its time as a ``plan_cache_load`` span rather than
-    registration-phase ``compile_plan`` work.
+    compiled plan per format.  See
+    :class:`~repro.pbio.plancache.PlanFrontEnd` for the cache contract
+    (LRU, single-flight, ``repro_codec_plans_total`` misses count
+    actual compiles) and :func:`~repro.pbio.plancache.compile_codec`
+    for what a miss does.
     """
-    from repro.obs import runtime as _obs
-    key = (fmt.format_id, fuse, bulk)
-    encoder = _ENCODER_CACHE.get(key)
-    if encoder is not None:
-        if _obs.enabled:
-            from repro.obs.metrics import CODEC_PLANS
-            CODEC_PLANS.labels("encoder", "hit").inc()
-        return encoder
-    encoder, built = single_flight(
-        _ENCODER_LOCK, _ENCODER_FLIGHTS, _ENCODER_CACHE, key,
-        lambda: _build_encoder(fmt, fuse, bulk))
-    if not built and _obs.enabled:
-        from repro.obs.metrics import CODEC_PLANS
-        CODEC_PLANS.labels("encoder", "hit").inc()
-    return encoder
-
-
-def _build_encoder(fmt: IOFormat, fuse: bool,
-                   bulk: bool) -> RecordEncoder:
-    """Leader-side build: persistent tier first, else compile (the
-    only path that counts a ``CODEC_PLANS`` miss and opens a
-    ``compile_plan`` span), then write the fresh plan back to disk."""
-    from repro.obs import runtime as _obs
-    options = {"fuse": fuse, "bulk": bulk}
-    store = active_plan_cache()
-    if store is not None:
-        snapshot = store.load("encoder", fmt, options)
-        if snapshot is not None:
-            try:
-                if _obs.enabled:
-                    from repro.obs.spans import span
-                    with span("plan_cache_load", kind="encoder",
-                              format=fmt.name):
-                        return RecordEncoder(fmt, fuse=fuse,
-                                             bulk=bulk, plan=snapshot)
-                return RecordEncoder(fmt, fuse=fuse, bulk=bulk,
-                                     plan=snapshot)
-            except PlanCacheError:
-                # entry-level checks passed but the plan itself failed
-                # layout verification against the live field list
-                _plan_cache_count("invalid")
-    if _obs.enabled:
-        from repro.obs.metrics import CODEC_PLANS
-        from repro.obs.spans import span
-        CODEC_PLANS.labels("encoder", "miss").inc()
-        with span("compile_plan", kind="encoder", format=fmt.name):
-            encoder = RecordEncoder(fmt, fuse=fuse, bulk=bulk)
-    else:
-        encoder = RecordEncoder(fmt, fuse=fuse, bulk=bulk)
-    if store is not None:
-        plan = encoder.plan_snapshot()
-        if plan is not None:
-            store.store("encoder", fmt, options, plan,
-                        encoder.plan_source)
-    return encoder
+    return ENCODERS.get(fmt.format_id, lambda: compile_codec(
+        "encoder", RecordEncoder, fmt))
 
 
 def clear_encoder_cache(*, persistent: bool = True) -> None:
     """Drop all cached encoder plans (tests and format churn).
 
-    Also purges the encoder side of the active persistent tier, so a
-    cleared format cannot be resurrected from disk with a stale plan;
-    pass ``persistent=False`` to keep the disk tier (e.g. to measure
-    a warm start)."""
-    _ENCODER_CACHE.clear()
-    if persistent:
-        store = active_plan_cache()
-        if store is not None:
-            store.purge("encoder")
+    Also purges the active disk tier, so a cleared format cannot be
+    restored from it; pass ``persistent=False`` to keep the disk tier
+    (e.g. to measure a warm start)."""
+    ENCODERS.clear(persistent=persistent)
 
 
 def encode_record(fmt: IOFormat, record: dict) -> EncodedRecord:

@@ -20,8 +20,6 @@ versions shares one compiled plan.
 
 from __future__ import annotations
 
-import threading
-
 from dataclasses import dataclass
 
 from repro.errors import ConversionError
@@ -30,7 +28,8 @@ from repro.pbio.decode import decoder_for_format
 from repro.pbio.encode import (
     HEADER_LEN, encoder_for_format, parse_header,
 )
-from repro.pbio.format import FormatID, IOFormat
+from repro.pbio.format import IOFormat
+from repro.pbio.plancache import PlanFrontEnd
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,7 @@ class DownConverter:
     it.  :meth:`convert_wire` covers relays that only hold bytes.
     """
 
-    def __init__(self, new: IOFormat, old: IOFormat, *,
-                 fuse: bool = True) -> None:
+    def __init__(self, new: IOFormat, old: IOFormat) -> None:
         if old.name != new.name:
             raise ConversionError(
                 f"down-conversion must stay inside one lineage: "
@@ -107,7 +105,7 @@ class DownConverter:
         self.new = new
         self.old = old
         self.report = report
-        self._decoder = decoder_for_format(new, fuse=fuse)
+        self._decoder = decoder_for_format(new)
         self._plan = plan_conversion(new, old)
         self._encoder = encoder_for_format(old)
 
@@ -163,15 +161,12 @@ class DownConverter:
         return self.encode_record(record)
 
 
-#: process-wide plan cache: (new digest, old digest) -> DownConverter.
-_CONVERTER_LOCK = threading.Lock()
-_CONVERTER_CACHE: dict[tuple[FormatID, FormatID, bool],
-                       DownConverter] = {}
-_CONVERTER_CACHE_MAX = 256
+#: process-wide plan cache: (new digest, old digest) -> DownConverter
+CONVERTERS = PlanFrontEnd("down_converter", lambda outcome: _count_event(
+    "plan_cache_hits" if outcome == "hit" else "plans_compiled"))
 
 
-def down_converter(new: IOFormat, old: IOFormat, *,
-                   fuse: bool = True) -> DownConverter:
+def down_converter(new: IOFormat, old: IOFormat) -> DownConverter:
     """The shared :class:`DownConverter` for this version pair.
 
     Plans are digest-keyed and process-wide, like the compiled codec
@@ -179,17 +174,5 @@ def down_converter(new: IOFormat, old: IOFormat, *,
     compiles exactly two plans, once, no matter how many records or
     publishers flow through them.
     """
-    key = (new.format_id, old.format_id, fuse)
-    with _CONVERTER_LOCK:
-        converter = _CONVERTER_CACHE.get(key)
-    if converter is not None:
-        _count_event("plan_cache_hits")
-        return converter
-    converter = DownConverter(new, old, fuse=fuse)
-    with _CONVERTER_LOCK:
-        if len(_CONVERTER_CACHE) >= _CONVERTER_CACHE_MAX:
-            _CONVERTER_CACHE.clear()  # digest-keyed; safe to rebuild
-        _CONVERTER_CACHE.setdefault(key, converter)
-        converter = _CONVERTER_CACHE[key]
-    _count_event("plans_compiled")
-    return converter
+    return CONVERTERS.get((new.format_id, old.format_id),
+                          lambda: DownConverter(new, old))

@@ -1,41 +1,31 @@
-"""Persistent compiled-plan cache: the on-disk tier below the
-in-memory codec plan caches.
+"""Codec plan caches: the process-wide front-end every compiled plan
+comes into being through, and the on-disk tier below it.
 
 The paper's economics are "pay metadata/binding cost once, amortize
-over many messages" — but an in-memory plan cache only amortizes
-within one process lifetime.  A fleet restart used to stampede the
-format server and re-pay full registration cost (RDM) in every
-process.  This module adds the missing tier:
+over many messages".  Two tiers carry that across calls and across
+restarts:
 
-* **Entries** are keyed by ``(cache-schema version, plan kind, format
-  digest, architecture pair, codec options, interpreter tag)``.  The
-  format digest covers the wire architecture (it is part of the
-  canonical metadata); the native side of the pair — host byte order
-  plus ``sys.implementation.cache_tag`` — is keyed explicitly because
-  compiled plans embed native assumptions (NumPy dtype order, and
-  ``marshal``-serialized code objects which are only stable within one
-  interpreter version).
-* **Contents**: the format's canonical metadata bytes, the compiled
-  plan (fused-run layout specs plus marshalled code objects for the
-  exec-generated pack calls), the generated plan source (debuggable),
-  and an integrity digest over the whole payload.
-* **Verification on load**: the entry digest is re-checked, the stored
-  metadata is deserialized and its sha256-derived
-  :class:`~repro.pbio.format.FormatID` must equal the requested
-  format's, and the plan's layout (record length, run spans, field
-  coverage) is checked against the live :class:`FieldList` before any
-  stored code object is ``exec``'d.  Anything inconsistent is counted
-  (``repro_plan_cache_total{tier="disk",outcome=...}``) and the plan
-  is recompiled from metadata — a corrupt cache can cost time, never
-  correctness.
-* **Atomicity**: entries are written to a same-directory temp file and
+* **Memory** — :class:`PlanFrontEnd`: a true LRU plus single-flight
+  construction, instantiated once each for encoders, decoders and
+  down-converters.  A miss compiles from the live
+  :class:`~repro.pbio.format.IOFormat`; nothing else makes a codec.
+* **Disk** — :class:`PlanCache`: one entry per format digest holding
+  the format's canonical **metadata**, never a plan and never code.
+  :func:`warm_start` turns the entries back into formats, so a
+  restarting process skips fetch, XML parse, schema compile and bind,
+  then compiles its codecs like any other process.  Every entry goes
+  through one read path — bounded read, JSON, integrity digest, schema
+  version, ``deserialize_format``, re-derived
+  :class:`~repro.pbio.format.FormatID` — and every outcome is counted
+  under ``repro_plan_cache_total{tier="disk"}``: a damaged or hostile
+  directory costs time, never correctness, and nothing read from it
+  is executed.  Entries are written to a same-directory temp file and
   ``os.replace``'d into place, so concurrent processes never read a
-  torn entry; racing writers simply last-write-wins identical bytes.
+  torn entry; racing writers last-write-wins identical bytes.
 
-Enable the process-wide cache by setting ``REPRO_PLAN_CACHE_DIR`` or
-calling :func:`configure_plan_cache`.  ``docs/PLAN_CACHE.md`` is the
-prose companion (key derivation, invalidation, trust model: a cache
-directory is trusted at the same level as ``__pycache__``).
+Enable the disk tier by setting ``REPRO_PLAN_CACHE_DIR`` or calling
+:func:`configure_plan_cache`.  ``docs/PLAN_CACHE.md`` is the prose
+companion.
 """
 
 from __future__ import annotations
@@ -44,44 +34,27 @@ import base64
 import hashlib
 import json
 import os
-import sys
 import threading
 from collections import OrderedDict
+from functools import partial
 from pathlib import Path
 
-from repro.errors import PlanCacheError, ReproError
+from repro.errors import ReproError
 from repro.pbio.format import IOFormat, deserialize_format
-from repro.pbio.machine import NATIVE, Architecture
 
-#: bump on any incompatible change to the entry payload or to the
-#: compiled-plan representation; old entries become "stale" and are
-#: recompiled (and overwritten) rather than misread
-CACHE_SCHEMA = 1
+#: bump on any incompatible change to the entry payload; other
+#: versions' entries read "stale" (schema 1 entries carried marshalled
+#: code objects — they are counted and left alone, never executed)
+CACHE_SCHEMA = 2
 
-#: plan kinds stored by the codec layer
-KINDS = ("encoder", "decoder")
+#: no entry is read past this many bytes (metadata for a 96-field
+#: format is 2.4 KB); larger files count as corrupt
+MAX_ENTRY_BYTES = 1 << 20
+
+#: in-memory capacity of each :class:`PlanFrontEnd`
+MAX_CACHED_PLANS = 256
 
 _ENTRY_SUFFIX = ".plan.json"
-
-#: metadata-bytes sha256 -> IOFormat.  One warm start touches the same
-#: canonical metadata several times (entry verification per plan kind,
-#: format recovery); parsing a wide format costs ~1 ms, so re-parses
-#: would dominate the restart we are trying to make cheap.  Safe to
-#: share: IOFormat is treated as immutable everywhere (the in-memory
-#: plan caches already share instances by FormatID).
-_format_memo: dict[str, IOFormat] = {}
-_format_memo_lock = threading.Lock()
-
-
-def _deserialize_cached(metadata: bytes) -> IOFormat:
-    key = hashlib.sha256(metadata).hexdigest()
-    with _format_memo_lock:
-        fmt = _format_memo.get(key)
-    if fmt is None:
-        fmt = deserialize_format(metadata)
-        with _format_memo_lock:
-            _format_memo[key] = fmt
-    return fmt
 
 
 def _count(outcome: str, tier: str = "disk") -> None:
@@ -93,70 +66,41 @@ def _count(outcome: str, tier: str = "disk") -> None:
         PLAN_CACHE.labels(tier, outcome).inc()
 
 
-def _arch_token(arch: Architecture) -> str:
-    sizes = ",".join(f"{k}={arch.sizes[k]}" for k in sorted(arch.sizes))
-    return (f"{arch.name}/{arch.byte_order}/ma{arch.max_alignment}/"
-            f"{sizes}")
-
-
-def native_token() -> str:
-    """The native half of the cache key's architecture pair: host
-    layout model, host byte order, and the interpreter tag that scopes
-    ``marshal``-serialized code objects."""
-    return (f"{_arch_token(NATIVE)}|{sys.byteorder}|"
-            f"{sys.implementation.cache_tag}")
-
-
-def _options_token(options: dict) -> str:
-    return ",".join(f"{k}={options[k]!r}" for k in sorted(options))
+def _count_codec_plan(kind: str, outcome: str, n: int = 1) -> None:
+    """Bump ``repro_codec_plans_total{kind,outcome}``."""
+    from repro.obs import runtime as _obs
+    if _obs.enabled:
+        from repro.obs.metrics import CODEC_PLANS
+        CODEC_PLANS.labels(kind, outcome).inc(n)
 
 
 class PlanCache:
-    """One on-disk plan cache directory."""
+    """One on-disk cache directory: format metadata by format digest."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    # -- key derivation ------------------------------------------------------
+    def entry_path(self, fmt: IOFormat) -> Path:
+        return self.root / \
+            f"{fmt.format_id}.v{CACHE_SCHEMA}{_ENTRY_SUFFIX}"
 
-    def entry_path(self, kind: str, fmt: IOFormat,
-                   options: dict) -> Path:
-        if kind not in KINDS:
-            raise PlanCacheError(f"unknown plan kind {kind!r}")
-        material = "\n".join((
-            str(CACHE_SCHEMA), kind, str(fmt.format_id),
-            _arch_token(fmt.architecture), native_token(),
-            _options_token(options),
-        ))
-        keyhash = hashlib.sha256(material.encode("utf-8")).hexdigest()
-        return self.root / f"{kind}-{fmt.format_id}-{keyhash[:16]}" \
-                           f"{_ENTRY_SUFFIX}"
-
-    # -- store ---------------------------------------------------------------
-
-    def store(self, kind: str, fmt: IOFormat, options: dict,
-              plan: dict, plan_source: str = "") -> Path | None:
-        """Persist a compiled plan; returns the entry path, or None if
-        the write failed (the cache is best-effort: a full disk must
-        never fail an encode)."""
+    def store(self, fmt: IOFormat) -> Path | None:
+        """Record *fmt*; returns the entry path, or None if the write
+        failed (best-effort: a full disk must never fail an encode).
+        An entry already in place is kept — it is either good, or the
+        next read rejects and removes it."""
+        path = self.entry_path(fmt)
+        if path.exists():
+            return path
         payload = {
             "cache_schema": CACHE_SCHEMA,
-            "kind": kind,
             "format_id": str(fmt.format_id),
             "format_name": fmt.name,
-            "options": {k: options[k] for k in sorted(options)},
-            "wire_arch": _arch_token(fmt.architecture),
-            "native": native_token(),
             "metadata_b64": base64.b64encode(
                 fmt.canonical_bytes()).decode("ascii"),
-            "plan": plan,
-            "plan_source": plan_source,
-            "plan_source_sha256": hashlib.sha256(
-                plan_source.encode("utf-8")).hexdigest(),
         }
         payload["entry_sha256"] = _payload_digest(payload)
-        path = self.entry_path(kind, fmt, options)
         tmp = path.with_name(
             f".{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
         try:
@@ -172,92 +116,60 @@ class PlanCache:
         _count("store")
         return path
 
-    # -- load ----------------------------------------------------------------
+    def load(self, path: Path) -> IOFormat | None:
+        """The format in the entry at *path*, or None — the only way
+        anything is read from the directory.
 
-    def load(self, kind: str, fmt: IOFormat,
-             options: dict) -> dict | None:
-        """The verified plan for ``(kind, fmt, options)``, or None.
-
-        Every failure mode is counted and tolerated: ``miss`` (no
-        entry), ``corrupt`` (unreadable/failed integrity), ``stale``
-        (older cache schema or foreign interpreter — the filename key
-        normally rules these out, so this guards hand-moved files),
-        ``invalid`` (digest or layout verification failed).
+        Counted outcomes: ``hit``; ``corrupt`` (unreadable, oversized,
+        not JSON, integrity digest mismatch); ``stale`` (another cache
+        schema's entry — left in place for the version that wrote it);
+        ``invalid`` (metadata does not parse, or re-derives to a
+        different format id).  Corrupt and invalid entries are removed
+        so the next compile of that format can write a good one.
         """
-        path = self.entry_path(kind, fmt, options)
+        from repro.obs.spans import span
+        with span("plan_cache_load", entry=path.name):
+            try:
+                with open(path, "rb") as fh:
+                    raw = fh.read(MAX_ENTRY_BYTES + 1)
+                if len(raw) > MAX_ENTRY_BYTES:
+                    raise ValueError("oversized entry")
+                payload = json.loads(raw)
+                if payload["entry_sha256"] != _payload_digest(payload):
+                    raise ValueError("integrity digest mismatch")
+            except (OSError, ValueError, TypeError, LookupError,
+                    RecursionError):
+                return self._reject(path, "corrupt")
+            if payload.get("cache_schema") != CACHE_SCHEMA:
+                _count("stale")
+                return None
+            try:
+                fmt = deserialize_format(
+                    base64.b64decode(payload["metadata_b64"]))
+            except (LookupError, ValueError, TypeError, ReproError,
+                    RecursionError):
+                return self._reject(path, "invalid")
+            if str(fmt.format_id) != payload.get("format_id"):
+                return self._reject(path, "invalid")
+            _count("hit")
+            return fmt
+
+    def _reject(self, path: Path, outcome: str) -> None:
+        _count(outcome)
         try:
-            raw = path.read_text()
-        except FileNotFoundError:
-            _count("miss")
-            return None
+            path.unlink()
         except OSError:
-            _count("corrupt")
-            return None
-        try:
-            payload = json.loads(raw)
-            declared = payload.get("entry_sha256")
-            if declared != _payload_digest(payload):
-                raise PlanCacheError("entry integrity digest mismatch")
-        except (ValueError, TypeError, PlanCacheError):
-            _count("corrupt")
-            return None
-        try:
-            self._verify(payload, kind, fmt, options)
-        except PlanCacheError as exc:
-            _count("stale" if "schema" in str(exc)
-                   or "interpreter" in str(exc) else "invalid")
-            return None
-        _count("hit")
-        return payload["plan"]
+            pass
 
-    def _verify(self, payload: dict, kind: str, fmt: IOFormat,
-                options: dict) -> None:
-        if payload.get("cache_schema") != CACHE_SCHEMA:
-            raise PlanCacheError("cache schema version mismatch")
-        if payload.get("native") != native_token():
-            raise PlanCacheError("foreign interpreter/architecture")
-        if payload.get("kind") != kind:
-            raise PlanCacheError("plan kind mismatch")
-        if payload.get("options") != \
-                {k: options[k] for k in sorted(options)}:
-            raise PlanCacheError("codec options mismatch")
-        # digest re-check: deserialize the stored metadata and rederive
-        # its sha256-based FormatID — a tampered or wrong-format entry
-        # cannot pass this without a sha256 collision
-        try:
-            metadata = base64.b64decode(payload["metadata_b64"])
-            stored_fmt = _deserialize_cached(metadata)
-        except (KeyError, ValueError, TypeError, ReproError) as exc:
-            raise PlanCacheError(
-                f"stored metadata unusable: {exc}") from None
-        if stored_fmt.format_id != fmt.format_id:
-            raise PlanCacheError(
-                f"metadata digest {stored_fmt.format_id} does not match "
-                f"requested format {fmt.format_id}")
-        plan = payload.get("plan")
-        if not isinstance(plan, dict):
-            raise PlanCacheError("plan section missing")
-        # layout sanity: the plan must target this exact fixed section
-        if plan.get("record_length") != fmt.field_list.record_length:
-            raise PlanCacheError(
-                f"plan record length {plan.get('record_length')} != "
-                f"format record length {fmt.field_list.record_length}")
+    def entries(self) -> list[Path]:
+        return sorted(self.root.glob(f"*{_ENTRY_SUFFIX}"))
 
-    # -- maintenance ---------------------------------------------------------
-
-    def entries(self, kind: str | None = None) -> list[Path]:
-        pattern = f"{kind}-*{_ENTRY_SUFFIX}" if kind \
-            else f"*{_ENTRY_SUFFIX}"
-        return sorted(self.root.glob(pattern))
-
-    def purge(self, kind: str | None = None) -> int:
-        """Delete entries (all, or one plan kind); returns the count.
-        This is the invalidation hook behind
-        :func:`~repro.pbio.encode.clear_encoder_cache` /
-        :func:`~repro.pbio.decode.clear_decoder_cache`, so format
-        churn in tests cannot resurrect a stale plan from disk."""
+    def purge(self) -> int:
+        """Delete every entry; returns the count.  The invalidation
+        hook behind :func:`~repro.pbio.encode.clear_encoder_cache` /
+        :func:`~repro.pbio.decode.clear_decoder_cache`."""
         removed = 0
-        for path in self.entries(kind):
+        for path in self.entries():
             try:
                 path.unlink()
                 removed += 1
@@ -267,25 +179,15 @@ class PlanCache:
             _count("purge")
         return removed
 
-    # -- warm-start format recovery ------------------------------------------
-
     def stored_formats(self) -> list[IOFormat]:
-        """Every distinct format with a cached plan, reconstructed from
-        the stored canonical metadata (digest-verified).  This is what
-        lets a restarting process rebind its working set without one
-        schema fetch or XML parse."""
+        """Every distinct format with a good entry.  This is what lets
+        a restarting process rebind its working set without one schema
+        fetch or XML parse."""
         seen: dict = {}
         for path in self.entries():
-            try:
-                payload = json.loads(path.read_text())
-                fmt = _deserialize_cached(
-                    base64.b64decode(payload["metadata_b64"]))
-            except (OSError, ValueError, KeyError, TypeError,
-                    ReproError):
-                continue
-            if str(fmt.format_id) != payload.get("format_id"):
-                continue
-            seen.setdefault(fmt.format_id, fmt)
+            fmt = self.load(path)
+            if fmt is not None:
+                seen.setdefault(fmt.format_id, fmt)
         return list(seen.values())
 
     def __repr__(self) -> str:
@@ -360,18 +262,17 @@ def active_plan_cache() -> PlanCache | None:
 
 def warm_start(*, cache: PlanCache | None = None,
                context=None) -> int:
-    """Pre-populate this process's codec plan caches from disk.
+    """Rebind this process's working set from the disk tier.
 
-    For every format with persisted plans, reconstruct the
-    :class:`IOFormat` from stored metadata and pull its plans through
-    :func:`~repro.pbio.encode.encoder_for_format` /
-    :func:`~repro.pbio.decode.decoder_for_format` — each load is a
-    persistent-tier hit, filed under a ``plan_cache_load`` span, with
-    **zero** ``compile_plan`` spans and zero discovery fetches.  When
-    *context* (an :class:`~repro.pbio.context.IOContext`) is given,
-    the formats are also registered with its format server so inbound
-    records resolve without negotiation.  Returns the number of
-    formats restored.
+    Every good entry becomes an :class:`IOFormat` again (a disk
+    ``hit`` under a ``plan_cache_load`` span each — no fetch, parse,
+    schema compile or bind), and its encoder and decoder are built
+    through the ordinary front-ends, so that part of a restart shows
+    up as what it is: ``compile_plan`` spans and
+    ``repro_codec_plans_total`` misses.  When *context* (an
+    :class:`~repro.pbio.context.IOContext`) is given, the formats are
+    also registered with its format server so inbound records resolve
+    without negotiation.  Returns the number of formats restored.
     """
     from repro.pbio.decode import decoder_for_format
     from repro.pbio.encode import encoder_for_format
@@ -439,18 +340,11 @@ class PlanLRU:
         for _ in range(evicted):
             _count("evict", tier="memory")
         if evicted:
-            from repro.obs import runtime as _obs
-            if _obs.enabled:
-                from repro.obs.metrics import CODEC_PLANS
-                CODEC_PLANS.labels(self.kind, "evict").inc(evicted)
+            _count_codec_plan(self.kind, "evict", evicted)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-
-    def keys(self) -> list:
-        with self._lock:
-            return list(self._entries)
 
     def values(self) -> list:
         with self._lock:
@@ -517,3 +411,58 @@ def single_flight(lock: threading.Lock, flights: dict, cache: PlanLRU,
             with lock:
                 flights.pop(key, None)
             flight.event.set()
+
+
+# ---------------------------------------------------------------------------
+# the front-end: one way for a compiled plan to come into being
+# ---------------------------------------------------------------------------
+
+class PlanFrontEnd:
+    """Process-wide get-or-build cache for one kind of compiled plan:
+    LRU lookup, single-flight construction and outcome counting in
+    one place.  A ``miss`` is an actual build — single-flight losers
+    count as hits.  *count* defaults to
+    ``repro_codec_plans_total{kind}``."""
+
+    def __init__(self, kind: str, count=None) -> None:
+        self._count = count or partial(_count_codec_plan, kind)
+        self._lru = PlanLRU(MAX_CACHED_PLANS, kind)
+        self._lock = threading.Lock()
+        self._flights: dict = {}
+
+    def get(self, key, build):
+        plan = self._lru.get(key)
+        if plan is None:
+            plan, built = single_flight(self._lock, self._flights,
+                                        self._lru, key, build)
+            if built:
+                self._count("miss")
+                return plan
+        self._count("hit")
+        return plan
+
+    def plans(self) -> list:
+        return self._lru.values()
+
+    def clear(self, *, persistent: bool = False) -> None:
+        """Drop every cached plan; with *persistent* also purge the
+        active disk tier, so a cleared format cannot come back from
+        disk."""
+        self._lru.clear()
+        store = active_plan_cache() if persistent else None
+        if store is not None:
+            store.purge()
+
+
+def compile_codec(kind: str, codec_class, fmt: IOFormat, **options):
+    """The leader-side build of an encoder or decoder:
+    ``codec_class(fmt, **options)`` under a ``compile_plan`` span, then
+    *fmt* recorded in the active disk tier so the next restart can
+    skip discovering it."""
+    from repro.obs.spans import span
+    with span("compile_plan", kind=kind, format=fmt.name):
+        codec = codec_class(fmt, **options)
+    store = active_plan_cache()
+    if store is not None:
+        store.store(fmt)
+    return codec

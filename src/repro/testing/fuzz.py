@@ -42,7 +42,9 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.errors import DecodeError, EncodeError, ProtocolError
-from repro.pbio.decode import decoder_for_format, materialize_record
+from repro.pbio.decode import (
+    RecordDecoder, decoder_for_format, materialize_record,
+)
 from repro.pbio.encode import (
     HEADER_LEN, encoder_for_format, is_batch, parse_batch, parse_header,
 )
@@ -379,8 +381,8 @@ class WireOracle:
     def add_format(self, fmt: IOFormat) -> None:
         self._by_id[fmt.format_id] = (
             fmt,
-            decoder_for_format(fmt, fuse=True),
-            decoder_for_format(fmt, fuse=False),
+            decoder_for_format(fmt),
+            RecordDecoder(fmt, fuse=False),
             decoder_for_format(fmt, arrays="view"),
             encoder_for_format(fmt),
         )

@@ -86,6 +86,22 @@ _EXTRA_CASES: dict[str, dict] = {
             "extra": [3.141592653589793, -0.001],
         },
     },
+    # a var array sized by a field of its own nested type, with a
+    # same-named field in the enclosing record to shadow it
+    "NestedSizing": {
+        "specs": [
+            ("id", "integer", 4),
+            ("n", "integer", 4),
+            ("p", "Sized"),
+        ],
+        "subformats": {"Sized": [("n", "integer", 4),
+                                 ("pad", "integer", 4),
+                                 ("v", "float[n]", 4)]},
+        "record": {
+            "id": 7, "n": 9,
+            "p": {"n": 3, "pad": 1, "v": [1.0, 2.0, 3.0]},
+        },
+    },
     # mixed scalar sizes: alignment holes become struct pad codes
     "MixedRuns": {
         "specs": [

@@ -86,5 +86,15 @@ def test_golden_wire_decodes_identically_both_paths(case, order):
                  else next(iter(record))] is not None
 
 
+@pytest.mark.parametrize("order", ARCHITECTURES)
+def test_nested_sizing_vector_decodes_to_its_record(order):
+    """The stored bytes, not just a fresh encode: the nested ``v`` is
+    sized by the nested ``n`` (3), not the outer one (9) or ``pad``."""
+    wire = bytes.fromhex(VECTORS["NestedSizing"][order])
+    fmt = build_format("NestedSizing", ARCHITECTURES[order])
+    assert RecordDecoder(fmt).decode(wire[HEADER_LEN:]) == \
+        case_record("NestedSizing")
+
+
 def test_every_stored_case_is_still_defined():
     assert sorted(VECTORS) == sorted(case_names())

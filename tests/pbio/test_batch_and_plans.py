@@ -127,7 +127,6 @@ class TestPlanCaches:
         clear_encoder_cache()
         first = encoder_for_format(fmt)
         assert encoder_for_format(fmt) is first
-        assert encoder_for_format(fmt, fuse=False) is not first
 
     def test_decoder_cache_keyed_by_arrays_mode(self, fmt):
         clear_decoder_cache()

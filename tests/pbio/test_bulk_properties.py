@@ -167,17 +167,16 @@ def test_batch_bulk_equals_baseline(case, arch, source):
 
 @settings(max_examples=100, deadline=None)
 @given(case=bulk_case(), arch=st.sampled_from(ARCHS),
-       fuse=st.booleans(), validate=st.booleans())
-def test_decode_representations_agree(case, arch, fuse, validate):
+       fuse=st.booleans())
+def test_decode_representations_agree(case, arch, fuse):
     specs, record, arrays = case
     fmt = _format_for(specs, arch)
     wire = RecordEncoder(fmt, bulk=False).encode_wire(record)
     body = wire[HEADER_LEN:]
-    listed = RecordDecoder(fmt, fuse=fuse,
-                           validate=validate).decode(body)
+    listed = RecordDecoder(fmt, fuse=fuse).decode(body)
     for mode in ("numpy", "view"):
-        decoded = RecordDecoder(fmt, arrays=mode, fuse=fuse,
-                                validate=validate).decode(body)
+        decoded = RecordDecoder(fmt, arrays=mode,
+                                fuse=fuse).decode(body)
         assert materialize_record(decoded) == listed
         if mode == "view":
             for name, _d, _t in arrays:

@@ -17,7 +17,9 @@ from repro.pbio.format_server import FormatServer
 from repro.pbio.layout import field_list_for
 from repro.pbio.machine import SPARC_32, SPARC_V9, X86_32, X86_64
 
-from tests.strategies import assert_record_roundtrip, format_case
+from tests.strategies import (
+    assert_record_roundtrip, field_list_of, format_case,
+)
 
 ARCHS = (SPARC_32, SPARC_V9, X86_32, X86_64)
 
@@ -239,6 +241,44 @@ class TestNested:
                         subformats={"Point": point, "Segment": seg})
         assert out == record
 
+    @pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.name)
+    def test_var_array_sized_by_a_field_of_its_own_nested_type(
+            self, arch):
+        """The sizing field resolves against the record the array
+        lives in, not the top-level one (which has no ``n`` here)."""
+        inner = field_list_for([("n", "integer", 4),
+                                ("v", "float[n]", 4)],
+                               architecture=arch)
+        record = {"id": 7, "p": {"n": 3, "v": [1.0, 2.0, 3.0]}}
+        out = roundtrip([("id", "integer", 4), ("p", "Inner")], record,
+                        arch=arch, subformats={"Inner": inner})
+        assert out == record
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.name)
+    def test_nested_sizing_field_shadowed_by_an_outer_one(self, arch):
+        """An outer field of the same name must not size the nested
+        array: read at the outer ``n``'s offset inside the nested
+        record this would find ``pad`` and decode ``v == [1.0]``."""
+        inner = field_list_for([("n", "integer", 4),
+                                ("pad", "integer", 4),
+                                ("v", "float[n]", 4)],
+                               architecture=arch)
+        record = {"id": 7, "n": 9,
+                  "p": {"n": 3, "pad": 1, "v": [1.0, 2.0, 3.0]}}
+        out = roundtrip([("id", "integer", 4), ("n", "integer", 4),
+                         ("p", "Inner")], record,
+                        arch=arch, subformats={"Inner": inner})
+        assert out == record
+
+    def test_nested_sizing_inside_a_var_array_of_records(self):
+        inner = field_list_for([("n", "integer", 4),
+                                ("v", "double[n]", 8)])
+        record = {"k": 2, "ps": [{"n": 1, "v": [0.5]},
+                                 {"n": 3, "v": [1.0, 2.0, 3.0]}]}
+        out = roundtrip([("k", "integer", 4), ("ps", "Inner[k]")],
+                        record, subformats={"Inner": inner})
+        assert out == record
+
 
 class TestHeader:
     def test_roundtrip(self):
@@ -355,12 +395,12 @@ class TestWireLayoutDetails:
 # -- property-based: roundtrip across all architectures ----------------------
 
 @settings(max_examples=60, deadline=None)
-@given(case=format_case(), data=st.data(),
+@given(case=format_case(allow_nested=True), data=st.data(),
        arch=st.sampled_from(ARCHS))
 def test_random_format_roundtrip(case, data, arch):
     specs, record_strategy = case
     record = data.draw(record_strategy)
-    fl = field_list_for(specs, architecture=arch)
+    fl = field_list_of(specs, arch)
     fmt = IOFormat("P", fl)
     decoded = RecordDecoder(fmt).decode(
         RecordEncoder(fmt).encode(record).body)

@@ -13,7 +13,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.pbio.decode import decoder_for_format
+from repro.pbio.decode import RecordDecoder
 from repro.pbio.encode import (
     HEADER_LEN, encoder_for_format, parse_header,
 )
@@ -58,7 +58,7 @@ def _formats(old_specs, new_specs, arch):
 def _decode(fmt: IOFormat, wire: bytes, *, fuse: bool) -> dict:
     fid, body_len = parse_header(wire, require_body=True)
     assert fid == fmt.format_id
-    return decoder_for_format(fmt, fuse=fuse).decode(
+    return RecordDecoder(fmt, fuse=fuse).decode(
         wire[HEADER_LEN:HEADER_LEN + body_len])
 
 
@@ -94,7 +94,7 @@ def test_down_converted_decode_equals_native_roundtrip(case, arch,
     old_specs, new_specs, record_strategy = case
     record = data.draw(record_strategy)
     old, new = _formats(old_specs, new_specs, arch)
-    conv = DownConverter(new, old, fuse=fuse)
+    conv = DownConverter(new, old)
 
     new_wire = encoder_for_format(new).encode_wire(record)
     via_down = _decode(old, conv.convert_wire(new_wire), fuse=fuse)

@@ -11,23 +11,23 @@ from hypothesis import given, settings, strategies as st
 from repro.pbio.decode import RecordDecoder
 from repro.pbio.encode import RecordEncoder
 from repro.pbio.format import IOFormat
-from repro.pbio.layout import field_list_for
 from repro.pbio.machine import SPARC_V9, X86_64
 
 from tests.strategies import (
-    assert_record_roundtrip, format_case, scalar_run_case,
+    assert_record_roundtrip, field_list_of, format_case,
+    scalar_run_case,
 )
 
 ARCHS = (X86_64, SPARC_V9)
 
 
 def _format_for(specs, arch):
-    return IOFormat("P", field_list_for(specs, architecture=arch))
+    return IOFormat("P", field_list_of(specs, arch))
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=format_case(), arch=st.sampled_from(ARCHS),
-       data=st.data())
+@given(case=format_case(allow_nested=True),
+       arch=st.sampled_from(ARCHS), data=st.data())
 def test_roundtrip_is_identity(case, arch, data):
     specs, record_strategy = case
     record = data.draw(record_strategy)
@@ -38,8 +38,8 @@ def test_roundtrip_is_identity(case, arch, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=format_case(), arch=st.sampled_from(ARCHS),
-       data=st.data())
+@given(case=format_case(allow_nested=True),
+       arch=st.sampled_from(ARCHS), data=st.data())
 def test_fused_bytes_equal_per_field_bytes(case, arch, data):
     specs, record_strategy = case
     record = data.draw(record_strategy)

@@ -275,5 +275,4 @@ class TestDownConverter:
     def test_process_wide_cache_shares_plans(self, versions):
         v1, _, v3 = versions
         assert down_converter(v3, v1) is down_converter(v3, v1)
-        assert down_converter(v3, v1, fuse=False) is not \
-            down_converter(v3, v1)
+        assert down_converter(v3, v1) is not down_converter(v3, v3)

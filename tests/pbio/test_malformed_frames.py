@@ -79,21 +79,6 @@ def test_bulk_frame_rejected_by_view_decoder(name: str, order: str):
         RecordDecoder(fmt, arrays="view").decode(body)
 
 
-def test_alias_was_a_silent_misdecode_before_validation():
-    """The pre-hardening closures decode the aliased string without
-    any error — fixed-region bytes come back as text — which is
-    exactly what the pointer range check exists to stop."""
-    entry = FRAMES["string_ptr_alias_fixed"]["little"]
-    fmt = build_format(entry["case"], ARCHITECTURES["little"])
-    wire = bytes.fromhex(entry["hex"])
-    _fid, body_len = parse_header(wire, require_body=True)
-    body = wire[HEADER_LEN:HEADER_LEN + body_len]
-    legacy = RecordDecoder(fmt, validate=False).decode(body)
-    assert legacy["channel"] != "wx/updates"   # garbage, no error
-    with pytest.raises(DecodeError):
-        RecordDecoder(fmt).decode(body)
-
-
 def test_context_rejects_lying_header():
     entry = FRAMES["header_body_len_lies"]["little"]
     ctx = IOContext()

@@ -1,17 +1,24 @@
-"""The persistent compiled-plan cache and its in-memory LRU tier.
+"""The codec plan caches: the disk tier and the in-memory front-end.
 
-Covers the tier contract end to end: store → load → verify → rebuild
-(byte-identical to a fresh compile, property-tested on both byte
-orders), every rejection path (corrupt, stale, tampered) falling back
-to recompilation, true-LRU eviction (a just-hit plan survives an
-eviction wave), single-flight compilation under thread contention,
-cross-process races on one on-disk entry, and the invalidation hooks
-(``clear_encoder_cache``/``clear_decoder_cache`` purge the disk tier).
+Disk tier — one entry per format, metadata only: store → restart →
+``warm_start`` restores the format and its codecs are compiled like any
+other (property-tested byte-identical on both byte orders); every
+rejection path (oversized, truncated, tampered, stale schema, wrong
+metadata) is counted, never executed, and never stops the healthy
+entries beside it; cross-process races on one entry; the invalidation
+hooks (``clear_encoder_cache``/``clear_decoder_cache`` purge the tier).
+
+Memory tier — one :class:`PlanFrontEnd` behind ``encoder_for_format``,
+``decoder_for_format`` and ``down_converter``: true-LRU eviction (a
+just-hit plan survives an eviction wave) and single-flight compilation
+under thread contention, for all three.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import marshal
 import subprocess
 import sys
 import threading
@@ -29,13 +36,14 @@ from repro.pbio.decode import (
 from repro.pbio.encode import (
     RecordEncoder, clear_encoder_cache, encoder_for_format,
 )
+from repro.pbio.evolution import CONVERTERS, down_converter
 from repro.pbio.format import IOFormat
 from repro.pbio.format_server import FormatServer
 from repro.pbio.layout import field_list_for
 from repro.pbio.machine import SPARC_V9, X86_64
 from repro.pbio.plancache import (
-    CACHE_SCHEMA, PlanCache, PlanLRU, _payload_digest,
-    active_plan_cache, configure_plan_cache,
+    CACHE_SCHEMA, MAX_CACHED_PLANS, MAX_ENTRY_BYTES, PlanCache, PlanLRU,
+    _payload_digest, active_plan_cache, configure_plan_cache,
     reset_plan_cache_configuration, single_flight, warm_start,
 )
 
@@ -50,9 +58,6 @@ SPECS = [
 ]
 RECORD = {"timestep": 7, "size": 4, "data": [0.5, 1.5, 2.5, 3.25]}
 
-ENC_OPTS = {"fuse": True, "bulk": True}
-DEC_OPTS = {"arrays": "list", "fuse": True, "validate": True}
-
 
 def metric_value(name: str, **labels) -> float:
     """Sum of all series of *name* whose labels match."""
@@ -64,182 +69,162 @@ def metric_value(name: str, **labels) -> float:
                       for k, v in labels.items()))
 
 
+def disk(outcome: str) -> float:
+    return metric_value("repro_plan_cache_total", tier="disk",
+                        outcome=outcome)
+
+
 def fresh_format(name: str = "PlanCached", arch=X86_64,
                  specs=SPECS) -> IOFormat:
     ctx = IOContext(architecture=arch, format_server=FormatServer())
     return ctx.register_layout(name, specs)
 
 
+def forget_memory() -> None:
+    """What a restart loses: every in-memory plan; the disk stays."""
+    clear_encoder_cache(persistent=False)
+    clear_decoder_cache(persistent=False)
+    CONVERTERS.clear()
+
+
+def rewrite(entry: Path, **changes) -> None:
+    """Change fields of an entry and re-sign it (a well-formed entry
+    with different content, as opposed to a damaged one)."""
+    payload = json.loads(entry.read_text())
+    payload.update(changes)
+    del payload["entry_sha256"]
+    payload["entry_sha256"] = _payload_digest(payload)
+    entry.write_text(json.dumps(payload, sort_keys=True))
+
+
 @pytest.fixture
 def plan_dir(tmp_path):
-    """An isolated persistent tier: both memory caches cleared on the
-    way in and out, the process-wide cache pointed at a private
-    directory for the duration."""
-    clear_encoder_cache(persistent=False)
-    clear_decoder_cache(persistent=False)
+    """An isolated disk tier: memory caches cleared on the way in and
+    out, the process-wide cache pointed at a private directory for
+    the duration."""
+    forget_memory()
     cache = configure_plan_cache(tmp_path / "plans")
     yield cache
-    clear_encoder_cache(persistent=False)
-    clear_decoder_cache(persistent=False)
+    forget_memory()
     reset_plan_cache_configuration()
 
 
 @pytest.fixture
 def no_plan_dir():
-    """Persistent tier explicitly disabled (overrides any
+    """Disk tier explicitly disabled (overrides any
     REPRO_PLAN_CACHE_DIR the surrounding run exported)."""
-    clear_encoder_cache(persistent=False)
-    clear_decoder_cache(persistent=False)
+    forget_memory()
     configure_plan_cache(None)
     yield
-    clear_encoder_cache(persistent=False)
-    clear_decoder_cache(persistent=False)
+    forget_memory()
     reset_plan_cache_configuration()
 
 
 class TestPersistentTier:
     def test_miss_store_then_cross_restart_hit(self, plan_dir):
         fmt = fresh_format()
-        miss0 = metric_value("repro_plan_cache_total",
-                             tier="disk", outcome="miss")
-        store0 = metric_value("repro_plan_cache_total",
-                              tier="disk", outcome="store")
+        store0 = disk("store")
         first = encoder_for_format(fmt)
-        assert first._plan_ops is not None  # compiled, not loaded
-        assert len(plan_dir.entries("encoder")) == 1
-        assert metric_value("repro_plan_cache_total",
-                            tier="disk", outcome="miss") == miss0 + 1
-        assert metric_value("repro_plan_cache_total",
-                            tier="disk", outcome="store") == store0 + 1
+        decoder_for_format(fmt)   # same format: same entry, no rewrite
+        assert [p.name for p in plan_dir.entries()] == \
+            [plan_dir.entry_path(fmt).name]
+        assert disk("store") == store0 + 1
 
-        # simulate a restart: memory tier gone, disk tier kept
-        clear_encoder_cache(persistent=False)
-        hit0 = metric_value("repro_plan_cache_total",
-                            tier="disk", outcome="hit")
+        forget_memory()
+        hit0 = disk("hit")
+        miss0 = metric_value("repro_codec_plans_total", outcome="miss")
+        assert warm_start() == 1
+        assert disk("hit") == hit0 + 1
         second = encoder_for_format(fmt)
         assert second is not first
-        assert second._plan_ops is None  # rebuilt from the stored plan
-        assert metric_value("repro_plan_cache_total",
-                            tier="disk", outcome="hit") == hit0 + 1
+        # both codecs of the restored format were compiled by the warm
+        # start, and counted as the compiles they are
+        assert metric_value("repro_codec_plans_total",
+                            outcome="miss") == miss0 + 2
         assert bytes(second.encode_body(RECORD)) == \
             bytes(first.encode_body(RECORD))
-
-    def test_decoder_side_round_trips_through_disk(self, plan_dir):
-        fmt = fresh_format()
-        body = RecordEncoder(fmt).encode_body(RECORD)
-        first = decoder_for_format(fmt)
-        expected = first.decode(body)
-        clear_decoder_cache(persistent=False)
-        second = decoder_for_format(fmt)
-        assert second._plan_ops is None
-        assert second.decode(body) == expected
 
     def test_truncated_entry_rejected_and_recompiled(self, plan_dir):
         fmt = fresh_format()
         encoder_for_format(fmt)
-        (entry,) = plan_dir.entries("encoder")
+        (entry,) = plan_dir.entries()
         raw = entry.read_text()
         entry.write_text(raw[:len(raw) // 2])
 
-        clear_encoder_cache(persistent=False)
-        corrupt0 = metric_value("repro_plan_cache_total",
-                                tier="disk", outcome="corrupt")
+        forget_memory()
+        corrupt0 = disk("corrupt")
+        assert warm_start() == 0
+        assert disk("corrupt") == corrupt0 + 1
+        assert not plan_dir.entries()   # the damaged entry is gone...
+        # ...so the next compile from live metadata writes a good one
         rebuilt = encoder_for_format(fmt)
-        assert rebuilt._plan_ops is not None  # recompiled from metadata
-        assert metric_value(
-            "repro_plan_cache_total", tier="disk",
-            outcome="corrupt") == corrupt0 + 1
-        # the fresh compile overwrote the damaged entry
-        (entry,) = plan_dir.entries("encoder")
-        json.loads(entry.read_text())
+        assert [f.format_id for f in plan_dir.stored_formats()] == \
+            [fmt.format_id]
         assert bytes(rebuilt.encode_body(RECORD)) == \
             bytes(RecordEncoder(fmt).encode_body(RECORD))
 
     def test_tampered_payload_fails_integrity(self, plan_dir):
         fmt = fresh_format()
         encoder_for_format(fmt)
-        (entry,) = plan_dir.entries("encoder")
+        (entry,) = plan_dir.entries()
         payload = json.loads(entry.read_text())
-        payload["plan"]["record_length"] = 4096  # digest now wrong
+        payload["format_name"] = "Tampered"   # digest now wrong
         entry.write_text(json.dumps(payload))
 
-        clear_encoder_cache(persistent=False)
-        corrupt0 = metric_value("repro_plan_cache_total",
-                                tier="disk", outcome="corrupt")
-        assert plan_dir.load("encoder", fmt, ENC_OPTS) is None
-        assert metric_value(
-            "repro_plan_cache_total", tier="disk",
-            outcome="corrupt") == corrupt0 + 1
+        corrupt0 = disk("corrupt")
+        assert plan_dir.load(entry) is None
+        assert disk("corrupt") == corrupt0 + 1
 
     def test_foreign_schema_version_counts_stale(self, plan_dir):
-        """A hand-moved entry from a future/old cache schema (digest
-        intact) is 'stale', not 'corrupt'."""
+        """A well-formed entry of another cache schema (digest intact)
+        is 'stale', not 'corrupt' — and is left for the version that
+        wrote it."""
         fmt = fresh_format()
         encoder_for_format(fmt)
-        (entry,) = plan_dir.entries("encoder")
-        payload = json.loads(entry.read_text())
-        payload["cache_schema"] = CACHE_SCHEMA + 1
-        del payload["entry_sha256"]
-        payload["entry_sha256"] = _payload_digest(payload)
-        entry.write_text(json.dumps(payload, sort_keys=True))
+        (entry,) = plan_dir.entries()
+        rewrite(entry, cache_schema=CACHE_SCHEMA + 1)
 
-        stale0 = metric_value("repro_plan_cache_total",
-                              tier="disk", outcome="stale")
-        assert plan_dir.load("encoder", fmt, ENC_OPTS) is None
-        assert metric_value(
-            "repro_plan_cache_total", tier="disk",
-            outcome="stale") == stale0 + 1
+        stale0 = disk("stale")
+        assert plan_dir.load(entry) is None
+        assert disk("stale") == stale0 + 1
+        assert entry.exists()
 
     def test_wrong_format_metadata_rejected(self, plan_dir):
         """An entry whose stored metadata re-derives to a different
-        FormatID cannot satisfy a load, even with a valid digest."""
+        FormatID than it claims is rejected, even with a valid
+        digest."""
         fmt = fresh_format()
         other = fresh_format("Other", specs=[("a", "integer")])
-        plan = RecordEncoder(other).plan_snapshot()
-        # forge: file the *other* format's plan under fmt's key
-        path = plan_dir.entry_path("encoder", fmt, ENC_OPTS)
-        stored = plan_dir.store("encoder", other, ENC_OPTS, plan)
-        stored.rename(path)
-        invalid0 = metric_value("repro_plan_cache_total",
-                                tier="disk", outcome="invalid")
-        assert plan_dir.load("encoder", fmt, ENC_OPTS) is None
-        assert metric_value(
-            "repro_plan_cache_total", tier="disk",
-            outcome="invalid") == invalid0 + 1
-
-    def test_options_key_separate_entries(self, plan_dir):
-        fmt = fresh_format()
-        encoder_for_format(fmt, fuse=True)
-        encoder_for_format(fmt, fuse=False)
-        assert len(plan_dir.entries("encoder")) == 2
+        entry = plan_dir.store(other)
+        rewrite(entry, format_id=str(fmt.format_id))
+        invalid0 = disk("invalid")
+        assert plan_dir.load(entry) is None
+        assert disk("invalid") == invalid0 + 1
 
     def test_clear_cache_purges_disk_tier(self, plan_dir):
         fmt = fresh_format()
         encoder_for_format(fmt)
-        decoder_for_format(fmt)
-        assert plan_dir.entries("encoder")
-        assert plan_dir.entries("decoder")
+        assert plan_dir.entries()
+        clear_decoder_cache(persistent=False)
+        assert plan_dir.entries()
+        purge0 = disk("purge")
         clear_encoder_cache()
-        assert not plan_dir.entries("encoder")
-        assert plan_dir.entries("decoder")  # other kind untouched
-        clear_decoder_cache()
-        assert not plan_dir.entries("decoder")
+        assert not plan_dir.entries()
+        assert disk("purge") == purge0 + 1
 
     def test_clear_cache_persistent_false_keeps_disk(self, plan_dir):
         fmt = fresh_format()
         encoder_for_format(fmt)
         clear_encoder_cache(persistent=False)
-        assert len(plan_dir.entries("encoder")) == 1
+        assert len(plan_dir.entries()) == 1
 
     def test_stored_formats_and_warm_start(self, plan_dir):
         fmt = fresh_format()
         encoder_for_format(fmt)
-        decoder_for_format(fmt)
         recovered = plan_dir.stored_formats()
         assert [f.format_id for f in recovered] == [fmt.format_id]
 
-        clear_encoder_cache(persistent=False)
-        clear_decoder_cache(persistent=False)
+        forget_memory()
         ctx = IOContext(architecture=X86_64,
                         format_server=FormatServer())
         assert warm_start(context=ctx) == 1
@@ -256,14 +241,134 @@ class TestPersistentTier:
 
         monkeypatch.setattr(_os, "replace", boom)
         fmt = fresh_format()
-        err0 = metric_value("repro_plan_cache_total",
-                            tier="disk", outcome="store_error")
+        err0 = disk("store_error")
         encoder = encoder_for_format(fmt)
         assert bytes(encoder.encode_body(RECORD))
-        assert metric_value(
-            "repro_plan_cache_total", tier="disk",
-            outcome="store_error") == err0 + 1
-        assert not plan_dir.entries("encoder")
+        assert disk("store_error") == err0 + 1
+        assert not plan_dir.entries()
+        assert not list(plan_dir.root.iterdir())   # no temp file left
+
+
+class TestHostileDirectory:
+    """Whatever is in the directory, nothing from it is executed, every
+    bad entry is counted, and the good ones beside it still restore."""
+
+    def _schema_1_entry(self, fmt: IOFormat, sentinel: Path) -> dict:
+        """What the previous cache schema stored for an encoder: the
+        marshalled code object of a fused run, ``exec``'d on load.
+        This one would create *sentinel*."""
+        code = compile(
+            f"open({str(sentinel)!r}, 'w').close()\n"
+            "def _fused(record, body, base): pass\n",
+            "<fused-run>", "exec")
+        payload = {
+            "cache_schema": 1, "kind": "encoder",
+            "format_id": str(fmt.format_id), "format_name": fmt.name,
+            "options": {"bulk": True, "fuse": True},
+            "metadata_b64": base64.b64encode(
+                fmt.canonical_bytes()).decode("ascii"),
+            "plan": {"version": 1, "fuse": True, "bulk": True,
+                     "record_length": fmt.field_list.record_length,
+                     "ops": [["run", {
+                         "start": 0, "format": "<ii",
+                         "names": ["timestep", "size"],
+                         "code_b64": base64.b64encode(
+                             marshal.dumps(code)).decode("ascii")}],
+                         ["field", "data"]]},
+            "plan_source": "",
+        }
+        payload["entry_sha256"] = _payload_digest(payload)
+        return payload
+
+    def test_bad_entries_are_counted_never_executed(self, plan_dir,
+                                                    tmp_path):
+        healthy = [fresh_format(f"Healthy{i}") for i in range(2)]
+        victims = {kind: fresh_format(f"Victim_{kind}")
+                   for kind in ("oversized", "truncated", "tampered")}
+        for fmt in (*healthy, *victims.values()):
+            plan_dir.store(fmt)
+        raw = plan_dir.entry_path(victims["truncated"]).read_text()
+        plan_dir.entry_path(victims["oversized"]).write_text(
+            raw + " " * MAX_ENTRY_BYTES)
+        plan_dir.entry_path(victims["truncated"]).write_text(raw[:40])
+        tampered = json.loads(raw)
+        tampered["metadata_b64"] = base64.b64encode(
+            healthy[0].canonical_bytes()).decode("ascii")
+        plan_dir.entry_path(victims["tampered"]).write_text(
+            json.dumps(tampered))
+        sentinel = tmp_path / "executed"
+        old = fresh_format("OldSchema")
+        (plan_dir.root / f"encoder-{old.format_id}-0123456789abcdef"
+                         ".plan.json").write_text(json.dumps(
+                             self._schema_1_entry(old, sentinel)))
+
+        before = {o: disk(o) for o in ("hit", "corrupt", "stale")}
+        ctx = IOContext(architecture=X86_64,
+                        format_server=FormatServer())
+        assert warm_start(context=ctx) == len(healthy)
+        assert disk("hit") == before["hit"] + len(healthy)
+        assert disk("corrupt") == before["corrupt"] + len(victims)
+        assert disk("stale") == before["stale"] + 1
+        assert set(ctx.format_server.known_ids()) == \
+            {fmt.format_id for fmt in healthy}
+        # the format the old entry was for still encodes — compiled
+        # from live metadata, not from what the entry carried
+        assert bytes(encoder_for_format(old).encode_body(RECORD)) == \
+            bytes(RecordEncoder(old).encode_body(RECORD))
+        assert not sentinel.exists()
+
+    def test_entry_that_is_not_an_object_is_corrupt(self, plan_dir):
+        entry = plan_dir.root / "whatever.plan.json"
+        for text in ("[]", '"x"', "[" * 100_000, "\xff\xfe"):
+            entry.write_text(text, encoding="latin-1")
+            corrupt0 = disk("corrupt")
+            assert plan_dir.load(entry) is None
+            assert disk("corrupt") == corrupt0 + 1
+
+
+def _one_field(name: str) -> tuple:
+    return (fresh_format(name, specs=[("a", "integer")]),)
+
+
+def _version_pair(name: str) -> tuple:
+    """(new, old): one lineage, *new* appends a field."""
+    return (fresh_format(name, specs=[("a", "integer"),
+                                      ("b", "integer")]),
+            fresh_format(name, specs=[("a", "integer")]))
+
+
+#: front-end -> (name -> fresh key arguments, public getter)
+FRONT_ENDS = {
+    "encoder": (_one_field, encoder_for_format),
+    "decoder": (_one_field, decoder_for_format),
+    "down_converter": (_version_pair, down_converter),
+}
+
+
+def _builds(front: str) -> float:
+    """How many plans of this kind were actually built so far."""
+    if front == "down_converter":
+        return metric_value("repro_evolution_events_total",
+                            event="plans_compiled")
+    return metric_value("repro_codec_plans_total", kind=front,
+                        outcome="miss")
+
+
+def _race(n: int, fn, *args) -> list:
+    """Call ``fn(*args)`` from *n* threads released together."""
+    started = threading.Barrier(n)
+    results = []
+
+    def worker():
+        started.wait()
+        results.append(fn(*args))
+
+    threads = [threading.Thread(target=worker) for _ in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return results
 
 
 class TestTwoProcessRace:
@@ -311,14 +416,16 @@ sys.stdout.write(bytes(body).hex())
             outs.append(out)
         assert outs[0] == outs[1]  # byte-identical wire from both
 
-        # the surviving entries satisfy a fresh process's load (the
-        # workers registered on their native architecture, so re-derive
-        # the format the same way here)
+        # the one surviving entry restores the format in a fresh
+        # process (the workers registered on their native
+        # architecture, so re-derive the format the same way here)
         cache = PlanCache(cache_dir)
         ctx = IOContext(format_server=FormatServer())
         fmt = ctx.register_layout("Raced", SPECS)
-        assert cache.load("encoder", fmt, ENC_OPTS) is not None
-        assert cache.load("decoder", fmt, DEC_OPTS) is not None
+        assert [p.name for p in cache.root.iterdir()] == \
+            [cache.entry_path(fmt).name]
+        assert [f.format_id for f in cache.stored_formats()] == \
+            [fmt.format_id]
 
 
 class TestPlanLRU:
@@ -361,21 +468,20 @@ class TestPlanLRU:
         assert len(lru) == 2
         assert lru.get("a") == 10
 
-    def test_hot_encoder_survives_wave_through_public_api(
-            self, no_plan_dir):
-        """End-to-end regression for the old FIFO bug: a plan being
-        hit throughout an eviction wave must keep its identity."""
-        from repro.pbio.encode import _MAX_CACHED_PLANS
-        hot_fmt = fresh_format("HotPlan", specs=[("a", "integer")])
-        hot = encoder_for_format(hot_fmt)
-        wave = _MAX_CACHED_PLANS + 16
-        for i in range(wave):
-            cold = fresh_format(f"Cold{i}", specs=[("a", "integer")])
-            encoder_for_format(cold)
+    @pytest.mark.parametrize("front", sorted(FRONT_ENDS))
+    def test_hot_plan_survives_wave_through_public_api(
+            self, no_plan_dir, front):
+        """End-to-end regression for the old FIFO bug (and, for the
+        down-converter, its clear-everything-when-full dict): a plan
+        being hit throughout an eviction wave keeps its identity."""
+        make, get = FRONT_ENDS[front]
+        hot_args = make("HotPlan")
+        hot = get(*hot_args)
+        for i in range(MAX_CACHED_PLANS + 16):
+            get(*make(f"Cold{i}"))
             if i % 32 == 0:  # keep the hot plan recent
-                assert encoder_for_format(hot_fmt) is hot
-        # under FIFO the first-inserted hot plan would be long gone
-        assert encoder_for_format(hot_fmt) is hot
+                assert get(*hot_args) is hot
+        assert get(*hot_args) is hot
 
 
 class TestSingleFlight:
@@ -451,22 +557,26 @@ class TestSingleFlight:
                              kind="encoder", outcome="miss")
         hit0 = metric_value("repro_codec_plans_total",
                             kind="encoder", outcome="hit")
-        started = threading.Barrier(16)
-
-        def worker():
-            started.wait()
-            encoder_for_format(fmt)
-
-        threads = [threading.Thread(target=worker)
-                   for _ in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        _race(16, encoder_for_format, fmt)
         assert metric_value("repro_codec_plans_total", kind="encoder",
                             outcome="miss") == miss0 + 1
         assert metric_value("repro_codec_plans_total", kind="encoder",
                             outcome="hit") == hit0 + 15
+
+    @pytest.mark.parametrize("front", sorted(FRONT_ENDS))
+    def test_one_build_under_contention_through_public_api(
+            self, no_plan_dir, front):
+        """8 threads missing on one key: one plan, one counted build."""
+        make, get = FRONT_ENDS[front]
+        args = make("Contended")
+        if front == "down_converter":
+            for fmt in args:   # leave only the converter itself cold
+                encoder_for_format(fmt)
+                decoder_for_format(fmt)
+        built0 = _builds(front)
+        plans = _race(8, get, *args)
+        assert len({id(plan) for plan in plans}) == 1
+        assert _builds(front) == built0 + 1
 
 
 @pytest.fixture(scope="module")
@@ -475,9 +585,10 @@ def property_cache(tmp_path_factory):
 
 
 class TestPlanFidelity:
-    """Hypothesis: a cache-loaded plan is indistinguishable from a
-    fresh compile — same wire bytes out, same records back — across
-    random formats on both byte orders."""
+    """Hypothesis: a format that went through a disk entry and back is
+    indistinguishable from the live one — its codecs put the same
+    bytes on the wire and read the same records back — across random
+    formats on both byte orders."""
 
     @settings(max_examples=80, deadline=None)
     @given(case=format_case(), arch=st.sampled_from(ARCHS),
@@ -487,15 +598,10 @@ class TestPlanFidelity:
         specs, record_strategy = case
         record = data.draw(record_strategy)
         fmt = IOFormat("P", field_list_for(specs, architecture=arch))
-        fresh = RecordEncoder(fmt)
-        property_cache.store("encoder", fmt, ENC_OPTS,
-                             fresh.plan_snapshot(), fresh.plan_source)
-        plan = property_cache.load("encoder", fmt, ENC_OPTS)
-        assert plan is not None
-        loaded = RecordEncoder(fmt, plan=plan)
-        assert loaded._plan_ops is None  # really the plan path
-        assert bytes(loaded.encode_body(record)) == \
-            bytes(fresh.encode_body(record))
+        loaded = property_cache.load(property_cache.store(fmt))
+        assert loaded is not fmt and loaded.format_id == fmt.format_id
+        assert bytes(RecordEncoder(loaded).encode_body(record)) == \
+            bytes(RecordEncoder(fmt).encode_body(record))
 
     @settings(max_examples=80, deadline=None)
     @given(case=format_case(), arch=st.sampled_from(ARCHS),
@@ -506,14 +612,9 @@ class TestPlanFidelity:
         record = data.draw(record_strategy)
         fmt = IOFormat("P", field_list_for(specs, architecture=arch))
         body = RecordEncoder(fmt).encode_body(record)
-        fresh = RecordDecoder(fmt)
-        property_cache.store("decoder", fmt, DEC_OPTS,
-                             fresh.plan_snapshot())
-        plan = property_cache.load("decoder", fmt, DEC_OPTS)
-        assert plan is not None
-        loaded = RecordDecoder(fmt, plan=plan)
-        assert loaded._plan_ops is None
-        assert loaded.decode(body) == fresh.decode(body)
+        loaded = property_cache.load(property_cache.store(fmt))
+        assert RecordDecoder(loaded).decode(body) == \
+            RecordDecoder(fmt).decode(body)
 
 
 class TestConfiguration:

@@ -7,6 +7,10 @@ Two central generators:
 * :func:`record_for` -- a strategy producing records valid for a given
   spec list, so ``encode(decode(x)) == x``-style properties can range
   over both formats and values.
+
+Spec lists come back as :class:`Specs` -- a plain list for every
+existing caller, plus the nested types it references; lay them out
+with :func:`field_list_of`.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import math
 import string
 
 from hypothesis import strategies as st
+
+from repro.pbio.layout import field_list_for
 
 _NAME_ALPHABET = string.ascii_lowercase + "_"
 
@@ -102,24 +108,70 @@ _LINKABLE_TYPES = [(t, s) for t, s in _ATOMIC_TYPES
                    if t in ("integer", "unsigned integer", "float")]
 
 
+class Specs(list):
+    """A field-spec list plus the subformat spec lists it references
+    (``subformats``: type name -> spec list; empty for flat formats)."""
+
+    def __init__(self, specs=(), subformats=None):
+        super().__init__(specs)
+        self.subformats = dict(subformats or {})
+
+
+def field_list_of(specs, architecture):
+    """Lay out *specs* (and any nested types a :class:`Specs` carries)
+    on *architecture*."""
+    subformats = {
+        name: field_list_for(sub, architecture=architecture)
+        for name, sub in getattr(specs, "subformats", {}).items()}
+    return field_list_for(specs, architecture=architecture,
+                          subformats=subformats or None)
+
+
+@st.composite
+def _nested_linked_array(draw, sizing_name: str):
+    """A nested type whose var array is sized by a field of the nested
+    type itself: (sub specs, strategy for the nested record).  The
+    sizing field sits after a pad field, so reading it at the offset
+    of a same-named field of the *enclosing* record goes wrong."""
+    type_string, size = draw(st.sampled_from(_LINKABLE_TYPES))
+    sub = [("pad", "integer", 4), (sizing_name, "integer", 4),
+           ("v", f"{type_string}[{sizing_name}]", size)]
+    values = st.lists(value_for(type_string, size), min_size=0,
+                      max_size=8)
+    return sub, st.builds(
+        lambda pad, v: {"pad": pad, sizing_name: len(v), "v": v},
+        value_for("integer", 4), values)
+
+
 @st.composite
 def format_case(draw, min_fields: int = 1, max_fields: int = 6,
-                allow_linked: bool = True):
-    """A (specs, record_strategy) pair for a random flat format.
+                allow_linked: bool = True, allow_nested: bool = False):
+    """A (specs, record_strategy) pair for a random format.
 
     Mixes scalars (contiguous ones become fused runs), strings, fixed
     arrays, self-sized dynamic arrays, and — unless *allow_linked* is
     False — ``dimensionName``-linked var-arrays whose sizing field is
-    filled from the generated list's length.
+    filled from the generated list's length.  With *allow_nested* one
+    field in three is a nested record holding such a linked array,
+    sized by a field of the nested type that shares its name with a
+    field of the enclosing record whenever one is available.
     """
     names = draw(st.lists(field_names, min_size=min_fields,
                           max_size=max_fields, unique=True))
-    specs = []
+    specs = Specs()
     value_strats = {}
     links = {}  # array field -> sizing field
     taken = set(names)
     for name in names:
         len_name = name + "_n"
+        if allow_nested and draw(st.integers(0, 2)) == 0:
+            shadowed = draw(st.sampled_from(
+                sorted(set(names) - {"pad", "v"}) or ["n"]))
+            sub, values = draw(_nested_linked_array(shadowed))
+            specs.subformats[f"Sub_{name}"] = sub
+            specs.append((name, f"Sub_{name}"))
+            value_strats[name] = values
+            continue
         if allow_linked and len_name not in taken and \
                 draw(st.integers(0, 4)) == 0:
             type_string, size = draw(st.sampled_from(_LINKABLE_TYPES))
@@ -166,12 +218,15 @@ def assert_record_roundtrip(original: dict, decoded: dict,
     """Structural equality with float32 tolerance."""
     assert set(decoded) == set(original)
     by_name = {s[0]: s for s in specs}
+    subformats = getattr(specs, "subformats", {})
     for name, sent in original.items():
         got = decoded[name]
         spec = by_name[name]
         type_string = spec[1]
         size = spec[2] if len(spec) > 2 else None
-        if type_string.startswith("float") and size == 4:
+        if type_string in subformats:
+            assert_record_roundtrip(sent, got, subformats[type_string])
+        elif type_string.startswith("float") and size == 4:
             _assert_f32(sent, got)
         elif type_string.startswith("char[") and sent is not None:
             # char arrays round-trip through NUL-stripped text
