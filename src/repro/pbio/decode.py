@@ -220,6 +220,14 @@ class RecordDecoder:
                 return raw.split(b"\x00", 1)[0].decode(
                     "utf-8", errors="replace")
             return char_op
+        if self.arrays == "list":
+            # count is the format's, never the wire's: the whole run
+            # is one compile-time unpack, no ndarray in between
+            post = _array_post(kind, enums.get(name), "list", list)
+            unpack = struct.Struct(
+                f"{self._bo}{count}{struct_code(kind, field.size)}"
+            ).unpack_from
+            return lambda body, base: post(unpack(body, base + offset))
         dtype = numpy_dtype(kind, field.size, self._byte_order,
                             field_name=name)
         post = _array_post(kind, enums.get(name), self.arrays)
@@ -265,6 +273,10 @@ class RecordDecoder:
                             field_name=name)
         post = _array_post(kind, enums.get(name), self.arrays)
         elem = field.size
+        # a foreign-order list is swapped once, in bulk, not inside
+        # tolist()'s per-element getitem
+        native = None if self.arrays != "list" or dtype.isnative \
+            else dtype.newbyteorder("=")
 
         def op(body, base):
             where = ptr.unpack_from(body, base + offset)[0]
@@ -283,7 +295,7 @@ class RecordDecoder:
             # multi-GB request
             _check_bounds(body, start, n * elem, name)
             arr = np.frombuffer(body, dtype=dtype, count=n, offset=start)
-            return post(arr)
+            return post(arr if native is None else arr.astype(native))
         return op
 
     def _compile_subformat(self, step: Step, enums):
@@ -420,7 +432,8 @@ def _scalar_post(kind: str, enum_values: tuple[str, ...] | None):
     return int
 
 
-def _array_post(kind: str, enum_values, arrays: str):
+def _array_post(kind: str, enum_values, arrays: str,
+                to_list=np.ndarray.tolist):
     if kind == "boolean":
         return lambda arr: [bool(x) for x in arr]
     if kind == "enumeration" and enum_values is not None:
@@ -431,7 +444,7 @@ def _array_post(kind: str, enum_values, arrays: str):
         # wraps the body with toreadonly() before any frombuffer, so
         # every array here is born non-writable.
         return lambda arr: arr
-    return lambda arr: arr.tolist()
+    return to_list
 
 
 def materialize_record(record, *, arrays: str = "list"):

@@ -20,7 +20,8 @@ with a 32-bit element count.
 A :class:`RecordEncoder` is compiled once per format — a flat list of
 closures — and reused for every record, which is what makes PBIO-style
 encoding a near-memcpy (and what Fig. 7 measures).  Bulk numeric arrays
-take a NumPy fast path.
+take a NumPy fast path; a Python list crosses in one ``struct`` call
+per run, packed in the wire's byte order.
 
 Three steady-state optimizations ride on top of the compiled plan (see
 ``docs/MARSHALING.md``):
@@ -51,6 +52,7 @@ import array
 import struct
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,7 +114,7 @@ class BulkStats:
         self.copied_bytes = 0
         self.spilled_segments = 0  # payloads handed out as segments
         self.spilled_bytes = 0
-        self.fallback_arrays = 0   # bulk-ineligible, per-element path
+        self.fallback_arrays = 0   # typed but bulk-ineligible: cast
 
     def snapshot(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -127,11 +129,11 @@ def _bulk_view(value, dtype: np.dtype):
     Returns ``(view, converted)`` — ``converted`` is False when the
     view aliases the caller's buffer (zero-copy) and True when one bulk
     dtype/byte-order conversion produced a private buffer — or ``None``
-    when *value* is not bulk-eligible and must take the per-element
-    baseline.  Only typed 1-D sources qualify: ``np.ndarray`` and
-    ``array.array`` carry their element type, so reinterpreting their
-    bytes can never change meaning (raw bytes/buffers stay on the
-    baseline path, which treats them as element sequences).
+    when *value* is not bulk-eligible and goes through
+    :func:`_run_bytes`.  Only typed 1-D sources qualify: ``np.ndarray``
+    and ``array.array`` carry their element type, so reinterpreting
+    their bytes can never change meaning (raw bytes/buffers are
+    treated as element sequences).
     """
     if isinstance(value, np.ndarray):
         if value.ndim != 1:
@@ -372,7 +374,8 @@ class RecordEncoder:
     ``bulk`` selects the array plan: bulk (default — typed 1-D array
     payloads move as single ``memoryview`` copies, byte-swapped in one
     pass when the wire order differs, and spill as zero-copy segments
-    through :meth:`encode_wire_parts`) or the per-element baseline the
+    through :meth:`encode_wire_parts`) or the plan without buffer
+    views (typed buffers are cast, lists pack as they always do) the
     bulk path is differentially tested against.
     """
 
@@ -664,23 +667,11 @@ class RecordEncoder:
         nbytes = count * field.size
         bulk = self.bulk
         stats = BULK_STATS
-        # Small arrays pack faster through one precompiled struct than
-        # through an ndarray round-trip; numpy wins past a few hundred
-        # elements, and the bulk path stays as the tolerant fallback.
-        packer = (struct.Struct(
+        packer = struct.Struct(
             f"{self._bo}{count}{struct_code(kind, field.size)}")
-            if count <= 256 else None)
 
         def op(record, body, base):
             value = record[name]
-            if packer is not None and type(value) is list \
-                    and len(value) == count:
-                try:
-                    packer.pack_into(body, base + offset, *value)
-                    return
-                except (struct.error, TypeError, ValueError,
-                        OverflowError):
-                    pass  # enum strings, mixed types: bulk path decides
             if bulk and isinstance(value, (np.ndarray, array.array)):
                 src = _bulk_view(value, dtype)
                 if src is not None:
@@ -703,8 +694,8 @@ class RecordEncoder:
                 raise EncodeError(
                     f"field {name!r}: fixed array of {count}, got "
                     f"{len(items)} elements")
-            data = _bulk_bytes(name, items, dtype, convert)
-            body[base + offset:base + offset + nbytes] = data
+            body[base + offset:base + offset + nbytes] = \
+                _run_bytes(name, items, packer, dtype, convert)
         return op
 
     def _compile_var_array(self, step: Step, enums):
@@ -736,63 +727,54 @@ class RecordEncoder:
         elem = field.size
         bulk = self.bulk
         stats = BULK_STATS
+        code = self._bo + "%d" + struct_code(kind, elem)
 
         def op(record, body, base):
             value = record[name]
             if value is None:
                 ptr.pack_into(body, base + offset, 0)
                 return
+            view = None
             if bulk and isinstance(value, (np.ndarray, array.array)):
                 src = _bulk_view(value, dtype)
-                if src is not None:
+                if src is None:
+                    stats.fallback_arrays += 1
+                else:
                     view, converted = src
-                    nbytes = len(view)
-                    if trailing > 1 and (nbytes // elem) % trailing:
-                        raise EncodeError(
-                            f"field {name!r}: element count "
-                            f"{nbytes // elem} not a multiple of "
-                            f"trailing dimensions {trailing}")
-                    if converted:
-                        stats.bulk_converts += 1
-                    else:
-                        stats.zero_copy_views += 1
-                    where = _append_var(body, align)
-                    if self_sized:
-                        body.extend(counter.pack(
-                            (nbytes // elem) // (trailing or 1)))
-                        pad = _round_up(len(body), elem) - len(body)
-                        if pad:
-                            body.extend(b"\x00" * pad)
-                    start = len(body)
-                    segments = getattr(body, "segments", None)
-                    if segments is not None \
-                            and nbytes >= SPILL_MIN_BYTES:
-                        segments.append(
-                            (bytearray.__len__(body), view))
-                        stats.spilled_segments += 1
-                        stats.spilled_bytes += nbytes
-                    else:
-                        body += view
-                        stats.copied_arrays += 1
-                        stats.copied_bytes += nbytes
-                    ptr.pack_into(body, base + offset,
-                                  where if self_sized else start)
-                    return
-                stats.fallback_arrays += 1
-            items = _as_items(name, value)
-            if trailing > 1 and len(items) % trailing:
+            if view is None:
+                items = _as_items(name, value)
+                count = len(items)
+            else:
+                count = len(view) // elem
+            if trailing > 1 and count % trailing:
                 raise EncodeError(
-                    f"field {name!r}: element count {len(items)} not a "
+                    f"field {name!r}: element count {count} not a "
                     f"multiple of trailing dimensions {trailing}")
-            data = _bulk_bytes(name, items, dtype, convert)
             where = _append_var(body, align)
             if self_sized:
-                body.extend(counter.pack(len(items) // (trailing or 1)))
-                pad = _round_up(len(body), field.size) - len(body)
+                body.extend(counter.pack(count // (trailing or 1)))
+                pad = _round_up(len(body), elem) - len(body)
                 if pad:
                     body.extend(b"\x00" * pad)
             start = len(body)
-            body.extend(data)
+            if view is None:
+                body += _run_bytes(name, items, _run_packer(code % count),
+                                   dtype, convert)
+            else:
+                if converted:
+                    stats.bulk_converts += 1
+                else:
+                    stats.zero_copy_views += 1
+                nbytes = len(view)
+                segments = getattr(body, "segments", None)
+                if segments is not None and nbytes >= SPILL_MIN_BYTES:
+                    segments.append((bytearray.__len__(body), view))
+                    stats.spilled_segments += 1
+                    stats.spilled_bytes += nbytes
+                else:
+                    body += view
+                    stats.copied_arrays += 1
+                    stats.copied_bytes += nbytes
             ptr.pack_into(body, base + offset,
                           where if self_sized else start)
         return op
@@ -909,30 +891,59 @@ def _append_var(body: bytearray, align: int) -> int:
     return where
 
 
-def _as_items(name: str, value) -> list:
-    if isinstance(value, np.ndarray):
-        return value  # bulk path handles ndarray directly
+def _as_items(name: str, value):
+    if isinstance(value, (list, np.ndarray, array.array)):
+        return value  # typed buffers keep their cast semantics
     if isinstance(value, (str, bytes)) or not hasattr(value, "__len__"):
         raise EncodeError(
             f"field {name!r}: sequence expected, got "
             f"{type(value).__name__}")
-    return value if isinstance(value, list) else list(value)
+    return list(value)
 
 
-def _bulk_bytes(name: str, items, dtype: np.dtype, convert) -> bytes:
-    try:
-        if isinstance(items, np.ndarray):
+_PACK_ERRORS = (struct.error, TypeError, ValueError, OverflowError)
+
+#: ``Struct`` per var-array run format; the count in it is caller
+#: data, so the memo is bounded
+_run_packer = lru_cache(maxsize=128)(struct.Struct)
+
+
+def _run_bytes(name: str, items, packer: struct.Struct,
+               dtype: np.dtype, convert) -> bytes:
+    """Wire bytes of one array run that did not move as a bulk view.
+
+    A list crosses in one ``packer.pack`` — *packer* is the run's
+    whole-length Struct in the wire's byte order.  What struct refuses
+    (enum names, numpy scalars in integer slots, ...) goes through the
+    field's scalar rules and is packed again; what those refuse too is
+    re-run element by element so the error carries the index.
+    """
+    if not isinstance(items, list):
+        try:
             return np.ascontiguousarray(items, dtype=dtype).tobytes()
-        return np.asarray(items, dtype=dtype).tobytes()
-    except (ValueError, TypeError, OverflowError):
-        pass
-    # Slow path: per-element conversion (enums as strings, bools, ...).
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise EncodeError(
+                f"field {name!r}: cannot encode array: {exc}") from None
     try:
-        converted = [convert(item) for item in items]
-        return np.asarray(converted, dtype=dtype).tobytes()
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise EncodeError(
-            f"field {name!r}: cannot encode array: {exc}") from None
+        return packer.pack(*items)
+    except _PACK_ERRORS:
+        pass
+    try:
+        return packer.pack(*[convert(item) for item in items])
+    except (EncodeError, *_PACK_ERRORS):
+        pass
+    one = struct.Struct(packer.format[0] + packer.format[-1])
+    prefix = f"field {name!r}"
+    for i, item in enumerate(items):
+        try:
+            one.pack(convert(item))
+        except EncodeError as exc:
+            raise EncodeError(str(exc).replace(
+                prefix, f"{prefix}[{i}]", 1)) from None
+        except _PACK_ERRORS as exc:
+            raise EncodeError(f"{prefix}[{i}]: cannot encode "
+                              f"{item!r}: {exc}") from None
+    raise EncodeError(f"{prefix}: cannot encode array")
 
 
 def _char_array_bytes(name: str, value, size: int) -> bytes:

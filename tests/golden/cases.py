@@ -102,6 +102,33 @@ _EXTRA_CASES: dict[str, dict] = {
             "p": {"n": 3, "pad": 1, "v": [1.0, 2.0, 3.0]},
         },
     },
+    # list-shaped inputs struct refuses or that are not lists at all:
+    # tuple, range, enum names, numpy scalars, bools / truthy values.
+    # Pinned from the commit before the list path went through struct
+    # (PR 22), so the tolerant route provably writes the same bytes.
+    "TolerantLists": {
+        "specs": [
+            ("n", "integer", 4),
+            ("ranged", "integer[n]", 4),
+            ("pair", "double[2]", 8),
+            ("modes", "enumeration[3]", 4),
+            ("flags", "boolean[4]", 1),
+            ("halves", "double[*]", 8),
+            ("wide", "integer[2]", 8),
+            ("bits", "unsigned integer[3]", 2),
+        ],
+        "enums": {"modes": ("IDLE", "RUN", "HALT")},
+        "record": {
+            "n": 5,
+            "ranged": range(-2, 3),
+            "pair": (0.5, -1.25),
+            "modes": ["RUN", 2, "IDLE"],
+            "flags": [True, 0, "yes", None],
+            "halves": [np.float32(0.1), np.float32(-2.5), 3],
+            "wide": [np.int64(-(2 ** 40)), np.int64(7)],
+            "bits": [True, False, 65535],
+        },
+    },
     # mixed scalar sizes: alignment holes become struct pad codes
     "MixedRuns": {
         "specs": [

@@ -312,3 +312,145 @@ def test_wrong_length_bulk_fixed_array_names_the_field():
     with pytest.raises(EncodeError, match="field 'values'"):
         RecordEncoder(fmt).encode_wire(
             {"values": np.arange(5, dtype="i4")})
+
+
+# -- the list path: one struct call per run, both directions ----------------
+
+_LIST_COUNTS = (0, 1, 8, 255, 256, 257, 1024, 5000)
+
+
+def _list_specs(type_string: str, size: int, shape: str, count: int):
+    """(specs, elements) for one array *shape* holding *count* rows."""
+    if shape == "fixed":
+        return [("tag", "integer", 4),
+                ("a", f"{type_string}[{count}]", size)], count
+    if shape == "sized":
+        return [("n", "integer", 4),
+                ("a", f"{type_string}[n]", size)], count
+    if shape == "self":
+        return [("tag", "integer", 4),
+                ("a", f"{type_string}[*]", size)], count
+    return [("n", "integer", 4),
+            ("a", f"{type_string}[n][3]", size)], count * 3
+
+
+def _list_values(np_code: str, elements: int) -> np.ndarray:
+    """Deterministic payload covering the element type's whole range."""
+    rng = np.random.default_rng(elements)
+    dt = np.dtype(np_code)
+    if dt.kind == "f":
+        return (rng.standard_normal(elements) * 1e3).astype(dt)
+    info = np.iinfo(dt)
+    values = rng.integers(info.min, info.max, size=elements,
+                          dtype=dt, endpoint=True)
+    values[:2] = (info.min, info.max)[:elements]
+    return values
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.byte_order)
+@pytest.mark.parametrize("type_string,size,np_code,_typecode",
+                         _ELEMENT_TYPES,
+                         ids=[t[2] for t in _ELEMENT_TYPES])
+def test_list_and_ndarray_agree_both_directions(
+        type_string, size, np_code, _typecode, arch):
+    """A list and the equal ndarray write the same wire, and the
+    ``list`` decode is the ``numpy`` decode's ``.tolist()`` — every
+    array shape, counts on both sides of every old threshold."""
+    for shape in ("fixed", "sized", "self", "trailing"):
+        for count in _LIST_COUNTS:
+            if shape == "fixed" and count == 0:
+                continue        # a fixed dimension must be positive
+            specs, elements = _list_specs(type_string, size, shape,
+                                          count)
+            fmt = _format_for(specs, arch)
+            typed = _list_values(np_code, elements)
+            record = {"a": typed.tolist()}
+            if specs[0][0] == "tag":
+                record["tag"] = 7
+            encoder = RecordEncoder(fmt)
+            wire = encoder.encode_wire(record)
+            where = (shape, count)
+            assert wire == encoder.encode_wire(
+                {**record, "a": typed}), where
+            body = wire[HEADER_LEN:]
+            listed = RecordDecoder(fmt).decode(body)
+            viewed = RecordDecoder(fmt, arrays="numpy").decode(body)
+            assert type(listed["a"]) is list, where
+            assert listed["a"] == viewed["a"].tolist(), where
+            assert listed["a"] == record["a"], where
+
+
+@pytest.mark.parametrize("arch", ARCHS, ids=lambda a: a.byte_order)
+def test_tolerant_list_inputs_write_the_typed_bytes(arch):
+    """What struct refuses — or what is not a list at all — goes
+    through the scalar rules and lands on the same bytes."""
+    specs = [("n", "integer", 4), ("a", "integer[n]", 4),
+             ("f", "double[3]", 8), ("e", "enumeration[3]", 4),
+             ("b", "boolean[*]", 1)]
+    fmt = IOFormat("T", field_list_for(specs, architecture=arch),
+                   {"e": ("LOW", "MID", "HIGH")})
+    encoder = RecordEncoder(fmt)
+    plain = encoder.encode_wire(
+        {"n": 3, "a": [0, 1, 2], "f": [0.5, 2.0, 3.0],
+         "e": [2, 0, 1], "b": [1, 0, 1]})
+    for record in (
+            {"a": (0, 1, 2), "f": (0.5, 2.0, 3.0), "e": (2, 0, 1),
+             "b": (1, 0, 1)},
+            {"a": range(3), "f": [np.float32(0.5), 2, np.float64(3)],
+             "e": ["HIGH", "LOW", "MID"], "b": [True, False, True]},
+            {"a": [np.int64(0), np.int8(1), True + 1],
+             "f": [0.5, True + 1, 3], "e": ["HIGH", 0, np.uint8(1)],
+             "b": ["yes", None, [0]]}):
+        assert encoder.encode_wire({"n": 3, **record}) == plain
+    decoded = RecordDecoder(fmt).decode(plain[HEADER_LEN:])
+    assert decoded["e"] == ["HIGH", "LOW", "MID"]
+    assert decoded["b"] == [True, False, True]
+
+
+def test_list_elements_obey_the_scalar_rules():
+    """The numpy guess used to take what the scalar rules refuse:
+    ``None`` became NaN and 1.5 became 1.  A list element is now
+    rejected exactly as the scalar would be, and named by index."""
+    specs = [("f", "double", 8), ("i", "integer", 4),
+             ("n", "integer", 4), ("xs", "double[n]", 8),
+             ("ys", "integer[4]", 4)]
+    fmt = _format_for(specs, X86_64)
+    encoder = RecordEncoder(fmt)
+    good = {"f": 0.5, "i": 1, "n": 2, "xs": [0.5, 1.0],
+            "ys": [1, 2, 3, 4]}
+    encoder.encode_wire(good)
+    for bad, message in (
+            ({"f": None}, "field 'f'"),
+            ({"i": 1.5}, "field 'i': integer expected, got float"),
+            ({"xs": [None, 1.0]}, r"field 'xs'\[0\]: cannot encode "
+                                  r"None"),
+            ({"ys": [1.5, 2, 3, 4]},
+             r"field 'ys'\[0\]: integer expected, got float"),
+            ({"ys": [1, 2, np.float32(3), 4]},
+             r"field 'ys'\[2\]: integer expected, got float32"),
+            ({"ys": [1, 2, 3, 2 ** 40]},
+             r"field 'ys'\[3\]: cannot encode 1099511627776"),
+            ({"xs": [[1.0, 2.0], [3.0, 4.0]]}, r"field 'xs'\[0\]")):
+        with pytest.raises(EncodeError, match=message):
+            encoder.encode_wire({**good, **bad})
+    # typed buffers keep their documented cast semantics
+    cast = encoder.encode_wire(
+        {**good, "ys": np.array([1.5, 2.0, 3.0, 4.0])})
+    assert cast == encoder.encode_wire(good)
+    assert encoder.encode_wire(
+        {**good, "ys": array.array("d", [1.5, 2.0, 3.0, 4.0])}) == cast
+
+
+def test_var_run_packer_memo_is_bounded():
+    """Var-array counts are caller data: 2 000 distinct lengths must
+    not pin 2 000 ``Struct`` objects."""
+    fmt = _format_for([("a", "integer[*]", 2)], X86_64)
+    encoder = RecordEncoder(fmt)
+    payload = list(range(2000))
+    for length in range(2000):
+        encoder.encode_wire({"a": payload[:length]})
+    info = encode_mod._run_packer.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize <= 256
+    assert encoder.encode_wire({"a": payload[:5]})[-10:] == \
+        np.arange(5, dtype="<i2").tobytes()

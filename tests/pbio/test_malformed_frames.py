@@ -15,6 +15,7 @@ import struct
 
 import pytest
 
+import repro.pbio.decode as decode_mod
 from repro.errors import DecodeError, EncodeError
 from repro.pbio.context import IOContext
 from repro.pbio.decode import RecordDecoder
@@ -180,3 +181,44 @@ class TestParseBatchLies:
             parse_batch(self._frame(b"\x00\x00"))
         with pytest.raises(EncodeError):
             parse_header(b"XX" + b"\x00" * 14)
+
+
+class TestHostileCountListDecode:
+    """``arrays="list"`` decode takes fixed arrays through a
+    compile-time ``struct`` and swaps foreign-order var arrays in
+    bulk; a wire-derived count still meets ``_check_bounds`` before
+    anything is allocated — and never reaches a ``struct`` format."""
+
+    @pytest.mark.parametrize("order", sorted(ARCHITECTURES))
+    @pytest.mark.parametrize("spelling", ["double[n]", "double[*]"])
+    def test_smashed_count_rejected_before_allocation(
+            self, order, spelling, monkeypatch):
+        arch = ARCHITECTURES[order]
+        layout = compute_layout(
+            [("n", "integer", 4), ("gains", "float[8]", 4),
+             ("samples", spelling, 8)], architecture=arch)
+        fmt = IOFormat("Hostile", layout.field_list)
+        record = {"n": 4, "gains": [0.5] * 8,
+                  "samples": [1.0, 2.0, 3.0, 4.0]}
+        body = bytearray(
+            RecordEncoder(fmt).encode_wire(record)[HEADER_LEN:])
+        decoder = RecordDecoder(fmt)
+        assert decoder.decode(bytes(body)) == record
+        bo = arch.struct_byte_order_char
+        if spelling == "double[n]":
+            at = fmt.field_list["n"].offset
+        else:
+            at = struct.unpack_from(
+                bo + "Q", body, fmt.field_list["samples"].offset)[0]
+        struct.pack_into(bo + "I", body, at, 0x7FFFFFF0)
+
+        allocations = []
+        real = decode_mod.np.frombuffer
+        monkeypatch.setattr(
+            decode_mod.np, "frombuffer",
+            lambda *a, **kw: allocations.append(kw) or real(*a, **kw))
+        with pytest.raises(DecodeError,
+                           match="field 'samples': data .* outside "
+                                 "record"):
+            decoder.decode(bytes(body))
+        assert allocations == []
