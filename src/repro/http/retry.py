@@ -14,8 +14,8 @@ discovery path (:func:`repro.http.urls.fetch`,
 * :func:`call_with_retry` — drives a callable through the policy,
   distinguishing retryable faults (connection failures, 5xx) from
   permanent ones (4xx, malformed documents);
-* :class:`DiscoveryStats` — thread-safe counters mirroring the style
-  of :attr:`repro.pbio.format_server.FormatServer.stats`.
+* :class:`DiscoveryStats` — the discovery path's counters, exact
+  under concurrent fetchers (a :class:`~repro.obs.registry.Tally`).
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import DiscoveryError, HTTPError, MetadataNotFoundError
-from repro.obs import runtime as _obs
-from repro.obs.metrics import DISCOVERY_EVENTS
-from repro.obs.registry import AtomicCounter
+from repro.obs.registry import Tally
 
 
 def default_retryable(exc: BaseException) -> bool:
@@ -95,58 +93,27 @@ class RetryPolicy:
         return tuple(schedule)
 
 
-class DiscoveryStats:
-    """Thread-safe counters for the discovery path.
+class DiscoveryStats(Tally):
+    """Counters for the discovery path.
 
     ``fetch_attempts``/``retries``/``fetch_failures`` are incremented
     by :func:`call_with_retry`; the cache and fallback counters by
     :class:`repro.core.registry.FormatRegistry`.
 
-    Each counter is an :class:`~repro.obs.registry.AtomicCounter`
-    (exact under concurrent hammering); increments are mirrored into
-    the process-wide registry as
-    ``repro_discovery_events_total{event=...}``, so every instance's
-    activity is centrally snapshottable while per-instance reads stay
-    exact.  Attribute access (``stats.fetch_attempts``) returns plain
-    ints, as before.
+    :meth:`count` an event by name (an unknown name raises
+    ``AttributeError``); read plain ints as attributes
+    (``stats.fetch_attempts``) or all at once with :meth:`snapshot`.
+    Every instance's cells sum into
+    ``repro_discovery_events_total{event=...}``.
     """
 
     _COUNTERS = ("fetch_attempts", "retries", "fetch_failures",
                  "cache_hits", "cache_misses", "negative_hits",
                  "fallbacks", "compiles", "deferred_formats",
                  "lazy_compiles")
+    _METRIC = "repro_discovery_events_total"
 
-    #: process-wide mirror series, one per counter, shared by every
-    #: instance (N registries sum into one global total)
-    _MIRROR = {name: DISCOVERY_EVENTS.labels(event=name)
-               for name in _COUNTERS}
-
-    def __init__(self) -> None:
-        self._counters = {name: AtomicCounter()
-                          for name in self._COUNTERS}
-
-    def count(self, name: str, n: int = 1) -> None:
-        counter = self._counters.get(name)
-        if counter is None:
-            raise AttributeError(f"unknown discovery counter {name!r}")
-        counter.add(n)
-        if _obs.enabled:
-            self._MIRROR[name].inc(n)
-
-    def __getattr__(self, name: str) -> int:
-        try:
-            return self.__dict__["_counters"][name].value
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def snapshot(self) -> dict[str, int]:
-        return {name: counter.value
-                for name, counter in self._counters.items()}
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in
-                          self.snapshot().items())
-        return f"DiscoveryStats({inner})"
+    __slots__ = ()
 
 
 def call_with_retry(fn: Callable[[], object], policy: RetryPolicy, *,

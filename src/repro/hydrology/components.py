@@ -25,8 +25,7 @@ import numpy as np
 
 from repro.core.toolkit import XMIT
 from repro.errors import TransportError
-from repro.obs import runtime as _obs
-from repro.obs.metrics import COMPONENT_MESSAGES
+from repro.obs.registry import Tally
 from repro.hydrology.datagen import WatershedDataset
 from repro.pbio.context import IOContext
 from repro.pbio.format_server import FormatServer
@@ -35,37 +34,33 @@ from repro.transport.connection import Connection, ReceivedMessage
 _POLL = 0.002  # seconds: non-blocking-ish control poll
 
 
-class ComponentStats:
-    """Per-component message accounting.
-
-    Counts are kept per format name under a lock (components touch
-    their own stats from the worker thread while the driver reads
-    them), and mirrored into the process-wide :mod:`repro.obs`
-    registry as ``repro_component_messages_total{component,format,
-    direction}`` so a pipeline's message flow shows up on
-    ``/metrics``.
+class ComponentStats(Tally):
+    """Per-component message accounting: one cell per ``(format,
+    direction)``, counted by the component's worker thread and read
+    by the driver as :attr:`received` / :attr:`sent`.  Every
+    component's cells surface as
+    ``repro_component_messages_total{component,format,direction}``,
+    so a pipeline's message flow shows up on ``/metrics``.
     """
 
+    _METRIC = "repro_component_messages_total"
+
+    __slots__ = ()
+
     def __init__(self, component: str = "") -> None:
-        self.component = component
-        self._lock = threading.Lock()
-        self.received: dict[str, int] = {}
-        self.sent: dict[str, int] = {}
+        super().__init__(component)
 
-    def count_in(self, format_name: str) -> None:
-        with self._lock:
-            self.received[format_name] = \
-                self.received.get(format_name, 0) + 1
-        if _obs.enabled:
-            COMPONENT_MESSAGES.labels(
-                self.component, format_name, "in").inc()
+    def _direction(self, direction: str) -> dict[str, int]:
+        return {fmt: n for (fmt, d), n in self.as_dict().items()
+                if d == direction}
 
-    def count_out(self, format_name: str) -> None:
-        with self._lock:
-            self.sent[format_name] = self.sent.get(format_name, 0) + 1
-        if _obs.enabled:
-            COMPONENT_MESSAGES.labels(
-                self.component, format_name, "out").inc()
+    @property
+    def received(self) -> dict[str, int]:
+        return self._direction("in")
+
+    @property
+    def sent(self) -> dict[str, int]:
+        return self._direction("out")
 
 
 class Component(threading.Thread):
@@ -118,20 +113,19 @@ class Component(threading.Thread):
     def _send(self, conn: Connection, format_name: str,
               record: dict) -> None:
         conn.send(format_name, record)
-        self.stats.count_out(format_name)
+        self.stats.count((format_name, "out"))
 
     def _send_many(self, conn: Connection, format_name: str,
                    records) -> None:
         records = list(records)
         conn.send_many(format_name, records)
-        for _ in records:
-            self.stats.count_out(format_name)
+        self.stats.count((format_name, "out"), len(records))
 
     def _recv(self, conn: Connection,
               timeout: float | None = None) -> ReceivedMessage | None:
         msg = conn.receive(timeout)
         if msg is not None:
-            self.stats.count_in(msg.format_name)
+            self.stats.count((msg.format_name, "in"))
         return msg
 
     def _poll(self, conn: Connection) -> ReceivedMessage | None:
@@ -442,7 +436,7 @@ class BroadcastCoupler(Component):
                 if msg is None:
                     break
                 self.publisher.publish(msg.format_name, msg.record)
-                self.stats.count_out(msg.format_name)
+                self.stats.count((msg.format_name, "out"))
         finally:
             self.publisher.close()
 

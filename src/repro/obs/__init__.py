@@ -12,9 +12,10 @@ system: ``GET /metrics`` on :class:`~repro.http.server
 .MetadataHTTPServer`, a ``STATS_REQ`` frame to a broadcast publisher,
 or ``python -m repro.tools.obsdump``.
 
-Hot-path cost is bounded by design — plain-int adds under striped
-locks, sampled codec timing, a single-branch no-op mode — and
-enforced by ``benchmarks/check_obs_gate.py`` in CI.
+Hot-path cost is bounded by design — per-owner counts in cells only
+the counting thread writes, plain-int adds under striped locks for
+the shared series, sampled codec timing, a single-branch no-op mode —
+and enforced by ``benchmarks/check_obs_gate.py`` in CI.
 """
 
 from repro.obs import runtime
@@ -27,8 +28,7 @@ from repro.obs.merge import (
 )
 from repro.obs.metrics import PHASES
 from repro.obs.registry import (
-    REGISTRY, AtomicCounter, MetricsRegistry, get_registry,
-    log_buckets,
+    REGISTRY, MetricsRegistry, Tally, get_registry, log_buckets,
 )
 from repro.obs.spans import (
     Span, configure, disabled, is_enabled, observe_phase,
@@ -48,12 +48,12 @@ def reset() -> None:
 
 
 __all__ = [
-    "AtomicCounter",
     "MetricsRegistry",
     "PHASES",
     "PROMETHEUS_CONTENT_TYPE",
     "REGISTRY",
     "Span",
+    "Tally",
     "WORKER_LABEL",
     "aggregate_snapshot",
     "configure",

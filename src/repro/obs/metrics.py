@@ -10,7 +10,10 @@ companion.
 Hot-path metrics are incremented inline by their subsystems; state
 that is cheaper to read on demand (per-client transport queues,
 buffer-pool reuse, cached codec plans) arrives through snapshot-time
-collectors instead, so steady-state work pays nothing for it.
+collectors instead, so steady-state work pays nothing for it.  The
+discovery, codec, broadcast and component event series are declared
+here for their type and help text only: their values are per-owner
+:class:`~repro.obs.registry.Tally` cells, summed at snapshot time.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ SPANS_TOTAL = REGISTRY.counter(
 
 DISCOVERY_EVENTS = REGISTRY.counter(
     "repro_discovery_events_total",
-    "Discovery-path events mirrored from DiscoveryStats "
+    "Discovery-path events summed over every DiscoveryStats "
     "(fetch_attempts, retries, cache_hits, fallbacks, ...)",
     labels=("event",))
 
@@ -51,6 +54,12 @@ HTTP_REQUESTS = REGISTRY.counter(
     "Requests served by MetadataHTTPServer", labels=("status",))
 
 # -- codec (pbio encode/decode) ---------------------------------------------
+
+CODEC_EVENTS = REGISTRY.counter(
+    "repro_codec_events_total",
+    "Process-wide codec totals summed over every IOContext, living "
+    "or dead",
+    labels=("event",))
 
 CODEC_PLANS = REGISTRY.counter(
     "repro_codec_plans_total",
@@ -112,6 +121,19 @@ TRANSPORT_EVENTS = REGISTRY.counter(
     "Event-loop server lifecycle totals",
     labels=("event",))
 
+BROADCAST_EVENTS = REGISTRY.counter(
+    "repro_broadcast_events_total",
+    "Publisher events summed over every BroadcastPublisher",
+    labels=("event",))
+
+BROADCAST_QUEUE_HIGH_WATER = REGISTRY.gauge(
+    "repro_broadcast_queue_high_water",
+    "Largest value observed by any publisher")
+
+BROADCAST_SUBSCRIBER_HIGH_WATER = REGISTRY.gauge(
+    "repro_broadcast_subscriber_high_water",
+    "Largest value observed by any publisher")
+
 MALFORMED_FRAMES = REGISTRY.counter(
     "repro_malformed_frames_total",
     "Wire inputs rejected by bounds-checked validation; counting "
@@ -167,37 +189,4 @@ def _codec_plan_collector():
     ]
 
 
-def _codec_totals_collector():
-    """Process-wide codec totals from ContextStats — every context's
-    records/bytes in both directions, read at snapshot time."""
-    from repro.pbio.context import ContextStats
-    help_text = ("Process-wide codec totals summed over every "
-                 "IOContext, living or dead")
-    return [
-        {"name": "repro_codec_events_total", "type": "counter",
-         "help": help_text, "labels": {"event": event}, "value": value}
-        for event, value in ContextStats.totals_snapshot().items()
-    ]
-
-
-def _broadcast_totals_collector():
-    """Publisher counters and high-water marks from BroadcastStats."""
-    from repro.transport.broadcast import BroadcastStats
-    samples = [
-        {"name": "repro_broadcast_events_total", "type": "counter",
-         "help": "Publisher events summed over every "
-                 "BroadcastPublisher",
-         "labels": {"event": event}, "value": value}
-        for event, value in BroadcastStats.totals_snapshot().items()
-    ]
-    for name, value in BroadcastStats.high_water_snapshot().items():
-        samples.append(
-            {"name": f"repro_broadcast_{name}", "type": "gauge",
-             "help": "Largest value observed by any publisher",
-             "labels": {}, "value": value})
-    return samples
-
-
 REGISTRY.register_collector(_codec_plan_collector)
-REGISTRY.register_collector(_codec_totals_collector)
-REGISTRY.register_collector(_broadcast_totals_collector)

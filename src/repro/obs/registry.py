@@ -31,6 +31,11 @@ time that contribute counter/gauge series for state that is cheaper to
 read on demand than to mirror per-operation (per-client transport
 queues, buffer-pool reuse).  Collectors registered for a bound method
 are held weakly, so instrumented objects die normally.
+
+Per-owner counting (an endpoint's records, a publisher's frames) is
+:class:`Tally`: cells only the calling thread writes, summed when
+somebody reads.  One collector turns every owner's cells — living or
+collected — into the process-wide series.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ from __future__ import annotations
 import threading
 import weakref
 from bisect import bisect_left
+from collections import deque
+from threading import get_ident
 from typing import Callable, Iterable
 
 #: shared lock pool; every series takes one stripe by hash so that a
@@ -48,6 +55,14 @@ _STRIPES = tuple(threading.Lock() for _ in range(_N_STRIPES))
 
 def _stripe(key) -> threading.Lock:
     return _STRIPES[hash(key) % _N_STRIPES]
+
+
+#: Held by :meth:`MetricsRegistry.snapshot` across its two reads (the
+#: declared series, then the collectors) and by every retire across
+#: "stop reporting live" + "fold into what persists", so no scrape
+#: finds a total in neither place.  Re-entrant: a collector may import
+#: a module whose import creates a :class:`Tally`.
+FOLD_LOCK = threading.RLock()
 
 
 def log_buckets(start: float = 1e-6, factor: float = 2.0,
@@ -64,37 +79,6 @@ def log_buckets(start: float = 1e-6, factor: float = 2.0,
 
 
 DEFAULT_SECONDS_BUCKETS = log_buckets()
-
-
-class AtomicCounter:
-    """A plain-int counter guarded by a striped lock.
-
-    The primitive every migrated stats class routes through:
-    ``add()`` is the only mutation path, so totals under concurrent
-    hammering are exact (a bare ``+=`` on an attribute is a
-    read-modify-write that drops updates between threads).
-    """
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self, lock: threading.Lock | None = None) -> None:
-        self._lock = lock if lock is not None else _stripe(id(self))
-        self._value = 0
-
-    def add(self, n: int = 1) -> None:
-        with self._lock:
-            self._value += n
-
-    def set(self, value: int) -> None:
-        with self._lock:
-            self._value = value
-
-    @property
-    def value(self) -> int:
-        return self._value  # single-word read: atomic under the GIL
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AtomicCounter({self._value})"
 
 
 class _Series:
@@ -396,11 +380,13 @@ class MetricsRegistry:
         with self._lock:
             metrics = list(self._metrics.items())
         out: dict[str, dict] = {}
-        for name, metric in sorted(metrics):
-            out[name] = {"type": metric.type, "help": metric.help,
-                         "label_names": list(metric.label_names),
-                         "series": metric._snapshot_series()}
-        for sample in self._collect():
+        with FOLD_LOCK:
+            for name, metric in sorted(metrics):
+                out[name] = {"type": metric.type, "help": metric.help,
+                             "label_names": list(metric.label_names),
+                             "series": metric._snapshot_series()}
+            samples = self._collect()
+        for sample in samples:
             name = sample["name"]
             entry = out.get(name)
             if entry is None:
@@ -434,3 +420,161 @@ REGISTRY = MetricsRegistry()
 
 def get_registry() -> MetricsRegistry:
     return REGISTRY
+
+
+# -- per-owner counting -------------------------------------------------------
+
+#: guards the *shape* of a tally's rows (a new thread's row, a new
+#: open cell) against a reader walking them; a leaf lock, so counting
+#: is safe under whatever lock the caller already holds
+_ROW_LOCK = threading.Lock()
+
+#: ``id(rows)`` -> ``(class, labels, rows)`` for every tally not yet
+#: folded — the rows are held here, so an owner's last counts outlive
+#: it until :func:`_sweep` has moved them into ``_RETIRED``
+_OWNERS: dict[int, tuple] = {}
+#: keys of ``_OWNERS`` whose owner was collected (appended by
+#: ``Tally.__del__``, which may run on any thread at any point, so it
+#: takes no lock)
+_DEAD: deque[int] = deque()
+#: ``(metric name, label values)`` -> total over every folded owner;
+#: one entry per series, however many owners have come and gone
+_RETIRED: dict[tuple, int] = {}
+
+
+class Tally:
+    """One owner's named counting cells.
+
+    A subclass is a declaration: ``_COUNTERS`` names the cells that
+    add up, ``_HIGH_WATER`` maps each cell that keeps a maximum to the
+    gauge it surfaces as, ``_METRIC`` is the counter family the
+    counters surface in (one series per cell: the owner's *labels*,
+    then the cell — a tuple cell gives several label values; None
+    keeps them out of the registry).  An empty ``_COUNTERS`` leaves
+    the set open: cells appear as they are first counted.
+
+    Every writing thread gets its own row of cells, and only that
+    thread ever writes it, without a lock — totals are exact because
+    no two threads share a word, not because an increment is atomic.
+    Reads sum (or max) the rows.  Process-wide series come from
+    :func:`_collect_tallies`; once the owner is collected its final
+    values are folded into ``_RETIRED`` and keep being reported.
+    """
+
+    _COUNTERS: tuple = ()
+    _HIGH_WATER: dict = {}
+    _METRIC: str | None = None
+    _CELLS: tuple = ()  # every declared cell, counters first
+
+    __slots__ = ("_rows",)
+
+    def __init_subclass__(cls) -> None:
+        # declared cells read as attributes; properties rather than
+        # __getattr__, which would slow every method lookup on the
+        # counting path
+        cls._CELLS = cls._COUNTERS + tuple(cls._HIGH_WATER)
+        for cell in cls._CELLS:
+            setattr(cls, cell, property(
+                lambda self, cell=cell: self.as_dict()[cell]))
+
+    def __init__(self, *labels: str) -> None:
+        self._rows: dict[int, dict] = {}
+        with FOLD_LOCK:
+            _OWNERS[id(self._rows)] = (type(self), labels, self._rows)
+            _sweep()  # here, so owners nobody scrapes are folded too
+
+    def __del__(self, _retire=_DEAD.append) -> None:
+        _retire(id(self._rows))
+
+    # -- writing (the calling thread's row only) ----------------------------
+
+    def row(self) -> dict:
+        """The calling thread's cells.  The caller may add to them in
+        place (``row[cell] += n``) and must not hand the row to
+        another thread."""
+        try:
+            return self._rows[get_ident()]
+        except KeyError:
+            with _ROW_LOCK:
+                row = self._rows[get_ident()] = dict.fromkeys(
+                    self._CELLS, 0)
+            return row
+
+    def count(self, cell, n: int = 1) -> None:
+        row = self.row()
+        try:
+            row[cell] += n
+        except KeyError:
+            if self._COUNTERS:
+                raise AttributeError(
+                    f"{type(self).__name__} has no cell {cell!r}") \
+                    from None
+            with _ROW_LOCK:
+                row[cell] = n
+
+    def mark(self, cell: str, value: int) -> None:
+        """Raise high-water *cell* to *value* if it is below it."""
+        row = self.row()
+        if value > row[cell]:
+            row[cell] = value
+
+    # -- reading ------------------------------------------------------------
+
+    @classmethod
+    def _combine(cls, rows: dict) -> dict:
+        out = dict.fromkeys(cls._CELLS, 0)
+        with _ROW_LOCK:
+            for row in rows.values():
+                for cell, value in row.items():
+                    if cell in cls._HIGH_WATER:
+                        out[cell] = max(out[cell], value)
+                    else:
+                        out[cell] = out.get(cell, 0) + value
+        return out
+
+    def as_dict(self) -> dict:
+        """Every cell, over all writing threads."""
+        return self._combine(self._rows)
+
+    snapshot = as_dict
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
+        return f"{type(self).__name__}({inner})"
+
+
+def _fold(into: dict, cls: type, labels: tuple, rows: dict) -> None:
+    """Merge one owner's cells into *into*, keyed by series."""
+    for cell, value in cls._combine(rows).items():
+        gauge = cls._HIGH_WATER.get(cell)
+        if gauge is not None:
+            into[gauge, ()] = max(into.get((gauge, ()), 0), value)
+        elif cls._METRIC is not None:
+            key = (cls._METRIC, labels + (
+                cell if isinstance(cell, tuple) else (cell,)))
+            into[key] = into.get(key, 0) + value
+
+
+def _sweep() -> None:
+    """Fold every collected owner into ``_RETIRED`` (under
+    ``FOLD_LOCK``: a scrape sees an owner live or folded, never
+    neither)."""
+    while _DEAD:
+        _fold(_RETIRED, *_OWNERS.pop(_DEAD.popleft()))
+
+
+def _collect_tallies() -> list[dict]:
+    """The one collector behind every tally-backed series: what was
+    folded plus what every unfolded owner holds now.  Type and help
+    text come from the declaration in :mod:`repro.obs.metrics`."""
+    with FOLD_LOCK:
+        _sweep()
+        totals = dict(_RETIRED)
+        for owner in _OWNERS.values():
+            _fold(totals, *owner)
+    return [{"name": name, "value": value,
+             "labels": dict(zip(REGISTRY.get(name).label_names, values))}
+            for (name, values), value in totals.items()]
+
+
+REGISTRY.register_collector(_collect_tallies)

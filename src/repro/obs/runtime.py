@@ -8,8 +8,9 @@ keeps the no-op mode within the benchmark gate's 1% bound
 (``benchmarks/check_obs_gate.py``).
 
 * ``enabled`` — master switch.  Off: no spans, no histograms, no
-  mirrored counters; the legacy per-instance stats objects keep exact
-  counts either way.
+  inline increments of shared series; per-owner
+  :class:`~repro.obs.registry.Tally` cells, and the process-wide
+  series summed from them, keep exact counts either way.
 * ``sample_mask`` — marshal/unmarshal latency is *sampled*: one in
   every ``sample_mask + 1`` codec operations is timed (the mask must
   be ``2**k - 1``).  0 times every operation (exact sums, used by the

@@ -28,12 +28,12 @@ the decoder bound to its raw digest in one table probe; a
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.errors import (
     DecodeError, FormatRegistrationError, UnknownFormatError,
 )
+from repro.obs.registry import Tally
 from repro.obs.spans import observe_phase, sample_t0, span
 from repro.pbio.convert import ConversionPlan, plan_conversion
 from repro.pbio.decode import RecordDecoder, decoder_for_format
@@ -48,106 +48,30 @@ from repro.pbio.layout import compute_layout
 from repro.pbio.machine import Architecture, NATIVE
 
 
-class ContextStats:
+class ContextStats(Tally):
     """Counters an endpoint accumulates over its lifetime —
     the observability hook operators expect of a BCM endpoint.
 
-    All mutation goes through the ``count_*`` methods, which take one
-    class-wide lock per operation and bump the per-context value
-    *and* the process-wide totals together — exact under concurrent
-    encoders, and centrally snapshottable: the totals surface in the
-    :mod:`repro.obs` registry as
-    ``repro_codec_events_total{event=...}`` via a snapshot-time
-    collector, so the steady-state encode path pays nothing beyond
-    the single lock round-trip it always paid.
-
-    Attribute reads (``stats.records_encoded``) and :meth:`as_dict`
-    behave exactly as the old dataclass did.
+    Read as attributes (``stats.records_encoded``) or
+    :meth:`as_dict`; every context's cells, living or dead, sum into
+    ``repro_codec_events_total{event=...}``.
     """
 
-    _FIELDS = ("records_encoded", "bytes_encoded", "records_decoded",
-               "bytes_decoded", "conversions_planned")
-    _LOCK = threading.Lock()
-    _TOTALS = {name: 0 for name in _FIELDS}
+    _COUNTERS = ("records_encoded", "bytes_encoded", "records_decoded",
+                 "bytes_decoded", "conversions_planned")
+    _METRIC = "repro_codec_events_total"
 
-    __slots__ = ("_records_encoded", "_bytes_encoded",
-                 "_records_decoded", "_bytes_decoded",
-                 "_conversions_planned")
-
-    def __init__(self, records_encoded: int = 0,
-                 bytes_encoded: int = 0, records_decoded: int = 0,
-                 bytes_decoded: int = 0,
-                 conversions_planned: int = 0) -> None:
-        self._records_encoded = records_encoded
-        self._bytes_encoded = bytes_encoded
-        self._records_decoded = records_decoded
-        self._bytes_decoded = bytes_decoded
-        self._conversions_planned = conversions_planned
-
-    # -- hot-path mutation (one lock round-trip each) -----------------------
+    __slots__ = ()
 
     def count_encoded(self, records: int, nbytes: int) -> None:
-        totals = ContextStats._TOTALS
-        with ContextStats._LOCK:
-            self._records_encoded += records
-            self._bytes_encoded += nbytes
-            totals["records_encoded"] += records
-            totals["bytes_encoded"] += nbytes
+        row = self.row()
+        row["records_encoded"] += records
+        row["bytes_encoded"] += nbytes
 
     def count_decoded(self, records: int, nbytes: int) -> None:
-        totals = ContextStats._TOTALS
-        with ContextStats._LOCK:
-            self._records_decoded += records
-            self._bytes_decoded += nbytes
-            totals["records_decoded"] += records
-            totals["bytes_decoded"] += nbytes
-
-    def count_conversion(self) -> None:
-        with ContextStats._LOCK:
-            self._conversions_planned += 1
-            ContextStats._TOTALS["conversions_planned"] += 1
-
-    # -- reads --------------------------------------------------------------
-
-    @classmethod
-    def totals_snapshot(cls) -> dict[str, int]:
-        """Process-wide codec totals (all contexts, living or dead)."""
-        with cls._LOCK:
-            return dict(cls._TOTALS)
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, "_" + name)
-                for name in self._FIELDS}
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in
-                          self.as_dict().items())
-        return f"ContextStats({inner})"
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ContextStats):
-            return self.as_dict() == other.as_dict()
-        return NotImplemented
-
-
-def _stats_property(name: str):
-    attr = "_" + name
-
-    def get(self) -> int:
-        return getattr(self, attr)
-
-    def set(self, value: int) -> None:
-        # compat path for direct assignment: adjust the process
-        # totals by the delta so the central snapshot stays truthful
-        with ContextStats._LOCK:
-            ContextStats._TOTALS[name] += value - getattr(self, attr)
-            setattr(self, attr, value)
-    return property(get, set)
-
-
-for _name in ContextStats._FIELDS:
-    setattr(ContextStats, _name, _stats_property(_name))
-del _name
+        row = self.row()
+        row["records_decoded"] += records
+        row["bytes_decoded"] += nbytes
 
 
 @dataclass(slots=True)
@@ -416,7 +340,7 @@ class IOContext:
             with span("bind", view=native_name):
                 plan = plan_conversion(wire, native)
             self._conversions[key] = plan
-            self.stats.count_conversion()
+            self.stats.count("conversions_planned")
         return plan.apply(decoded.record)
 
     # -- convenience -------------------------------------------------------------

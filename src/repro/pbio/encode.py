@@ -57,6 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.errors import EncodeError, WireParseError
+from repro.obs.registry import Tally
 from repro.pbio.fields import FieldList, IOField
 from repro.pbio.format import FormatID, IOFormat
 from repro.pbio.plancache import PlanFrontEnd, compile_codec
@@ -91,33 +92,26 @@ _TYPECODE_KINDS: dict[str, tuple[str, int]] = (
 _NATIVE_ORDER_CHAR = "<" if sys.byteorder == "little" else ">"
 
 
-class BulkStats:
+class BulkStats(Tally):
     """Process-wide counters for the bulk-array fast path.
 
     Every bulk decision is counted, so tests and benchmarks can prove
     copy behavior (e.g. "this 1 MB grid moved as one zero-copy spill
-    segment") instead of inferring it from timings.  Plain int adds
-    under the GIL; diagnostic precision, not billing precision.
+    segment") instead of inferring it from timings — exactly, however
+    many threads encode at once.  Read through :meth:`snapshot`.
     """
 
-    __slots__ = ("zero_copy_views", "bulk_converts", "copied_arrays",
-                 "copied_bytes", "spilled_segments", "spilled_bytes",
-                 "fallback_arrays")
+    _COUNTERS = (
+        "zero_copy_views",   # source buffer used as-is, no copy
+        "bulk_converts",     # one bulk dtype/byte-order convert
+        "copied_arrays",     # payloads memcpy'd into the body
+        "copied_bytes",
+        "spilled_segments",  # payloads handed out as segments
+        "spilled_bytes",
+        "fallback_arrays",   # typed but bulk-ineligible: cast
+    )
 
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.zero_copy_views = 0   # source buffer used as-is, no copy
-        self.bulk_converts = 0     # one bulk dtype/byte-order convert
-        self.copied_arrays = 0     # payloads memcpy'd into the body
-        self.copied_bytes = 0
-        self.spilled_segments = 0  # payloads handed out as segments
-        self.spilled_bytes = 0
-        self.fallback_arrays = 0   # typed but bulk-ineligible: cast
-
-    def snapshot(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
+    __slots__ = ()
 
 
 BULK_STATS = BulkStats()
@@ -680,15 +674,14 @@ class RecordEncoder:
                         raise EncodeError(
                             f"field {name!r}: fixed array of {count}, "
                             f"got {len(view) // field.size} elements")
-                    if converted:
-                        stats.bulk_converts += 1
-                    else:
-                        stats.zero_copy_views += 1
+                    row = stats.row()
+                    row["bulk_converts" if converted
+                        else "zero_copy_views"] += 1
                     body[base + offset:base + offset + nbytes] = view
-                    stats.copied_arrays += 1
-                    stats.copied_bytes += nbytes
+                    row["copied_arrays"] += 1
+                    row["copied_bytes"] += nbytes
                     return
-                stats.fallback_arrays += 1
+                stats.count("fallback_arrays")
             items = _as_items(name, value)
             if len(items) != count:
                 raise EncodeError(
@@ -738,7 +731,7 @@ class RecordEncoder:
             if bulk and isinstance(value, (np.ndarray, array.array)):
                 src = _bulk_view(value, dtype)
                 if src is None:
-                    stats.fallback_arrays += 1
+                    stats.count("fallback_arrays")
                 else:
                     view, converted = src
             if view is None:
@@ -761,20 +754,19 @@ class RecordEncoder:
                 body += _run_bytes(name, items, _run_packer(code % count),
                                    dtype, convert)
             else:
-                if converted:
-                    stats.bulk_converts += 1
-                else:
-                    stats.zero_copy_views += 1
+                row = stats.row()
+                row["bulk_converts" if converted
+                    else "zero_copy_views"] += 1
                 nbytes = len(view)
                 segments = getattr(body, "segments", None)
                 if segments is not None and nbytes >= SPILL_MIN_BYTES:
                     segments.append((bytearray.__len__(body), view))
-                    stats.spilled_segments += 1
-                    stats.spilled_bytes += nbytes
+                    row["spilled_segments"] += 1
+                    row["spilled_bytes"] += nbytes
                 else:
                     body += view
-                    stats.copied_arrays += 1
-                    stats.copied_bytes += nbytes
+                    row["copied_arrays"] += 1
+                    row["copied_bytes"] += nbytes
             ptr.pack_into(body, base + offset,
                           where if self_sized else start)
         return op

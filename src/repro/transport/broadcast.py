@@ -21,9 +21,9 @@ Per-client costs that cannot be shared are amortized instead:
   ``max_queue_bytes``, and a slow consumer triggers the configured
   :class:`BackpressurePolicy` without stalling healthy clients.
 
-Counters are exposed like
-:class:`~repro.http.retry.DiscoveryStats` — thread-safe, snapshot via
-:attr:`BroadcastPublisher.stats`.
+Counters are a :class:`~repro.obs.registry.Tally`, like
+:class:`~repro.http.retry.DiscoveryStats` — exact under concurrent
+writers, read via :attr:`BroadcastPublisher.stats`.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from repro.errors import (
     ProtocolError, SlowConsumerError, UnknownFormatError,
 )
 from repro.obs import runtime as _obs
+from repro.obs.registry import Tally
 from repro.obs.spans import observe_phase, sample_t0
 from repro.pbio.context import IOContext
 from repro.pbio.encode import parse_header
@@ -79,18 +80,15 @@ class BackpressurePolicy(enum.Enum):
                 f"(expected one of: {names})") from None
 
 
-class BroadcastStats:
+class BroadcastStats(Tally):
     """Publisher-lifetime counters and high-water marks.
 
-    All mutation goes through :meth:`count` / :meth:`max_update` (or
-    ``_record``: one fan-out's worth at once), which take one
-    class-wide lock and bump the per-publisher values *and* the
-    process-wide aggregates together — exact under concurrent
-    publishers, and centrally snapshottable: the aggregates surface in
-    the :mod:`repro.obs` registry as
-    ``repro_broadcast_events_total{event=...}`` (counters summed over
-    publishers) and ``repro_broadcast_*_high_water`` gauges (maxima
-    over publishers) via a snapshot-time collector.
+    Written by whichever thread does the work (the publishing thread
+    per fan-out, the loop thread per handshake), each in its own row;
+    read as attributes or :meth:`as_dict`.  Over every publisher the
+    counters sum into ``repro_broadcast_events_total{event=...}`` and
+    the high-water marks max into the ``repro_broadcast_*_high_water``
+    gauges.
 
     ``queue_high_water`` is the most bytes one subscriber had waiting
     in user space after a data frame was offered to it: 0 while every
@@ -103,63 +101,12 @@ class BroadcastStats:
                  "frames_dropped", "clients_evicted", "block_waits",
                  "lineage_negotiations", "frames_down_converted",
                  "cutovers")
-    _HIGH_WATER = ("queue_high_water", "subscriber_high_water")
-    _LOCK = threading.Lock()
-    _TOTALS = {name: 0 for name in _COUNTERS}
-    _MAXIMA = {name: 0 for name in _HIGH_WATER}
+    _HIGH_WATER = {
+        "queue_high_water": "repro_broadcast_queue_high_water",
+        "subscriber_high_water": "repro_broadcast_subscriber_high_water"}
+    _METRIC = "repro_broadcast_events_total"
 
-    __slots__ = tuple("_" + name for name in _COUNTERS + _HIGH_WATER)
-
-    def __init__(self) -> None:
-        for name in self._COUNTERS + self._HIGH_WATER:
-            setattr(self, "_" + name, 0)
-
-    def count(self, name: str, n: int = 1) -> None:
-        self._record({name: n}, {})
-
-    def max_update(self, name: str, value: int) -> None:
-        self._record({}, {name: value})
-
-    def _record(self, counts: dict, maxima: dict) -> None:
-        with BroadcastStats._LOCK:
-            for name, n in counts.items():
-                attr = "_" + name
-                setattr(self, attr, getattr(self, attr) + n)
-                BroadcastStats._TOTALS[name] += n
-            for name, value in maxima.items():
-                attr = "_" + name
-                if value > getattr(self, attr):
-                    setattr(self, attr, value)
-                if value > BroadcastStats._MAXIMA[name]:
-                    BroadcastStats._MAXIMA[name] = value
-
-    def __getattr__(self, name: str) -> int:
-        if name in BroadcastStats._COUNTERS or \
-                name in BroadcastStats._HIGH_WATER:
-            return getattr(self, "_" + name)
-        raise AttributeError(name)
-
-    @classmethod
-    def totals_snapshot(cls) -> dict[str, int]:
-        """Process-wide counter totals (all publishers)."""
-        with cls._LOCK:
-            return dict(cls._TOTALS)
-
-    @classmethod
-    def high_water_snapshot(cls) -> dict[str, int]:
-        """Process-wide high-water maxima (all publishers)."""
-        with cls._LOCK:
-            return dict(cls._MAXIMA)
-
-    def as_dict(self) -> dict:
-        with BroadcastStats._LOCK:
-            return {name: getattr(self, "_" + name)
-                    for name in self._COUNTERS + self._HIGH_WATER}
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in
-                          self.as_dict().items())
-        return f"BroadcastStats({inner})"
+    __slots__ = ()
 
 
 class BroadcastPublisher:
@@ -384,14 +331,14 @@ class BroadcastPublisher:
             observe_phase("transport", t0)
         # one encode regardless of subscriber count — the whole
         # point; frame overhead (5 bytes) excluded
-        self.stats._record(
-            {"messages_broadcast": records,
-             "bytes_encoded": len(data) - 5,
-             "frames_enqueued": reached,
-             "bytes_queued": reached * len(data),
-             "frames_down_converted": len(variants)},
-            {"queue_high_water": waiting,
-             "subscriber_high_water": len(clients)})
+        row = self.stats.row()
+        row["messages_broadcast"] += records
+        row["bytes_encoded"] += len(data) - 5
+        row["frames_enqueued"] += reached
+        row["bytes_queued"] += reached * len(data)
+        row["frames_down_converted"] += len(variants)
+        self.stats.mark("queue_high_water", waiting)
+        self.stats.mark("subscriber_high_water", len(clients))
         return reached
 
     def _announce(self, client: ClientHandle, fmt: IOFormat) -> None:

@@ -37,9 +37,11 @@ from repro.errors import (
 )
 from repro.obs import runtime as _obs
 from repro.obs.metrics import (
-    SENDMSG_BATCH, TRANSPORT_BYTES_OUT, TRANSPORT_EVENTS, TRANSPORT_FRAMES,
+    SENDMSG_BATCH, TRANSPORT_BYTES_OUT, TRANSPORT_CLIENTS,
+    TRANSPORT_EVENTS, TRANSPORT_FRAMES, TRANSPORT_QUEUE_HIGH_WATER,
+    TRANSPORT_QUEUED_BYTES,
 )
-from repro.obs.registry import REGISTRY
+from repro.obs.registry import FOLD_LOCK, REGISTRY
 from repro.transport.messages import MAX_FRAME, Frame, decode_frame
 
 try:
@@ -195,6 +197,25 @@ class ClientHandle:
                 f"queued={self.queued_bytes}>")
 
 
+#: ``EventLoopServer.totals()`` key -> the series (and label values)
+#: it is reported under while the server lives; the counters are also
+#: what ``_obs_retire`` folds, so the two can never name different sets
+_OBS_GAUGES = (
+    ("clients", TRANSPORT_CLIENTS, ()),
+    ("queued_bytes", TRANSPORT_QUEUED_BYTES, ()),
+    ("queue_high_water", TRANSPORT_QUEUE_HIGH_WATER, ()),
+)
+_OBS_COUNTERS = (
+    ("frames_received", TRANSPORT_FRAMES, ("in",)),
+    ("frames_sent", TRANSPORT_FRAMES, ("out",)),
+    ("sent_bytes", TRANSPORT_BYTES_OUT, ()),
+    ("clients_accepted", TRANSPORT_EVENTS, ("clients_accepted",)),
+    ("clients_closed", TRANSPORT_EVENTS, ("clients_closed",)),
+    ("frames_enqueued", TRANSPORT_EVENTS, ("frames_enqueued",)),
+    ("frames_dropped", TRANSPORT_EVENTS, ("frames_dropped",)),
+)
+
+
 class EventLoopServer:
     """Accepts and services many framed-protocol clients on one thread.
 
@@ -347,33 +368,9 @@ class EventLoopServer:
         if self._obs_retired:
             return []
         t = self.totals()
-        gauges = (("repro_transport_clients", t["clients"]),
-                  ("repro_transport_queued_bytes", t["queued_bytes"]),
-                  ("repro_transport_queue_high_water_bytes",
-                   t["queue_high_water"]))
-        samples = [{"name": name, "type": "gauge", "help": "",
-                    "labels": {}, "value": value}
-                   for name, value in gauges]
-        frames = (("in", t["frames_received"]),
-                  ("out", t["frames_sent"]))
-        samples.extend(
-            {"name": "repro_transport_frames_total", "type": "counter",
-             "help": "Frames through event-loop servers",
-             "labels": {"direction": direction}, "value": value}
-            for direction, value in frames)
-        samples.append(
-            {"name": "repro_transport_bytes_out_total",
-             "type": "counter",
-             "help": "Bytes written to event-loop clients",
-             "labels": {}, "value": t["sent_bytes"]})
-        events = ("clients_accepted", "clients_closed",
-                  "frames_enqueued", "frames_dropped")
-        samples.extend(
-            {"name": "repro_transport_events_total", "type": "counter",
-             "help": "Event-loop server lifecycle totals",
-             "labels": {"event": event}, "value": t[event]}
-            for event in events)
-        return samples
+        return [{"name": metric.name, "value": t[key],
+                 "labels": dict(zip(metric.label_names, labels))}
+                for key, metric, labels in _OBS_GAUGES + _OBS_COUNTERS]
 
     def _obs_retire(self) -> None:
         """Fold final counter totals into the persistent process-wide
@@ -381,20 +378,13 @@ class EventLoopServer:
         object is alive; without this fold a scrape taken after the
         server is closed and collected would show its frame/byte
         history silently vanishing."""
-        with self._lock:
+        with FOLD_LOCK:  # flag + fold are one step to a snapshot
             if self._obs_retired:
                 return
-        t = self.totals()
-        with self._lock:
-            if self._obs_retired:
-                return
+            t = self.totals()
             self._obs_retired = True
-        TRANSPORT_FRAMES.labels("in").inc(t["frames_received"])
-        TRANSPORT_FRAMES.labels("out").inc(t["frames_sent"])
-        TRANSPORT_BYTES_OUT.inc(t["sent_bytes"])
-        for event in ("clients_accepted", "clients_closed",
-                      "frames_enqueued", "frames_dropped"):
-            TRANSPORT_EVENTS.labels(event).inc(t[event])
+            for key, metric, labels in _OBS_COUNTERS:
+                metric.labels(*labels).inc(t[key])
 
     def enqueue(self, client: ClientHandle, data: bytes, *,
                 droppable: bool = True) -> bool:

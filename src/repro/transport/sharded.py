@@ -328,11 +328,13 @@ class _ShardWorkerPublisher(BroadcastPublisher):
                 waiting = max(waiting, client.queued_bytes)
         if t0:
             observe_phase("transport", t0)
-        self.stats._record(
-            {"messages_broadcast": 1, "frames_enqueued": reached,
-             "bytes_queued": reached * len(frame)},
-            {"queue_high_water": waiting,
-             "subscriber_high_water": self.server.client_count})
+        row = self.stats.row()
+        row["messages_broadcast"] += 1
+        row["frames_enqueued"] += reached
+        row["bytes_queued"] += reached * len(frame)
+        self.stats.mark("queue_high_water", waiting)
+        self.stats.mark("subscriber_high_water",
+                        self.server.client_count)
         return reached
 
     def shard_cutover(self, name: str, new_fid: FormatID) -> int:
@@ -1086,13 +1088,13 @@ class ShardedBroadcastServer:
                 self._mark_dead(handle)
         if t0:
             observe_phase("transport", t0)
-        self.stats._record(
-            {"messages_broadcast": records,
-             "bytes_encoded": len(data) - 5,
-             "frames_enqueued": reached,
-             "bytes_queued": reached * len(data),
-             "frames_down_converted": len(pinned)},
-            {"subscriber_high_water": self.subscriber_count})
+        row = self.stats.row()
+        row["messages_broadcast"] += records
+        row["bytes_encoded"] += len(data) - 5
+        row["frames_enqueued"] += reached
+        row["bytes_queued"] += reached * len(data)
+        row["frames_down_converted"] += len(pinned)
+        self.stats.mark("subscriber_high_water", self.subscriber_count)
         return reached
 
     # -- synchronization -----------------------------------------------------

@@ -1,39 +1,73 @@
-"""Registry primitives and the thread-safety of every stats class.
+"""Registry primitives and the exactness of every stats class.
 
-The hammer tests are the satellite fix for the bare-``+=`` drift:
-``BroadcastStats`` and ``ContextStats`` used to mutate counters with
-unlocked read-modify-write, which silently drops updates under
-concurrent writers.  Every migrated class must now produce *exact*
-totals when hammered from many threads.
+Counting has one mechanism — :class:`repro.obs.registry.Tally`: cells
+only the counting thread writes, summed at read time.  The hammer
+tests are its correctness bar: one *shared* instance of each of the
+five stats classes, written from many threads at once, must read
+exact per-instance values and exact process-wide series through
+``REGISTRY.snapshot()`` — and those series must never run backwards
+when an owner is collected or a server is closed mid-scrape.
 """
 
 from __future__ import annotations
 
+import gc
+import socket
+import sys
 import threading
+import time
 
+import numpy as np
 import pytest
 
 from repro.http.retry import DiscoveryStats
+from repro.hydrology.components import ComponentStats
+from repro.obs import registry as registry_module
 from repro.obs.registry import (
-    AtomicCounter, MetricsRegistry, log_buckets,
+    REGISTRY, MetricsRegistry, Tally, log_buckets,
 )
-from repro.pbio.context import ContextStats
-from repro.transport.broadcast import BroadcastStats
+from repro.pbio.context import ContextStats, IOContext
+from repro.pbio.encode import BULK_STATS, encoder_for_format
+from repro.pbio.format_server import FormatServer
+from repro.transport.broadcast import BroadcastPublisher, BroadcastStats
+from repro.transport.messages import (
+    FrameType, encode_lineage_req, frame_bytes,
+)
 
 THREADS = 8
 PER_THREAD = 5_000
 
 
 def hammer(fn) -> None:
-    """Run *fn* from THREADS threads, PER_THREAD times each."""
-    def work():
+    """Run *fn(thread index)* from THREADS threads, PER_THREAD times
+    each, switching threads far more often than the default 5 ms so a
+    lost update would show."""
+    together = threading.Barrier(THREADS)
+
+    def work(index):
+        together.wait(timeout=60)
         for _ in range(PER_THREAD):
-            fn()
-    workers = [threading.Thread(target=work) for _ in range(THREADS)]
-    for t in workers:
-        t.start()
-    for t in workers:
-        t.join()
+            fn(index)
+    workers = [threading.Thread(target=work, args=(i,))
+               for i in range(THREADS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+
+
+def series(name: str, **labels: str) -> int:
+    """One process-wide value, read the way a scrape reads it."""
+    for entry in REGISTRY.snapshot()[name]["series"]:
+        if entry["labels"] == labels:
+            return entry["value"]
+    return 0
 
 
 class TestPrimitives:
@@ -158,75 +192,241 @@ class TestCollectors:
         assert not reg._collectors  # pruned
 
 
-class TestAtomicCounter:
+class Cells(Tally):
+    _COUNTERS = ("n",)
+
+
+class TestTally:
     def test_exact_under_hammer(self):
-        counter = AtomicCounter()
-        hammer(counter.add)
-        assert counter.value == THREADS * PER_THREAD
+        cells = Cells()
+        hammer(lambda i: cells.count("n"))
+        assert cells.n == THREADS * PER_THREAD
+        assert len(cells._rows) == THREADS  # one row per writer
+
+    def test_high_water_reads_the_max_of_distinct_values(self):
+        stats = BroadcastStats()
+        values = iter(range(1, THREADS * PER_THREAD + 1))
+        lock = threading.Lock()
+
+        def mark(index):
+            with lock:
+                value = next(values)
+            stats.mark("subscriber_high_water", value)
+        hammer(mark)
+        assert stats.subscriber_high_water == THREADS * PER_THREAD
+        assert series("repro_broadcast_subscriber_high_water") == \
+            THREADS * PER_THREAD
+
+    def test_declared_cells_are_closed_undeclared_are_open(self):
+        with pytest.raises(AttributeError, match="typo"):
+            Cells().count("typo")
+        with pytest.raises(AttributeError):
+            Cells().typo
+        opened = ComponentStats("c")
+        opened.count(("F", "in"), 2)
+        assert opened.received == {"F": 2} and opened.sent == {}
+
+    def test_short_lived_owners_stay_exact_and_leave_nothing_behind(
+            self):
+        ctx = IOContext(format_server=FormatServer())
+        fmt = ctx.register_layout("T", [("a", "integer", 4)])
+        gc.collect()
+        Cells()  # creation sweeps what the collection above retired
+        before = series("repro_codec_events_total",
+                        event="records_encoded")
+        owners = len(registry_module._OWNERS)
+        retired = len(registry_module._RETIRED)
+        for _ in range(1000):
+            IOContext(format_server=ctx.format_server).encode(
+                fmt, {"a": 1})
+        Cells()
+        assert len(registry_module._OWNERS) <= owners + 1
+        # one entry per series, not per owner that ever lived
+        assert len(registry_module._RETIRED) <= retired + len(
+            ContextStats._COUNTERS)
+        assert series("repro_codec_events_total",
+                      event="records_encoded") - before == 1000
+
+
+class TestSeriesNeverRunBackwards:
+    def test_series_never_decrease_across_owner_collection(self):
+        stats = ContextStats()
+        stats.count_encoded(7, 70)
+        first = series("repro_codec_events_total",
+                       event="records_encoded")
+        del stats
+        gc.collect()
+        assert registry_module._DEAD  # collected, not yet folded
+        second = series("repro_codec_events_total",
+                        event="records_encoded")
+        assert second >= first >= 7
+        assert series("repro_codec_events_total",
+                      event="records_encoded") >= second
+
+    def test_series_never_decrease_across_a_close_mid_snapshot(self):
+        """A server closed between snapshot()'s two reads (declared
+        series, then collectors) used to be in neither: retired flag
+        set before the fold, fold after the declared read."""
+        closer = threading.Thread(target=lambda: pub.close())
+        armed = threading.Event()
+
+        def close_mid_snapshot():
+            if armed.is_set() and not closer.ident:
+                closer.start()
+                # under the fold lock the close cannot retire the
+                # server until this snapshot is done; without it, it
+                # did, right here
+                closer.join(timeout=0.5)
+            return []
+        # registered first, so it runs before the server's collector
+        REGISTRY.register_collector(close_mid_snapshot)
+        ctx = IOContext(format_server=FormatServer())
+        ctx.register_layout("T", [("a", "integer", 4)])
+        pub = BroadcastPublisher(ctx).start()
+        try:
+            with socket.create_connection((pub.host, pub.port),
+                                          timeout=5):
+                pub.wait_for_subscribers(1, timeout=5)
+                for i in range(10):
+                    pub.publish("T", {"a": i})
+                pub.flush(timeout=5)
+            before = series("repro_transport_frames_total",
+                            direction="out")
+            assert before >= 10
+            armed.set()
+            during = series("repro_transport_frames_total",
+                            direction="out")
+            closer.join(timeout=10)
+            assert not closer.is_alive()
+            assert series("repro_transport_frames_total",
+                          direction="out") >= during >= before
+        finally:
+            REGISTRY._collectors.remove(close_mid_snapshot)
+            pub.close()
 
 
 class TestStatsClassesExactUnderThreads:
-    """The satellite-2 regression tests: every migrated stats class
-    keeps exact totals when hammered concurrently."""
+    """One shared instance of each stats class, hammered from every
+    thread at once: per-instance values and the process-wide series
+    are both exact."""
 
     def test_discovery_stats(self):
         stats = DiscoveryStats()
-        hammer(lambda: stats.count("fetch_attempts"))
+        hammer(lambda i: stats.count("fetch_attempts"))
         assert stats.fetch_attempts == THREADS * PER_THREAD
         assert stats.snapshot()["fetch_attempts"] == \
             THREADS * PER_THREAD
 
     def test_discovery_stats_mirrors_to_registry(self):
-        from repro.obs.metrics import DISCOVERY_EVENTS
-        series = DISCOVERY_EVENTS.labels(event="retries")
-        before = series.value
+        before = series("repro_discovery_events_total",
+                        event="retries")
         stats = DiscoveryStats()
-        hammer(lambda: stats.count("retries"))
-        assert series.value - before == THREADS * PER_THREAD
+        hammer(lambda i: stats.count("retries"))
+        assert series("repro_discovery_events_total",
+                      event="retries") - before == THREADS * PER_THREAD
 
     def test_context_stats(self):
         stats = ContextStats()
-        before = ContextStats.totals_snapshot()
-        hammer(lambda: stats.count_encoded(1, 10))
-        hammer(lambda: stats.count_decoded(2, 20))
+        before = {event: series("repro_codec_events_total",
+                                event=event)
+                  for event in ("records_encoded", "bytes_decoded")}
+        hammer(lambda i: stats.count_encoded(1, 10))
+        hammer(lambda i: stats.count_decoded(2, 20))
         expected = THREADS * PER_THREAD
         assert stats.records_encoded == expected
         assert stats.bytes_encoded == expected * 10
         assert stats.records_decoded == expected * 2
         assert stats.bytes_decoded == expected * 20
-        after = ContextStats.totals_snapshot()
-        assert after["records_encoded"] - \
-            before["records_encoded"] == expected
-        assert after["bytes_decoded"] - \
-            before["bytes_decoded"] == expected * 20
-
-    def test_context_stats_assignment_compat(self):
-        """Direct attribute assignment (the old dataclass style) still
-        works and keeps the process totals truthful."""
-        stats = ContextStats()
-        before = ContextStats.totals_snapshot()["records_encoded"]
-        stats.records_encoded += 5
-        stats.records_encoded = 3
-        assert stats.records_encoded == 3
-        delta = ContextStats.totals_snapshot()["records_encoded"] \
-            - before
-        assert delta == 3
+        assert series("repro_codec_events_total",
+                      event="records_encoded") \
+            - before["records_encoded"] == expected
+        assert series("repro_codec_events_total",
+                      event="bytes_decoded") \
+            - before["bytes_decoded"] == expected * 20
 
     def test_broadcast_stats(self):
         stats = BroadcastStats()
-        before = BroadcastStats.totals_snapshot()
-        hammer(lambda: stats.count("frames_enqueued"))
+        before = series("repro_broadcast_events_total",
+                        event="frames_enqueued")
+        hammer(lambda i: stats.count("frames_enqueued"))
         expected = THREADS * PER_THREAD
         assert stats.frames_enqueued == expected
-        after = BroadcastStats.totals_snapshot()
-        assert after["frames_enqueued"] - \
-            before["frames_enqueued"] == expected
+        assert series("repro_broadcast_events_total",
+                      event="frames_enqueued") - before == expected
 
     def test_broadcast_high_water_is_max(self):
         stats = BroadcastStats()
-        stats.max_update("queue_high_water", 100)
-        stats.max_update("queue_high_water", 40)
+        stats.mark("queue_high_water", 100)
+        stats.mark("queue_high_water", 40)
         assert stats.queue_high_water == 100
-        assert BroadcastStats.high_water_snapshot()[
-            "queue_high_water"] >= 100
+        assert series("repro_broadcast_queue_high_water") >= 100
         assert stats.as_dict()["queue_high_water"] == 100
+
+    def test_component_stats(self):
+        stats = ComponentStats("hammered")
+        hammer(lambda i: stats.count((f"F{i % 2}", "out")))
+        half = THREADS * PER_THREAD // 2
+        assert stats.sent == {"F0": half, "F1": half}
+        assert stats.received == {}
+        assert series("repro_component_messages_total",
+                      component="hammered", format="F1",
+                      direction="out") == half
+
+    def test_bulk_stats(self):
+        """The counters bench_e2e and check_bulk_gate read as exact:
+        many threads, one cached encoder, one typed array each."""
+        ctx = IOContext(format_server=FormatServer())
+        fmt = ctx.register_layout("Bulk", [("n", "integer", 4),
+                                           ("xs", "float[n]", 8)])
+        encoder = encoder_for_format(fmt)
+        record = {"n": 16, "xs": np.arange(16, dtype="<f8")}
+        before = BULK_STATS.snapshot()
+        hammer(lambda i: encoder.encode_wire_parts(record))
+        moved = {name: value - before[name]
+                 for name, value in BULK_STATS.snapshot().items()}
+        expected = THREADS * PER_THREAD
+        assert moved["zero_copy_views"] == expected
+        assert moved["copied_arrays"] == expected
+        assert moved["copied_bytes"] == expected * 16 * 8
+        assert moved["fallback_arrays"] == 0
+
+    def test_publisher_counted_from_two_threads_at_once(self):
+        """The publishing thread counts fan-outs while the loop thread
+        counts handshakes, into the same BroadcastStats."""
+        rounds = 2000
+        ctx = IOContext(format_server=FormatServer())
+        fmt = ctx.register_layout("T", [("a", "integer", 4)])
+        request = frame_bytes(FrameType.LIN_REQ, encode_lineage_req(
+            "T", [fmt.format_id]))
+        pub = BroadcastPublisher(ctx).start()
+        with socket.create_connection((pub.host, pub.port),
+                                      timeout=30) as sock:
+            def drain():
+                while sock.recv(1 << 16):
+                    pass
+            reader = threading.Thread(target=drain)
+            asker = threading.Thread(
+                target=lambda: [sock.sendall(request)
+                                for _ in range(rounds)])
+            try:
+                pub.wait_for_subscribers(1, timeout=5)
+                reader.start()
+                asker.start()
+                for i in range(rounds):
+                    assert pub.publish("T", {"a": i}) == 1
+                asker.join(timeout=30)
+                assert not asker.is_alive()
+                deadline = time.monotonic() + 30
+                while pub.stats.lineage_negotiations < rounds and \
+                        time.monotonic() < deadline:
+                    time.sleep(0.005)
+                stats = pub.stats.as_dict()
+            finally:
+                pub.close()  # BYE, then EOF, ends the drain
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+        assert stats["lineage_negotiations"] == rounds
+        assert stats["messages_broadcast"] == rounds
+        assert stats["frames_enqueued"] == rounds
+        assert stats["formats_announced"] == 1
+        assert len(pub.stats._rows) == 2
