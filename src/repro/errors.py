@@ -137,6 +137,12 @@ class HTTPError(DiscoveryError):
         super().__init__(message)
 
 
+class ResponseTooLargeError(HTTPError):
+    """An HTTP response head or body exceeds the client's cap.
+    Permanent: an oversized document is not downloaded once per retry
+    attempt."""
+
+
 class TransportError(ReproError):
     """Connection-level failure in the message transport."""
 

@@ -25,7 +25,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.errors import DiscoveryError, HTTPError, MetadataNotFoundError
+from repro.errors import (
+    DiscoveryError, HTTPError, MetadataNotFoundError,
+    ResponseTooLargeError,
+)
 from repro.obs.registry import Tally
 
 
@@ -33,9 +36,12 @@ def default_retryable(exc: BaseException) -> bool:
     """Is *exc* worth retrying?
 
     Connection-level failures and server errors (5xx) are transient;
-    client errors (4xx), missing documents and anything raised *after*
-    the bytes arrived (malformed XML, schema errors) are permanent.
+    client errors (4xx), missing documents, responses over the client's
+    size caps and anything raised *after* the bytes arrived (malformed
+    XML, schema errors) are permanent.
     """
+    if isinstance(exc, ResponseTooLargeError):
+        return False
     if isinstance(exc, HTTPError):
         if exc.status is None:
             return True  # connection-level: refused, dropped, truncated

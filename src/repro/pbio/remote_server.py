@@ -30,30 +30,27 @@ from repro.errors import (
 from repro.http.retry import RetryPolicy, call_with_retry
 from repro.pbio.format import FormatID, IOFormat, deserialize_format
 from repro.pbio.format_server import FormatServer
-from repro.transport.messages import Frame, FrameType
-from repro.transport.tcp import TCPChannel, TCPListener
+from repro.transport.eventloop import ClientHandle, EventLoopServer
+from repro.transport.messages import Frame, FrameType, frame_bytes
+from repro.transport.tcp import TCPChannel
 
 
 class FormatServerService:
-    """Accepts clients and serves register/lookup requests."""
+    """Serves register/lookup requests: a handler on an
+    :class:`~repro.transport.eventloop.EventLoopServer`, which owns
+    the listener, every client socket and the one thread."""
 
     def __init__(self, backing: FormatServer | None = None, *,
                  host: str = "127.0.0.1", port: int = 0) -> None:
         self.backing = backing if backing is not None else FormatServer()
-        self._listener = TCPListener(host=host, port=port)
-        self.host, self.port = self._listener.host, self._listener.port
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._accept_loop,
-                                        name="format-server",
-                                        daemon=True)
-        self._thread.start()
-
-    # -- lifecycle ----------------------------------------------------------
+        self.server = EventLoopServer(host=host, port=port,
+                                      handler=self).start()
+        self.host, self.port = self.server.host, self.server.port
 
     def close(self) -> None:
-        self._stop.set()
-        self._listener.close()
-        self._thread.join(timeout=5)
+        """Stop serving: every client is closed and the loop thread
+        has exited when this returns."""
+        self.server.close()
 
     def __enter__(self) -> "FormatServerService":
         return self
@@ -61,35 +58,18 @@ class FormatServerService:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- serving -------------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                channel = self._listener.accept(timeout=0.2)
-            except TransportError:
-                continue
-            worker = threading.Thread(target=self._serve_client,
-                                      args=(channel,), daemon=True)
-            worker.start()
-
-    def _serve_client(self, channel: TCPChannel) -> None:
-        try:
-            while True:
-                frame = channel.recv(timeout=None)
-                if frame is None or frame.type == FrameType.BYE:
-                    return
-                self._handle(channel, frame)
-        except TransportError:
-            pass
-        finally:
-            channel.close()
-
-    def _handle(self, channel: TCPChannel, frame: Frame) -> None:
+    def on_frame(self, client: ClientHandle, frame: Frame) -> None:
+        if frame.type == FrameType.BYE:
+            self.server.request_close(client, None, graceful=True)
+            return
         reply = self.backing.handle_frame(frame.type, frame.payload)
         if reply is not None:
-            rtype, payload = reply
-            channel.send(Frame(FrameType(rtype), payload))
+            self.server.enqueue(client, frame_bytes(*reply),
+                                droppable=False)
+
+
+def _transient(exc: BaseException) -> bool:
+    return isinstance(exc, TransportError)
 
 
 class RemoteFormatServer:
@@ -122,9 +102,8 @@ class RemoteFormatServer:
         def connect_once() -> TCPChannel:
             return TCPChannel.connect(host, port, timeout=timeout)
         if retry is not None:
-            channel = call_with_retry(
-                connect_once, retry,
-                retryable=lambda e: isinstance(e, TransportError))
+            channel = call_with_retry(connect_once, retry,
+                                      retryable=_transient)
         else:
             channel = connect_once()
         return cls(channel, retry=retry,
@@ -192,21 +171,18 @@ class RemoteFormatServer:
     # -- internals ---------------------------------------------------------------
 
     def _request(self, frame: Frame, timeout: float = 10.0) -> Frame:
-        attempts = self._retry.attempts if self._retry else 1
-        delays = self._retry.delays() if self._retry else ()
-        last_exc: TransportError | None = None
-        for attempt in range(attempts):
-            try:
-                return self._request_once(frame, timeout)
-            except TransportError as exc:
-                last_exc = exc
-                if attempt + 1 >= attempts or self._endpoint is None:
-                    raise
+        if self._retry is None or self._endpoint is None:
+            return self._request_once(frame, timeout)
+        attempts = 0
+
+        def step() -> Frame:
+            nonlocal attempts
+            attempts += 1
+            if attempts > 1:  # the failed attempt broke the channel
                 self.network_retries += 1
-                if attempt < len(delays) and delays[attempt] > 0:
-                    self._retry.sleep(delays[attempt])
                 self._reconnect()
-        raise last_exc  # pragma: no cover
+            return self._request_once(frame, timeout)
+        return call_with_retry(step, self._retry, retryable=_transient)
 
     def _request_once(self, frame: Frame, timeout: float) -> Frame:
         self._channel.send(frame)

@@ -10,10 +10,10 @@ fail at:
   classify can be produced deterministically, and every access is
   counted.
 * :class:`FaultyHTTPServer` — a :class:`~repro.http.server
-  .MetadataHTTPServer` whose connection handler consumes the same
-  fault script at the socket level: drop the connection, truncate the
-  body below Content-Length, answer 5xx, stall, or emit bytes that are
-  not HTTP at all.
+  .MetadataHTTPServer` whose responses consume the same fault script
+  at the socket level: drop the connection, truncate the body below
+  Content-Length, answer 5xx, stall, or emit bytes that are not HTTP
+  at all.
 
 A fault script is a sequence of the constants below; once exhausted
 the target behaves healthily (append ``repeat=True`` to
@@ -175,9 +175,10 @@ class FaultInjectingResolver:
 class FaultyHTTPServer(MetadataHTTPServer):
     """A metadata HTTP server that misbehaves on cue, at socket level.
 
-    Each incoming connection consumes one fault from the script; an
-    exhausted script serves normally, so ``faults=[DROP, HTTP_500]``
-    models a server that heals on the third request.
+    Each request consumes one fault from the script and gets that
+    fault's bytes in place of the healthy response; an exhausted
+    script serves normally, so ``faults=[DROP, HTTP_500]`` models a
+    server that heals on the third request.
     """
 
     def __init__(self, store: DocumentStore, *,
@@ -188,47 +189,25 @@ class FaultyHTTPServer(MetadataHTTPServer):
         self.slow_delay = slow_delay
         super().__init__(store, **kwargs)
 
-    def _handle(self, conn) -> None:
+    def _response(self, request) -> bytes:
         fault = self.faults.pop()
-        try:
-            if fault == OK:
-                super()._handle(conn)
-                return
-            if fault == SLOW:
-                time.sleep(self.slow_delay)
-                super()._handle(conn)
-                return
-            if fault in (FAIL, DROP):
-                conn.close()
-                return
-            if fault == GARBAGE:
-                self._read_request(conn)
-                conn.sendall(b"\x00\xde\xadNOT HTTP AT ALL\r\n")
-                return
-            if fault == HTTP_500:
-                self._read_request(conn)
-                self._respond(conn, 500, b"injected server error")
-                return
-            if fault == HTTP_404:
-                self._read_request(conn)
-                self._respond(conn, 404, b"injected not found")
-                return
-            if fault == TRUNCATE:
-                request = self._read_request(conn)
-                doc = (self.store.get(request[1])
-                       if request is not None else None) or b"??"
-                reason = "OK"
-                head = (f"HTTP/1.0 200 {reason}\r\n"
-                        f"Content-Type: text/xml\r\n"
-                        f"Content-Length: {len(doc)}\r\n"
-                        f"Connection: close\r\n\r\n").encode("ascii")
-                conn.sendall(head + doc[:len(doc) // 2])
-                return
-            raise AssertionError(fault)  # pragma: no cover
-        except OSError:
-            pass
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        if fault == SLOW:
+            # on the loop thread: the stall is this server's, whole
+            time.sleep(self.slow_delay)
+            fault = OK
+        if fault == OK:
+            return super()._response(request)
+        if fault in (FAIL, DROP):
+            return b""  # the connection closes without a byte
+        if fault == GARBAGE:
+            return b"\x00\xde\xadNOT HTTP AT ALL\r\n"
+        if fault == HTTP_500:
+            return self._render(500, b"injected server error")
+        if fault == HTTP_404:
+            return self._render(404, b"injected not found")
+        if fault == TRUNCATE:
+            doc = (self.store.get(request[1])
+                   if request is not None else None) or b"??"
+            whole = self._render(200, doc)
+            return whole[:len(whole) - len(doc) + len(doc) // 2]
+        raise AssertionError(fault)  # pragma: no cover

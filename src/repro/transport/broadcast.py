@@ -32,9 +32,7 @@ import enum
 import json
 import threading
 
-from repro.errors import (
-    ProtocolError, SlowConsumerError, UnknownFormatError,
-)
+from repro.errors import SlowConsumerError, UnknownFormatError
 from repro.obs import runtime as _obs
 from repro.obs.registry import Tally
 from repro.obs.spans import observe_phase, sample_t0
@@ -42,11 +40,10 @@ from repro.pbio.context import IOContext
 from repro.pbio.encode import parse_header
 from repro.pbio.evolution import down_converter
 from repro.pbio.format import FormatID, IOFormat
-from repro.transport.connection import count_negotiation
+from repro.transport.connection import answer_lineage_request
 from repro.transport.eventloop import ClientHandle, EventLoopServer
 from repro.transport.messages import (
-    MAX_FRAME, Frame, FrameType, decode_lineage_req,
-    encode_lineage_rsp, frame_bytes,
+    MAX_FRAME, Frame, FrameType, frame_bytes, lineage_reply,
 )
 
 
@@ -109,7 +106,95 @@ class BroadcastStats(Tally):
     __slots__ = ()
 
 
-class BroadcastPublisher:
+class PublishFront:
+    """The publishing half every broadcast server shares: resolve the
+    format, marshal **once**, frame once, and hand the frame — plus a
+    way to re-encode it for a subscriber pinned to an older lineage
+    version — to the one thing a topology decides for itself,
+    ``_fan_out(fmt, data, records, down_convert)``.
+
+    Subclasses provide ``context`` (the only
+    :class:`~repro.pbio.context.IOContext` that ever encodes) and
+    ``_version_formats``, the digest -> IOFormat memo for the older
+    versions subscribers negotiated down to (resolved once, reused
+    every fan-out).
+    """
+
+    def publish(self, format_name: str | IOFormat, record: dict) -> int:
+        """Marshal *record* exactly once and fan the same frame bytes
+        out; returns what :meth:`_fan_out` reached (subscribers for a
+        single loop, live shards for a sharded server)."""
+        fmt = self._format(format_name)
+        encoder = self.context.encoder_for(fmt)
+        # all parts framed in a single join — bulk array payloads
+        # arrive as zero-copy segments, so a 1 MB grid is copied
+        # exactly once (by the join), never per layer
+        t0 = sample_t0()
+        parts = encoder.encode_wire_parts(record)
+        if t0:
+            observe_phase("marshal", t0)
+        data = frame_bytes(FrameType.DATA, *parts)
+        self.context.stats.count_encoded(1, sum(len(p) for p in parts))
+
+        def down_convert(old_fmt: IOFormat) -> bytes:
+            parts = down_converter(fmt, old_fmt).encode_record_parts(
+                record)
+            return frame_bytes(FrameType.DATA, *parts)
+
+        return self._fan_out(fmt, data, records=1,
+                             down_convert=down_convert)
+
+    def publish_many(self, format_name: str | IOFormat,
+                     records) -> int:
+        """Encode *records* into one shared-header batch and fan the
+        single DATA_BATCH frame out."""
+        fmt = self._format(format_name)
+        records = list(records)
+        if not records:
+            return 0
+        wire = self.context.encode_many(fmt, records)
+        data = frame_bytes(FrameType.DATA_BATCH, wire)
+
+        def down_convert(old_fmt: IOFormat) -> bytes:
+            batch = down_converter(fmt, old_fmt).encode_batch(records)
+            return frame_bytes(FrameType.DATA_BATCH, batch)
+
+        return self._fan_out(fmt, data, records=len(records),
+                             down_convert=down_convert)
+
+    def publish_encoded(self, wire: bytes) -> int:
+        """Fan out an already-encoded record (bytes from
+        :meth:`~repro.pbio.context.IOContext.encode`)."""
+        fid, _ = parse_header(wire, require_body=True)
+        fmt = self.context._resolve_wire_format(fid)
+        data = frame_bytes(FrameType.DATA, wire)
+
+        def down_convert(old_fmt: IOFormat) -> bytes:
+            # relay path: only the wire bytes are in hand
+            converted = down_converter(fmt, old_fmt).convert_wire(wire)
+            return frame_bytes(FrameType.DATA, converted)
+
+        return self._fan_out(fmt, data, records=1,
+                             down_convert=down_convert)
+
+    def _format(self, format_name: str | IOFormat) -> IOFormat:
+        if isinstance(format_name, IOFormat):
+            return format_name
+        return self.context.lookup_format(format_name)
+
+    def _version_format(self, name: str, fid: FormatID) -> IOFormat:
+        """Resolve an older lineage version a subscriber negotiated."""
+        fmt = self._version_formats.get(fid)
+        if fmt is None:
+            try:
+                fmt = self.context.version_for(name, fid)
+            except UnknownFormatError:
+                fmt = self.context.format_server.lookup(fid)
+            self._version_formats[fid] = fmt
+        return fmt
+
+
+class BroadcastPublisher(PublishFront):
     """One-thread fan-out server: encode once, enqueue everywhere.
 
     Also serves the metadata protocol from the same loop: FMT_REQ (and
@@ -172,64 +257,6 @@ class BroadcastPublisher:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- publishing ---------------------------------------------------------
-
-    def publish(self, format_name: str | IOFormat, record: dict) -> int:
-        """Encode *record* once and fan it out; returns the number of
-        subscribers the frame was queued to."""
-        fmt = self._format(format_name)
-        encoder = self.context.encoder_for(fmt)
-        # all parts framed in a single join — bulk array payloads
-        # arrive as zero-copy segments, so a 1 MB grid is copied
-        # exactly once (by the join), never per layer
-        t0 = sample_t0()
-        parts = encoder.encode_wire_parts(record)
-        if t0:
-            observe_phase("marshal", t0)
-        data = frame_bytes(FrameType.DATA, *parts)
-        self.context.stats.count_encoded(1, sum(len(p) for p in parts))
-
-        def down_convert(old_fmt: IOFormat) -> bytes:
-            parts = down_converter(fmt, old_fmt).encode_record_parts(
-                record)
-            return frame_bytes(FrameType.DATA, *parts)
-
-        return self._fan_out(fmt, data, records=1,
-                             down_convert=down_convert)
-
-    def publish_many(self, format_name: str | IOFormat,
-                     records) -> int:
-        """Encode *records* into one shared-header batch and fan the
-        single DATA_BATCH frame out to every subscriber."""
-        fmt = self._format(format_name)
-        records = list(records)
-        if not records:
-            return 0
-        wire = self.context.encode_many(fmt, records)
-        data = frame_bytes(FrameType.DATA_BATCH, wire)
-
-        def down_convert(old_fmt: IOFormat) -> bytes:
-            batch = down_converter(fmt, old_fmt).encode_batch(records)
-            return frame_bytes(FrameType.DATA_BATCH, batch)
-
-        return self._fan_out(fmt, data, records=len(records),
-                             down_convert=down_convert)
-
-    def publish_encoded(self, wire: bytes) -> int:
-        """Fan out an already-encoded record (bytes from
-        :meth:`~repro.pbio.context.IOContext.encode`)."""
-        fid, _ = parse_header(wire, require_body=True)
-        fmt = self.context._resolve_wire_format(fid)
-        data = frame_bytes(FrameType.DATA, wire)
-
-        def down_convert(old_fmt: IOFormat) -> bytes:
-            # relay path: only the wire bytes are in hand
-            converted = down_converter(fmt, old_fmt).convert_wire(wire)
-            return frame_bytes(FrameType.DATA, converted)
-
-        return self._fan_out(fmt, data, records=1,
-                             down_convert=down_convert)
-
     def cutover(self, new_fmt: IOFormat) -> int:
         """Upgrade the stream to *new_fmt* mid-flight, zero drops.
 
@@ -247,25 +274,29 @@ class BroadcastPublisher:
         number of subscribers re-announced.
         """
         self.context.register_evolution(new_fmt)
-        chain = self.context.format_server.lineage(new_fmt.name)
+        if _obs.enabled:
+            from repro.obs.metrics import EVOLUTION_EVENTS
+            EVOLUTION_EVENTS.labels("cutovers").inc()
+        return self.reannounce(new_fmt.name, new_fmt.format_id)
+
+    def reannounce(self, name: str, new_fid: FormatID) -> int:
+        """Push *name*'s new version *new_fid* (already in the format
+        server's lineage) to every subscriber: its metadata, then a
+        LIN_RSP naming the version that subscriber keeps receiving.
+        The one loop behind :meth:`cutover`, here and in every shard
+        worker."""
+        chain = self.context.format_server.lineage(name)
         reached = 0
         for client in self.server.clients():
-            if new_fmt.format_id not in client.announced:
-                self._announce(client, new_fmt)
-            pinned = client.negotiated.get(new_fmt.name)
-            chosen = pinned if pinned is not None else \
-                new_fmt.format_id
-            payload = encode_lineage_rsp(
-                new_fmt.name, chosen,
-                chain if chosen in chain else ())
+            if new_fid not in client.announced:
+                self._announce_id(client, new_fid)
+            chosen = client.negotiated.get(name, new_fid)
+            payload = lineage_reply(name, chosen, chain)
             if self.server.enqueue(
                     client, frame_bytes(FrameType.LIN_RSP, payload),
                     droppable=False):
                 reached += 1
         self.stats.count("cutovers")
-        if _obs.enabled:
-            from repro.obs.metrics import EVOLUTION_EVENTS
-            EVOLUTION_EVENTS.labels("cutovers").inc()
         return reached
 
     def flush(self, timeout: float | None = None) -> bool:
@@ -287,24 +318,8 @@ class BroadcastPublisher:
 
     # -- internals ----------------------------------------------------------
 
-    def _format(self, format_name: str | IOFormat) -> IOFormat:
-        if isinstance(format_name, IOFormat):
-            return format_name
-        return self.context.lookup_format(format_name)
-
-    def _version_format(self, name: str, fid: FormatID) -> IOFormat:
-        """Resolve an older lineage version a subscriber negotiated."""
-        fmt = self._version_formats.get(fid)
-        if fmt is None:
-            try:
-                fmt = self.context.version_for(name, fid)
-            except UnknownFormatError:
-                fmt = self.context.format_server.lookup(fid)
-            self._version_formats[fid] = fmt
-        return fmt
-
     def _fan_out(self, fmt: IOFormat, data: bytes, records: int,
-                 down_convert=None) -> int:
+                 down_convert) -> int:
         t0 = sample_t0()
         clients = self.server.clients()
         reached = waiting = 0
@@ -314,8 +329,7 @@ class BroadcastPublisher:
         for client in clients:
             send_fmt, frame = fmt, data
             target = client.negotiated.get(fmt.name)
-            if down_convert is not None and target is not None \
-                    and target != fmt.format_id:
+            if target is not None and target != fmt.format_id:
                 cached = variants.get(target)
                 if cached is None:
                     old_fmt = self._version_format(fmt.name, target)
@@ -323,7 +337,7 @@ class BroadcastPublisher:
                     variants[target] = cached
                 send_fmt, frame = cached
             if send_fmt.format_id not in client.announced:
-                self._announce(client, send_fmt)
+                self._announce_id(client, send_fmt.format_id)
             if self._offer(client, frame):
                 reached += 1
                 waiting = max(waiting, client.queued_bytes)
@@ -341,14 +355,11 @@ class BroadcastPublisher:
         self.stats.mark("subscriber_high_water", len(clients))
         return reached
 
-    def _announce(self, client: ClientHandle, fmt: IOFormat) -> None:
-        """Push the format's metadata once per client, ahead of its
-        first record — the lazy half of connection establishment."""
-        self._announce_id(client, fmt.format_id)
-
     def _announce_id(self, client: ClientHandle, fid: FormatID) -> None:
-        """ID-keyed announcement: shard workers announce formats they
-        hold only as replicated metadata bytes, never as compiled
+        """Push the format's metadata once per client, ahead of its
+        first record — the lazy half of connection establishment.
+        Keyed by ID: shard workers announce formats they hold only as
+        replicated metadata bytes, never as compiled
         :class:`~repro.pbio.format.IOFormat` objects."""
         metadata = self.context.format_server.lookup_bytes(fid)
         frame = frame_bytes(FrameType.FMT_RSP, fid.to_bytes(),
@@ -437,28 +448,16 @@ class BroadcastPublisher:
                                 payload: bytes) -> None:
         """Serve one LIN_REQ (loop thread): pin the client to the
         newest mutually-decodable version and reply with the chain."""
-        try:
-            name, offered = decode_lineage_req(payload)
-        except ProtocolError:
-            if _obs.enabled:
-                from repro.obs.metrics import MALFORMED_FRAMES
-                MALFORMED_FRAMES.labels("broadcast",
-                                        "bad_lin_req").inc()
-            raise  # loop closes this client; peers keep running
-        server = self.context.format_server
-        chosen = server.negotiate(name, offered)
-        chain = server.lineage(name)
+        # a malformed request raises: the loop closes this client,
+        # peers keep running
+        name, chosen, reply = answer_lineage_request(
+            self.context.format_server, payload, "broadcast")
         if chosen is not None:
             client.negotiated[name] = chosen
-            if chain and chosen not in chain:
-                chain = ()  # negotiated outside a recorded lineage
-        count_negotiation(chosen, chain)
         self.stats.count("lineage_negotiations")
-        self.server.enqueue(
-            client,
-            frame_bytes(FrameType.LIN_RSP,
-                        encode_lineage_rsp(name, chosen, chain)),
-            droppable=False)
+        self.server.enqueue(client,
+                            frame_bytes(FrameType.LIN_RSP, reply),
+                            droppable=False)
         if chosen is not None:
             self._on_negotiated(client, name, chosen)
 
@@ -469,7 +468,3 @@ class BroadcastPublisher:
         The sharded worker publisher overrides this to report the pin
         upstream, so the single marshaling process knows which older
         versions need a down-converted variant per fan-out."""
-
-    def on_disconnect(self, client: ClientHandle,
-                      reason: BaseException | None) -> None:
-        pass  # counters live on the server; hook kept for subclasses

@@ -29,18 +29,9 @@ from repro.pbio.evolution import DownConverter, down_converter
 from repro.pbio.format import FormatID, IOFormat
 from repro.transport.base import Channel
 from repro.transport.messages import (
-    Frame, FrameType, decode_lineage_req, decode_lineage_rsp,
-    encode_lineage_req, encode_lineage_rsp,
+    Frame, FrameType, count_malformed, decode_lineage_req,
+    decode_lineage_rsp, encode_lineage_req, lineage_reply,
 )
-
-
-def _count_malformed(reason: str) -> None:
-    """Record one rejected wire input; a peer sending garbage is an
-    observable event, not a reason to tear the endpoint down."""
-    from repro.obs import runtime as _obs
-    if _obs.enabled:
-        from repro.obs.metrics import MALFORMED_FRAMES
-        MALFORMED_FRAMES.labels("connection", reason).inc()
 
 
 def count_negotiation(chosen: FormatID | None, chain) -> None:
@@ -58,6 +49,24 @@ def count_negotiation(chosen: FormatID | None, chain) -> None:
     version = (f"v{chain.index(chosen)}" if chosen in chain
                else "unversioned")
     NEGOTIATED_VERSIONS.labels(version).inc()
+
+
+def answer_lineage_request(format_server, payload: bytes,
+                           layer: str) \
+        -> tuple[str, FormatID | None, bytes]:
+    """The LIN_REQ responder, whoever owns the socket: negotiate the
+    newest mutually-decodable version of the requested name against
+    *format_server* and count the outcome.  Returns ``(name, chosen or
+    None, LIN_RSP payload)``; the caller records the pin, then sends."""
+    try:
+        name, offered = decode_lineage_req(payload)
+    except ProtocolError:
+        count_malformed(layer, "bad_lin_req")
+        raise
+    chosen = format_server.negotiate(name, offered)
+    chain = format_server.lineage(name)
+    count_negotiation(chosen, chain)
+    return name, chosen, lineage_reply(name, chosen, chain)
 
 
 #: what a connection delivers: the object ``IOContext.decode`` built
@@ -253,7 +262,7 @@ class Connection:
                 self._ensure_format(parse_header(wire)[0], timeout)
                 return decode(wire, *args, arrays=self.arrays)
         except DecodeError:
-            _count_malformed("bad_record")
+            count_malformed("connection", "bad_record")
             raise
 
     def _decode_whole(self, wire: bytes, *, arrays: str) -> list:
@@ -317,7 +326,7 @@ class Connection:
         :class:`~repro.errors.ProtocolError`, never escape as registry
         errors.  Returns the announced format ID."""
         if len(payload) < 8:
-            _count_malformed("bad_fmt_rsp")
+            count_malformed("connection", "bad_fmt_rsp")
             raise ProtocolError(
                 f"FMT_RSP payload too short: {len(payload)} bytes "
                 "(need 8-byte format id + metadata)")
@@ -326,12 +335,12 @@ class Connection:
             imported = self.context.format_server.import_bytes(
                 payload[8:])
         except (FormatRegistrationError, UnknownFormatError) as exc:
-            _count_malformed("bad_fmt_rsp")
+            count_malformed("connection", "bad_fmt_rsp")
             raise ProtocolError(
                 f"peer sent unimportable metadata for format "
                 f"{announced}: {exc}") from exc
         if imported != announced:
-            _count_malformed("bad_fmt_rsp")
+            count_malformed("connection", "bad_fmt_rsp")
             raise ProtocolError(
                 f"FMT_RSP announced format {announced} but its "
                 f"metadata deserialized to {imported}")
@@ -343,7 +352,7 @@ class Connection:
         try:
             name, chosen, chain = decode_lineage_rsp(payload)
         except ProtocolError:
-            _count_malformed("bad_lin_rsp")
+            count_malformed("connection", "bad_lin_rsp")
             raise
         if chosen is not None:
             self.announced_versions[name] = chosen
@@ -354,13 +363,13 @@ class Connection:
             try:
                 fid = FormatID.from_bytes(frame.payload)
             except UnknownFormatError as exc:
-                _count_malformed("bad_fmt_req")
+                count_malformed("connection", "bad_fmt_req")
                 raise ProtocolError(
                     f"malformed FMT_REQ: {exc}") from None
             try:
                 metadata = self.context.format_server.lookup_bytes(fid)
             except UnknownFormatError:
-                _count_malformed("bad_fmt_req")
+                count_malformed("connection", "bad_fmt_req")
                 raise ProtocolError(
                     f"peer requested unknown format {fid}") from None
             self.channel.send(Frame(FrameType.FMT_RSP,
@@ -372,21 +381,11 @@ class Connection:
             # round-trip (negotiations stays 0 on the fan-out path).
             self._import_format_response(frame.payload)
         elif frame.type == FrameType.LIN_REQ:
-            try:
-                name, offered = decode_lineage_req(frame.payload)
-            except ProtocolError:
-                _count_malformed("bad_lin_req")
-                raise
-            chosen = self.context.format_server.negotiate(name, offered)
-            chain = self.context.format_server.lineage(name)
+            name, chosen, reply = answer_lineage_request(
+                self.context.format_server, frame.payload, "connection")
             if chosen is not None:
                 self._peer_versions[name] = chosen
-                if chain and chosen not in chain:
-                    chain = ()  # negotiated outside a recorded lineage
-            count_negotiation(chosen, chain)
-            self.channel.send(Frame(
-                FrameType.LIN_RSP,
-                encode_lineage_rsp(name, chosen, chain)))
+            self.channel.send(Frame(FrameType.LIN_RSP, reply))
         elif frame.type == FrameType.LIN_RSP:
             # Unsolicited announcement: a publisher cutting over to a
             # new version re-announces via LIN_RSP before the first
@@ -397,7 +396,7 @@ class Connection:
             self.peer_architecture = frame.payload.decode(
                 "utf-8", errors="replace")
         else:
-            _count_malformed("unexpected_frame")
+            count_malformed("connection", "unexpected_frame")
             raise ProtocolError(
                 f"unexpected frame type {frame.type!r}")
 

@@ -28,7 +28,6 @@ import selectors
 import socket
 import struct
 import threading
-import time
 from collections import deque
 from typing import Iterator
 
@@ -42,7 +41,9 @@ from repro.obs.metrics import (
     TRANSPORT_QUEUED_BYTES,
 )
 from repro.obs.registry import FOLD_LOCK, REGISTRY
-from repro.transport.messages import MAX_FRAME, Frame, decode_frame
+from repro.transport.messages import (
+    MAX_FRAME, Frame, count_malformed, decode_frame,
+)
 
 try:
     import fcntl as _fcntl
@@ -78,14 +79,6 @@ def set_cloexec(sock) -> None:
                          flags | _fcntl.FD_CLOEXEC)
         except (OSError, ValueError):  # pragma: no cover - closed fd
             pass
-
-
-def _count_rejected(reason: str) -> None:
-    """One malformed wire input rejected; the offending client is
-    closed individually while the loop and its peers keep running."""
-    if _obs.enabled:
-        from repro.obs.metrics import MALFORMED_FRAMES
-        MALFORMED_FRAMES.labels("eventloop", reason).inc()
 
 
 class Poller:
@@ -217,13 +210,19 @@ _OBS_COUNTERS = (
 
 
 class EventLoopServer:
-    """Accepts and services many framed-protocol clients on one thread.
+    """Accepts and services many clients on one thread.
 
-    *handler* receives the loop's callbacks, all invoked on the loop
-    thread with no internal lock held:
+    The loop owns every socket and reads the bytes; *handler* says
+    what they mean.  Its callbacks are all invoked on the loop thread
+    with no internal lock held:
 
     * ``on_connect(client)``
-    * ``on_frame(client, frame)``
+    * ``parse(buffer)`` — an iterator over the complete messages at
+      the head of a client's read buffer, consumed in place.  The
+      default is :func:`iter_frames`, the length-prefix reassembler;
+      a service speaking another protocol (HTTP request heads)
+      supplies its own.
+    * ``on_frame(client, message)`` — once per parsed message.
     * ``on_disconnect(client, reason)`` — *reason* is None for an
       orderly close, else the exception that ended the client.
 
@@ -511,48 +510,27 @@ class EventLoopServer:
                          timeout: float | None) -> bool:
         """Block until *client*'s queued bytes fall to *limit* or the
         client closes; False on timeout (the ``block`` policy wait)."""
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
         with self._changed:
-            while client.open and client.queued_bytes > limit:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                self._changed.wait(remaining)
-            return True
+            return self._changed.wait_for(
+                lambda: not client.open or client.queued_bytes <= limit,
+                timeout)
 
     def flush(self, timeout: float | None = None) -> bool:
         """Block until every open client's write queue is empty;
         False on timeout."""
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
         with self._changed:
-            while any(c.queued_bytes for c in self._clients.values()
-                      if c.open):
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                self._changed.wait(remaining)
-            return True
+            return self._changed.wait_for(
+                lambda: not any(c.queued_bytes
+                                for c in self._clients.values()
+                                if c.open),
+                timeout)
 
     def wait_for_clients(self, count: int,
                          timeout: float | None = None) -> bool:
         """Block until at least *count* clients are connected."""
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
         with self._changed:
-            while len(self._clients) < count:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                self._changed.wait(remaining)
-            return True
+            return self._changed.wait_for(
+                lambda: len(self._clients) >= count, timeout)
 
     # -- loop ---------------------------------------------------------------
 
@@ -654,29 +632,23 @@ class EventLoopServer:
             self._close_client(client,
                                TransportError(f"recv failed: {exc}"))
             return
-        while len(buf) >= 4:
-            (length,) = _LEN.unpack_from(buf)
-            if length == 0 or length > self.max_frame_len:
-                _count_rejected("oversized_frame" if length
-                                else "zero_length_frame")
-                reason = (FrameTooLargeError(length, self.max_frame_len)
-                          if length else
-                          ProtocolError("zero-length frame"))
-                self._close_client(client, reason)
-                return
-            if len(buf) < 4 + length:
-                break
-            try:
-                frame = decode_frame(bytes(buf[4:4 + length]))
-            except ProtocolError as exc:
-                _count_rejected("bad_frame")
-                self._close_client(client, exc)
-                return
-            del buf[:4 + length]
-            client.frames_received += 1
-            self._callback("on_frame", client, frame)
-            if not client.open:
-                return
+        parse = getattr(self.handler, "parse", None)
+        messages = (iter_frames(buf, self.max_frame_len)
+                    if parse is None else parse(buf))
+        try:
+            for message in messages:
+                client.frames_received += 1
+                self._callback("on_frame", client, message)
+                if not client.open:
+                    return
+        except ProtocolError as exc:
+            # the parser leaves the frame it rejects at the buffer's
+            # head, so an all-zero prefix is still there to be seen
+            count_malformed(
+                "eventloop",
+                "oversized_frame" if isinstance(exc, FrameTooLargeError)
+                else "bad_frame" if any(buf[:4]) else "zero_length_frame")
+            self._close_client(client, exc)
 
     def _writable(self, client: ClientHandle) -> None:
         with self._lock:
@@ -817,8 +789,10 @@ def iter_frames(buffer: bytearray,
                 max_frame_len: int = MAX_FRAME) -> Iterator[Frame]:
     """Yield complete frames from *buffer*, consuming them in place.
 
-    Shared incremental parser for callers that manage their own
-    sockets (benchmark drainers, tests)."""
+    The one incremental length-prefix parser: the event loop's default
+    ``parse`` hook, and what callers that manage their own sockets
+    (benchmark drainers, tests) use.  A frame it rejects stays at the
+    head of *buffer*."""
     while len(buffer) >= 4:
         (length,) = _LEN.unpack_from(buffer)
         if length == 0 or length > max_frame_len:

@@ -40,9 +40,10 @@ import struct
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError
+from repro.obs import runtime as _obs
+from repro.obs.metrics import MALFORMED_FRAMES
 from repro.pbio.format import FormatID
 
-_LEN = struct.Struct(">I")
 _PREFIX = struct.Struct(">IB")  # length (type byte + payload) | type
 MAX_FRAME = 256 * 1024 * 1024  # defensive cap
 
@@ -106,6 +107,14 @@ def frame_bytes(ftype: int, *parts: bytes) -> bytes:
     return b"".join((_PREFIX.pack(total + 1, ftype),) + parts)
 
 
+def count_malformed(layer: str, reason: str) -> None:
+    """Record one wire input rejected by *layer*; a peer sending
+    garbage is an observable event, not a reason to tear the endpoint
+    (or, on a server, anyone but the offending client) down."""
+    if _obs.enabled:
+        MALFORMED_FRAMES.labels(layer, reason).inc()
+
+
 _FRAME_TYPES = {ftype.value: ftype for ftype in FrameType}
 
 
@@ -126,23 +135,6 @@ def decode_frame(data: bytes, payload=None) -> Frame:
     elif ftype not in (FrameType.DATA, FrameType.DATA_BATCH):
         payload = bytes(payload)
     return Frame(ftype, payload)
-
-
-def read_frame_from(read_exactly) -> Frame | None:
-    """Read one frame using *read_exactly(n) -> bytes | None*.
-
-    Returns None on orderly end-of-stream before any bytes arrive.
-    """
-    head = read_exactly(4)
-    if head is None:
-        return None
-    (length,) = _LEN.unpack(head)
-    if length == 0 or length > MAX_FRAME:
-        raise ProtocolError(f"bad frame length {length}")
-    body = read_exactly(length)
-    if body is None:
-        raise ProtocolError("connection closed mid-frame")
-    return decode_frame(body)
 
 
 # -- lineage handshake payloads ---------------------------------------------
@@ -251,6 +243,15 @@ def encode_lineage_rsp(name: str, chosen: FormatID | None,
                 f"advertised chain")
         body = b"\x01" + chosen.to_bytes()
     return _encode_name(name) + body + _encode_digests(chain, "chain")
+
+
+def lineage_reply(name: str, chosen: FormatID | None, chain) -> bytes:
+    """The LIN_RSP payload a responder sends, under its one chain
+    rule: a version negotiated outside the recorded lineage is
+    announced with an empty chain."""
+    if chosen is not None and chosen not in chain:
+        chain = ()
+    return encode_lineage_rsp(name, chosen, chain)
 
 
 def decode_lineage_rsp(payload: bytes) \

@@ -60,11 +60,11 @@ from dataclasses import dataclass
 from repro.errors import ProtocolError, TransportError
 from repro.obs.spans import observe_phase, sample_t0
 from repro.pbio.context import IOContext
-from repro.pbio.evolution import down_converter
 from repro.pbio.format import FormatID, IOFormat
 from repro.pbio.format_server import FormatServer
 from repro.transport.broadcast import (
     BackpressurePolicy, BroadcastPublisher, BroadcastStats,
+    PublishFront,
 )
 from repro.transport.eventloop import ClientHandle, set_cloexec
 from repro.transport.messages import (
@@ -87,7 +87,7 @@ class Ctl(enum.IntEnum):
     # publisher -> worker
     REG = 1        # fid | name | canonical metadata (replicate format)
     EVOLVE = 2     # name | old fid | new fid | new metadata (lineage)
-    BCAST = 3      # flags | fid | name | one whole wire frame
+    BCAST = 3      # primary | fid | name | one whole wire frame
     CUTOVER = 4    # name | new fid (re-announce to every shard client)
     BARRIER = 5    # seq (reply ACK once shard queues have drained)
     STATS_REQ = 6  # seq (reply STATS_RSP with a JSON snapshot)
@@ -103,11 +103,6 @@ class Ctl(enum.IntEnum):
     UNPIN = 25     # name | fid (that subscriber went away)
     FMT_MISS = 26  # fid (subscriber FMT_REQ the replica cannot serve)
     STOPPED = 27   # shard shut down cleanly
-
-
-#: BCAST flag bits
-_F_PRIMARY = 1   # current-version frame (clients with no pin get it)
-_F_BATCH = 2     # DATA_BATCH payload (informational; frame is whole)
 
 
 def _pack_name(name: str) -> bytes:
@@ -337,26 +332,6 @@ class _ShardWorkerPublisher(BroadcastPublisher):
                         self.server.client_count)
         return reached
 
-    def shard_cutover(self, name: str, new_fid: FormatID) -> int:
-        """Re-announce *name*'s new version to every shard subscriber
-        (the lineage was already replicated via EVOLVE)."""
-        from repro.transport.messages import encode_lineage_rsp
-        chain = self.context.format_server.lineage(name)
-        reached = 0
-        for client in self.server.clients():
-            if new_fid not in client.announced:
-                self._announce_id(client, new_fid)
-            pinned = client.negotiated.get(name)
-            chosen = pinned if pinned is not None else new_fid
-            payload = encode_lineage_rsp(
-                name, chosen, chain if chosen in chain else ())
-            if self.server.enqueue(
-                    client, frame_bytes(FrameType.LIN_RSP, payload),
-                    droppable=False):
-                reached += 1
-        self.stats.count("cutovers")
-        return reached
-
     def resolve_pending(self, fid: FormatID, ok: bool) -> None:
         """A REG (or FMT_FAIL) for *fid* arrived from the publisher:
         answer the subscribers whose FMT_REQ was parked on it."""
@@ -477,11 +452,10 @@ class _WorkerRuntime:
     def _dispatch(self, kind: int, payload: bytes,
                   fd: int | None) -> None:
         if kind == Ctl.BCAST:
-            flags = payload[0]
             fid, offset = _take_fid(payload, 1)
             name, offset = _unpack_name(payload, offset)
             self.publisher.broadcast_frame(
-                name, fid, payload[offset:], bool(flags & _F_PRIMARY))
+                name, fid, payload[offset:], primary=bool(payload[0]))
         elif kind == Ctl.REG:
             fid, offset = _take_fid(payload, 0)
             _name, offset = _unpack_name(payload, offset)
@@ -499,7 +473,7 @@ class _WorkerRuntime:
         elif kind == Ctl.CUTOVER:
             name, offset = _unpack_name(payload, 0)
             new_fid, _ = _take_fid(payload, offset)
-            self.publisher.shard_cutover(name, new_fid)
+            self.publisher.reannounce(name, new_fid)
         elif kind == Ctl.BARRIER:
             (seq,) = _U32.unpack_from(payload)
             ok = self.publisher.server.flush(
@@ -574,12 +548,14 @@ class _WorkerHandle:
         self.start_error: str | None = None
 
 
-class ShardedBroadcastServer:
+class ShardedBroadcastServer(PublishFront):
     """An acceptor plus N event-loop worker processes, marshal-once.
 
-    The publisher-facing API mirrors
-    :class:`~repro.transport.broadcast.BroadcastPublisher`:
-    ``publish`` / ``publish_many`` / ``cutover`` / ``flush`` /
+    The publisher-facing API is
+    :class:`~repro.transport.broadcast.BroadcastPublisher`'s:
+    ``publish`` / ``publish_many`` / ``publish_encoded`` (the shared
+    :class:`~repro.transport.broadcast.PublishFront`, reaching live
+    shards instead of subscribers), ``cutover`` / ``flush`` /
     ``wait_for_subscribers`` / ``close``, plus process-topology extras
     (``worker_stats``, ``metrics_snapshot``, ``mode``).
 
@@ -690,7 +666,7 @@ class ShardedBroadcastServer:
             self._listener = None
         else:
             self._acceptor = threading.Thread(
-                target=self._accept_loop, name="shard-acceptor",
+                target=self._pass_connections, name="shard-acceptor",
                 daemon=True)
             self._acceptor.start()
         return self
@@ -781,7 +757,7 @@ class ShardedBroadcastServer:
 
     # -- acceptor (fdpass mode) ---------------------------------------------
 
-    def _accept_loop(self) -> None:
+    def _pass_connections(self) -> None:
         listener = self._listener
         if listener is not None:
             listener.settimeout(1.0)
@@ -949,62 +925,10 @@ class ShardedBroadcastServer:
                 self._send_reg(handle, fid, server.lookup(fid).name,
                                server.lookup_bytes(fid))
 
-    def _replicate(self, fmt: IOFormat) -> None:
-        fid = fmt.format_id
-        metadata = None
-        for handle in self._live():
-            if fid in handle.sent_formats:
-                continue
-            if metadata is None:
-                metadata = self.context.format_server.lookup_bytes(fid)
-            self._send_reg(handle, fid, fmt.name, metadata)
-
     def _live(self) -> list[_WorkerHandle]:
         return [h for h in self._workers if h.alive]
 
     # -- publishing ----------------------------------------------------------
-
-    def publish(self, format_name: str | IOFormat,
-                record: dict) -> int:
-        """Marshal *record* exactly once, hand the same frame bytes to
-        every shard; returns the number of live shards reached."""
-        fmt = self._format(format_name)
-        self._replicate(fmt)
-        encoder = self.context.encoder_for(fmt)
-        t0 = sample_t0()
-        parts = encoder.encode_wire_parts(record)
-        if t0:
-            observe_phase("marshal", t0)
-        data = frame_bytes(FrameType.DATA, *parts)
-        self.context.stats.count_encoded(
-            1, sum(len(p) for p in parts))
-
-        def down_convert(old_fmt: IOFormat) -> bytes:
-            converted = down_converter(fmt, old_fmt) \
-                .encode_record_parts(record)
-            return frame_bytes(FrameType.DATA, *converted)
-
-        return self._fan_out(fmt, data, records=1, flags=_F_PRIMARY,
-                             down_convert=down_convert)
-
-    def publish_many(self, format_name: str | IOFormat,
-                     records) -> int:
-        """One shared-header batch, encoded once, to every shard."""
-        fmt = self._format(format_name)
-        records = list(records)
-        if not records:
-            return 0
-        self._replicate(fmt)
-        wire = self.context.encode_many(fmt, records)
-        data = frame_bytes(FrameType.DATA_BATCH, wire)
-
-        def down_convert(old_fmt: IOFormat) -> bytes:
-            batch = down_converter(fmt, old_fmt).encode_batch(records)
-            return frame_bytes(FrameType.DATA_BATCH, batch)
-
-        return self._fan_out(fmt, data, records=len(records),
-                             flags=_F_PRIMARY | _F_BATCH,
-                             down_convert=down_convert)
 
     def cutover(self, new_fmt: IOFormat) -> int:
         """Upgrade the stream fleet-wide, zero drops per shard.
@@ -1039,41 +963,28 @@ class ShardedBroadcastServer:
         self.stats.count("cutovers")
         return reached
 
-    def _format(self, format_name: str | IOFormat) -> IOFormat:
-        if isinstance(format_name, IOFormat):
-            return format_name
-        return self.context.lookup_format(format_name)
-
-    def _version_format(self, name: str, fid: FormatID) -> IOFormat:
-        fmt = self._version_formats.get(fid)
-        if fmt is None:
-            try:
-                fmt = self.context.version_for(name, fid)
-            except Exception:
-                fmt = self.context.format_server.lookup(fid)
-            self._version_formats[fid] = fmt
-        return fmt
-
     def _fan_out(self, fmt: IOFormat, data: bytes, records: int,
-                 flags: int, down_convert) -> int:
-        #: (fid, frame, flags) per version — the primary plus one
-        #: down-converted variant per *pinned version*, never per
-        #: subscriber or per worker
-        frames = [(fmt.format_id, data, flags)]
+                 down_convert) -> int:
+        """Hand the frame to every live shard (replicating the format
+        first where a shard lacks it); returns the shards reached."""
+        #: (fid, frame, primary) per version — the current-version
+        #: frame (clients with no pin get it) plus one down-converted
+        #: variant per *pinned version*, never per subscriber or per
+        #: worker
+        frames = [(fmt.format_id, data, True)]
         with self._lock:
             pinned = [fid for fid, count in
                       self._pins.get(fmt.name, {}).items()
                       if count > 0 and fid != fmt.format_id]
         for fid in pinned:
             old_fmt = self._version_format(fmt.name, fid)
-            frames.append((fid, down_convert(old_fmt),
-                           flags & ~_F_PRIMARY))
+            frames.append((fid, down_convert(old_fmt), False))
         t0 = sample_t0()
         name_bytes = _pack_name(fmt.name)
         reached = 0
         for handle in self._live():
             try:
-                for fid, frame, fr_flags in frames:
+                for fid, frame, primary in frames:
                     if fid not in handle.sent_formats:
                         self._send_reg(
                             handle, fid, fmt.name,
@@ -1081,7 +992,7 @@ class ShardedBroadcastServer:
                             .lookup_bytes(fid))
                     handle.ctl.send(
                         Ctl.BCAST,
-                        bytes((fr_flags,)) + fid.to_bytes()
+                        bytes((primary,)) + fid.to_bytes()
                         + name_bytes + frame)
                 reached += 1
             except OSError:
@@ -1165,16 +1076,10 @@ class ShardedBroadcastServer:
 
     def wait_for_subscribers(self, count: int,
                              timeout: float | None = None) -> bool:
-        deadline = None if timeout is None else \
-            time.monotonic() + timeout
         with self._census:
-            while sum(h.clients for h in self._workers) < count:
-                remaining = None if deadline is None else \
-                    deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._census.wait(remaining)
-            return True
+            return self._census.wait_for(
+                lambda: sum(h.clients for h in self._workers) >= count,
+                timeout)
 
     def wait_for_pins(self, name: str, count: int,
                       timeout: float | None = None) -> bool:
@@ -1187,16 +1092,10 @@ class ShardedBroadcastServer:
         publish.  Without the barrier a publish can race a subscriber
         whose LIN_RSP is still in flight; that subscriber gets the
         current version for the frames already fanned out."""
-        deadline = None if timeout is None else \
-            time.monotonic() + timeout
         with self._census:
-            while sum(self._pins.get(name, {}).values()) < count:
-                remaining = None if deadline is None else \
-                    deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._census.wait(remaining)
-            return True
+            return self._census.wait_for(
+                lambda: sum(self._pins.get(name, {}).values()) >= count,
+                timeout)
 
     @property
     def subscriber_count(self) -> int:

@@ -139,3 +139,78 @@ class TestContextIntegration:
                 assert client.lookup(fid) == make_format()
             finally:
                 client.close()
+
+
+class TestOnTheEventLoop:
+    """What the service inherits by being an EventLoopServer handler:
+    per-client error isolation and a close() that ends everything."""
+
+    @staticmethod
+    def _exchange(sock, frame: bytes):
+        from repro.transport.eventloop import iter_frames
+        sock.sendall(frame)
+        buffer = bytearray()
+        while True:
+            chunk = sock.recv(65536)
+            assert chunk, "service closed the connection"
+            buffer.extend(chunk)
+            for reply in iter_frames(buffer):
+                return reply
+
+    def test_bad_registration_gets_fmt_err_and_the_connection_lives(
+            self, service):
+        import socket
+        from repro.transport.messages import FrameType, frame_bytes
+        fid = service.backing.register(make_format())
+        with socket.create_connection((service.host, service.port),
+                                      timeout=5) as sock:
+            reply = self._exchange(sock, frame_bytes(
+                FrameType.FMT_REG, b"\xffnot canonical metadata"))
+            assert reply.type == FrameType.FMT_ERR
+            reply = self._exchange(sock, frame_bytes(
+                FrameType.FMT_REQ, fid.to_bytes()))
+            assert reply.type == FrameType.FMT_RSP
+            assert reply.payload[:8] == fid.to_bytes()
+
+    def test_oversized_prefix_closes_only_that_client(self, service,
+                                                      remote):
+        import socket
+        from repro.errors import FrameTooLargeError
+        with socket.create_connection((service.host, service.port),
+                                      timeout=5) as hostile:
+            assert service.server.wait_for_clients(2, timeout=5)
+            port = hostile.getsockname()[1]
+            (handle,) = [c for c in service.server.clients()
+                         if c.addr[1] == port]
+            hostile.sendall(b"\xff\xff\xff\xff")
+            assert hostile.recv(1) == b""
+        assert isinstance(handle.close_reason, FrameTooLargeError)
+        fid = remote.register(make_format())
+        assert remote.lookup(fid) == make_format()
+
+    def test_close_ends_every_thread_and_client(self):
+        import threading
+        from repro.errors import TransportError
+        from repro.http.retry import RetryPolicy
+        before = set(threading.enumerate())
+        policy = RetryPolicy(attempts=3, base_delay=0.001)
+        with FormatServerService() as svc:
+            plain = RemoteFormatServer.connect(svc.host, svc.port)
+            retrying = RemoteFormatServer.connect(svc.host, svc.port,
+                                                  retry=policy)
+            for i in range(100):
+                plain.register(make_format(f"T{i}"))
+            retrying.register(make_format("mine"))
+        try:
+            assert set(threading.enumerate()) <= before
+            # a closed service serves nobody: the connected clients
+            # read EOF, and a reconnect is refused
+            with pytest.raises(TransportError):
+                plain.register(make_format("late"))
+            with pytest.raises(TransportError, match="cannot connect"):
+                retrying.register(make_format("later"))
+            assert retrying.network_retries == policy.attempts - 1
+            assert len(svc.backing) == 101
+        finally:
+            plain.close()
+            retrying.close()

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.transport.messages import (
-    Frame, FrameType, decode_frame, read_frame_from,
-)
+from repro.transport.messages import Frame, FrameType, decode_frame
 
 
 class TestFrames:
@@ -26,41 +24,3 @@ class TestFrames:
     def test_empty_frame(self):
         with pytest.raises(ProtocolError, match="empty"):
             decode_frame(b"")
-
-
-class TestReadFrameFrom:
-    def _reader(self, data: bytes):
-        view = memoryview(data)
-        state = {"pos": 0}
-
-        def read_exactly(n: int):
-            start = state["pos"]
-            if start >= len(view):
-                return None
-            if start + n > len(view):
-                return None
-            state["pos"] = start + n
-            return bytes(view[start:start + n])
-        return read_exactly
-
-    def test_reads_one_frame(self):
-        data = Frame(FrameType.HELLO, b"arch").encode()
-        frame = read_frame_from(self._reader(data))
-        assert frame.type == FrameType.HELLO
-        assert frame.payload == b"arch"
-
-    def test_eof_returns_none(self):
-        assert read_frame_from(self._reader(b"")) is None
-
-    def test_truncated_body(self):
-        data = Frame(FrameType.DATA, b"full-payload").encode()[:-4]
-        with pytest.raises(ProtocolError, match="mid-frame"):
-            read_frame_from(self._reader(data))
-
-    def test_zero_length_rejected(self):
-        with pytest.raises(ProtocolError, match="bad frame length"):
-            read_frame_from(self._reader(b"\x00\x00\x00\x00"))
-
-    def test_oversized_rejected(self):
-        with pytest.raises(ProtocolError, match="bad frame length"):
-            read_frame_from(self._reader(b"\xff\xff\xff\xff"))

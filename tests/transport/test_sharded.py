@@ -269,6 +269,11 @@ class TestShardedEndToEnd:
                 assert srv.publish(
                     "SimpleData",
                     {"timestep": t, "data": [t * 0.5]}) == 2
+            # the relay entry point of the shared publish front: wire
+            # bytes encoded elsewhere reach every shard the same way
+            wire = srv.context.encode(
+                "SimpleData", {"timestep": 5, "data": [2.5]})
+            assert srv.publish_encoded(wire) == 2
             assert srv.flush(timeout=60)
             if mode == "fdpass":
                 # round-robin: a 2-way split of 8 is exactly 4+4
@@ -280,7 +285,7 @@ class TestShardedEndToEnd:
             sub.join(30)
             assert sub.error is None
             assert [r["timestep"] for _, r in sub.records] == \
-                list(range(5))
+                list(range(6))
             assert sub.conn.negotiations == 0, \
                 "announcements must pre-empt FMT_REQ on every shard"
 
