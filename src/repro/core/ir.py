@@ -175,15 +175,14 @@ class IRSet:
         """Names of nested formats *name* references, depth-first,
         dependencies before dependents, excluding *name* itself."""
         seen: list[str] = []
-
-        def visit(fmt_name: str) -> None:
-            fmt = self.format(fmt_name)
-            for f in fmt.fields:
-                if f.type.is_nested and f.type.format_name not in seen:
-                    visit(f.type.format_name)
-                    seen.append(f.type.format_name)
-        visit(name)
+        self._visit_dependencies(name, seen)
         return tuple(seen)
+
+    def _visit_dependencies(self, name: str, seen: list[str]) -> None:
+        for f in self.format(name).fields:
+            if f.type.is_nested and f.type.format_name not in seen:
+                self._visit_dependencies(f.type.format_name, seen)
+                seen.append(f.type.format_name)
 
     def depends_on(self, name: str, changed: frozenset) -> bool:
         """True if *name* is one of the formats in *changed* or nests

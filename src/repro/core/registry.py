@@ -419,29 +419,27 @@ class FormatRegistry:
         documents (schemaLocation resolved relative to *url*) and
         merging everything into one checked schema."""
         merged = Schema()
-        visited: set[str] = set()
-
-        def ingest_one(doc_url: str, doc_data: bytes,
-                       depth: int) -> None:
-            if depth > 16:
-                raise DiscoveryError(
-                    f"schema include chain too deep at {doc_url}")
-            doc = parse_bytes(doc_data)
-            for location in schema_locations(doc):
-                target = resolve_url(doc_url, location)
-                if target in visited:
-                    continue  # diamond/repeat includes are fine
-                visited.add(target)
-                ingest_one(target,
-                           fetch(target, retry=self.retry,
-                                 stats=self.stats),
-                           depth + 1)
-            merged.merge(parse_schema(doc, check=False))
-
-        visited.add(url)
-        ingest_one(url, data, 0)
+        self._ingest_document(url, data, 0, merged, {url})
         merged.check_references()
         return merged
+
+    def _ingest_document(self, url: str, data: bytes, depth: int,
+                         merged: Schema, visited: set[str]) -> None:
+        """Merge one document into *merged*, its includes first."""
+        if depth > 16:
+            raise DiscoveryError(
+                f"schema include chain too deep at {url}")
+        doc = parse_bytes(data)
+        for location in schema_locations(doc):
+            target = resolve_url(url, location)
+            if target in visited:
+                continue  # diamond/repeat includes are fine
+            visited.add(target)
+            self._ingest_document(
+                target, fetch(target, retry=self.retry, stats=self.stats),
+                depth + 1, merged, visited)
+        merged.merge(parse_schema(doc, check=False))
+        doc.unlink()  # the schema keeps no node: free the tree now
 
     # -- queries ------------------------------------------------------------
 

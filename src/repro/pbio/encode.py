@@ -562,14 +562,17 @@ class RecordEncoder:
 
         Padding holes between fields become ``x`` pad codes, so the
         compiled struct writes the run's full byte span in one call.
+        The op's code is shared by every run of the same length
+        (:func:`_fused_run_factory`); this run supplies only its
+        ``Struct``, start offset, converters and keys.
         """
         run = step.run
         self.fused_runs += 1
         self.fused_fields += len(run)
         start = run[0][0].offset
         parts: list[str] = []
-        pairs: list[tuple] = []   # (convert, name) in pack-arg order
-        singles: list[tuple] = [] # (name, convert, Struct, offset)
+        cells: list = []          # convert, key, convert, key, ...
+        singles: list[tuple] = [] # (name, convert, struct format)
         pos = start
         for field, ftype in run:
             if field.offset > pos:
@@ -578,35 +581,12 @@ class RecordEncoder:
             parts.append(code)
             convert = _scalar_converter(ftype.kind, field,
                                         enums.get(field.name))
-            pairs.append((convert, field.name))
-            singles.append((field.name, convert,
-                            struct.Struct(self._bo + code)))
+            cells += (convert, field.name)
+            singles.append((field.name, convert, self._bo + code))
             pos = field.offset + field.size
         packer = struct.Struct(self._bo + "".join(parts))
-        diagnostics = tuple(singles)
-        # Generate the pack call as source so the steady state is one
-        # C-level pack_into with the converter calls inlined as
-        # positional arguments — no per-field loop, no argument tuple.
-        env = {"_p": packer, "_diag": _diagnose_fused_failure,
-               "_singles": diagnostics, "EncodeError": EncodeError,
-               "_struct_error": struct.error}
-        for i, (convert, _name) in enumerate(pairs):
-            env[f"_c{i}"] = convert
-        args_src = ", ".join(f"_c{i}(record[{name!r}])"
-                             for i, (_c, name) in enumerate(pairs))
-        src = (
-            "def _fused(record, body, base):\n"
-            "    try:\n"
-            f"        _p.pack_into(body, base + {start}, {args_src})\n"
-            "    except EncodeError:\n"
-            "        raise\n"
-            "    except (_struct_error, TypeError, ValueError,\n"
-            "            KeyError) as exc:\n"
-            "        _diag(record, _singles, exc)\n")
-        # the one exec in the package: source generated right here,
-        # from layout facts — never anything read from disk or a peer
-        exec(compile(src, "<fused-run>", "exec"), env)
-        return env["_fused"]
+        return _fused_run_factory(len(run))(packer.pack_into, start,
+                                            tuple(singles), *cells)
 
     def _compile_scalar(self, step: Step, enums):
         field, ftype = step.field, step.ftype
@@ -839,15 +819,46 @@ class RecordEncoder:
                  "var": _compile_var_array, "sub": _compile_subformat}
 
 
+@lru_cache(maxsize=64)
+def _fused_run_factory(length: int):
+    """The code of every fused-run op over *length* fields, compiled
+    once per process (bounded: run lengths are schema data).
+
+    Returns ``make(pack_into, start, singles, convert0, key0, ...)``,
+    which closes one run's facts over that shared code.  The steady
+    state is one C-level ``pack_into`` with the converter calls inlined
+    as positional arguments — no per-field loop, no argument tuple.
+    """
+    cells = ", ".join(f"_c{i}, _k{i}" for i in range(length))
+    args = ", ".join(f"_c{i}(record[_k{i}])" for i in range(length))
+    src = (
+        f"def _make(_pack_into, _start, _singles, {cells}):\n"
+        "    def _fused(record, body, base):\n"
+        "        try:\n"
+        f"            _pack_into(body, base + _start, {args})\n"
+        "        except EncodeError:\n"
+        "            raise\n"
+        "        except (_struct_error, TypeError, ValueError,\n"
+        "                KeyError) as exc:\n"
+        "            _diag(record, _singles, exc)\n"
+        "    return _fused\n")
+    env = {"EncodeError": EncodeError, "_struct_error": struct.error,
+           "_diag": _diagnose_fused_failure}
+    # the one exec in the package: source generated right here from an
+    # integer — no text from a format, the disk or a peer reaches it
+    exec(compile(src, "<fused-run>", "exec"), env)
+    return env["_make"]
+
+
 def _diagnose_fused_failure(record: dict, singles, exc) -> None:
     """A fused pack failed; re-run its fields one by one so the error
     names the specific offender, not just the run."""
-    for name, convert, packer in singles:
+    for name, convert, fmt in singles:
         if name not in record:
             raise EncodeError(
                 f"field {name!r}: missing from record") from None
         try:
-            packer.pack(convert(record[name]))
+            struct.pack(fmt, convert(record[name]))
         except EncodeError:
             raise
         except (struct.error, TypeError, ValueError) as err:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.errors import LayoutError
 
@@ -70,36 +70,40 @@ class Dimension:
 
 @dataclass(frozen=True)
 class FieldType:
-    """Parsed form of a PBIO type string."""
+    """Parsed form of a PBIO type string.
+
+    Instances are immutable (and memoised by :func:`parse_field_type`),
+    so each derived fact below is computed once, on first access.
+    """
 
     base: str  # canonical atomic name or subformat name
     dims: tuple[Dimension, ...] = ()
 
-    @property
+    @cached_property
     def kind(self) -> str:
         """Coarse class: atomic kind, or ``"subformat"``."""
         return ATOMIC_KINDS.get(self.base, "subformat")
 
-    @property
+    @cached_property
     def is_atomic(self) -> bool:
         return self.base in ATOMIC_KINDS
 
-    @property
+    @cached_property
     def is_string(self) -> bool:
         return self.base == "string" and not self.dims
 
-    @property
+    @cached_property
     def static_dims(self) -> tuple[int, ...]:
         return tuple(d.fixed for d in self.dims if d.fixed is not None)
 
-    @property
+    @cached_property
     def dynamic_dim(self) -> Dimension | None:
         for d in self.dims:
             if not d.is_static:
                 return d
         return None
 
-    @property
+    @cached_property
     def is_inline(self) -> bool:
         """True if the field's data lives entirely inside the struct
         (scalars and fixed arrays); False for pointer-valued fields
@@ -108,7 +112,7 @@ class FieldType:
             return False
         return self.dynamic_dim is None
 
-    @property
+    @cached_property
     def static_element_count(self) -> int:
         """Product of the fixed dimensions (1 for scalars)."""
         count = 1

@@ -252,6 +252,20 @@ class Document(Node):
              namespace: str | None = "*") -> Iterator[Element]:
         return self.root.iter(local_name, namespace)
 
+    def unlink(self) -> None:
+        """Drop every node's ``parent`` link, as minidom's ``unlink``.
+
+        Parent links make a tree cyclic; without them dropping the
+        document frees it by reference counting alone, leaving no work
+        for the cyclic collector.  For an owner done with the tree:
+        afterwards ``.parent`` and ``.document`` read ``None``.
+        """
+        stack: list[Node] = [self]
+        while stack:
+            node = stack.pop()
+            node.parent = None
+            stack.extend(getattr(node, "children", ()))
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         try:
             root = f"<{self.root.tag}>"

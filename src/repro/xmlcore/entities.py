@@ -40,18 +40,29 @@ ATTR_ESCAPES: dict[str, str] = {
 }
 
 
+#: Characters of declared-entity replacement text one document may
+#: expand, counting an entity's whole text each time it is expanded.
+#: Depth alone does not bound size: seven entities of ten references
+#: each turn a 400-byte document into 10 MB.
+MAX_ENTITY_EXPANSION = 256 * 1024
+
+
 class EntityTable:
     """Resolves general entity references during a parse.
 
     Starts with the five predefined entities; DOCTYPE internal-subset
     declarations add to it.  Recursion in entity replacement text is
-    expanded with a depth guard to reject circular declarations.
+    expanded with a depth guard to reject circular declarations, and
+    each declared entity's replacement text is charged, every time it
+    is expanded, to one per-document budget
+    (:data:`MAX_ENTITY_EXPANSION`).
     """
 
     MAX_DEPTH = 16
 
     def __init__(self) -> None:
         self._entities: dict[str, str] = dict(PREDEFINED_ENTITIES)
+        self._budget = MAX_ENTITY_EXPANSION
 
     def declare(self, name: str, replacement: str) -> None:
         """Declare an internal general entity.
@@ -82,6 +93,15 @@ class EntityTable:
         # though that character is itself markup-significant.
         if name in PREDEFINED_ENTITIES:
             return raw
+        # Charged before it is scanned: what the expansion outputs and
+        # the work it does are both bounded by what is charged.
+        self._budget -= len(raw)
+        if self._budget < 0:
+            from repro.obs.metrics import MALFORMED_DOCUMENTS
+            MALFORMED_DOCUMENTS.labels("xmlcore", "expansion").inc()
+            raise XMLWellFormednessError(
+                f"entity expansion exceeds {MAX_ENTITY_EXPANSION} "
+                "characters")
         return self._expand(raw, _depth + 1)
 
     def _expand(self, text: str, depth: int) -> str:
@@ -89,23 +109,19 @@ class EntityTable:
             return text
         out: list[str] = []
         i = 0
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch != "&":
-                out.append(ch)
-                i += 1
-                continue
-            end = text.find(";", i + 1)
+        while (amp := text.find("&", i)) != -1:
+            out.append(text[i:amp])
+            end = text.find(";", amp + 1)
             if end == -1:
                 raise XMLWellFormednessError(
                     "unterminated entity reference in replacement text")
-            body = text[i + 1:end]
+            body = text[amp + 1:end]
             if body.startswith("#"):
                 out.append(decode_char_reference(body))
             else:
                 out.append(self.resolve(body, depth))
             i = end + 1
+        out.append(text[i:])
         return "".join(out)
 
 

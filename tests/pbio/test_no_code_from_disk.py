@@ -61,4 +61,4 @@ def test_the_only_exec_is_the_fused_run_emitter():
         finder = _ExecCalls()
         finder.visit(tree)
         calls += [(name, caller) for caller in finder.callers]
-    assert calls == [("pbio/encode.py", "_compile_fused_run")]
+    assert calls == [("pbio/encode.py", "_fused_run_factory")]

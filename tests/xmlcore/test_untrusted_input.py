@@ -6,16 +6,22 @@ points in character references must be rejected with the typed
 well-formedness error (never ``ValueError`` out of ``chr()``), a
 document truncated mid-reference or mid-entity must fail cleanly, and
 one nested past ``MAX_ELEMENT_DEPTH`` must get the typed error rather
-than exhaust the interpreter's stack.
+than exhaust the interpreter's stack, and one whose entities expand past
+``MAX_ENTITY_EXPANSION`` characters must get it before the text exists.
 """
 
 from __future__ import annotations
+
+import time
+import tracemalloc
 
 import pytest
 
 from repro.errors import XMLWellFormednessError
 from repro.xmlcore import parse
-from repro.xmlcore.entities import EntityTable, decode_char_reference
+from repro.xmlcore.entities import (
+    MAX_ENTITY_EXPANSION, EntityTable, decode_char_reference,
+)
 from repro.xmlcore.parser import MAX_ELEMENT_DEPTH
 
 
@@ -140,3 +146,74 @@ class TestNestingLimit:
     def test_empty_elements_do_not_count_as_a_level(self):
         parse("<a>" * MAX_ELEMENT_DEPTH + "<a/>"
               + "</a>" * MAX_ELEMENT_DEPTH)
+
+
+def laughs(levels: int, leaf: str, copies: int = 10) -> str:
+    """*levels* entities, each *copies* references to the one before."""
+    decls = f'<!ENTITY e0 "{leaf}">' + "".join(
+        f'<!ENTITY e{i} "{f"&e{i - 1};" * copies}">'
+        for i in range(1, levels))
+    return f"<!DOCTYPE r [{decls}]><r>&e{levels - 1};</r>"
+
+
+class TestExpansionLimit:
+    """Depth alone does not bound what entities expand to; one budget
+    per document does, charged while the text is being produced."""
+
+    #: 381 bytes that expand to a 10 000 000-character text node
+    DOC = laughs(7, "0123456789")
+
+    @pytest.fixture(autouse=True)
+    def _obs_on(self):
+        from repro.obs import runtime
+        saved = runtime.enabled
+        runtime.enabled = True
+        yield
+        runtime.enabled = saved
+
+    def test_ten_megabytes_fail_fast_counted_and_positioned(self):
+        from repro.obs.metrics import MALFORMED_DOCUMENTS
+        series = MALFORMED_DOCUMENTS.labels("xmlcore", "expansion")
+        before = series.value
+        assert len(self.DOC) < 512
+        elapsed = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            exc = reject(self.DOC)
+            elapsed.append(time.perf_counter() - t0)
+        assert min(elapsed) < 0.05
+        assert f"exceeds {MAX_ENTITY_EXPANSION} characters" in str(exc)
+        reference = self.DOC.index("&e6;")
+        assert (exc.line, exc.column) == (1, reference + len("&e6;") + 1)
+        assert series.value == before + 3
+
+    def test_ten_megabytes_fail_in_under_a_mebibyte(self):
+        tracemalloc.start()
+        try:
+            reject(self.DOC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_empty_replacement_text_cannot_hide_the_work(self):
+        # produces no characters at all, in 10**16 expansions
+        assert "expansion exceeds" in str(reject(laughs(17, "")))
+
+    def test_the_budget_itself_parses(self):
+        decl = f'<!DOCTYPE r [<!ENTITY big "{"x" * MAX_ENTITY_EXPANSION}">]>'
+        doc = parse(f"{decl}<r>&big;</r>")
+        assert len(doc.root.text) == MAX_ENTITY_EXPANSION
+        assert "expansion exceeds" in str(reject(f"{decl}<r>&big;&big;</r>"))
+
+    def test_the_budget_is_per_document(self):
+        half = "x" * (MAX_ENTITY_EXPANSION // 2)
+        doc = f'<!DOCTYPE r [<!ENTITY half "{half}">]><r>&half;&half;</r>'
+        for _ in range(2):  # a second document starts from a full budget
+            assert len(parse(doc).root.text) == MAX_ENTITY_EXPANSION
+        table = EntityTable()
+        table.declare("half", half)
+        table.resolve("half")
+        table.resolve("half")
+        with pytest.raises(XMLWellFormednessError, match="expansion"):
+            table.resolve("half")
