@@ -1,18 +1,21 @@
 #!/usr/bin/env python
-"""RPC two ways: XML-RPC messages vs XMIT-RPC binary calls.
+"""RPC three ways: XML-RPC, SOAP and XMIT-RPC binary calls.
 
 The paper planned "SOAP/XML-RPC style interfaces" among its BCM
-targets.  This example runs the same statistics service through both
-completed implementations — classic XML-RPC documents, and XMIT-RPC
-(method signatures discovered from XML Schema, payloads as PBIO binary
-records) — and compares bytes and latency per call.
+targets.  This example runs the same statistics service through all
+three implementations — classic XML-RPC documents, SOAP envelopes
+whose parameters are typed by the XML Schema signatures, and XMIT-RPC
+(the same signatures, payloads as PBIO binary records) — and compares
+bytes and latency per call.
 
 Run:  python examples/rpc_service.py
 """
 
 import time
 
-from repro.rpc import BinaryRPCCodec, RPCClient, RPCServer, XMLRPCCodec
+from repro.rpc import (
+    BinaryRPCCodec, RPCClient, RPCServer, SOAPCodec, XMLRPCCodec,
+)
 from repro.transport import channel_pair
 
 SIGNATURES = """\
@@ -61,9 +64,10 @@ def run_protocol(name: str, codec_factory, params: dict,
 def main() -> None:
     values = [0.5 * i for i in range(500)]
     print("service: stats over 500 doubles, in-process transport\n")
+    typed = {"n": len(values), "values": values}
     run_protocol("XML-RPC", XMLRPCCodec, {"values": values})
-    run_protocol("XMIT-RPC", lambda: BinaryRPCCodec(SIGNATURES),
-                 {"n": len(values), "values": values})
+    run_protocol("SOAP", lambda: SOAPCodec(SIGNATURES), typed)
+    run_protocol("XMIT-RPC", lambda: BinaryRPCCodec(SIGNATURES), typed)
     print("\nsame handlers, same transport — only the wire format "
           "changed.")
 

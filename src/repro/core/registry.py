@@ -443,15 +443,6 @@ class FormatRegistry:
 
     # -- queries ------------------------------------------------------------
 
-    def source_of(self, format_name: str) -> str | None:
-        """The URL whose document most recently defined *format_name*."""
-        with self._lock:
-            found = None
-            for source in self._sources.values():
-                if format_name in source.format_names:
-                    found = source.url
-            return found
-
     def urls(self) -> tuple[str, ...]:
         with self._lock:
             return tuple(self._sources)

@@ -94,31 +94,6 @@ def derive_view(ir: IRSet, format_name: str, *,
                        f"({len(selected)}/{len(base.fields)} fields)."))
 
 
-def derive_lineage_view(ir: IRSet, format_name: str, *,
-                        upto_field: str,
-                        name: str | None = None) -> FormatIR:
-    """The older-version view of an evolved format.
-
-    Restricted evolution only ever *appends* fields, so an ancestor
-    version of a format is exactly a prefix of the evolved field
-    tuple.  This derives that prefix — every field up to and including
-    *upto_field* (plus any sizing fields kept arrays reference) — as a
-    bindable :class:`FormatIR`.  A stale subscriber that discovers
-    only the new metadata can reconstruct its own version this way and
-    keep decoding, which is the instance-based minimal-binding idea
-    from the mobile-devices paper applied to version skew.
-    """
-    base = ir.format(format_name)
-    names = [f.name for f in base.fields]
-    if upto_field not in names:
-        raise XMITError(
-            f"lineage view of {format_name!r}: no field "
-            f"{upto_field!r}")
-    prefix = names[:names.index(upto_field) + 1]
-    return derive_view(ir, format_name, fields=prefix,
-                       name=name or f"{format_name}V{len(prefix)}")
-
-
 def self_reduce_float(field: FieldIR) -> FieldIR:
     tref = field.type
     if tref.is_primitive and tref.kind == "float" and tref.bits == 64:

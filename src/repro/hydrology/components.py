@@ -115,12 +115,6 @@ class Component(threading.Thread):
         conn.send(format_name, record)
         self.stats.count((format_name, "out"))
 
-    def _send_many(self, conn: Connection, format_name: str,
-                   records) -> None:
-        records = list(records)
-        conn.send_many(format_name, records)
-        self.stats.count((format_name, "out"), len(records))
-
     def _recv(self, conn: Connection,
               timeout: float | None = None) -> ReceivedMessage | None:
         msg = conn.receive(timeout)
@@ -172,45 +166,25 @@ class DataFileReader(Component):
     """
 
     def __init__(self, schema_url: str, source, out, *,
-                 batch: int = 1, architecture=None,
-                 arrays: str = "list") -> None:
+                 architecture=None, arrays: str = "list") -> None:
         super().__init__("reader", schema_url, architecture,
                          arrays=arrays)
-        if batch < 1:
-            raise ValueError("batch size must be >= 1")
         self.source = source
-        self.batch = batch
         self.out = self._connect(out)
 
     def process(self) -> None:
         if isinstance(self.source, WatershedDataset):
-            if self.batch > 1:
-                self._process_batched()
-            else:
-                for t in range(self.source.timesteps):
-                    self._send(self.out, "GridMeta",
-                               self.source.meta_record(t))
-                    self._send(self.out, "SimpleData",
-                               self.source.as_record(t))
+            for t in range(self.source.timesteps):
+                self._send(self.out, "GridMeta",
+                           self.source.meta_record(t))
+                self._send(self.out, "SimpleData",
+                           self.source.as_record(t))
         else:
             from repro.hydrology.datafile import read_watershed_records
             for format_name, record in read_watershed_records(
                     self.source, arrays=self.arrays):
                 self._send(self.out, format_name, record)
         self.out.close()
-
-    def _process_batched(self) -> None:
-        """Ship the dataset in shared-header batches: one DATA_BATCH of
-        ``GridMeta`` then one of ``SimpleData`` per *batch* timesteps.
-        Downstream pairs them back up by ``timestep``, so batching is
-        invisible above the transport."""
-        steps = range(self.source.timesteps)
-        for lo in range(0, self.source.timesteps, self.batch):
-            chunk = steps[lo:lo + self.batch]
-            self._send_many(self.out, "GridMeta",
-                            [self.source.meta_record(t) for t in chunk])
-            self._send_many(self.out, "SimpleData",
-                            [self.source.as_record(t) for t in chunk])
 
 
 class Presend(Component):
@@ -233,10 +207,6 @@ class Presend(Component):
         self.out = self._connect(out)
         self.factor = factor
         self._meta: dict | None = None
-        #: metadata keyed by timestep: batched senders deliver a run of
-        #: GridMeta before the matching run of SimpleData, so pairing
-        #: cannot rely on strict interleaving
-        self._metas: dict[int, dict] = {}
 
     def process(self) -> None:
         while True:
@@ -245,12 +215,10 @@ class Presend(Component):
                 break
             if msg.format_name == "GridMeta":
                 self._meta = dict(msg.record)
-                self._metas[msg.record["timestep"]] = self._meta
                 continue  # forwarded alongside its SimpleData below
             if msg.format_name != "SimpleData" or self._meta is None:
                 continue
-            meta = self._metas.pop(msg.record["timestep"], None) \
-                or self._meta
+            meta = self._meta
             grid = np.asarray(msg.record["data"], dtype=np.float32)
             grid = grid.reshape(meta["ny"], meta["nx"])
             reduced = self._downsample(grid)
@@ -299,7 +267,6 @@ class Flow2D(Component):
         self.viscosity = viscosity
         self.iterations = iterations
         self._meta: dict | None = None
-        self._metas: dict[int, dict] = {}  # keyed for batched senders
         self.control_applied: list[dict] = []
 
     def process(self) -> None:
@@ -310,13 +277,10 @@ class Flow2D(Component):
                 break
             if msg.format_name == "GridMeta":
                 self._meta = dict(msg.record)
-                self._metas[msg.record["timestep"]] = self._meta
                 self._send(self.out, "GridMeta", msg.record)
                 continue
             if msg.format_name != "SimpleData" or self._meta is None:
                 continue
-            self._meta = self._metas.pop(msg.record["timestep"],
-                                         None) or self._meta
             flow = self._flow_field(np.asarray(msg.record["data"],
                                                dtype=np.float32))
             self._send(self.out, "FlowParams", {

@@ -64,7 +64,6 @@ def build_pipeline(source, *,
                    transport: str = "inproc",
                    presend_factor: int = 2,
                    feedback_every: int = 3,
-                   batch: int = 1,
                    arrays: str = "list",
                    schema_url: str | None = None) -> list[Component]:
     """Construct the six components of Fig. 5, fully wired.
@@ -90,7 +89,7 @@ def build_pipeline(source, *,
     coupler_gui2, gui2_in = _pair(transport)
 
     reader = DataFileReader(schema_url, source, reader_out,
-                            batch=batch, arrays=arrays)
+                            arrays=arrays)
     presend = Presend(schema_url, presend_in, presend_out,
                       factor=presend_factor, arrays=arrays)
     flow = Flow2D(schema_url, flow_in, flow_out, flow_control,
@@ -109,7 +108,6 @@ def run_pipeline(dataset: WatershedDataset | None = None, *,
                  transport: str = "inproc",
                  presend_factor: int = 2,
                  feedback_every: int = 3,
-                 batch: int = 1,
                  arrays: str = "list",
                  timeout: float = 60.0) -> PipelineReport:
     """Build, run, and join the full Hydrology pipeline.
@@ -128,7 +126,7 @@ def run_pipeline(dataset: WatershedDataset | None = None, *,
     components = build_pipeline(source, transport=transport,
                                 presend_factor=presend_factor,
                                 feedback_every=feedback_every,
-                                batch=batch, arrays=arrays)
+                                arrays=arrays)
     reader, presend, flow, coupler, gui1, gui2 = components
 
     start = time.perf_counter()
@@ -182,7 +180,6 @@ def run_publisher_pipeline(dataset: WatershedDataset | None = None, *,
                            timesteps: int = 8, grid: int = 32,
                            transport: str = "inproc",
                            presend_factor: int = 2,
-                           batch: int = 1,
                            policy="block",
                            max_queue_bytes: int = 4 * 1024 * 1024,
                            arrays: str = "list",
@@ -209,7 +206,7 @@ def run_publisher_pipeline(dataset: WatershedDataset | None = None, *,
     flow_out, coupler_in = _pair(transport)
 
     reader = DataFileReader(schema_url, dataset, reader_out,
-                            batch=batch, arrays=arrays)
+                            arrays=arrays)
     presend = Presend(schema_url, presend_in, presend_out,
                       factor=presend_factor, arrays=arrays)
     flow = Flow2D(schema_url, flow_in, flow_out, arrays=arrays)

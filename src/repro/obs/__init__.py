@@ -28,7 +28,7 @@ from repro.obs.merge import (
 )
 from repro.obs.metrics import PHASES
 from repro.obs.registry import (
-    REGISTRY, MetricsRegistry, Tally, get_registry, log_buckets,
+    REGISTRY, MetricsRegistry, Tally, log_buckets,
 )
 from repro.obs.spans import (
     Span, configure, disabled, is_enabled, observe_phase,
@@ -58,7 +58,6 @@ __all__ = [
     "aggregate_snapshot",
     "configure",
     "disabled",
-    "get_registry",
     "is_enabled",
     "log_buckets",
     "merge_snapshots",

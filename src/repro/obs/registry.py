@@ -418,10 +418,6 @@ class MetricsRegistry:
 REGISTRY = MetricsRegistry()
 
 
-def get_registry() -> MetricsRegistry:
-    return REGISTRY
-
-
 # -- per-owner counting -------------------------------------------------------
 
 #: guards the *shape* of a tally's rows (a new thread's row, a new

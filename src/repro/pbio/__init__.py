@@ -42,8 +42,7 @@ from repro.pbio.layout import StructLayout, compute_layout, field_list_for
 from repro.pbio.format import IOFormat, FormatID
 from repro.pbio.format_server import FormatServer, global_format_server
 from repro.pbio.context import IOContext
-from repro.pbio.encode import EncodedRecord, encode_record
-from repro.pbio.decode import decode_record
+from repro.pbio.encode import EncodedRecord
 from repro.pbio.evolution import can_evolve, evolution_report
 from repro.pbio.iofile import IOFileReader, IOFileWriter
 
@@ -68,8 +67,6 @@ __all__ = [
     "architecture_by_name",
     "can_evolve",
     "compute_layout",
-    "decode_record",
-    "encode_record",
     "evolution_report",
     "field_list_for",
     "global_format_server",

@@ -490,12 +490,6 @@ def clear_decoder_cache(*, persistent: bool = True) -> None:
     DECODERS.clear(persistent=persistent)
 
 
-def decode_record(fmt: IOFormat, body: bytes) -> dict:
-    """One-shot convenience: decode *body* via the process-wide codec
-    plan cache."""
-    return decoder_for_format(fmt).decode(body)
-
-
 def decode_batch(fmt: IOFormat, data, *, arrays: str = "list") \
         -> list[dict]:
     """Decode a shared-header record batch produced by

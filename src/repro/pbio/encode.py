@@ -37,7 +37,7 @@ Three steady-state optimizations ride on top of the compiled plan (see
   ``bytearray`` bodies from a small freelist, so steady-state encoding
   allocates no fresh buffer per record.
 
-Record headers (prepended by :func:`encode_record` /
+Record headers (prepended by :meth:`RecordEncoder.encode` /
 :class:`~repro.pbio.context.IOContext`) are 16 bytes, always big-endian:
 magic ``PB``, version, flags, 8-byte format ID, 4-byte body length.
 Flag bit ``0x1`` marks a big-endian sender; flag bit ``0x2`` marks a
@@ -161,9 +161,6 @@ class EncodedRecord:
 
     format_id: FormatID
     body: bytes
-
-    def __len__(self) -> int:
-        return HEADER_LEN + len(self.body)
 
 
 def build_header(format_id: FormatID, body_length: int,
@@ -1051,9 +1048,3 @@ def clear_encoder_cache(*, persistent: bool = True) -> None:
     restored from it; pass ``persistent=False`` to keep the disk tier
     (e.g. to measure a warm start)."""
     ENCODERS.clear(persistent=persistent)
-
-
-def encode_record(fmt: IOFormat, record: dict) -> EncodedRecord:
-    """One-shot convenience: encode *record* via the process-wide
-    codec plan cache."""
-    return encoder_for_format(fmt).encode(record)

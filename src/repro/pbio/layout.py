@@ -34,10 +34,6 @@ class StructLayout:
     alignment: int
 
     @property
-    def record_length(self) -> int:
-        return self.field_list.record_length
-
-    @property
     def architecture(self) -> Architecture:
         return self.field_list.architecture
 

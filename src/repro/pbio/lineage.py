@@ -109,10 +109,6 @@ class LineageRegistry:
         with self._lock:
             return tuple(self._chains.get(name, ()))
 
-    def names(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(self._chains)
-
     def latest(self, name: str) -> FormatID:
         chain = self.chain(name)
         if not chain:

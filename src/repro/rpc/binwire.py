@@ -30,6 +30,17 @@ FAULT_XSD = """\
 FAULT_FORMAT = "RPCFaultRecord"
 
 
+def load_signatures(source: str) -> XMIT:
+    """An XMIT holding the method signatures in *source*: XSD text or
+    a URL (``mem:``/``file:``/``http:``)."""
+    xmit = XMIT()
+    if source.lstrip().startswith("<"):
+        xmit.load_text(source)
+    else:
+        xmit.load_url(source)
+    return xmit
+
+
 class BinaryRPCCodec:
     """Protocol adapter: PBIO-encoded calls/replies/faults.
 
@@ -41,11 +52,7 @@ class BinaryRPCCodec:
     protocol_name = "pbio"
 
     def __init__(self, signature_source: str) -> None:
-        self.xmit = XMIT()
-        if signature_source.lstrip().startswith("<"):
-            self.xmit.load_text(signature_source)
-        else:
-            self.xmit.load_url(signature_source)
+        self.xmit = load_signatures(signature_source)
         self.xmit.load_text(FAULT_XSD)
         self.context = IOContext(format_server=FormatServer())
         for name in self.xmit.format_names:

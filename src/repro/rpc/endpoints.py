@@ -72,9 +72,6 @@ class RPCServer:
     def register(self, method: str, handler: Handler) -> None:
         self._handlers[method] = handler
 
-    def method_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._handlers))
-
     def serve_one(self, timeout: float | None = None) -> bool:
         """Handle one call; False when the channel closed."""
         frame = self.channel.recv(timeout)

@@ -1,29 +1,36 @@
 """SOAP-style message encoding.
 
 The other half of section 3.2's "SOAP/XML-RPC style interfaces": a
-SOAP 1.1-shaped envelope codec.  Calls are
+SOAP 1.1-shaped envelope around the paper's Fig. 1 XML record.  Calls
+are
 
 .. code-block:: xml
 
     <soap:Envelope xmlns:soap=".../envelope/">
       <soap:Body>
         <m:stats xmlns:m="urn:xmit-rpc">
+          <n>2</n>
           <values>1.5</values>
           <values>2.5</values>
         </m:stats>
       </soap:Body>
     </soap:Envelope>
 
-with document/literal-style parameter elements (one element per field,
-repeated for arrays — the same shape as the paper's Fig. 1 XML), and
-faults are standard ``soap:Fault`` bodies.  Values are typed
-syntactically on decode (int -> float -> string fallback), as
-2001-era doc/lit endpoints did without a schema in hand.
+with document/literal parameter elements.  The method signatures are
+the ``<m>Params`` / ``<m>Result`` complexTypes that
+:class:`~repro.rpc.binwire.BinaryRPCCodec` loads, and the parameter
+elements are :mod:`repro.wire.xml_wire`'s format-driven record walk:
+one element per field, repeated for arrays, typed by the signature on
+decode.  Faults are standard ``soap:Fault`` bodies.
 """
 
 from __future__ import annotations
 
-from repro.errors import WireFormatError
+from repro.errors import WireFormatError, XMITError
+from repro.pbio.fields import FieldList
+from repro.pbio.layout import field_list_for
+from repro.rpc.binwire import load_signatures
+from repro.wire.xml_wire import decode_fields, encode_fields
 from repro.xmlcore.builder import DocumentBuilder
 from repro.xmlcore.dom import Element
 from repro.xmlcore.parser import parse
@@ -32,109 +39,54 @@ from repro.xmlcore.serializer import serialize
 SOAP_NS = "http://schemas.xmlsoap.org/soap/envelope/"
 METHOD_NS = "urn:xmit-rpc"
 
-
-def _encode_params(builder: DocumentBuilder, params: dict) -> None:
-    for name, value in params.items():
-        if isinstance(value, dict):
-            with builder.element(name):
-                _encode_params(builder, value)
-        elif isinstance(value, (list, tuple)) or (
-                hasattr(value, "__iter__")
-                and not isinstance(value, str)):
-            for item in value:
-                if isinstance(item, dict):
-                    with builder.element(name):
-                        _encode_params(builder, item)
-                else:
-                    builder.leaf(name, _text(item))
-        elif value is None:
-            builder.leaf(name)
-        else:
-            builder.leaf(name, _text(value))
-
-
-def _text(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _decode_value(text: str):
-    stripped = text.strip()
-    if stripped == "true":
-        return True
-    if stripped == "false":
-        return False
-    try:
-        return int(stripped)
-    except ValueError:
-        pass
-    try:
-        return float(stripped)
-    except ValueError:
-        pass
-    return text
-
-
-def _decode_params(elem: Element) -> dict:
-    groups: dict[str, list] = {}
-    for child in elem:
-        if len(child):  # has element children -> nested struct
-            value = _decode_params(child)
-        else:
-            value = _decode_value(child.text_content())
-        groups.setdefault(child.local_name, []).append(value)
-    record: dict = {}
-    for name, values in groups.items():
-        record[name] = values if len(values) > 1 else values[0]
-    return record
+_FAULT_FIELDS = field_list_for([("faultcode", "string"),
+                                ("faultstring", "string")])
 
 
 class SOAPCodec:
     """Protocol adapter: SOAP 1.1-style envelopes.
 
-    Because doc/lit decoding is syntactic, a single-element array
-    decodes as a scalar; ``array_fields`` names fields that must
-    always come back as lists.
+    ``signature_source`` is XSD text or a URL declaring
+    ``<method>Params`` / ``<method>Result`` complexTypes, exactly as
+    for :class:`~repro.rpc.binwire.BinaryRPCCodec`.
     """
 
     protocol_name = "soap"
 
-    def __init__(self, array_fields: set[str] | None = None) -> None:
-        self.array_fields = frozenset(array_fields or ())
+    def __init__(self, signature_source: str) -> None:
+        self.xmit = load_signatures(signature_source)
+
+    def _fields(self, format_name: str) -> FieldList:
+        try:
+            return self.xmit.bind(format_name).artifact.field_list
+        except XMITError as exc:
+            raise WireFormatError(str(exc)) from None
 
     # -- encode ------------------------------------------------------------
 
-    def _envelope(self, fill) -> bytes:
+    def _envelope(self, operation: str, attributes: dict,
+                  field_list: FieldList, record: dict) -> bytes:
         builder = DocumentBuilder()
         with builder.element("soap:Envelope",
                              {"xmlns:soap": SOAP_NS}):
             with builder.element("soap:Body"):
-                fill(builder)
+                with builder.element(operation, attributes):
+                    encode_fields(builder, field_list, record)
         return serialize(builder.document(),
                          xml_declaration=True).encode("utf-8")
 
     def encode_call(self, method: str, params: dict) -> bytes:
-        def fill(builder: DocumentBuilder) -> None:
-            with builder.element(f"m:{method}", {"xmlns:m": METHOD_NS}):
-                _encode_params(builder, params)
-        return self._envelope(fill)
+        return self._envelope(f"m:{method}", {"xmlns:m": METHOD_NS},
+                              self._fields(f"{method}Params"), params)
 
     def encode_reply(self, method: str, result: dict) -> bytes:
-        def fill(builder: DocumentBuilder) -> None:
-            with builder.element(f"m:{method}Response",
-                                 {"xmlns:m": METHOD_NS}):
-                _encode_params(builder, result)
-        return self._envelope(fill)
+        return self._envelope(f"m:{method}Response",
+                              {"xmlns:m": METHOD_NS},
+                              self._fields(f"{method}Result"), result)
 
     def encode_fault(self, code: int, message: str) -> bytes:
-        def fill(builder: DocumentBuilder) -> None:
-            with builder.element("soap:Fault"):
-                builder.leaf("faultcode", f"soap:Server.{code}")
-                builder.leaf("faultstring", message)
-        return self._envelope(fill)
+        return self._envelope("soap:Fault", {}, _FAULT_FIELDS, {
+            "faultcode": f"soap:Server.{code}", "faultstring": message})
 
     # -- decode ------------------------------------------------------------
 
@@ -149,31 +101,21 @@ class SOAPCodec:
 
     def decode_call(self, data: bytes) -> tuple[str, dict]:
         operation = self._body(data)
-        return operation.local_name, self._fix_arrays(
-            _decode_params(operation))
+        method = operation.local_name
+        return method, decode_fields(operation,
+                                     self._fields(f"{method}Params"))
 
     def decode_reply(self, method: str, data: bytes):
         operation = self._body(data)
         if operation.local_name == "Fault":
-            code_elem = operation.find("faultcode")
-            code_text = (code_elem.text_content()
-                         if code_elem is not None else "")
-            code = code_text.rpartition(".")[2]
-            message_elem = operation.find("faultstring")
-            message = (message_elem.text_content()
-                       if message_elem is not None else "")
+            fault = decode_fields(operation, _FAULT_FIELDS)
+            code = (fault["faultcode"] or "").rpartition(".")[2]
             return {"__fault__": {
                 "faultCode": int(code) if code.isdigit() else 0,
-                "faultString": message}}
+                "faultString": fault["faultstring"] or ""}}
         expected = f"{method}Response"
         if operation.local_name != expected:
             raise WireFormatError(
                 f"reply names {operation.local_name!r}, expected "
                 f"{expected!r}")
-        return self._fix_arrays(_decode_params(operation))
-
-    def _fix_arrays(self, record: dict) -> dict:
-        for name in self.array_fields:
-            if name in record and not isinstance(record[name], list):
-                record[name] = [record[name]]
-        return record
+        return decode_fields(operation, self._fields(f"{method}Result"))

@@ -31,7 +31,7 @@ from repro.schema.model import (
     VARIABLE,
 )
 from repro.schema.parser import parse_schema, parse_schema_text
-from repro.schema.validator import validate_instance, validate_record
+from repro.schema.validator import validate_record
 from repro.schema.emitter import emit_schema
 
 __all__ = [
@@ -49,6 +49,5 @@ __all__ = [
     "lookup_datatype",
     "parse_schema",
     "parse_schema_text",
-    "validate_instance",
     "validate_record",
 ]

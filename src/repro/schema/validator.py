@@ -8,8 +8,8 @@ Two instance representations are supported:
   what PBIO encodes.
 * **XML instance documents** -- the form the paper argues *against*
   using on the wire (Fig. 1) but which schema-checking tools consume;
-  :func:`validate_instance` checks a DOM element and
-  :func:`load_instance` converts it into a record dict.
+  :func:`load_instance` checks a DOM element and converts it into a
+  record dict.
 
 The paper notes that "schema-checking tools may be applied to live
 messages received from other parties to determine which of several
@@ -125,14 +125,9 @@ def _check_length_fields(ct: ComplexType, record: dict, path: str) -> None:
 # XML instance documents
 # ---------------------------------------------------------------------------
 
-def validate_instance(schema: Schema, type_name: str,
-                      elem: Element) -> None:
-    """Validate an XML instance element against a complexType."""
-    load_instance(schema, type_name, elem)
-
-
 def load_instance(schema: Schema, type_name: str, elem: Element) -> dict:
-    """Convert a validated XML instance element into a record dict."""
+    """Validate an XML instance element against a complexType and
+    convert it into a record dict."""
     ct = schema.complex_type(type_name)
     return _load_instance(schema, ct, elem, path=type_name)
 

@@ -83,11 +83,6 @@ class FaultScript:
             if repeat_last is not None:
                 self._repeat_last = repeat_last
 
-    @property
-    def pending(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(self._queue)
-
 
 class FaultInjectingResolver:
     """A scheme resolver serving scripted faults, then health.

@@ -134,13 +134,6 @@ class FuzzReport:
                 f"mutations {first.mutations}: {first.error} "
                 f"[frame {first.frame_hex}]")
 
-    def summary(self) -> str:
-        return (f"{self.iterations} mutations: "
-                f"{self.rejected} rejected, "
-                f"{self.decoded_ok} decoded "
-                f"({self.reencoded_ok} re-encoded), "
-                f"{len(self.failures)} violations")
-
 
 class FrameMutator:
     """Deterministic frame corruption driven by one seeded RNG.

@@ -53,9 +53,3 @@ class Channel(ABC):
     @abstractmethod
     def close(self) -> None:
         """Close this endpoint; the peer's recv() returns None."""
-
-    def __enter__(self) -> "Channel":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

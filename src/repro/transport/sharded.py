@@ -146,9 +146,6 @@ class ControlSocket:
         self._buffer = bytearray()
         self._fds: list[int] = []
 
-    def fileno(self) -> int:
-        return self.sock.fileno()
-
     def send(self, kind: int, payload: bytes = b"") -> None:
         frame = _CTL_HEADER.pack(len(payload) + 1, kind) + payload
         with self._send_lock:
@@ -749,11 +746,6 @@ class ShardedBroadcastServer(PublishFront):
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def worker_pids(self) -> list[int]:
-        """Live worker process ids (reaping / diagnostics)."""
-        return [h.process.pid for h in self._workers
-                if h.process is not None and h.process.is_alive()]
 
     # -- acceptor (fdpass mode) ---------------------------------------------
 

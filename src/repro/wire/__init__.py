@@ -15,7 +15,7 @@ curves:
 * :class:`CDRWireCodec`  -- aligned CDR primitives, length-prefixed
   strings/sequences, reader-makes-right byte-order flag;
 * :class:`XDRWireCodec`  -- 4-byte-unit big-endian XDR, sender always
-  converts (Sun RPC);
+  converts (Sun RPC) -- one walk with CDR, under its own policy table;
 * :class:`PBIOWireCodec` -- the PBIO encoder behind the common
   interface.
 
@@ -27,8 +27,7 @@ attributable to the wire format alone.
 from repro.wire.base import WireCodec, codec_by_name, all_codecs
 from repro.wire.xml_wire import XMLWireCodec
 from repro.wire.mpi_wire import MPIWireCodec
-from repro.wire.cdr_wire import CDRWireCodec
-from repro.wire.xdr_wire import XDRWireCodec
+from repro.wire.aligned_wire import CDRWireCodec, XDRWireCodec
 from repro.wire.pbio_wire import PBIOWireCodec
 
 __all__ = [

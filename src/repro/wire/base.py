@@ -50,6 +50,13 @@ class WireCodec(ABC):
         return (f"{type(self).__name__}(format={self.format.name!r})")
 
 
+def items_of(value) -> list:
+    """Sequence (possibly a NumPy array) -> list; None -> empty."""
+    if value is None:
+        return []
+    return value if isinstance(value, list) else list(value)
+
+
 def codec_by_name(name: str, fmt: IOFormat) -> WireCodec:
     """Instantiate the codec registered under *name* for *fmt*."""
     try:

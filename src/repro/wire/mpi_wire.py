@@ -23,26 +23,8 @@ import struct
 from repro.errors import WireFormatError
 from repro.pbio.format import IOFormat
 from repro.pbio.types import FieldType
-from repro.wire.base import WireCodec
-
-#: MPI basic type -> struct char (native-order pack, per MPI semantics).
-_BASIC_CODES = {
-    ("integer", 1): "b", ("integer", 2): "h", ("integer", 4): "i",
-    ("integer", 8): "q",
-    ("unsigned", 1): "B", ("unsigned", 2): "H", ("unsigned", 4): "I",
-    ("unsigned", 8): "Q",
-    ("enumeration", 1): "B", ("enumeration", 2): "H",
-    ("enumeration", 4): "I", ("enumeration", 8): "Q",
-    ("float", 4): "f", ("float", 8): "d",
-    ("boolean", 1): "B", ("char", 1): "B",
-}
-
-
-def _items(value) -> list:
-    """Sequence (possibly a NumPy array) -> list; None -> empty."""
-    if value is None:
-        return []
-    return value if isinstance(value, list) else list(value)
+from repro.pbio.walk import STRUCT_CODES
+from repro.wire.base import WireCodec, items_of
 
 
 class _TypemapEntry:
@@ -101,7 +83,8 @@ class MPIWireCodec(WireCodec):
 
     def _code(self, ftype: FieldType, size: int) -> str:
         try:
-            return _BASIC_CODES[(ftype.kind, size)]
+            # MPI basic types are the C types, packed in native order
+            return STRUCT_CODES[(ftype.kind, size)]
         except KeyError:
             raise WireFormatError(
                 f"no MPI basic type for {ftype.kind}/{size}") from None
@@ -139,7 +122,7 @@ class MPIWireCodec(WireCodec):
             out.extend(data)
             return
         if ftype.kind == "subformat":
-            items = _items(value)
+            items = items_of(value)
             out.extend(self._count.pack(len(items)))
             sub_codec = MPIWireCodec(_sub_format(self.format, ftype.base))
             for item in items:
@@ -147,7 +130,7 @@ class MPIWireCodec(WireCodec):
                 out.extend(self._count.pack(len(packed)))
                 out.extend(packed)
             return
-        items = _items(value)
+        items = items_of(value)
         out.extend(self._count.pack(len(items)))
         code = self._code(ftype, elem_size)
         packer = struct.Struct(self._bo + code)
@@ -185,6 +168,12 @@ class MPIWireCodec(WireCodec):
     # -- unpack ------------------------------------------------------------------
 
     def decode(self, data: bytes) -> dict:
+        try:
+            return self._unpack(data)
+        except struct.error as exc:
+            raise WireFormatError(f"truncated MPI buffer: {exc}") from None
+
+    def _unpack(self, data: bytes) -> dict:
         record: dict = {}
         pos = 0
         for entry in self._typemap:
@@ -214,6 +203,7 @@ class MPIWireCodec(WireCodec):
         (n,) = self._count.unpack_from(data, pos)
         pos += 4
         if ftype.is_string or ftype.kind == "char":
+            _check_room(data, pos + n)
             value = data[pos:pos + n].decode("utf-8")
             pos += n
             self._store_raw(record, fpath, value)
@@ -224,6 +214,7 @@ class MPIWireCodec(WireCodec):
             for _ in range(n):
                 (blen,) = self._count.unpack_from(data, pos)
                 pos += 4
+                _check_room(data, pos + blen)
                 items.append(sub_codec.decode(data[pos:pos + blen]))
                 pos += blen
             self._store_raw(record, fpath, items)
@@ -262,3 +253,9 @@ class MPIWireCodec(WireCodec):
 def _sub_format(fmt: IOFormat, sub_name: str) -> IOFormat:
     """Wrap a subformat's field list as a standalone IOFormat."""
     return IOFormat(sub_name, fmt.field_list.subformat(sub_name))
+
+
+def _check_room(data: bytes, end: int) -> None:
+    if end > len(data):
+        raise WireFormatError(
+            f"truncated MPI buffer: needs {end} bytes, has {len(data)}")

@@ -19,27 +19,110 @@ text on send, text -> binary on receive), which is exactly the
 
 The codec is implemented on our own DOM/serializer/parser so its cost
 profile is a genuine XML-processing cost, not an artifact of a foreign
-library.
+library.  :func:`encode_fields` / :func:`decode_fields` are the one
+format-driven XML record walk; the SOAP codec (:mod:`repro.rpc.soapwire`)
+runs the same walk inside its envelope.
 """
 
 from __future__ import annotations
 
 from repro.errors import WireFormatError
 from repro.pbio.fields import FieldList
-from repro.pbio.format import IOFormat
 from repro.pbio.types import FieldType
-from repro.wire.base import WireCodec
+from repro.wire.base import WireCodec, items_of
 from repro.xmlcore.builder import DocumentBuilder
+from repro.xmlcore.chars import is_xml_char
 from repro.xmlcore.dom import Element
 from repro.xmlcore.parser import parse
 from repro.xmlcore.serializer import serialize
 
 
-def _items(value) -> list:
-    """Sequence (possibly a NumPy array) -> list; None -> empty."""
-    if value is None:
-        return []
-    return value if isinstance(value, list) else list(value)
+def encode_fields(builder: DocumentBuilder, field_list: FieldList,
+                  record: dict) -> None:
+    """One element per field of *record*, repeated for array items."""
+    for field in field_list:
+        ftype = field.field_type
+        name = field.name
+        try:
+            value = record[name]
+        except KeyError:
+            raise WireFormatError(
+                f"field {name!r} missing from record") from None
+        if ftype.kind == "subformat":
+            sub = field_list.subformat(ftype.base)
+            items = [value] if not ftype.dims else items_of(value)
+            for item in items:
+                with builder.element(name):
+                    encode_fields(builder, sub, item)
+        elif ftype.dims and ftype.kind != "char":
+            for item in items_of(value):
+                builder.leaf(name, _to_text(ftype, item))
+        elif value is None:
+            builder.leaf(name)
+        else:
+            builder.leaf(name, _to_text(ftype, value))
+
+
+def decode_fields(elem: Element, field_list: FieldList) -> dict:
+    """The record whose fields are *elem*'s children, typed by the
+    format: an absent array is empty, an absent scalar ``None``."""
+    groups: dict[str, list[Element]] = {}
+    for child in elem:
+        groups.setdefault(child.local_name, []).append(child)
+    record: dict = {}
+    for field in field_list:
+        ftype = field.field_type
+        name = field.name
+        occurrences = groups.get(name, [])
+        if ftype.kind == "subformat":
+            sub = field_list.subformat(ftype.base)
+            items = [decode_fields(o, sub) for o in occurrences]
+            record[name] = items if ftype.dims else \
+                (items[0] if items else {})
+        elif ftype.dims and ftype.kind != "char":
+            record[name] = [_from_text(ftype, o.text)
+                            for o in occurrences]
+        elif not occurrences:
+            record[name] = None
+        else:
+            record[name] = _from_text(ftype, occurrences[0].text)
+    return record
+
+
+def _to_text(ftype: FieldType, value) -> str:
+    # repr() for floats preserves round-trip precision, matching what a
+    # careful 2001-era XML sender would emit.
+    if ftype.kind == "float":
+        return repr(float(value))
+    if ftype.kind == "boolean":
+        return "true" if value else "false"
+    text = str(value)
+    if ftype.kind in ("string", "char"):
+        # A genuine limitation of XML as a wire format: control
+        # characters have no XML 1.0 representation at all (not even
+        # as character references).  Binary formats carry them
+        # untouched; here they must be rejected.
+        for ch in text:
+            if not is_xml_char(ch):
+                raise WireFormatError(
+                    f"string value contains U+{ord(ch):04X}, "
+                    "which XML 1.0 cannot represent")
+    return text
+
+
+def _from_text(ftype: FieldType, text: str):
+    kind = ftype.kind
+    try:
+        if kind in ("integer", "unsigned", "enumeration"):
+            return int(text)
+        if kind == "float":
+            return float(text)
+        if kind == "boolean":
+            return text.strip() in ("true", "1")
+        return text
+    except ValueError as exc:
+        raise WireFormatError(
+            f"cannot parse {text!r} as {kind}: {exc}") from None
 
 
 class XMLWireCodec(WireCodec):
@@ -47,69 +130,13 @@ class XMLWireCodec(WireCodec):
 
     codec_name = "xml"
 
-    def __init__(self, fmt: IOFormat) -> None:
-        super().__init__(fmt)
-        self._field_types: dict[str, FieldType] = {
-            f.name: f.field_type for f in fmt.field_list}
-
-    # -- encode -----------------------------------------------------------------
-
     def encode(self, record: dict) -> bytes:
         builder = DocumentBuilder()
         with builder.element(self.format.name):
-            self._encode_fields(builder, self.format.field_list, record)
+            encode_fields(builder, self.format.field_list, record)
         text = serialize(builder.document(namespaces=False),
                          xml_declaration=False)
         return text.encode("utf-8")
-
-    def _encode_fields(self, builder: DocumentBuilder,
-                       field_list: FieldList, record: dict) -> None:
-        for field in field_list:
-            ftype = field.field_type
-            name = field.name
-            try:
-                value = record[name]
-            except KeyError:
-                raise WireFormatError(
-                    f"field {name!r} missing from record") from None
-            if ftype.kind == "subformat":
-                sub = field_list.subformat(ftype.base)
-                items = [value] if not ftype.dims else _items(value)
-                for item in items:
-                    with builder.element(name):
-                        self._encode_fields(builder, sub, item)
-            elif ftype.dims and ftype.kind != "char":
-                for item in _items(value):
-                    builder.leaf(name, self._to_text(ftype, item))
-            else:
-                if value is None:
-                    builder.leaf(name)
-                else:
-                    builder.leaf(name, self._to_text(ftype, value))
-
-    @staticmethod
-    def _to_text(ftype: FieldType, value) -> str:
-        # repr() for floats preserves round-trip precision, matching
-        # what a careful 2001-era XML sender would emit.
-        if ftype.kind == "float":
-            return repr(float(value))
-        if ftype.kind == "boolean":
-            return "true" if value else "false"
-        text = str(value)
-        if ftype.kind in ("string", "char"):
-            # A genuine limitation of XML as a wire format: control
-            # characters have no XML 1.0 representation at all (not
-            # even as character references).  Binary formats carry
-            # them untouched; here they must be rejected.
-            from repro.xmlcore.chars import is_xml_char
-            for ch in text:
-                if not is_xml_char(ch):
-                    raise WireFormatError(
-                        f"string value contains U+{ord(ch):04X}, "
-                        "which XML 1.0 cannot represent")
-        return text
-
-    # -- decode -----------------------------------------------------------------
 
     def decode(self, data: bytes) -> dict:
         doc = parse(data.decode("utf-8"), namespaces=False)
@@ -118,45 +145,4 @@ class XMLWireCodec(WireCodec):
             raise WireFormatError(
                 f"expected <{self.format.name}> document, got "
                 f"<{root.tag}>")
-        return self._decode_fields(root, self.format.field_list)
-
-    def _decode_fields(self, elem: Element,
-                       field_list: FieldList) -> dict:
-        groups: dict[str, list[Element]] = {}
-        for child in elem:
-            groups.setdefault(child.tag, []).append(child)
-        record: dict = {}
-        for field in field_list:
-            ftype = field.field_type
-            name = field.name
-            occurrences = groups.get(name, [])
-            if ftype.kind == "subformat":
-                sub = field_list.subformat(ftype.base)
-                items = [self._decode_fields(o, sub) for o in occurrences]
-                record[name] = items if ftype.dims else \
-                    (items[0] if items else {})
-            elif ftype.dims and ftype.kind != "char":
-                record[name] = [self._from_text(ftype, o.text)
-                                for o in occurrences]
-            else:
-                if not occurrences:
-                    record[name] = None
-                else:
-                    record[name] = self._from_text(
-                        ftype, occurrences[0].text)
-        return record
-
-    @staticmethod
-    def _from_text(ftype: FieldType, text: str):
-        kind = ftype.kind
-        try:
-            if kind in ("integer", "unsigned", "enumeration"):
-                return int(text)
-            if kind == "float":
-                return float(text)
-            if kind == "boolean":
-                return text.strip() in ("true", "1")
-            return text
-        except ValueError as exc:
-            raise WireFormatError(
-                f"cannot parse {text!r} as {kind}: {exc}") from None
+        return decode_fields(root, self.format.field_list)

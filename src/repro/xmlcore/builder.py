@@ -20,7 +20,7 @@ from typing import Iterator, Mapping
 
 from repro.xmlcore.chars import is_name
 from repro.xmlcore.dom import (
-    CData, Comment, Document, Element, ProcessingInstruction, Text,
+    CData, Comment, Document, Element, Text,
 )
 from repro.xmlcore.namespaces import resolve_namespaces
 
@@ -99,13 +99,6 @@ class DocumentBuilder:
         if "--" in data or data.endswith("-"):
             raise ValueError("'--' cannot appear inside a comment")
         node = Comment(data)
-        if self._stack:
-            self._stack[-1].append(node)
-        else:
-            self._doc.append(node)
-
-    def processing_instruction(self, target: str, data: str = "") -> None:
-        node = ProcessingInstruction(target, data)
         if self._stack:
             self._stack[-1].append(node)
         else:

@@ -151,9 +151,6 @@ class Element(Node):
                 return attr.value
         return default
 
-    def has(self, name: str) -> bool:
-        return name in self.attributes
-
     # -- traversal ----------------------------------------------------------
 
     def __iter__(self) -> Iterator["Element"]:

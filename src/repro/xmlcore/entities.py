@@ -75,9 +75,6 @@ class EntityTable:
             raise XMLWellFormednessError(f"invalid entity name {name!r}")
         self._entities.setdefault(name, replacement)
 
-    def is_declared(self, name: str) -> bool:
-        return name in self._entities
-
     def resolve(self, name: str, _depth: int = 0) -> str:
         """Return the fully expanded replacement text for entity *name*."""
         if _depth > self.MAX_DEPTH:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import WireFormatError
+from repro.errors import DecodeError, WireFormatError, XMLError
 from repro.pbio.format import IOFormat
 from repro.pbio.layout import field_list_for
 from repro.pbio.machine import SPARC_32, X86_64
@@ -89,6 +89,21 @@ class TestEveryCodec:
     def test_encoded_size_positive(self, codec_cls):
         codec = codec_cls(simple_format())
         assert codec.encoded_size(sample_record()) > 0
+
+
+@pytest.mark.parametrize("name", all_codecs())
+def test_every_prefix_of_a_record_is_rejected(name):
+    """A truncated record raises the codec's typed error: never a bare
+    ``struct.error``, never a short string or a partial record."""
+    fmt = IOFormat("Msg", field_list_for(
+        [("x", "integer", 4), ("n", "integer", 4),
+         ("v", "float[n]", 4), ("name", "string")]))
+    codec = codec_by_name(name, fmt)
+    data = codec.encode({"x": -3, "n": 3, "v": [1.0, 2.0, 3.0],
+                         "name": "hello"})
+    for end in range(len(data)):
+        with pytest.raises((WireFormatError, DecodeError, XMLError)):
+            codec.decode(data[:end])
 
 
 class TestSizeExpansion:
