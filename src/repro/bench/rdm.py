@@ -30,8 +30,7 @@ from repro.core.targets.pbio_target import PBIOTarget
 from repro.pbio.context import IOContext
 from repro.pbio.format_server import FormatServer
 from repro.pbio.machine import Architecture, NATIVE
-from repro.schema.parser import parse_schema
-from repro.xmlcore.parser import parse as parse_xml
+from repro.schema.parser import parse_schema_text
 
 
 @dataclass(frozen=True)
@@ -52,9 +51,7 @@ class RDMResult:
 def xmit_register(xsd_text: str, format_name: str,
                   architecture: Architecture = NATIVE) -> IOContext:
     """The full XMIT registration path, uncached (one measurement)."""
-    doc = parse_xml(xsd_text)
-    schema = parse_schema(doc)
-    ir = compile_schema(schema)
+    ir = compile_schema(parse_schema_text(xsd_text))
     token = PBIOTarget().generate(ir, format_name,
                                   architecture=architecture)
     ctx = IOContext(architecture=architecture,

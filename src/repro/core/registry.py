@@ -47,8 +47,7 @@ from repro.http.urls import fetch, resolve_url
 from repro.obs.metrics import DISCOVERY_COMPILE_SECONDS
 from repro.obs.spans import span
 from repro.schema.model import Schema
-from repro.schema.parser import parse_schema, schema_locations
-from repro.xmlcore.parser import parse_bytes
+from repro.schema.parser import parse_schema_document
 
 logger = logging.getLogger("repro.discovery")
 
@@ -429,8 +428,8 @@ class FormatRegistry:
         if depth > 16:
             raise DiscoveryError(
                 f"schema include chain too deep at {url}")
-        doc = parse_bytes(data)
-        for location in schema_locations(doc):
+        schema, locations = parse_schema_document(data, check=False)
+        for location in locations:
             target = resolve_url(url, location)
             if target in visited:
                 continue  # diamond/repeat includes are fine
@@ -438,8 +437,7 @@ class FormatRegistry:
             self._ingest_document(
                 target, fetch(target, retry=self.retry, stats=self.stats),
                 depth + 1, merged, visited)
-        merged.merge(parse_schema(doc, check=False))
-        doc.unlink()  # the schema keeps no node: free the tree now
+        merged.merge(schema)
 
     # -- queries ------------------------------------------------------------
 

@@ -4,7 +4,9 @@ Accepts the document shapes used by the paper:
 
 * top-level ``xsd:complexType`` elements whose children are directly
   ``xsd:element`` declarations (the flattened style of Figs. 2 and 4),
-  or wrapped in ``xsd:sequence``/``xsd:all`` as standard XSD writes it;
+  or wrapped in ``xsd:sequence``/``xsd:all`` as standard XSD writes it
+  (a model group nested in another, or beside a direct ``xsd:element``,
+  is rejected, not flattened);
 * top-level ``xsd:simpleType`` with ``xsd:restriction`` +
   ``xsd:enumeration`` facets;
 * an optional enclosing ``xsd:schema`` root with ``targetNamespace``;
@@ -13,12 +15,19 @@ Accepts the document shapes used by the paper:
   ``dimensionName``/``dimensionPlacement`` extension attributes;
 * ``xsd:annotation/xsd:documentation`` captured onto components.
 
-Type references may be prefixed (``xsd:string``) or bare; prefixes
-resolving to any recognized XML Schema namespace select primitive
-datatypes, anything else is treated as a user-defined type name.
+The front-end handles the XML parser's events: it builds the
+:class:`Schema` and the ``schemaLocation`` list while the scanner
+reads, so a document never becomes a tree.  :func:`parse_schema`
+replays a tree a caller holds into the same front-end.  Components
+match by namespace and local name; a foreign element where a component
+belongs is an error.  A type reference (``type``, ``restriction
+base``) may be prefixed (``xsd:string``) or bare; a prefix must be in
+scope, and the local name names a primitive or a user-defined type.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from repro.errors import SchemaParseError
 from repro.schema.datatypes import XSD_NAMESPACE_ALIASES
@@ -26,159 +35,236 @@ from repro.schema.model import (
     ArraySpec, ComplexType, ElementDecl, EnumerationType, FIXED, Schema,
     SCALAR_SPEC, VARIABLE,
 )
-from repro.xmlcore.dom import Document, Element
-from repro.xmlcore.parser import parse as parse_xml
+from repro.xmlcore.dom import CData, Document
+from repro.xmlcore.namespaces import Scope, replay
+from repro.xmlcore.parser import decode_document, parse_events
 
 
 def parse_schema_text(text: str, *, check: bool = True) -> Schema:
     """Parse schema source text into a validated :class:`Schema`."""
-    return parse_schema(parse_xml(text), check=check)
+    return parse_schema_document(text, check=check)[0]
 
 
-def schema_locations(doc: Document) -> tuple[str, ...]:
-    """``schemaLocation`` values of top-level ``xsd:include`` /
-    ``xsd:import`` elements (resolution is the caller's job — it knows
-    the document's base URL)."""
-    root = doc.root
-    if not (_is_xsd(root) and root.local_name == "schema"):
-        return ()
-    locations = []
-    for child in root:
-        if _is_xsd(child) and child.local_name in ("include", "import"):
-            location = child.get("schemaLocation")
-            if location:
-                locations.append(location)
-    return tuple(locations)
+def parse_schema_document(source: str | bytes, *, check: bool = True) \
+        -> tuple[Schema, tuple[str, ...]]:
+    """Parse a schema document's text or bytes, building no tree, into
+    its :class:`Schema` and the ``schemaLocation`` values of its
+    top-level ``xsd:include`` / ``xsd:import`` elements (resolving them
+    is the caller's job -- it knows the base URL).  ``check=False``
+    skips reference validation, for references into included documents
+    the caller merges afterwards (``FormatRegistry.load_url``)."""
+    reader = _SchemaReader()
+    parse_events(source if isinstance(source, str)
+                 else decode_document(source), reader)
+    return reader.finish(check), tuple(reader.locations)
 
 
 def parse_schema(doc: Document, *, check: bool = True) -> Schema:
-    """Parse a schema :class:`Document` into a :class:`Schema`.
+    """Parse a schema :class:`Document` into a :class:`Schema`, by
+    replaying it into the front-end that reads text."""
+    reader = _SchemaReader()
+    replay(doc, reader)
+    return reader.finish(check)
 
-    ``check=False`` skips reference validation — used when the
-    document's references resolve against included documents that the
-    caller merges afterwards (see
-    :meth:`repro.core.registry.FormatRegistry.load_url`)."""
-    root = doc.root
-    schema = Schema()
-    if _is_xsd(root) and root.local_name == "schema":
-        schema.target_namespace = root.get("targetNamespace")
-        tops = list(root)
-    elif _is_xsd(root) and root.local_name in ("complexType", "simpleType"):
-        tops = [root]
-    else:
-        raise SchemaParseError(
-            f"expected an XML Schema document, found root "
-            f"<{root.tag}> in namespace {root.namespace!r}")
 
-    for top in tops:
-        if not _is_xsd(top):
+class _SchemaReader:
+    """The schema front-end: parser events in, a :class:`Schema` out.
+
+    ``_frames`` says what each open element is read as.  Only the first
+    annotation of a component, and the first documentation of that, is
+    read (as ``Element.find`` would); ``_read`` holds the kinds whose
+    innermost open frame has read it (no kind nests in itself).
+    """
+
+    def __init__(self) -> None:
+        self.schema = Schema()
+        self.locations: list[str] = []
+        self._frames = ["document"]
+        self._read: set[str] = set()
+        self._text: list[str] | None = None  # documentation being read
+
+    def finish(self, check: bool) -> Schema:
+        if check:
+            self.schema.check_references()
+        return self.schema
+
+    def start(self, name: tuple, attrs: dict[str, str],
+              scope: Scope) -> None:
+        tag, namespace, _prefix, local, _attributes, _declared = name
+        xsd = namespace in XSD_NAMESPACE_ALIASES
+        kind = self._frames[-1]
+        frame = "skip"
+        if kind in ("complexType", "group", "restriction") and not xsd:
             raise SchemaParseError(
-                f"non-schema element <{top.tag}> at top level")
-        if top.local_name == "complexType":
-            schema.add(_parse_complex_type(top))
-        elif top.local_name == "simpleType":
-            schema.add(_parse_simple_type(top))
-        elif top.local_name in ("annotation", "element", "import",
-                                "include"):
-            # Global element declarations and imports carry no format
-            # information for XMIT; ignore them like the paper's
-            # selective DOM traversal does.
-            continue
+                f"{self._owner}: non-schema element <{tag}>")
+        if kind in ("complexType", "group"):
+            if kind == "complexType" and local in ("element", "sequence",
+                                                   "all"):
+                direct = local == "element"
+                if self._direct not in (None, direct):
+                    raise SchemaParseError(
+                        f"{self._owner}: element declarations both in and "
+                        "beside a model group are not supported")
+                self._direct = direct
+            if local == "element":
+                self._fields.append(_element_decl(attrs, self._name, scope))
+                self._read.discard("element")
+                frame = "element"
+            elif local in ("sequence", "all"):
+                if kind == "group":
+                    raise SchemaParseError(
+                        f"{self._owner}: <{local}> nested in a model "
+                        "group is not supported")
+                frame = "group"
+            elif local == "attribute":
+                raise SchemaParseError(
+                    f"{self._owner}: XML attributes are not part of the "
+                    "XMIT metadata model (fields are elements)")
+            elif local != "annotation":
+                raise SchemaParseError(
+                    f"{self._owner}: unsupported particle <{local}>")
+            elif kind == "complexType":
+                frame = self._first(kind, local)
+        elif kind == "document":
+            if not (xsd and local in ("schema", "complexType",
+                                      "simpleType")):
+                raise SchemaParseError(
+                    f"expected an XML Schema document, found root "
+                    f"<{tag}> in namespace {namespace!r}")
+            if local == "schema":
+                self.schema.target_namespace = attrs.get("targetNamespace")
+                frame = "schema"
+            else:
+                frame = self._top(local, attrs)
+        elif kind == "schema":
+            if not xsd:
+                raise SchemaParseError(
+                    f"non-schema element <{tag}> at top level")
+            frame = self._top(local, attrs)
+        elif kind == "restriction":
+            if local == "enumeration":
+                if "value" not in attrs:
+                    raise SchemaParseError(
+                        f"{self._owner}: enumeration facet without a value")
+                self._values.append(attrs["value"])
+            elif local != "annotation":
+                raise SchemaParseError(
+                    f"{self._owner}: unsupported facet <{local}>")
+        elif kind == "simpleType" and xsd and local == "restriction" \
+                and self._base is None:
+            self._base = _type_reference(attrs.get("base", "string"),
+                                         scope)
+            frame = "restriction"
+        elif xsd and (kind, local) in (("element", "annotation"),
+                                       ("annotation", "documentation")):
+            frame = self._first(kind, local)
+        self._frames.append(frame)
+
+    def end(self) -> None:
+        kind = self._frames.pop()
+        if kind == "complexType":
+            if not self._fields:
+                raise SchemaParseError(f"{self._owner} declares no fields")
+            self.schema.add(ComplexType(
+                name=self._name, elements=tuple(self._fields),
+                documentation=self._documentation))
+        elif kind == "simpleType":
+            if self._base is None:
+                raise SchemaParseError(
+                    f"{self._owner}: only restriction-based enumerations "
+                    "are supported")
+            self.schema.add(EnumerationType(
+                name=self._name, values=tuple(self._values),
+                base=self._base))
+        elif kind == "documentation":
+            text = "".join(self._text).strip()
+            self._text = None
+            if self._frames[-2] == "element":
+                self._fields[-1] = replace(self._fields[-1],
+                                           documentation=text)
+            else:
+                self._documentation = text
+
+    def text(self, data: str) -> None:
+        if self._text is not None:
+            self._text.append(data)
+
+    def node(self, node) -> None:
+        if self._text is not None and isinstance(node, CData):
+            self._text.append(node.data)
+
+    def _first(self, kind: str, local: str) -> str:
+        if kind in self._read:
+            return "skip"
+        self._read.add(kind)
+        self._read.discard(local)
+        if local == "documentation":
+            self._text = []
+        return local
+
+    def _top(self, local: str, attrs: dict[str, str]) -> str:
+        if local in ("complexType", "simpleType"):
+            self._name = attrs.get("name")
+            if not self._name:
+                raise SchemaParseError(
+                    f"{local} requires a name attribute")
+            self._owner = f"{local} {self._name!r}"
+            self._fields, self._values = [], []
+            self._documentation = self._base = self._direct = None
+            self._read.discard(local)
+        elif local in ("include", "import"):
+            if attrs.get("schemaLocation"):
+                self.locations.append(attrs["schemaLocation"])
+            return "skip"
+        elif local in ("annotation", "element"):
+            # Global element declarations carry no format information
+            # for XMIT; skip them like the paper's selective DOM
+            # traversal does.
+            return "skip"
         else:
             raise SchemaParseError(
-                f"unsupported top-level schema component "
-                f"<{top.local_name}>")
-    if check:
-        schema.check_references()
-    return schema
+                f"unsupported top-level schema component <{local}>")
+        return local
 
 
-def _is_xsd(elem: Element) -> bool:
-    return elem.namespace in XSD_NAMESPACE_ALIASES
-
-
-def _documentation(elem: Element) -> str | None:
-    ann = elem.find("annotation")
-    if ann is None:
-        return None
-    doc_elem = ann.find("documentation")
-    return doc_elem.text_content().strip() if doc_elem is not None else None
-
-
-def _parse_complex_type(elem: Element) -> ComplexType:
-    name = elem.get("name")
-    if not name:
-        raise SchemaParseError("complexType requires a name attribute")
-    decls: list[ElementDecl] = []
-    containers = [elem]
-    # Standard XSD nests element declarations under sequence/all; the
-    # paper's examples put them directly under complexType.  Accept both.
-    for child in elem:
-        if child.local_name in ("sequence", "all"):
-            containers.append(child)
-    for container in containers:
-        for child in container:
-            if child.local_name == "element":
-                decls.append(_parse_element_decl(child, name))
-            elif child.local_name in ("annotation", "sequence", "all"):
-                continue
-            elif child.local_name == "attribute":
-                raise SchemaParseError(
-                    f"complexType {name!r}: XML attributes are not part "
-                    "of the XMIT metadata model (fields are elements)")
-            else:
-                raise SchemaParseError(
-                    f"complexType {name!r}: unsupported particle "
-                    f"<{child.local_name}>")
-    if not decls:
-        raise SchemaParseError(f"complexType {name!r} declares no fields")
-    return ComplexType(name=name, elements=tuple(decls),
-                       documentation=_documentation(elem))
-
-
-def _parse_element_decl(elem: Element, owner: str) -> ElementDecl:
-    name = elem.get("name")
+def _element_decl(attrs: dict[str, str], owner: str,
+                  scope: Scope) -> ElementDecl:
+    name = attrs.get("name")
     if not name:
         raise SchemaParseError(
             f"element in complexType {owner!r} requires a name")
-    type_attr = elem.get("type")
+    type_attr = attrs.get("type")
     if not type_attr:
         raise SchemaParseError(
             f"element {owner}.{name}: inline anonymous types are not "
             "supported; use a named type reference")
-    type_name = _resolve_type_reference(elem, type_attr)
-
-    min_occurs = _parse_min_occurs(elem, owner, name)
-    array = _parse_array_spec(elem, owner, name)
+    type_name = _type_reference(type_attr, scope)
+    min_occurs = _parse_min_occurs(attrs, owner, name)
+    array = _parse_array_spec(attrs, owner, name)
     return ElementDecl(name=name, type_name=type_name, array=array,
-                       min_occurs=min_occurs,
-                       documentation=_documentation(elem))
+                       min_occurs=min_occurs)
 
 
-def _resolve_type_reference(elem: Element, type_attr: str) -> str:
-    """Strip a namespace prefix from a type QName.
+def _type_reference(value: str, scope: Scope) -> str:
+    """The type name a QName-valued attribute refers to.
 
-    A prefix bound to an XML Schema namespace selects a primitive
-    datatype; other prefixes (or none) yield a user-type name.
+    Its prefix must be in scope; which namespace it names does not
+    matter (a prefix bound to an XML Schema namespace selects a
+    primitive datatype, and primitive names are reserved).
     """
-    if ":" not in type_attr:
-        return type_attr
-    prefix, _, local = type_attr.partition(":")
-    # Walk ancestor declarations for the prefix binding.
-    node = elem
-    while node is not None and isinstance(node, Element):
-        if prefix in node.ns_declarations:
-            return local  # bound prefix; URI checked below via ns pass
-        node = node.parent if isinstance(node.parent, Element) else None
-    # The namespace pass already validated element/attribute prefixes,
-    # but `type` values are attribute *content*, so unresolved prefixes
-    # surface here.
-    raise SchemaParseError(
-        f"type reference {type_attr!r} uses undeclared prefix {prefix!r}")
+    if ":" not in value:
+        return value
+    prefix, _, local = value.partition(":")
+    # attribute *values* are not names, so the namespace resolver has
+    # not seen this prefix
+    if prefix not in scope:
+        raise SchemaParseError(
+            f"type reference {value!r} uses undeclared prefix {prefix!r}")
+    return local
 
 
-def _parse_min_occurs(elem: Element, owner: str, name: str) -> int:
-    raw = elem.get("minOccurs")
+def _parse_min_occurs(attrs: dict[str, str], owner: str, name: str) -> int:
+    raw = attrs.get("minOccurs")
     if raw is None:
         return 1
     try:
@@ -193,10 +279,11 @@ def _parse_min_occurs(elem: Element, owner: str, name: str) -> int:
     return value
 
 
-def _parse_array_spec(elem: Element, owner: str, name: str) -> ArraySpec:
-    max_occurs = elem.get("maxOccurs")
-    dim_name = elem.get("dimensionName")
-    placement = elem.get("dimensionPlacement", "before")
+def _parse_array_spec(attrs: dict[str, str], owner: str,
+                      name: str) -> ArraySpec:
+    max_occurs = attrs.get("maxOccurs")
+    dim_name = attrs.get("dimensionName")
+    placement = attrs.get("dimensionPlacement", "before")
 
     if dim_name is not None:
         # Fig. 4 style: dimensionName names the sizing field; maxOccurs
@@ -222,32 +309,3 @@ def _parse_array_spec(elem: Element, owner: str, name: str) -> ArraySpec:
         raise SchemaParseError(
             f"{owner}.{name}: maxOccurs must be positive, got {size}")
     return ArraySpec(kind=FIXED, size=size)
-
-
-def _parse_simple_type(elem: Element) -> EnumerationType:
-    name = elem.get("name")
-    if not name:
-        raise SchemaParseError("simpleType requires a name attribute")
-    restriction = elem.find("restriction")
-    if restriction is None:
-        raise SchemaParseError(
-            f"simpleType {name!r}: only restriction-based enumerations "
-            "are supported")
-    base_attr = restriction.get("base", "string")
-    base = base_attr.partition(":")[2] if ":" in base_attr else base_attr
-    values: list[str] = []
-    for facet in restriction:
-        if facet.local_name == "enumeration":
-            value = facet.get("value")
-            if value is None:
-                raise SchemaParseError(
-                    f"simpleType {name!r}: enumeration facet without "
-                    "a value")
-            values.append(value)
-        elif facet.local_name == "annotation":
-            continue
-        else:
-            raise SchemaParseError(
-                f"simpleType {name!r}: unsupported facet "
-                f"<{facet.local_name}>")
-    return EnumerationType(name=name, values=tuple(values), base=base)

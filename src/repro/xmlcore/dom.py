@@ -5,9 +5,9 @@ trees that XMIT traversed selectively), but with a Pythonic surface:
 elements are iterable over child elements, attributes are a mapping,
 and common traversals (``find``, ``find_all``, ``iter``) are methods.
 
-Namespace handling: after the namespace-resolution pass each
-:class:`Element` carries ``namespace`` (URI or ``None``), ``local_name``
-and ``prefix`` in addition to the raw ``tag`` as written.  Attribute
+Namespace handling: in a namespace-resolved tree each :class:`Element`
+carries ``namespace`` (URI or ``None``), ``local_name`` and ``prefix``
+in addition to the raw ``tag`` as written.  Attribute
 lookup supports both raw names and ``(namespace, local)`` pairs via
 :class:`Attr` entries.
 """
@@ -103,8 +103,8 @@ class Element(Node):
     """An XML element.
 
     ``tag`` is the name exactly as written (possibly prefixed);
-    ``namespace``/``local_name``/``prefix`` are filled in by the
-    namespace pass.  ``children`` holds all child nodes in document
+    ``namespace``/``local_name``/``prefix`` are filled in by namespace
+    resolution.  ``children`` holds all child nodes in document
     order; iteration yields child *elements* only, which is the common
     traversal for data documents.
     """
@@ -120,8 +120,8 @@ class Element(Node):
         self.local_name: str = tag.split(":", 1)[-1]
         self.attributes: dict[str, Attr] = {}
         self.children: list[Node] = []
-        # prefix -> URI declarations made *on this element* (after the
-        # namespace pass); "" key is the default namespace.
+        # prefix -> URI declarations made *on this element* (once
+        # resolved); "" key is the default namespace.
         self.ns_declarations: dict[str, str] = {}
 
     # -- construction -----------------------------------------------------
@@ -248,20 +248,6 @@ class Document(Node):
     def iter(self, local_name: str | None = None,
              namespace: str | None = "*") -> Iterator[Element]:
         return self.root.iter(local_name, namespace)
-
-    def unlink(self) -> None:
-        """Drop every node's ``parent`` link, as minidom's ``unlink``.
-
-        Parent links make a tree cyclic; without them dropping the
-        document frees it by reference counting alone, leaving no work
-        for the cyclic collector.  For an owner done with the tree:
-        afterwards ``.parent`` and ``.document`` read ``None``.
-        """
-        stack: list[Node] = [self]
-        while stack:
-            node = stack.pop()
-            node.parent = None
-            stack.extend(getattr(node, "children", ()))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         try:

@@ -1,19 +1,22 @@
 """XML Namespaces (1.0) support.
 
 Provides the :class:`QName` value object, the reserved namespace URIs,
-and :func:`resolve_namespaces`, the post-parse pass that walks a DOM
-tree, interprets ``xmlns``/``xmlns:prefix`` attributes, and fills in the
-``namespace``/``prefix``/``local_name`` slots of every element and
-attribute.
+and :class:`Resolver`, which resolves namespaces *in the event stream*:
+it sits between an event source -- the parser's scanner, or
+:func:`replay` walking a tree that is already built -- and a handler,
+keeps one stack of in-scope bindings, and hands the handler each
+element with its name and its attribute names already resolved.
+:func:`resolve_namespaces` is the replay for trees built without the
+parser (:class:`repro.xmlcore.builder.DocumentBuilder`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.errors import XMLNamespaceError
+from repro.errors import ReproError, XMLNamespaceError
 from repro.xmlcore.chars import is_ncname
-from repro.xmlcore.dom import Document, Element
+from repro.xmlcore.dom import Document, Element, Text
 
 XML_NAMESPACE = "http://www.w3.org/XML/1998/namespace"
 XMLNS_NAMESPACE = "http://www.w3.org/2000/xmlns/"
@@ -78,96 +81,203 @@ def split_qname(name: str) -> tuple[str | None, str]:
     return prefix, local
 
 
+class Scope(dict):
+    """The bindings in force from one declaring element down: prefix to
+    URI, with the default namespace under ``""`` once declared.
+    ``names`` caches the resolution of each start tag that declares
+    nothing, by tag and attribute names: the scope alone decides it."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, bindings: dict[str, str]) -> None:
+        super().__init__(bindings)
+        self.names: dict[tuple[str, ...], tuple] = {}
+
+
+class Resolver:
+    """Resolves namespaces in one document's stream of events.
+
+    The source calls ``start(tag, attrs)`` (raw names; values in
+    document order), ``end()``, ``text(data)``, ``node(node)`` (comment,
+    CDATA section, processing instruction) and at last ``finish()``.
+    The handler gets ``start(name, attrs, scope)``, ``end()``,
+    ``text(data)`` and ``node(node)``.  *name* is ``(tag, namespace,
+    prefix, local, attributes, declarations)``: one ``(name, namespace,
+    prefix, local)`` per attribute, in order, and the prefixes the
+    element declares (``""``: the default namespace).  With
+    ``namespaces=False`` nothing is resolved.
+
+    Errors wait for :meth:`finish`, so that the source can first report
+    a document that is not well-formed.  It raises the first
+    :class:`XMLNamespaceError`, else the handler's first error; the
+    handler hears nothing after an error.
+    """
+
+    def __init__(self, handler, namespaces: bool = True) -> None:
+        self._forward_to(handler)
+        self.scope = Scope(_BUILTIN_BINDINGS)
+        self._scopes: list[Scope] = []
+        self._namespaces = namespaces
+        self.error: ReproError | None = None
+
+    def start(self, tag: str, attrs: dict[str, str]) -> None:
+        scope = self.scope
+        self._scopes.append(scope)
+        try:
+            name = scope.names.get((tag, *attrs))
+            if name is None:
+                name, self.scope = self._resolve(tag, attrs, scope)
+            self.handler.start(name, attrs, self.scope)
+        except ReproError as exc:
+            self._fail(exc)
+
+    def end(self) -> None:
+        self.scope = self._scopes.pop()
+        try:
+            self.handler.end()
+        except ReproError as exc:
+            self._fail(exc)
+
+    def finish(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+    def _fail(self, exc: ReproError) -> None:
+        # after the first error only namespace errors arrive
+        if not isinstance(self.error, XMLNamespaceError):
+            self.error = exc
+        self._forward_to(_IGNORE)
+
+    def _forward_to(self, handler) -> None:
+        self.handler, self.text, self.node = \
+            handler, handler.text, handler.node
+
+    def _resolve(self, tag: str, attrs: dict[str, str],
+                 scope: Scope) -> tuple[tuple, Scope]:
+        """Resolve a start tag in full; cache it if it declares
+        nothing.  Declarations are checked first, then the element name,
+        then each attribute name."""
+        if not self._namespaces:
+            name = scope.names[(tag, *attrs)] = (
+                tag, None, None, tag.split(":", 1)[-1],
+                tuple((attr, None, None, attr) for attr in attrs), {})
+            return name, scope
+        declared: dict[str, str] = {}
+        for attr, value in attrs.items():
+            if attr == "xmlns":
+                declared[""] = value
+            elif attr.startswith("xmlns:"):
+                prefix = attr[6:]
+                if not is_ncname(prefix):
+                    raise XMLNamespaceError(
+                        f"invalid namespace prefix declaration {attr!r}")
+                if prefix == "xmlns":
+                    raise XMLNamespaceError(
+                        "the 'xmlns' prefix cannot be declared")
+                if prefix == "xml" and value != XML_NAMESPACE:
+                    raise XMLNamespaceError(
+                        "the 'xml' prefix cannot be rebound")
+                if not value:
+                    raise XMLNamespaceError(
+                        f"namespace prefix {prefix!r} cannot be undeclared "
+                        "(empty URI) in Namespaces 1.0")
+                declared[prefix] = value
+        if declared:
+            scope = Scope({**scope, **declared})
+
+        prefix, local = split_qname(tag)
+        if prefix is None:
+            namespace = scope.get("") or None
+        elif (namespace := scope.get(prefix)) is None:
+            raise XMLNamespaceError(
+                f"undeclared namespace prefix {prefix!r} on element "
+                f"<{tag}>")
+
+        # Unprefixed attributes are in *no* namespace (not the default
+        # namespace), per the spec.
+        attributes = []
+        seen: set[tuple[str | None, str]] = set()
+        for attr in attrs:
+            if attr == "xmlns" or attr.startswith("xmlns:"):
+                attributes.append((attr, XMLNS_NAMESPACE,
+                                   *split_qname(attr)))
+                continue
+            aprefix, alocal = split_qname(attr)
+            anamespace = None
+            if aprefix is not None and \
+                    (anamespace := scope.get(aprefix)) is None:
+                raise XMLNamespaceError(
+                    f"undeclared namespace prefix {aprefix!r} on "
+                    f"attribute {attr!r}")
+            if (anamespace, alocal) in seen:
+                raise XMLNamespaceError(
+                    f"duplicate attribute {alocal!r} in namespace "
+                    f"{anamespace!r} on <{tag}>")
+            seen.add((anamespace, alocal))
+            attributes.append((attr, anamespace, aprefix, alocal))
+        name = (tag, namespace, prefix, local, tuple(attributes), declared)
+        if not declared:
+            scope.names[(tag, *attrs)] = name
+        return name, scope
+
+
+class _Ignore:
+    """A handler that does nothing with any event."""
+
+    def _ignore(self, *args) -> None:
+        pass
+
+    start = end = text = node = _ignore
+
+
+_IGNORE = _Ignore()
+
+
+def replay(doc: Document, handler) -> None:
+    """Feed *doc*'s element tree to *handler* through a
+    :class:`Resolver`, as the parser would have: ``start``/``end`` per
+    element, ``text`` per :class:`Text`, ``node`` for the rest."""
+    events = Resolver(handler)
+    todo: list = [doc.root]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            events.end()
+        elif isinstance(node, Element):
+            events.start(node.tag, {name: attr.value for name, attr
+                                    in node.attributes.items()})
+            todo.append(None)
+            todo.extend(reversed(node.children))
+        elif isinstance(node, Text):
+            events.text(node.data)
+        else:
+            events.node(node)
+    events.finish()
+
+
+class _Qualifier(_Ignore):
+    """Fills in the namespace slots of the elements it is replayed."""
+
+    def __init__(self, doc: Document) -> None:
+        self._elements = doc.root.iter()
+
+    def start(self, name: tuple, attrs: dict[str, str], scope) -> None:
+        elem = next(self._elements)
+        _tag, elem.namespace, elem.prefix, elem.local_name, attributes, \
+            declarations = name
+        elem.ns_declarations = dict(declarations)
+        for attr_name, *parts in attributes:
+            attr = elem.attributes[attr_name]
+            attr.namespace, attr.prefix, attr.local_name = parts
+
+
 def resolve_namespaces(doc: Document) -> Document:
-    """Resolve namespace bindings in-place for the whole document.
+    """Resolve, in place, a tree built without the parser (which
+    resolves as it reads); returns *doc*.
 
     Raises :class:`XMLNamespaceError` for undeclared prefixes, illegal
     re-bindings of the reserved ``xml``/``xmlns`` prefixes, and empty
     prefixed-namespace undeclarations (not allowed in Namespaces 1.0).
-    Returns *doc* for convenience.
     """
-    try:
-        root = doc.root
-    except ValueError:
-        return doc
-    _resolve_element(root, dict(_BUILTIN_BINDINGS), "")
+    replay(doc, _Qualifier(doc))
     return doc
-
-
-def _resolve_element(elem: Element, bindings: dict[str, str],
-                     default_ns: str) -> None:
-    local_bindings = bindings
-    local_default = default_ns
-    declared_here: dict[str, str] = {}
-
-    # First pass: collect namespace declarations on this element.
-    for attr in elem.attributes.values():
-        name = attr.name
-        if name == "xmlns":
-            local_default = attr.value
-            declared_here[""] = attr.value
-        elif name.startswith("xmlns:"):
-            prefix = name[6:]
-            if not is_ncname(prefix):
-                raise XMLNamespaceError(
-                    f"invalid namespace prefix declaration {name!r}")
-            if prefix == "xmlns":
-                raise XMLNamespaceError(
-                    "the 'xmlns' prefix cannot be declared")
-            if prefix == "xml" and attr.value != XML_NAMESPACE:
-                raise XMLNamespaceError(
-                    "the 'xml' prefix cannot be rebound")
-            if not attr.value:
-                raise XMLNamespaceError(
-                    f"namespace prefix {prefix!r} cannot be undeclared "
-                    "(empty URI) in Namespaces 1.0")
-            if local_bindings is bindings:
-                local_bindings = dict(bindings)
-            local_bindings[prefix] = attr.value
-            declared_here[prefix] = attr.value
-
-    elem.ns_declarations = declared_here
-
-    # Second pass: resolve the element name.
-    prefix, local = split_qname(elem.tag)
-    elem.prefix = prefix
-    elem.local_name = local
-    if prefix is not None:
-        try:
-            elem.namespace = local_bindings[prefix]
-        except KeyError:
-            raise XMLNamespaceError(
-                f"undeclared namespace prefix {prefix!r} on element "
-                f"<{elem.tag}>") from None
-    else:
-        elem.namespace = local_default or None
-
-    # Third pass: resolve attribute names.  Unprefixed attributes are
-    # in *no* namespace (not the default namespace), per the spec.
-    seen: set[tuple[str | None, str]] = set()
-    for attr in elem.attributes.values():
-        if attr.name == "xmlns" or attr.name.startswith("xmlns:"):
-            attr.namespace = XMLNS_NAMESPACE
-            attr.prefix, attr.local_name = split_qname(attr.name)
-            continue
-        aprefix, alocal = split_qname(attr.name)
-        attr.prefix = aprefix
-        attr.local_name = alocal
-        if aprefix is not None:
-            try:
-                attr.namespace = local_bindings[aprefix]
-            except KeyError:
-                raise XMLNamespaceError(
-                    f"undeclared namespace prefix {aprefix!r} on "
-                    f"attribute {attr.name!r}") from None
-        else:
-            attr.namespace = None
-        key = (attr.namespace, attr.local_name)
-        if key in seen:
-            raise XMLNamespaceError(
-                f"duplicate attribute {attr.local_name!r} in namespace "
-                f"{attr.namespace!r} on <{elem.tag}>")
-        seen.add(key)
-
-    for child in elem:
-        _resolve_element(child, local_bindings, local_default)

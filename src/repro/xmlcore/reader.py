@@ -2,7 +2,7 @@
 
 Wraps the document string with line/column accounting (1-based, the
 convention error messages use) and the small set of scanning primitives
-the recursive-descent parser needs: peek, advance, literal matching,
+the parser needs: peek, advance, literal matching,
 and run-until scans.  XML 1.0 end-of-line normalization (section 2.11:
 ``\\r\\n`` and bare ``\\r`` become ``\\n``) is applied up front so the
 rest of the parser only ever sees ``\\n``.
@@ -24,36 +24,21 @@ def normalize_line_endings(text: str) -> str:
 class Reader:
     """A forward-only scanner over normalized document text."""
 
-    __slots__ = ("text", "pos", "_line_starts")
+    __slots__ = ("text", "pos")
 
     def __init__(self, text: str) -> None:
         self.text = normalize_line_endings(text)
         self.pos = 0
-        self._line_starts: list[int] | None = None
 
     # -- position ----------------------------------------------------------
 
     def location(self, pos: int | None = None) -> tuple[int, int]:
-        """Return (line, column), both 1-based, for *pos* (default: here)."""
+        """Return (line, column), both 1-based, for *pos* (default: here);
+        asked for once per error, so counted on demand."""
         if pos is None:
             pos = self.pos
-        if self._line_starts is None:
-            starts = [0]
-            idx = self.text.find("\n")
-            while idx != -1:
-                starts.append(idx + 1)
-                idx = self.text.find("\n", idx + 1)
-            self._line_starts = starts
-        starts = self._line_starts
-        # binary search for the line containing pos
-        lo, hi = 0, len(starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if starts[mid] <= pos:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1, pos - starts[lo] + 1
+        line_start = self.text.rfind("\n", 0, pos) + 1
+        return self.text.count("\n", 0, pos) + 1, pos - line_start + 1
 
     def error(self, message: str) -> XMLWellFormednessError:
         line, col = self.location()

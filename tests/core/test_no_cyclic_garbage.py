@@ -15,10 +15,13 @@ import gc
 from pathlib import Path
 
 import repro
+from repro.core.registry import FormatRegistry
 from repro.core.toolkit import XMIT
 from repro.http.server import DocumentStore, MetadataHTTPServer
 from repro.pbio.context import IOContext
 from repro.pbio.format_server import FormatServer
+from repro.xmlcore import parse
+from repro.xmlcore.dom import Element
 
 XSD_NS = 'xmlns:xsd="http://www.w3.org/2001/XMLSchema"'
 
@@ -97,6 +100,26 @@ def test_a_cold_first_record_leaves_no_cyclic_garbage():
             if enabled:
                 gc.enable()
     assert garbage < 20
+
+
+def test_discovery_builds_no_tree(monkeypatch):
+    """The registry reads a schema document as parser events: not one
+    DOM element exists on the way to its formats."""
+    made = []
+    real_init = Element.__init__
+
+    def counting_init(self, tag):
+        made.append(tag)
+        real_init(self, tag)
+
+    monkeypatch.setattr(Element, "__init__", counting_init)
+    text = main_doc("Spy").replace(
+        '<xsd:include schemaLocation="commonSpy.xsd" />',
+        common_doc("Spy").split(">", 1)[1].rsplit("<", 1)[0])
+    assert FormatRegistry().load_text(text) == ("PointSpy", "TrackSpy")
+    assert made == []
+    parse(text)  # and the spy does see a tree being built
+    assert len(made) > 10
 
 
 def test_no_nested_function_calls_itself():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SchemaParseError
+from repro.errors import SchemaParseError, XMLWellFormednessError
 from repro.schema.model import FIXED, SCALAR, VARIABLE
 from repro.schema.parser import parse_schema_text
 
@@ -188,6 +188,63 @@ class TestParserErrors:
                 '<xsd:complexType name="T">'
                 '<xsd:element name="a" type="xsd:int" '
                 'minOccurs="-1" /></xsd:complexType>'))
+
+    @pytest.mark.parametrize("inner", ["sequence", "all"])
+    def test_nested_model_group_rejected(self, inner):
+        # flattening would lose nothing here, but a dropped field would
+        # silently change the record layout: refuse, naming the type
+        with pytest.raises(SchemaParseError, match="'T'.*nested"):
+            parse_schema_text(wrap(
+                '<xsd:complexType name="T"><xsd:sequence>'
+                '<xsd:element name="a" type="xsd:int" />'
+                f'<xsd:{inner}><xsd:element name="b" type="xsd:int" />'
+                f"</xsd:{inner}></xsd:sequence></xsd:complexType>"))
+
+    @pytest.mark.parametrize("body", [
+        '<xsd:sequence><xsd:element name="a" type="xsd:int" />'
+        '</xsd:sequence><xsd:element name="b" type="xsd:int" />',
+        '<xsd:element name="b" type="xsd:int" /><xsd:all>'
+        '<xsd:element name="a" type="xsd:int" /></xsd:all>',
+    ], ids=["group-first", "element-first"])
+    def test_element_beside_a_model_group_rejected(self, body):
+        # whether the direct or the grouped fields come first would
+        # decide the record layout: refuse, naming the type
+        with pytest.raises(SchemaParseError, match="'T'.*beside"):
+            parse_schema_text(wrap(
+                f'<xsd:complexType name="T">{body}</xsd:complexType>'))
+
+    @pytest.mark.parametrize("body", [
+        '<xsd:complexType name="T"><o:element name="a" type="xsd:int"/>'
+        "</xsd:complexType>",
+        '<xsd:complexType name="T"><xsd:sequence>'
+        '<xsd:element name="a" type="xsd:int"/>'
+        '<o:element name="b" type="xsd:int"/>'
+        "</xsd:sequence></xsd:complexType>",
+        '<xsd:simpleType name="E"><xsd:restriction base="xsd:string">'
+        '<o:enumeration value="x"/></xsd:restriction></xsd:simpleType>',
+    ], ids=["complexType", "sequence", "restriction"])
+    def test_foreign_element_in_a_component_rejected(self, body):
+        with pytest.raises(SchemaParseError, match="non-schema element"):
+            parse_schema_text(
+                f'<xsd:schema {XSD_NS} xmlns:o="urn:other">{body}'
+                "</xsd:schema>")
+
+    @pytest.mark.parametrize("body", [
+        '<xsd:complexType name="T">'
+        '<xsd:element name="a" type="nope:int" /></xsd:complexType>',
+        '<xsd:simpleType name="E"><xsd:restriction base="nope:string">'
+        '<xsd:enumeration value="x" /></xsd:restriction></xsd:simpleType>',
+    ], ids=["type", "base"])
+    def test_undeclared_type_prefix_rejected(self, body):
+        with pytest.raises(SchemaParseError, match="undeclared prefix"):
+            parse_schema_text(wrap(body))
+
+    def test_a_later_well_formedness_error_still_wins(self):
+        # the front-end reads as the scanner does, but its errors and
+        # namespace errors wait for the end of the document
+        with pytest.raises(XMLWellFormednessError, match="unterminated"):
+            parse_schema_text(
+                f'<xsd:schema {XSD_NS}><p:x /><xsd:complexType name="T">')
 
     def test_1999_namespace_accepted(self):
         s = parse_schema_text(

@@ -24,7 +24,8 @@ import sys
 from pathlib import Path
 
 GOLDEN_PATH = Path(__file__).with_name("error_golden.json")
-SOURCES = ("test_parser_errors.py", "test_parser_edge_cases.py")
+SOURCES = ("test_parser_errors.py", "test_parser_edge_cases.py",
+           "test_namespaces.py")
 #: the table stays reviewable: the few documents past this size are
 #: the edge-case suite's bulk inputs, and they all parse
 MAX_DOCUMENT_CHARS = 8192

@@ -32,9 +32,6 @@ class TestTextAggregation:
 
 
 class TestParentLinks:
-    """Discovery unlinks the trees it parses once their schema is
-    built; a tree a caller keeps is left alone."""
-
     def test_a_kept_document_walks_up(self):
         doc = parse("<a><b><c>text</c></b><!--note--></a>")
         c = doc.root.find("b").find("c")
@@ -43,11 +40,3 @@ class TestParentLinks:
         assert doc.root.parent is doc
         assert c.document is doc
         assert text.document is doc and comment.document is doc
-
-    def test_unlink_drops_every_parent_link(self):
-        doc = parse("<a><b><c>text</c></b><!--note--></a>")
-        root, b = doc.root, doc.root.find("b")
-        doc.unlink()
-        assert root.parent is None and b.parent is None
-        assert b.find("c").document is None
-        assert root.text_content() == "text"  # children are kept

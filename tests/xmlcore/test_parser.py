@@ -175,3 +175,12 @@ class TestTraversal:
         doc = parse("<a>x<b>y</b>z</a>")
         assert doc.root.text_content() == "xyz"
         assert doc.root.text == "xz"
+
+
+class TestErrorPrecedence:
+    def test_a_later_well_formedness_error_wins_over_a_namespace_error(self):
+        # namespaces resolve as the scanner reads, but a namespace
+        # error waits for the end of the document, as when resolving
+        # was a second pass
+        with pytest.raises(XMLWellFormednessError, match="unterminated"):
+            parse("<a><p:b/><c>")

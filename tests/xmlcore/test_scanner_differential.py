@@ -21,7 +21,9 @@ from hypothesis import example, given, strategies as st
 
 from repro.errors import XMLWellFormednessError
 from repro.xmlcore import Element, Text, chars, parse, serialize
-from repro.xmlcore.parser import _PLAIN_ATTRIBUTE_RE
+from repro.xmlcore.parser import (
+    _END_TAG_RE, _START_TAG_RE, _TAG_ATTRIBUTE_RE,
+)
 from tests.xmlcore import error_golden
 
 #: every BMP code point (surrogates included: Python strings can hold
@@ -40,7 +42,8 @@ class TestGeneratedClasses:
         """A nested-set or bad-escape warning in a generated class is
         an error on some later interpreter; fail here instead."""
         patterns = [chars.WHITESPACE_RE, chars.NAME_RE,
-                    chars.NON_CHAR_RE, _PLAIN_ATTRIBUTE_RE]
+                    chars.NON_CHAR_RE, _START_TAG_RE, _TAG_ATTRIBUTE_RE,
+                    _END_TAG_RE]
         re.purge()  # compile them again, not from re's cache
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -78,8 +81,8 @@ class TestGeneratedClasses:
         the caller's check."""
         for cp in CODE_POINTS:
             ch = chr(cp)
-            matched = _PLAIN_ATTRIBUTE_RE.fullmatch(
-                f" a={quote}{ch}{quote}")
+            matched = _START_TAG_RE.fullmatch(
+                f"<r a={quote}{ch}{quote}/>")
             assert (matched is not None) == (ch not in "<&\t\n\"'"), \
                 hex(cp)
 

@@ -217,3 +217,25 @@ class TestExpansionLimit:
         table.resolve("half")
         with pytest.raises(XMLWellFormednessError, match="expansion"):
             table.resolve("half")
+
+
+class TestLongStartTag:
+    """A start tag's run of plain attributes is matched by one regex.
+    Each attribute matches in one way only and a missing end matches as
+    nothing, so the match is linear, and the stepping scan takes over
+    only after the last attribute the match could keep."""
+
+    ATTRS = "".join(f' a{i}="v{i}"' for i in range(10_000))
+
+    def test_it_parses(self):
+        assert len(parse(f"<r{self.ATTRS}/>").root.attributes) == 10_000
+
+    @pytest.mark.parametrize("end", [" %>", ' a0="dup"/>', ' z="&bad"/>'])
+    def test_a_corrupt_end_is_rejected_in_linear_time(self, end):
+        elapsed = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            exc = reject(f"<r{self.ATTRS}{end}")
+            elapsed.append(time.perf_counter() - t0)
+        assert min(elapsed) < 0.05
+        assert exc.line == 1
