@@ -16,8 +16,6 @@ keeps the no-op mode within the benchmark gate's 1% bound
   be ``2**k - 1``).  0 times every operation (exact sums, used by the
   live-RDM test); the default 15 keeps steady-state timing cost to a
   fraction of a lock round-trip per record.
-* ``tick`` — the shared sampling wheel.  Racy increments across
-  threads only skew *which* operations get sampled, never a counter.
 
 Use :func:`repro.obs.configure` / :func:`repro.obs.set_enabled`
 rather than poking these directly.
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 enabled: bool = True
 sample_mask: int = 15
-tick: int = 0
 
 #: ring-buffer capacity for span traces; 0 disables tracing
 trace_capacity: int = 0

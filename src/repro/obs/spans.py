@@ -27,6 +27,7 @@ case (see ``repro.obs.runtime.sample_mask``).
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import deque
 from time import perf_counter_ns
@@ -52,6 +53,9 @@ _NAME_PHASES = {
 #: per-phase histogram children, resolved once
 _PHASE_SERIES = {phase: PHASE_SECONDS.labels(phase=phase)
                  for phase in PHASES}
+#: the shared sampling wheel: one count per codec operation, from
+#: every thread (``next`` is a single C call, so none is lost)
+_next_tick = itertools.count(1).__next__
 
 _trace_lock = threading.Lock()
 _trace: deque = deque(maxlen=256)
@@ -124,10 +128,7 @@ def sample_t0() -> int:
     timed, else 0 — callers skip the end-side ``observe`` on 0.
     Disabled telemetry always returns 0 after a single branch.
     """
-    if not runtime.enabled:
-        return 0
-    runtime.tick = t = runtime.tick + 1
-    if t & runtime.sample_mask:
+    if not runtime.enabled or _next_tick() & runtime.sample_mask:
         return 0
     return perf_counter_ns()
 

@@ -28,7 +28,8 @@ the decoder bound to its raw digest in one table probe; a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from typing import NamedTuple
 
 from repro.errors import (
     DecodeError, FormatRegistrationError, UnknownFormatError,
@@ -38,14 +39,21 @@ from repro.obs.spans import observe_phase, sample_t0, span
 from repro.pbio.convert import ConversionPlan, plan_conversion
 from repro.pbio.decode import RecordDecoder, decoder_for_format
 from repro.pbio.encode import (
-    FLAG_BATCH, HEADER_LEN, RecordEncoder, encoder_for_format,
-    parse_batch, split_header,
+    FLAG_BATCH, HEADER_LEN, HEADER_MAGIC, HEADER_VERSION, RecordEncoder,
+    encoder_for_format, parse_batch, split_header,
 )
 from repro.pbio.fields import FieldList
 from repro.pbio.format import FormatID, IOFormat
 from repro.pbio.format_server import FormatServer, global_format_server
 from repro.pbio.layout import compute_layout
 from repro.pbio.machine import Architecture, NATIVE
+
+
+#: the record header as decode reads it: (magic + version, flags,
+#: digest, body length), and what a shorter record stands in with
+_HEADER = struct.Struct(">3sB8sI")
+_MAGIC_VERSION = HEADER_MAGIC + bytes((HEADER_VERSION,))
+_NO_HEADER = (b"", 0, b"", 0)
 
 
 class ContextStats(Tally):
@@ -74,11 +82,11 @@ class ContextStats(Tally):
         row["bytes_decoded"] += nbytes
 
 
-@dataclass(slots=True)
-class DecodedRecord:
+class DecodedRecord(NamedTuple):
     """A record under its sender's field view: what
     :meth:`IOContext.decode` builds and ``Connection.receive`` returns
-    (as ``ReceivedMessage``), the same object."""
+    (as ``ReceivedMessage``), the same object.  A named tuple, so
+    ``decode`` builds it in C (``tuple.__new__``), one per record."""
 
     format_name: str
     format_id: FormatID
@@ -235,13 +243,18 @@ class IOContext:
         """Encode *record*; returns header + body wire bytes — or,
         for transports, the same bytes unjoined (``parts=True``, see
         :meth:`~repro.pbio.encode.RecordEncoder.encode_wire_parts`)."""
-        fmt = (format_name if isinstance(format_name, IOFormat)
-               else self.lookup_format(format_name))
+        fmt = format_name
+        if type(fmt) is str:  # first: a str hashes in C, an IOFormat not
+            fmt = self._formats.get(fmt) or self.lookup_format(fmt)
+        encoder = (self._encoders.get(fmt.format_id.value)
+                   or self.encoder_for(fmt))
         t0 = sample_t0()
-        wire = self.encoder_for(fmt).encode_wire_parts(record)
+        wire = encoder.encode_wire_parts(record)
         if t0:
             observe_phase("marshal", t0)
-        self.stats.count_encoded(1, len(wire[0]) if len(wire) == 1
+        row = self.stats.row()
+        row["records_encoded"] += 1
+        row["bytes_encoded"] += (len(wire[0]) if len(wire) == 1
                                  else sum(map(len, wire)))
         return wire if parts else b"".join(wire)
 
@@ -293,9 +306,14 @@ class IOContext:
     def decode(self, data: bytes, *, arrays: str = "list") \
             -> DecodedRecord:
         """Decode a wire record under its *sender's* field view: one
-        header pass, one table probe, one result object."""
-        digest, flags, body_len = split_header(data, require_body=True)
-        if flags & FLAG_BATCH:
+        header unpack, one table probe, one result object."""
+        size = len(data)
+        magic_version, flags, digest, body_len = (
+            _HEADER.unpack_from(data) if size >= HEADER_LEN
+            else _NO_HEADER)
+        if (magic_version != _MAGIC_VERSION or flags & FLAG_BATCH
+                or body_len > size - HEADER_LEN):
+            split_header(data, require_body=True)  # names the fault
             raise DecodeError(
                 "data is a record batch; use decode_many()")
         try:
@@ -307,8 +325,10 @@ class IOContext:
             memoryview(data)[HEADER_LEN:HEADER_LEN + body_len])
         if t0:
             observe_phase("unmarshal", t0)
-        self.stats.count_decoded(1, len(data))
-        return DecodedRecord(name, fid, record)
+        row = self.stats.row()
+        row["records_decoded"] += 1
+        row["bytes_decoded"] += size
+        return tuple.__new__(DecodedRecord, (name, fid, record))
 
     def decode_many(self, data: bytes, *, arrays: str = "list") \
             -> list[DecodedRecord]:
@@ -319,7 +339,8 @@ class IOContext:
         fmt = self._resolve_wire_format(fid)
         decode = self.decoder_for(fmt, arrays=arrays).decode
         t0 = sample_t0()
-        records = [DecodedRecord(fmt.name, fid, decode(body))
+        records = [tuple.__new__(DecodedRecord,
+                                 (fmt.name, fid, decode(body)))
                    for body in bodies]
         if t0:
             observe_phase("unmarshal", t0)

@@ -29,7 +29,7 @@ from repro.pbio.evolution import DownConverter, down_converter
 from repro.pbio.format import FormatID, IOFormat
 from repro.transport.base import Channel
 from repro.transport.messages import (
-    Frame, FrameType, count_malformed, decode_lineage_req,
+    RECORD_FRAMES, Frame, FrameType, count_malformed, decode_lineage_req,
     decode_lineage_rsp, encode_lineage_req, lineage_reply,
 )
 
@@ -71,6 +71,9 @@ def answer_lineage_request(format_server, payload: bytes,
 
 #: what a connection delivers: the object ``IOContext.decode`` built
 ReceivedMessage = DecodedRecord
+
+#: an enum member costs a class lookup per read; the hot path reads this
+_DATA = FrameType.DATA
 
 
 class Connection:
@@ -114,7 +117,7 @@ class Connection:
         buffer to the kernel uncopied, and is the caller's to mutate
         again as soon as this returns."""
         wire = self.context.encode(format_name, record, parts=True)
-        self.channel.send(Frame(FrameType.DATA, wire))
+        self.channel.send(Frame(_DATA, wire))
         self.records_sent += 1
 
     def send_many(self, format_name: str | IOFormat, records) -> int:
@@ -166,7 +169,7 @@ class Connection:
                 if rsp_name == name:
                     return chosen
                 continue  # unrelated announcement, already recorded
-            if frame.type in (FrameType.DATA, FrameType.DATA_BATCH):
+            if frame.type in RECORD_FRAMES:
                 self._pending.append(frame.payload)
                 continue
             self._service(frame)
@@ -218,20 +221,38 @@ class Connection:
     def receive(self, timeout: float | None = None) \
             -> ReceivedMessage | None:
         """Deliver the next application record (None on orderly close)."""
-        message = self._receive(self._next_data, self.context.decode,
-                                timeout)
-        if message is not None:
-            self.records_received += 1
+        frame = None if self._pending else self.channel.recv(timeout)
+        if frame is not None and frame.type is _DATA \
+                and not is_batch(frame.payload):
+            wire = frame.payload  # the steady state: one plain record
+        elif frame is None and not self._pending:
+            return None  # orderly close
+        else:
+            wire = self._next_wire(timeout, True, frame)
+            if wire is None:
+                return None
+        try:
+            message = self.context.decode(wire, arrays=self.arrays)
+        except (UnknownFormatError, DecodeError) as exc:
+            message = self._recover(exc, self.context.decode, wire,
+                                    timeout)
+        self.records_received += 1
         return message
 
     def receive_as(self, native_name: str,
                    timeout: float | None = None) -> dict | None:
         """Like :meth:`receive` but converted to the receiver's own
         registered format view (restricted evolution applies)."""
-        record = self._receive(self._next_data, self.context.decode_as,
-                               timeout, native_name)
-        if record is not None:
-            self.records_received += 1
+        wire = self._next_wire(timeout, True)
+        if wire is None:
+            return None
+        try:
+            record = self.context.decode_as(wire, native_name,
+                                            arrays=self.arrays)
+        except (UnknownFormatError, DecodeError) as exc:
+            record = self._recover(exc, self.context.decode_as, wire,
+                                   timeout, native_name)
+        self.records_received += 1
         return record
 
     def receive_many(self, timeout: float | None = None) \
@@ -239,28 +260,27 @@ class Connection:
         """Deliver the next DATA_BATCH whole: one frame, one format
         resolution, one decoder for every record in it.  A plain DATA
         frame yields a one-element list; None means orderly close."""
-        out = self._receive(self._next_payload, self._decode_whole,
-                            timeout)
-        if out is not None:
-            self.records_received += len(out)
+        wire = self._next_wire(timeout, False)
+        if wire is None:
+            return None
+        try:
+            out = self._decode_whole(wire, arrays=self.arrays)
+        except (UnknownFormatError, DecodeError) as exc:
+            out = self._recover(exc, self._decode_whole, wire, timeout)
+        self.records_received += len(out)
         return out
 
     # -- internals ----------------------------------------------------------
 
-    def _receive(self, fetch, decode, timeout: float | None, *args):
-        """The one place wire input meets the context: the next wire
-        from *fetch* goes to *decode* unparsed.  A format the context
-        cannot resolve is negotiated with the peer and the decode
-        retried, once; every record rejected is counted, here only."""
+    def _recover(self, exc: Exception, decode, wire, timeout, *args):
+        """A wire the context rejected: an unknown format is negotiated
+        and *decode* retried, once; each record rejected is counted,
+        here or (a batch that does not split) in :meth:`_next_wire`."""
         try:
-            wire = fetch(timeout)
-            if wire is None:
-                return None
-            try:
-                return decode(wire, *args, arrays=self.arrays)
-            except UnknownFormatError:
-                self._ensure_format(parse_header(wire)[0], timeout)
-                return decode(wire, *args, arrays=self.arrays)
+            if not isinstance(exc, UnknownFormatError):
+                raise exc
+            self._ensure_format(parse_header(wire)[0], timeout)
+            return decode(wire, *args, arrays=self.arrays)
         except DecodeError:
             count_malformed("connection", "bad_record")
             raise
@@ -271,30 +291,33 @@ class Connection:
             return self.context.decode_many(wire, arrays=arrays)
         return [self.context.decode(wire, arrays=arrays)]
 
-    def _next_payload(self, timeout: float | None) -> bytes | None:
-        """The next DATA or DATA_BATCH payload, servicing metadata
-        frames along the way."""
-        if self._pending:
-            return self._pending.popleft()
+    def _next_wire(self, timeout: float | None, single: bool,
+                   frame: Frame | None = None):
+        """The next record payload, None on orderly close: queued ones,
+        then *frame* (if the caller read one), then the channel's, with
+        metadata frames serviced on the way; *single* splits a batch
+        into per-record wires queued ahead of the rest."""
         while True:
-            frame = self.channel.recv(timeout)
-            if frame is None or frame.type == FrameType.BYE:
-                return None
-            if frame.type in (FrameType.DATA, FrameType.DATA_BATCH):
-                return frame.payload
-            self._service(frame)
-
-    def _next_data(self, timeout: float | None) -> bytes | None:
-        """The next single-record wire; batches are transparently
-        exploded into per-record wires and queued."""
-        wire = self._next_payload(timeout)
-        while wire is not None and is_batch(wire):
-            singles = explode_batch(wire)
-            if singles:
-                self._pending.extendleft(reversed(singles[1:]))
-                return singles[0]
-            wire = self._next_payload(timeout)  # empty batch: skip
-        return wire
+            if frame is None and self._pending:
+                wire = self._pending.popleft()
+            else:
+                if frame is None:
+                    frame = self.channel.recv(timeout)
+                if frame is None or frame.type == FrameType.BYE:
+                    return None
+                if frame.type not in RECORD_FRAMES:
+                    self._service(frame)
+                    frame = None
+                    continue
+                wire, frame = frame.payload, None
+            if not (single and is_batch(wire)):
+                return wire
+            try:
+                singles = explode_batch(wire)
+            except DecodeError:
+                count_malformed("connection", "bad_record")
+                raise
+            self._pending.extendleft(reversed(singles))
 
     def _ensure_format(self, fid: FormatID,
                        timeout: float | None) -> None:
@@ -315,7 +338,7 @@ class Connection:
                 if got == fid:
                     return
                 continue
-            if frame.type in (FrameType.DATA, FrameType.DATA_BATCH):
+            if frame.type in RECORD_FRAMES:
                 self._pending.append(frame.payload)
                 continue
             self._service(frame)

@@ -42,7 +42,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.registry import FOLD_LOCK, REGISTRY
 from repro.transport.messages import (
-    MAX_FRAME, Frame, count_malformed, decode_frame,
+    MAX_FRAME, Frame, count_malformed, decode_frame, frame_length_error,
 )
 
 try:
@@ -605,14 +605,18 @@ class EventLoopServer:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass  # not TCP (unix socketpair in tests, adopted pipes)
-        with self._changed:
+        with self._lock:
             client = ClientHandle(self._next_id, sock, addr)
             self._next_id += 1
-            self._clients[client.id] = client
             self.clients_accepted += 1
-            self._changed.notify_all()
         self._poller.register(sock, selectors.EVENT_READ, client)
+        # announced before it is visible: whatever on_connect enqueues
+        # (a HELLO) is ahead of anything another thread sends it
         self._callback("on_connect", client)
+        if client.open:
+            with self._changed:
+                self._clients[client.id] = client
+                self._changed.notify_all()
 
     def _readable(self, client: ClientHandle) -> None:
         buf = client.read_buffer
@@ -795,9 +799,8 @@ def iter_frames(buffer: bytearray,
     head of *buffer*."""
     while len(buffer) >= 4:
         (length,) = _LEN.unpack_from(buffer)
-        if length == 0 or length > max_frame_len:
-            raise FrameTooLargeError(length, max_frame_len) if length \
-                else ProtocolError("zero-length frame")
+        if not 0 < length <= max_frame_len:
+            raise frame_length_error(length, max_frame_len)
         if len(buffer) < 4 + length:
             return
         frame = decode_frame(bytes(buffer[4:4 + length]))

@@ -39,7 +39,7 @@ import enum
 import struct
 from dataclasses import dataclass
 
-from repro.errors import ProtocolError
+from repro.errors import FrameTooLargeError, ProtocolError
 from repro.obs import runtime as _obs
 from repro.obs.metrics import MALFORMED_FRAMES
 from repro.pbio.format import FormatID
@@ -115,26 +115,30 @@ def count_malformed(layer: str, reason: str) -> None:
         MALFORMED_FRAMES.labels(layer, reason).inc()
 
 
-_FRAME_TYPES = {ftype.value: ftype for ftype in FrameType}
+class _FrameTypes(dict):
+    """Type byte -> :class:`FrameType`; any other byte is a
+    :class:`~repro.errors.ProtocolError` (a hit stays a C lookup)."""
+
+    def __missing__(self, code: int):
+        raise ProtocolError(f"unknown frame type {code}")
 
 
-def decode_frame(data: bytes, payload=None) -> Frame:
-    """Decode one framed message (length prefix already stripped).
+FRAME_TYPES = _FrameTypes((ftype.value, ftype) for ftype in FrameType)
+#: the frames that carry PBIO records
+RECORD_FRAMES = (FrameType.DATA, FrameType.DATA_BATCH)
 
-    A transport that received the payload into a buffer of its own
-    passes it as *payload* (*data* is then the type byte): a record
-    frame keeps that buffer, uncopied; control payloads become
-    ``bytes``."""
+
+def frame_length_error(length: int, limit: int) -> ProtocolError:
+    """What every receiver raises for a length prefix not in 1..limit."""
+    return (FrameTooLargeError(length, limit) if length
+            else ProtocolError("zero-length frame"))
+
+
+def decode_frame(data: bytes) -> Frame:
+    """Decode one framed message (length prefix already stripped)."""
     if not data:
         raise ProtocolError("empty frame")
-    ftype = _FRAME_TYPES.get(data[0])
-    if ftype is None:
-        raise ProtocolError(f"unknown frame type {data[0]}")
-    if payload is None:
-        payload = bytes(data[1:])
-    elif ftype not in (FrameType.DATA, FrameType.DATA_BATCH):
-        payload = bytes(payload)
-    return Frame(ftype, payload)
+    return Frame(FRAME_TYPES[data[0]], bytes(data[1:]))
 
 
 # -- lineage handshake payloads ---------------------------------------------

@@ -360,10 +360,11 @@ class _ShardWorkerPublisher(BroadcastPublisher):
             pass  # publisher is gone; the control loop will exit
 
     def _census(self) -> None:
+        # on_connect runs before the client is in client_count
         server = self.server
+        accepted, closed = server.clients_accepted, server.clients_closed
         self._send_up(Ctl.COUNT, struct.pack(
-            ">III", server.client_count, server.clients_accepted,
-            server.clients_closed))
+            ">III", accepted - closed, accepted, closed))
 
     # -- inherited hooks -----------------------------------------------------
 

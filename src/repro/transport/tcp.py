@@ -6,17 +6,22 @@ builds a connected loopback pair in one call for tests and benches.
 
 from __future__ import annotations
 
+import mmap
 import socket
 import struct
 import threading
 import time
 
-from repro.errors import FrameTooLargeError, TransportError
+from repro.errors import TransportError
 from repro.transport.base import Channel
-from repro.transport.messages import MAX_FRAME, Frame, decode_frame
+from repro.transport.messages import (
+    FRAME_TYPES, MAX_FRAME, RECORD_FRAMES, Frame, frame_length_error,
+)
 
 _LEN = struct.Struct(">I")
 _RECV_CHUNK = 64 * 1024
+#: the receive window holds any frame of up to _RECV_CHUNK bytes whole
+_WINDOW = 4 + _RECV_CHUNK
 #: iovec entries per sendmsg call (conservative vs. the kernel's
 #: IOV_MAX of 1024) and the join size the fallback path buffers at
 #: once — bounds peak memory to one chunk, not the whole batch.
@@ -27,10 +32,10 @@ _FALLBACK_CHUNK = 1 * 1024 * 1024
 class TCPChannel(Channel):
     """A channel over a connected TCP socket.
 
-    Receives through a persistent reassembly buffer so a timed-out
-    ``recv`` never discards partially arrived frame bytes — essential
-    for callers that poll with short timeouts (control channels), where
-    dropping a partial frame would desynchronize the stream.
+    Receives through a standing window, so a timed-out ``recv`` never
+    discards partially arrived frame bytes — essential for callers
+    that poll with short timeouts (control channels), where dropping a
+    partial frame would desynchronize the stream.
 
     Sends hold a lock: two threads sharing one channel would otherwise
     interleave partial writes and corrupt the frame stream.
@@ -46,7 +51,11 @@ class TCPChannel(Channel):
         self._sock = sock
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._closed = False
-        self._buffer = bytearray()
+        #: the receive window, mapped by the first recv (its pages take
+        #: RAM only once a read writes them), and its unread [lo, hi)
+        self._window: mmap.mmap | None = None
+        self._view: memoryview | None = None
+        self._lo = self._hi = 0
         #: a large frame's own buffer and fill count, across recv calls
         self._frame: bytearray | None = None
         self._frame_have = 0
@@ -94,33 +103,33 @@ class TCPChannel(Channel):
         total = sum(map(len, buffers))
         with self._send_lock:
             try:
-                if hasattr(self._sock, "sendmsg"):
-                    self._sendmsg_all(buffers, total)
-                else:  # pragma: no cover - non-POSIX fallback
-                    self._sendall_chunked(buffers)
+                if not hasattr(self._sock, "sendmsg"):  # pragma: no cover
+                    self._sendall_chunked(buffers)  # non-POSIX fallback
+                else:  # a frame is one sendmsg unless the kernel cuts it
+                    sent = (self._sock.sendmsg(buffers)
+                            if len(buffers) <= _SENDMSG_BATCH else 0)
+                    if sent != total:
+                        self._sendmsg_all(buffers, total, sent)
             except OSError as exc:
                 raise TransportError(f"send failed: {exc}") from None
             self.bytes_sent += total
             self.frames_sent += frames
 
-    def _sendmsg_all(self, pending: list, left: int) -> None:
-        """Drain the *left* bytes of *pending* through sendmsg; a
-        partial write resumes from a ``memoryview`` window of the cut
-        buffer, never a copy."""
+    def _sendmsg_all(self, pending: list, left: int, sent: int) -> None:
+        """Drain the *left* bytes of *pending* through sendmsg, *sent*
+        of them already written; a partial write resumes from a
+        ``memoryview`` window of the cut buffer, never a copy."""
         start = 0
-        while left:
-            window = pending[start:start + _SENDMSG_BATCH]
-            sent = self._sock.sendmsg(window)
+        while True:
             left -= sent
             if not left:
                 return
-            for view in window:
-                if sent >= len(view):
-                    sent -= len(view)
-                    start += 1
-                else:
-                    pending[start] = memoryview(view)[sent:]
-                    break
+            while sent >= len(pending[start]):
+                sent -= len(pending[start])
+                start += 1
+            if sent:
+                pending[start] = memoryview(pending[start])[sent:]
+            sent = self._sock.sendmsg(pending[start:start + _SENDMSG_BATCH])
 
     def _sendall_chunked(self, buffers: list) -> None:
         chunk: list = []
@@ -137,61 +146,57 @@ class TCPChannel(Channel):
     def recv(self, timeout: float | None = None) -> Frame | None:
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
-        # frame length prefix
-        if not self._fill(4, deadline, timeout):
-            if len(self._buffer) == 0:
-                return None  # orderly close at a frame boundary
-            raise TransportError("connection closed mid-frame")
-        (length,) = _LEN.unpack_from(self._buffer)
-        if length == 0:
-            raise TransportError(f"bad frame length {length}")
-        if length > self.max_frame_len:
-            raise FrameTooLargeError(length, self.max_frame_len)
-        if length <= _RECV_CHUNK:
-            end = 4 + length
-            if not self._fill(end, deadline, timeout):
+        while True:
+            window, lo, hi = self._window, self._lo, self._hi
+            need = 4
+            if hi - lo >= 4:
+                (length,) = _LEN.unpack_from(window, lo)
+                if not 0 < length <= self.max_frame_len:
+                    raise frame_length_error(length, self.max_frame_len)
+                end = lo + 4 + length
+                if end <= hi:
+                    # the payload's one copy out of the window
+                    frame = Frame(FRAME_TYPES[window[lo + 4]],
+                                  window[lo + 5:end])
+                    if end == hi:
+                        self._lo = self._hi = 0
+                    else:
+                        self._lo = end
+                    return frame
+                if length > _RECV_CHUNK and hi - lo >= 5:
+                    return self._recv_large(length - 1, deadline, timeout)
+                need = 4 + length if length <= _RECV_CHUNK else 5
+            if window is None:
+                self._window = window = mmap.mmap(
+                    -1, _WINDOW, mmap.MAP_PRIVATE)
+                self._view = memoryview(window)
+            elif lo + need > _WINDOW:
+                # compact: the frame at lo would run past the end
+                window.move(0, lo, hi - lo)
+                self._lo, self._hi = lo, hi = 0, hi - lo
+            got = self._read(deadline, timeout,
+                             self._view[hi:] if hi else window)
+            if not got:
+                if lo == hi:
+                    return None  # orderly close at a frame boundary
                 raise TransportError("connection closed mid-frame")
-            # the payload's one copy out of the reassembly buffer (the
-            # view is released before the del below resizes it)
-            frame = decode_frame(
-                self._buffer[4:5], bytes(memoryview(self._buffer)[5:end]))
-            del self._buffer[:end]
-            return frame
-        # A large frame's payload is read straight into a buffer of its
-        # own: private (decoded arrays alias it for their lifetime) and
-        # starting at the payload, so those arrays stay aligned.  The
-        # prefix and type byte wait in _buffer: a timed-out recv
-        # resumes here.
-        size = length - 1
-        if not (self._fill(5, deadline, timeout)
-                and self._fill_frame(size, deadline, timeout)):
-            raise TransportError("connection closed mid-frame")
-        payload, self._frame = self._frame, None
-        head = self._buffer[4:5]
-        del self._buffer[:5]
-        return decode_frame(
-            head, memoryview(payload)[:size].toreadonly())
+            self._hi = hi + got
 
-    def _fill(self, n: int, deadline, timeout) -> bool:
-        """Grow the buffer to *n* bytes.  False on orderly EOF;
-        raises TransportError on timeout (buffer preserved)."""
-        while len(self._buffer) < n:
-            chunk = self._read(deadline, timeout)
-            if not chunk:
-                return False
-            self._buffer.extend(chunk)
-        return True
+    def _recv_large(self, size: int, deadline, timeout) -> Frame:
+        """A frame too large for the window: its payload is read
+        straight into a buffer of its own — private (decoded arrays
+        alias it for their lifetime) and starting at the payload, so
+        those arrays stay aligned.  The prefix and type byte stay in
+        the window, so a timed-out recv resumes here.
 
-    def _fill_frame(self, size: int, deadline, timeout) -> bool:
-        """``recv_into`` the large frame's own buffer until it holds
-        *size* bytes; EOF and timeout as :meth:`_fill` (progress kept).
         The buffer only doubles, and only when full, so it never
         exceeds twice what the peer really sent, whatever the prefix
         announced; it starts at *size* halved towards the bytes in
         hand, so the doublings end on *size* with nothing to spare."""
+        lo = self._lo
         if self._frame is None:
-            head = self._buffer[5:5 + size]
-            del self._buffer[5:5 + size]
+            head = bytearray(self._view[lo + 5:self._hi])
+            self._hi = lo + 5
             room = size
             while (room + 1) // 2 >= max(len(head), _RECV_CHUNK):
                 room = (room + 1) // 2
@@ -205,13 +210,19 @@ class TCPChannel(Channel):
                     view[self._frame_have:size] as window:
                 got = self._read(deadline, timeout, window)
             if not got:
-                return False
+                raise TransportError("connection closed mid-frame")
             self._frame_have += got
-        return True
+        ftype = FRAME_TYPES[self._window[lo + 4]]
+        payload = memoryview(frame)[:size].toreadonly()
+        done = Frame(ftype, payload if ftype in RECORD_FRAMES
+                     else bytes(payload))  # a control payload is bytes
+        self._frame = None
+        self._lo = self._hi = 0
+        return done
 
-    def _read(self, deadline, timeout, window: memoryview | None = None):
-        """One socket read under the caller's deadline: a fresh chunk,
-        or the byte count read into *window*; falsy on orderly EOF."""
+    def _read(self, deadline, timeout, window) -> int:
+        """One ``recv_into`` *window* under the caller's deadline: the
+        byte count read, 0 on orderly EOF."""
         if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -223,8 +234,6 @@ class TCPChannel(Channel):
             self._sock.settimeout(None)
             self._blocking = True
         try:
-            if window is None:
-                return self._sock.recv(_RECV_CHUNK)
             return self._sock.recv_into(window)
         except socket.timeout:
             raise TransportError(

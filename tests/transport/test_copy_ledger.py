@@ -14,6 +14,7 @@ from repro.pbio.context import IOContext
 from repro.pbio.encode import BULK_STATS
 from repro.pbio.format_server import FormatServer
 from repro.transport.connection import Connection
+from repro.transport.messages import Frame, FrameType
 from repro.transport.tcp import tcp_pair
 
 CELLS = 256 * 1024  # float32 -> 1 MiB
@@ -136,3 +137,26 @@ def test_all_scalar_record_does_not_spill(pair):
     got = exchange(tx, rx, "Scalars", {"step": 3, "level": 2.5})
     assert spill_delta(before)["spilled_segments"] == 0
     assert got == {"step": 3, "level": 2.5}
+
+
+def test_small_frame_receive_peaks_below_4_kib():
+    """A 77-byte frame (``stream_small``'s) is read into the standing
+    receive window: no per-read chunk, one payload copy."""
+    a, b = tcp_pair()
+    try:
+        frame = Frame(FrameType.DATA, bytes(range(72)))  # 5 + 72 bytes
+        a.send(frame)
+        assert b.recv(timeout=5) == frame  # the window exists from here
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            a.send(frame)
+            got = b.recv(timeout=5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got == frame
+        assert peak < 4 * 1024, peak
+    finally:
+        a.close()
+        b.close()

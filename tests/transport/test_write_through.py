@@ -443,3 +443,36 @@ def test_cutover_announcements_precede_the_first_new_record(backlog):
     assert [d.record["timestep"] for d in decoded] == list(range(6))
     assert [d.format_id.to_bytes() == v2_id for d in decoded] == \
         [False] * 3 + [True] * 3
+
+
+# -- (f) HELLO is a subscriber's first frame ----------------------------------
+
+class SlowHello(BroadcastPublisher):
+    """``on_connect`` held until ``released``: a publisher thread that
+    sees the subscriber meanwhile could write ahead of its HELLO."""
+
+    released = threading.Event()
+
+    def on_connect(self, client):
+        assert self.released.wait(10)
+        super().on_connect(client)
+
+
+def test_hello_precedes_anything_published_to_a_new_subscriber():
+    SlowHello.released.clear()
+    pub = make_publisher(SlowHello)
+    releaser = threading.Timer(0.2, SlowHello.released.set)
+    releaser.start()
+    sock = socket.create_connection((pub.host, pub.port))
+    # the subscriber becomes visible once on_connect has run, so this
+    # publish cannot overtake the HELLO, however long the handler takes
+    assert pub.wait_for_subscribers(1, timeout=10)
+    assert pub.publish("SimpleData", record(1)) == 1
+    reader = Reader(sock)
+    pub.close(timeout=10)
+    reader.join(10)
+    releaser.join()
+    sock.close()
+    assert [f.type for f in reader.frames()] == [
+        FrameType.HELLO, FrameType.FMT_RSP, FrameType.DATA,
+        FrameType.BYE]
