@@ -82,7 +82,7 @@ class RecordDecoder:
 
     def decode(self, body: bytes | memoryview) -> dict:
         """Decode a record body (no header) into a record dict."""
-        if isinstance(body, (bytes, bytearray)):
+        if type(body) is not memoryview:
             body = memoryview(body)
         if self.arrays == "view" and not body.readonly:
             body = body.toreadonly()

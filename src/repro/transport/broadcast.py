@@ -125,16 +125,11 @@ class PublishFront:
         out; returns what :meth:`_fan_out` reached (subscribers for a
         single loop, live shards for a sharded server)."""
         fmt = self._format(format_name)
-        encoder = self.context.encoder_for(fmt)
         # all parts framed in a single join — bulk array payloads
         # arrive as zero-copy segments, so a 1 MB grid is copied
         # exactly once (by the join), never per layer
-        t0 = sample_t0()
-        parts = encoder.encode_wire_parts(record)
-        if t0:
-            observe_phase("marshal", t0)
+        parts = self.context.encode(fmt, record, parts=True)
         data = frame_bytes(FrameType.DATA, *parts)
-        self.context.stats.count_encoded(1, sum(len(p) for p in parts))
 
         def down_convert(old_fmt: IOFormat) -> bytes:
             parts = down_converter(fmt, old_fmt).encode_record_parts(
@@ -287,8 +282,8 @@ class BroadcastPublisher(PublishFront):
         worker."""
         chain = self.context.format_server.lineage(name)
         reached = 0
-        for client in self.server.clients():
-            if new_fid not in client.announced:
+        for client in self.server.open_clients:
+            if new_fid.value not in client.announced:
                 self._announce_id(client, new_fid)
             chosen = client.negotiated.get(name, new_fid)
             payload = lineage_reply(name, chosen, chain)
@@ -321,26 +316,41 @@ class BroadcastPublisher(PublishFront):
     def _fan_out(self, fmt: IOFormat, data: bytes, records: int,
                  down_convert) -> int:
         t0 = sample_t0()
-        clients = self.server.clients()
-        reached = waiting = 0
-        #: frames re-encoded for stale versions this fan-out: built at
-        #: most once per *version*, shared by every subscriber on it
-        variants: dict[FormatID, tuple[IOFormat, bytes]] = {}
+        server = self.server
+        clients = server.open_clients  # lock-free: a fresh tuple per change
+        fid = fmt.format_id
+        #: (digest, its value, frame, queue room below the bound) for
+        #: the current version, then per stale version this fan-out
+        #: re-encodes for — at most once per *version*, shared by
+        #: every subscriber on it
+        current = (fid, fid.value, data, self.max_queue_bytes - len(data))
+        variants: dict[FormatID, tuple] = {}
+        reached = waiting = queued = 0
         for client in clients:
-            send_fmt, frame = fmt, data
-            target = client.negotiated.get(fmt.name)
-            if target is not None and target != fmt.format_id:
-                cached = variants.get(target)
-                if cached is None:
-                    old_fmt = self._version_format(fmt.name, target)
-                    cached = (old_fmt, down_convert(old_fmt))
-                    variants[target] = cached
-                send_fmt, frame = cached
-            if send_fmt.format_id not in client.announced:
-                self._announce_id(client, send_fmt.format_id)
-            if self._offer(client, frame):
-                reached += 1
-                waiting = max(waiting, client.queued_bytes)
+            send = current
+            if client.negotiated:
+                target = client.negotiated.get(fmt.name)
+                if target is not None and target != fid:
+                    send = variants.get(target)
+                    if send is None:
+                        frame = down_convert(
+                            self._version_format(fmt.name, target))
+                        send = variants[target] = (
+                            target, target.value, frame,
+                            self.max_queue_bytes - len(frame))
+            send_fid, key, frame, room = send
+            if key not in client.announced:
+                self._announce_id(client, send_fid)
+            # the policy runs only for a subscriber over its bound
+            if client.queued_bytes > room:
+                if not self._offer(client, frame):
+                    continue
+            elif not server.enqueue(client, frame):
+                continue
+            reached += 1
+            queued += len(frame)  # a down-converted variant at its size
+            if client.queued_bytes > waiting:
+                waiting = client.queued_bytes
         if t0:
             observe_phase("transport", t0)
         # one encode regardless of subscriber count — the whole
@@ -349,10 +359,12 @@ class BroadcastPublisher(PublishFront):
         row["messages_broadcast"] += records
         row["bytes_encoded"] += len(data) - 5
         row["frames_enqueued"] += reached
-        row["bytes_queued"] += reached * len(data)
+        row["bytes_queued"] += queued
         row["frames_down_converted"] += len(variants)
-        self.stats.mark("queue_high_water", waiting)
-        self.stats.mark("subscriber_high_water", len(clients))
+        if waiting > row["queue_high_water"]:
+            row["queue_high_water"] = waiting
+        if len(clients) > row["subscriber_high_water"]:
+            row["subscriber_high_water"] = len(clients)
         return reached
 
     def _announce_id(self, client: ClientHandle, fid: FormatID) -> None:
@@ -365,11 +377,12 @@ class BroadcastPublisher(PublishFront):
         frame = frame_bytes(FrameType.FMT_RSP, fid.to_bytes(),
                             metadata)
         if self.server.enqueue(client, frame, droppable=False):
-            client.announced.add(fid)
+            client.announced.add(fid.value)
             self.stats.count("formats_announced")
 
     def _offer(self, client: ClientHandle, data: bytes) -> bool:
-        """Enqueue under the bounded-queue policy.
+        """Enqueue under the bounded-queue policy (a fan-out calls this
+        only for a subscriber whose queue is over its bound).
 
         The publisher is the only thread enqueueing *data* frames, so
         the limit check followed by the enqueue cannot over-admit data.

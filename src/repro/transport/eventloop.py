@@ -177,7 +177,8 @@ class ClientHandle:
         self.open = True
         self.closing = False          # graceful: FIN after drain
         self.close_reason: BaseException | None = None
-        #: format IDs already announced to this client (publisher's)
+        #: digests (``FormatID.value``, an int that hashes in C)
+        #: already announced to this client (publisher's)
         self.announced: set = set()
         self.peer_architecture: str | None = None
         #: format name -> FormatID this client negotiated via LIN_REQ
@@ -216,7 +217,10 @@ class EventLoopServer:
     what they mean.  Its callbacks are all invoked on the loop thread
     with no internal lock held:
 
-    * ``on_connect(client)``
+    * ``on_connect(client)`` — before the client is visible to
+      other threads, so what it enqueues goes out first.
+    * ``on_registered(client)`` — once the client is in
+      :attr:`open_clients`, so a publish from now on reaches it.
     * ``parse(buffer)`` — an iterator over the complete messages at
       the head of a client's read buffer, consumed in place.  The
       default is :func:`iter_frames`, the length-prefix reassembler;
@@ -267,6 +271,10 @@ class EventLoopServer:
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
         self._clients: dict[int, ClientHandle] = {}
+        #: immutable snapshot of ``_clients``' values, replaced under
+        #: the lock whenever a client joins or leaves: a fan-out reads
+        #: it without taking the lock
+        self.open_clients: tuple[ClientHandle, ...] = ()
         self._next_id = 0
         self._want_write: set[int] = set()
         self._close_requests: deque = deque()
@@ -319,13 +327,11 @@ class EventLoopServer:
 
     def clients(self) -> list[ClientHandle]:
         """Snapshot of currently open clients."""
-        with self._lock:
-            return [c for c in self._clients.values() if c.open]
+        return list(self.open_clients)
 
     @property
     def client_count(self) -> int:
-        with self._lock:
-            return len(self._clients)
+        return len(self.open_clients)
 
     def live_fds(self) -> list[int]:
         """Every fd this server currently owns: wake socketpair,
@@ -616,7 +622,9 @@ class EventLoopServer:
         if client.open:
             with self._changed:
                 self._clients[client.id] = client
+                self.open_clients = tuple(self._clients.values())
                 self._changed.notify_all()
+            self._callback("on_registered", client)
 
     def _readable(self, client: ClientHandle) -> None:
         buf = client.read_buffer
@@ -738,6 +746,7 @@ class EventLoopServer:
             client.queued_bytes = 0
             client.in_flight = 0
             self._clients.pop(client.id, None)
+            self.open_clients = tuple(self._clients.values())
             self.clients_closed += 1
             totals = self._closed_totals
             for name in totals:

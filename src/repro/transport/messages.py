@@ -103,7 +103,7 @@ def frame_bytes(ftype: int, *parts: bytes) -> bytes:
     parts and frames them here without first concatenating a payload —
     one copy for the whole frame instead of one per layer.
     """
-    total = sum(len(p) for p in parts)
+    total = len(parts[0]) if len(parts) == 1 else sum(map(len, parts))
     return b"".join((_PREFIX.pack(total + 1, ftype),) + parts)
 
 

@@ -308,12 +308,14 @@ class _ShardWorkerPublisher(BroadcastPublisher):
         """Queue one pre-encoded wire frame to every shard subscriber
         on the matching version; returns subscribers reached."""
         t0 = sample_t0()
+        clients = self.server.open_clients
+        key = fid.value
         reached = waiting = 0
-        for client in self.server.clients():
+        for client in clients:
             target = client.negotiated.get(name)
             if not (target is None and primary or target == fid):
                 continue
-            if fid not in client.announced:
+            if key not in client.announced:
                 self._announce_id(client, fid)
             if self._offer(client, frame):
                 reached += 1
@@ -325,8 +327,7 @@ class _ShardWorkerPublisher(BroadcastPublisher):
         row["frames_enqueued"] += reached
         row["bytes_queued"] += reached * len(frame)
         self.stats.mark("queue_high_water", waiting)
-        self.stats.mark("subscriber_high_water",
-                        self.server.client_count)
+        self.stats.mark("subscriber_high_water", len(clients))
         return reached
 
     def resolve_pending(self, fid: FormatID, ok: bool) -> None:
@@ -336,7 +337,7 @@ class _ShardWorkerPublisher(BroadcastPublisher):
             waiting = self._pending_fmt.pop(fid, [])
         if not waiting:
             return
-        by_id = {c.id: c for c in self.server.clients()}
+        by_id = {c.id: c for c in self.server.open_clients}
         for client_id in waiting:
             client = by_id.get(client_id)
             if client is None:
@@ -360,7 +361,6 @@ class _ShardWorkerPublisher(BroadcastPublisher):
             pass  # publisher is gone; the control loop will exit
 
     def _census(self) -> None:
-        # on_connect runs before the client is in client_count
         server = self.server
         accepted, closed = server.clients_accepted, server.clients_closed
         self._send_up(Ctl.COUNT, struct.pack(
@@ -368,8 +368,9 @@ class _ShardWorkerPublisher(BroadcastPublisher):
 
     # -- inherited hooks -----------------------------------------------------
 
-    def on_connect(self, client: ClientHandle) -> None:
-        super().on_connect(client)
+    def on_registered(self, client: ClientHandle) -> None:
+        # only now can a publish reach the client, so only now may
+        # the parent's wait_for_subscribers count it
         self._census()
 
     def on_disconnect(self, client: ClientHandle,

@@ -363,3 +363,75 @@ class TestSlowConsumers:
         healthy.join(10)
         assert any(f.type == FrameType.BYE for f in healthy.frames)
         slow.close()
+
+
+def test_client_snapshot_holds_under_subscriber_churn():
+    """The loop thread replaces ``open_clients`` as subscribers come
+    and go while the publishing thread reads it without the lock.  A
+    subscriber must see HELLO, FMT_RSP, then one unbroken run of
+    records, and the snapshot must end equal to the client table."""
+    import sys
+    import time
+    pub = make_publisher()
+    stop = threading.Event()
+    runs: list[list[int]] = []
+
+    errors: list[BaseException] = []
+
+    def visit(sub):
+        sock = socket.create_connection((pub.host, pub.port))
+        sock.settimeout(0.01)
+        buf = bytearray()
+        end = time.monotonic() + 0.03
+        try:
+            while time.monotonic() < end:
+                chunk = sock.recv(1 << 16)
+                if not chunk:
+                    break
+                buf.extend(chunk)
+        except (socket.timeout, OSError):
+            pass
+        sock.close()
+        frames = list(iter_frames(buf))
+        kinds = [f.type for f in frames[:2]]
+        assert kinds == [FrameType.HELLO, FrameType.FMT_RSP][:len(kinds)]
+        if len(frames) > 1:
+            sub.format_server.import_bytes(frames[1].payload[8:])
+        runs.append([sub.decode(f.payload).record["timestep"]
+                     for f in frames[2:]])
+
+    def churn():
+        # an assert in this thread would only kill it: hand it over
+        sub = IOContext(format_server=FormatServer())
+        try:
+            while not stop.is_set():
+                visit(sub)
+        except BaseException as exc:
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=churn, daemon=True)
+               for _ in range(6)]
+    try:
+        for thread in threads:
+            thread.start()
+        step, end = 0, time.monotonic() + 1.0
+        while time.monotonic() < end:
+            pub.publish("SimpleData", {"timestep": step, "data": [0.5]})
+            step += 1
+    finally:
+        stop.set()
+        sys.setswitchinterval(switch)
+    for thread in threads:
+        thread.join(10)
+        assert not thread.is_alive()
+    assert errors == []
+    assert wait_until(lambda: pub.server.client_count == 0)
+    with pub.server._lock:
+        assert pub.server.open_clients == tuple(
+            pub.server._clients.values()) == ()
+    assert len(runs) > 6
+    for steps in filter(None, runs):
+        assert steps == list(range(steps[0], steps[0] + len(steps)))
+    pub.close()

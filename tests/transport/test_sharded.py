@@ -15,10 +15,10 @@ from repro.pbio.format_server import FormatServer
 from repro.pbio.layout import compute_layout
 from repro.transport.connection import Connection
 from repro.transport.eventloop import iter_frames
-from repro.transport.messages import Frame, FrameType
+from repro.transport.messages import Frame, FrameType, frame_bytes
 from repro.transport.sharded import (
     ControlSocket, Ctl, ShardedBroadcastServer, WorkerConfig,
-    _pack_name, _unpack_name, reuseport_available,
+    _pack_name, _ShardWorkerPublisher, _unpack_name, reuseport_available,
 )
 from repro.transport.tcp import TCPChannel
 
@@ -372,6 +372,90 @@ class TestShardedEndToEnd:
         full = [sub for sub in subs
                 if [r["timestep"] for _, r in sub.records] == [0, 1]]
         assert len(full) == 2
+
+
+    @pytest.mark.timeout(180)
+    def test_each_format_is_announced_once_per_subscriber(self):
+        with make_server(workers=2) as srv:
+            subs = [Subscriber(srv.host, srv.port) for _ in range(4)]
+            for sub in subs:
+                sub.start()
+            assert srv.wait_for_subscribers(4, timeout=60)
+            for t in range(100):
+                assert srv.publish(
+                    "SimpleData", {"timestep": t, "data": [0.5]}) == 2
+            assert srv.flush(timeout=60)
+            stats = srv.worker_stats(timeout=60)
+            # one format, four subscribers: one FMT_RSP each, however
+            # many records follow it
+            assert sum(shard["publisher"]["formats_announced"]
+                       for shard in stats.values()) == 4 * 1
+            assert sum(shard["publisher"]["subscriber_high_water"]
+                       for shard in stats.values()) == 4
+        for sub in subs:
+            sub.join(30)
+            assert sub.error is None
+            assert [r["timestep"] for _, r in sub.records] == \
+                list(range(100))
+
+
+class HeldAfterConnect(_ShardWorkerPublisher):
+    """A shard's loop thread parks after ``on_connect`` returns, before
+    the new client joins the loop's client table."""
+
+    def __init__(self, *args, **kwargs):
+        self.held = threading.Event()
+        self.released = threading.Event()
+        super().__init__(*args, **kwargs)
+
+    def on_connect(self, client):
+        super().on_connect(client)
+        self.held.set()
+        assert self.released.wait(10)
+
+
+def test_census_counts_a_subscriber_only_once_a_publish_reaches_it():
+    """The census feeds the publisher's ``wait_for_subscribers``; a
+    subscriber it counts must be one the very next publish reaches."""
+    ours, theirs = socket.socketpair()
+    upstream = ControlSocket(ours)
+    ctx = make_context()
+    worker = HeldAfterConnect(ctx, ControlSocket(theirs)).start()
+    fid = ctx.lookup_format("SimpleData").format_id
+    frame = frame_bytes(FrameType.DATA, ctx.encode(
+        "SimpleData", {"timestep": 0, "data": [1.0]}))
+
+    def census(timeout):
+        """Subscribers the next COUNT reports; None if none comes."""
+        try:
+            kind, payload, _fd = upstream.recv(timeout)
+        except TimeoutError:
+            return None
+        assert kind == Ctl.COUNT
+        return struct.unpack_from(">I", payload)[0]
+
+    sub = socket.create_connection((worker.host, worker.port))
+    try:
+        assert worker.held.wait(10)
+        # a publish now would miss the client, so nothing may count it
+        assert census(0.2) is None
+        worker.released.set()
+        assert census(10) == 1
+        assert worker.broadcast_frame("SimpleData", fid, frame,
+                                      primary=True) == 1
+        worker.close()
+        sub.settimeout(10)
+        buf = bytearray()
+        while chunk := sub.recv(1 << 16):
+            buf.extend(chunk)
+        assert [f.type for f in iter_frames(buf)] == [
+            FrameType.HELLO, FrameType.FMT_RSP, FrameType.DATA,
+            FrameType.BYE]
+    finally:
+        worker.released.set()
+        worker.close()
+        sub.close()
+        upstream.close()
 
 
 class TestShardedEvolution:

@@ -13,7 +13,7 @@ import pytest
 from repro.errors import SlowConsumerError, TransportError
 from repro.pbio.context import IOContext
 from repro.pbio.encode import BULK_STATS
-from repro.pbio.format import IOFormat
+from repro.pbio.format import FormatID, IOFormat
 from repro.pbio.format_server import FormatServer
 from repro.pbio.layout import compute_layout
 from repro.transport.broadcast import BroadcastPublisher
@@ -118,7 +118,19 @@ def data_steps(pub, frames) -> list[int]:
 
 # -- (a) steady state: no wake-ups, nothing queued ---------------------------
 
-def test_steady_state_never_wakes_the_loop_or_queues():
+def spy_calls(monkeypatch, owner, name: str) -> list:
+    """Count calls of *owner*'s attribute *name* from here on."""
+    calls, real = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_steady_state_never_wakes_the_loop_or_queues(monkeypatch):
     pub = make_publisher()
     subs = [subscribe(pub) for _ in range(4)]
     clients = [client for _reader, client in subs]
@@ -128,10 +140,22 @@ def test_steady_state_never_wakes_the_loop_or_queues():
     stats0 = pub.stats.as_dict()
     frame_len = 5 + len(pub.context.encode("SimpleData", record(1)))
     wakes = spy_on_wake(pub)
+    # the steady state is one enqueue per subscriber and nothing else:
+    # no client-list copy, no policy branch, no announcement probe that
+    # runs Python, no FormatID hashed
+    spies = {name: spy_calls(monkeypatch, owner, name)
+             for owner, name in ((pub.server, "enqueue"),
+                                 (pub.server, "clients"),
+                                 (pub, "_offer"), (pub, "_announce_id"),
+                                 (FormatID, "__hash__"))}
     for step in range(1, 1001):
         assert pub.publish("SimpleData", record(step)) == 4
         assert [c.queued_bytes for c in clients] == [0, 0, 0, 0]
+    monkeypatch.undo()
     assert wakes == []
+    assert {name: len(calls) for name, calls in spies.items()} == {
+        "enqueue": 4000, "clients": 0, "_offer": 0, "_announce_id": 0,
+        "__hash__": 0}
     for client, (enqueued, sent, sent_bytes) in zip(clients, base):
         assert client.frames_enqueued - enqueued == 1000
         assert client.frames_sent - sent == 1000
