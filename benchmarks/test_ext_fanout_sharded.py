@@ -4,8 +4,8 @@
 subscribers inside a single event-loop process.  This sweep measures
 what the sharded layer adds: the same encode-once frame fanned out to
 N subscribers spread over 1, 2 and 4 *worker processes*
-(:class:`~repro.transport.sharded.ShardedBroadcastServer`, fdpass
-distribution for a deterministic round-robin split).
+(:class:`~repro.transport.sharded.ShardedBroadcastServer`, whose
+acceptor round-robins subscribers, so the split is exact).
 
 Two claims, both recorded in ``BENCH_fanout_sharded.json`` and
 enforced by ``benchmarks/check_sharded_gate.py``:
@@ -64,10 +64,10 @@ def _context() -> IOContext:
 def _measure(clients: int, workers: int) -> dict:
     messages = MESSAGES[clients]
     srv = ShardedBroadcastServer(
-        _context(), workers=workers, mode="fdpass", policy="block",
+        _context(), workers=workers, policy="block",
         max_queue_bytes=32 * 1024 * 1024, start_timeout=300.0)
     srv.start()
-    # one drainer thread per shard (fdpass round-robins socket i to
+    # one drainer thread per shard (the acceptor round-robins socket i to
     # worker i % workers), so the receive side scales with the fleet
     # and a single reader thread cannot cap the measured speedup
     drainers = [_Drainer() for _ in range(workers)]
@@ -133,7 +133,6 @@ def test_sharded_fanout_sweep_recorded(clients, sharded_metrics):
     """One fleet size across the worker-count axis; records rows for
     the CI gate and asserts the encode-once counter shape."""
     sharded_metrics.setdefault("cpus", os.cpu_count() or 1)
-    sharded_metrics.setdefault("mode", "fdpass")
     matrix = sharded_metrics.setdefault("matrix", {})
     rows = matrix.setdefault(str(clients), {})
     for workers in WORKER_COUNTS:

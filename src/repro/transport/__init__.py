@@ -34,9 +34,7 @@ from repro.transport.eventloop import (
 )
 from repro.transport.inproc import InProcChannel, channel_pair
 from repro.transport.messages import Frame, FrameType, frame_bytes
-from repro.transport.sharded import (
-    ShardedBroadcastServer, WorkerConfig, reuseport_available,
-)
+from repro.transport.sharded import ShardedBroadcastServer, WorkerConfig
 from repro.transport.tcp import TCPChannel, TCPListener, tcp_pair
 
 __all__ = [
@@ -58,6 +56,5 @@ __all__ = [
     "WorkerConfig",
     "channel_pair",
     "frame_bytes",
-    "reuseport_available",
     "tcp_pair",
 ]

@@ -207,7 +207,7 @@ class BroadcastPublisher(PublishFront):
                  max_queue_bytes: int = 4 * 1024 * 1024,
                  block_timeout: float = 5.0,
                  max_frame_len: int = MAX_FRAME,
-                 listener_socket=None, listen: bool = True) -> None:
+                 listen: bool = True) -> None:
         self.context = context
         self.policy = BackpressurePolicy.coerce(policy)
         self.max_queue_bytes = max_queue_bytes
@@ -224,7 +224,6 @@ class BroadcastPublisher(PublishFront):
         self.server = EventLoopServer(host=host, port=port,
                                       handler=self,
                                       max_frame_len=max_frame_len,
-                                      listener_socket=listener_socket,
                                       listen=listen)
         self.host, self.port = self.server.host, self.server.port
 

@@ -237,18 +237,11 @@ class EventLoopServer:
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  handler=None,
                  max_frame_len: int = MAX_FRAME,
-                 listener_socket: socket.socket | None = None,
                  listen: bool = True) -> None:
         self.handler = handler
         self.max_frame_len = max_frame_len
-        if listener_socket is not None:
-            # caller-provided listener (e.g. a worker's SO_REUSEPORT
-            # socket bound to a port shared across shard processes)
-            self._listener = listener_socket
-            self._listener.setblocking(False)
-            self.host, self.port = \
-                self._listener.getsockname()[:2]
-        elif listen:
+        self._poller = Poller()
+        if listen:
             self._listener = socket.socket(socket.AF_INET,
                                            socket.SOCK_STREAM)
             self._listener.setsockopt(socket.SOL_SOCKET,
@@ -256,18 +249,15 @@ class EventLoopServer:
             self._listener.bind((host, port))
             self._listener.listen(256)
             self._listener.setblocking(False)
+            set_cloexec(self._listener)
             self.host, self.port = self._listener.getsockname()
+            self._poller.register(self._listener, selectors.EVENT_READ,
+                                  "accept")
         else:
             # accept-less loop: clients arrive via adopt() (fd passing
             # from an acceptor process)
             self._listener = None
             self.host, self.port = host, 0
-        if self._listener is not None:
-            set_cloexec(self._listener)
-        self._poller = Poller()
-        if self._listener is not None:
-            self._poller.register(self._listener, selectors.EVENT_READ,
-                                  "accept")
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
         self._clients: dict[int, ClientHandle] = {}

@@ -23,19 +23,15 @@ intact fleet-wide while breaking that ceiling:
   pull on a subscriber's cold FMT_REQ), so FMT_REQ/LIN_REQ are
   answered from every shard without a second registration step.
 
-Two accept-distribution mechanisms, both implemented:
-
-* ``reuseport`` — every worker binds its own ``SO_REUSEPORT`` listener
-  to the shared port and the kernel balances new connections;
-* ``fdpass``   — a single acceptor thread in the publisher accepts and
-  round-robins each connected fd to a worker over ``SCM_RIGHTS``.
-
-``mode="auto"`` picks ``reuseport`` where :func:`reuseport_available`
-proves both the socket option and its load-balancing semantics, else
-falls back to ``fdpass`` (which works anywhere ``AF_UNIX`` ancillary
-data does).  Workers are ``multiprocessing`` *spawn* children — no
+One acceptor thread in the publisher accepts every subscriber and
+round-robins its connected fd to the next live worker over
+``SCM_RIGHTS`` (anywhere ``AF_UNIX`` ancillary data works), so the
+split is exact.  Workers accept nothing themselves and hold no
+listening port.  They are ``multiprocessing`` *spawn* children — no
 forked locks, no inherited shard sockets (every event-loop fd is
-``FD_CLOEXEC``, see :func:`repro.transport.eventloop.set_cloexec`).
+``FD_CLOEXEC``, see :func:`repro.transport.eventloop.set_cloexec`) —
+and each exits at EOF on its control socket, so a worker never
+outlives its publisher.
 
 Version evolution rides along: workers negotiate LIN_REQ locally
 against the replicated lineage and report pins upstream; the publisher
@@ -52,7 +48,6 @@ import multiprocessing
 import os
 import socket
 import struct
-import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -71,13 +66,7 @@ from repro.transport.messages import (
     MAX_FRAME, FrameType, frame_bytes,
 )
 
-#: environment marker stamped on worker processes so an external
-#: reaper (scripts/reap_shard_workers.py) can find orphans by
-#: scanning /proc/<pid>/environ
-WORKER_ENV_MARKER = "REPRO_SHARD_WORKER"
-
 _U32 = struct.Struct(">I")
-_CTL_HEADER = struct.Struct(">IB")   # length (kind+payload) | kind
 _MAX_CTL_FRAME = MAX_FRAME + 4096    # one data frame + headroom
 
 
@@ -95,7 +84,7 @@ class Ctl(enum.IntEnum):
     CONN = 8       # fd-passing: addr text; the fd rides as SCM_RIGHTS
     STOP = 9       # shut the shard down (BYE + graceful close)
     # worker -> publisher
-    STARTED = 20   # port (reuseport) or 0 (fdpass): shard is serving
+    STARTED = 20   # shard is serving
     ACK = 21       # seq | ok (barrier complete)
     STATS_RSP = 22  # seq | JSON snapshot
     COUNT = 23     # clients | accepted | closed (shard census update)
@@ -147,12 +136,12 @@ class ControlSocket:
         self._fds: list[int] = []
 
     def send(self, kind: int, payload: bytes = b"") -> None:
-        frame = _CTL_HEADER.pack(len(payload) + 1, kind) + payload
+        frame = frame_bytes(kind, payload)
         with self._send_lock:
             self.sock.sendall(frame)
 
     def send_fd(self, kind: int, payload: bytes, fd: int) -> None:
-        frame = _CTL_HEADER.pack(len(payload) + 1, kind) + payload
+        frame = frame_bytes(kind, payload)
         with self._send_lock:
             # the fd attaches to the frame's leading bytes; sendall
             # the remainder under the same lock so frames stay whole
@@ -205,61 +194,6 @@ class ControlSocket:
 
 
 # ---------------------------------------------------------------------------
-# SO_REUSEPORT capability probe
-# ---------------------------------------------------------------------------
-
-def reuseport_available(socket_module=socket,
-                        platform: str | None = None) \
-        -> tuple[bool, str]:
-    """Can ``SO_REUSEPORT`` shard accepted connections here?
-
-    Three gates, probed in order:
-
-    1. the constant exists in *socket_module*;
-    2. the platform is known to **balance** TCP connections across
-       same-port listeners (Linux >= 3.9 does; BSDs accept the option
-       with different, non-balancing semantics, so they fall back);
-    3. a live double-bind probe on loopback succeeds (seccomp/container
-       policies can refuse what the libc advertises).
-
-    Returns ``(ok, reason)``; *reason* names the failing gate so the
-    auto-selected fallback is explainable from logs.
-    """
-    if platform is None:
-        platform = sys.platform
-    if not hasattr(socket_module, "SO_REUSEPORT"):
-        return False, "SO_REUSEPORT not defined by this platform"
-    if not platform.startswith("linux"):
-        return False, (f"no balancing guarantee for SO_REUSEPORT on "
-                       f"{platform}")
-    probe_a = probe_b = None
-    try:
-        probe_a = socket_module.socket(socket.AF_INET,
-                                       socket.SOCK_STREAM)
-        probe_a.setsockopt(socket.SOL_SOCKET,
-                           socket_module.SO_REUSEPORT, 1)
-        probe_a.bind(("127.0.0.1", 0))
-        probe_a.listen(1)
-        port = probe_a.getsockname()[1]
-        probe_b = socket_module.socket(socket.AF_INET,
-                                       socket.SOCK_STREAM)
-        probe_b.setsockopt(socket.SOL_SOCKET,
-                           socket_module.SO_REUSEPORT, 1)
-        probe_b.bind(("127.0.0.1", port))
-        probe_b.listen(1)
-    except OSError as exc:
-        return False, f"double-bind probe failed: {exc}"
-    finally:
-        for probe in (probe_a, probe_b):
-            if probe is not None:
-                try:
-                    probe.close()
-                except OSError:
-                    pass
-    return True, "SO_REUSEPORT balances same-port listeners"
-
-
-# ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
 
@@ -268,9 +202,6 @@ class WorkerConfig:
     """Everything a spawned shard worker needs (picklable)."""
 
     index: int
-    mode: str                     # "reuseport" | "fdpass"
-    host: str
-    port: int                     # shared port (reuseport) or 0
     policy: str
     max_queue_bytes: int
     block_timeout: float
@@ -409,27 +340,16 @@ class _WorkerRuntime:
         self.config = config
         self.replica = FormatServer()
         self.context = IOContext(format_server=self.replica)
-        kwargs = dict(policy=config.policy,
-                      max_queue_bytes=config.max_queue_bytes,
-                      block_timeout=config.block_timeout,
-                      max_frame_len=config.max_frame_len)
-        if config.mode == "reuseport":
-            listener = socket.socket(socket.AF_INET,
-                                     socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET,
-                                socket.SO_REUSEPORT, 1)
-            listener.bind((config.host, config.port))
-            listener.listen(512)
-            self.publisher = _ShardWorkerPublisher(
-                self.context, ctl, listener_socket=listener, **kwargs)
-        else:
-            self.publisher = _ShardWorkerPublisher(
-                self.context, ctl, listen=False, **kwargs)
+        # accept-less: subscribers arrive as CONN fds from the acceptor
+        self.publisher = _ShardWorkerPublisher(
+            self.context, ctl, listen=False, policy=config.policy,
+            max_queue_bytes=config.max_queue_bytes,
+            block_timeout=config.block_timeout,
+            max_frame_len=config.max_frame_len)
 
     def run(self) -> None:
         self.publisher.start()
-        self.ctl.send(Ctl.STARTED,
-                      struct.pack(">H", self.publisher.port or 0))
+        self.ctl.send(Ctl.STARTED)
         try:
             while True:
                 msg = self.ctl.recv(None)
@@ -510,11 +430,10 @@ class _WorkerRuntime:
 def _worker_entry(ctl_sock: socket.socket,
                   config: WorkerConfig) -> None:
     """Spawned worker main: build the shard, serve until STOP/EOF."""
-    os.environ[WORKER_ENV_MARKER] = str(os.getppid())
     ctl = ControlSocket(ctl_sock)
     try:
         runtime = _WorkerRuntime(ctl, config)
-    except Exception as exc:  # bind failure etc: tell the publisher
+    except Exception as exc:  # tell the publisher why
         try:
             ctl.send(Ctl.STOPPED, repr(exc).encode())
         except OSError:
@@ -556,18 +475,11 @@ class ShardedBroadcastServer(PublishFront):
     :class:`~repro.transport.broadcast.PublishFront`, reaching live
     shards instead of subscribers), ``cutover`` / ``flush`` /
     ``wait_for_subscribers`` / ``close``, plus process-topology extras
-    (``worker_stats``, ``metrics_snapshot``, ``mode``).
-
-    *mode* is ``"auto"`` (prefer ``reuseport``, fall back to
-    ``fdpass``), or an explicit ``"reuseport"`` / ``"fdpass"``
-    override; an explicit ``reuseport`` on a platform that cannot
-    balance raises :class:`~repro.errors.TransportError` instead of
-    silently degrading.
+    (``worker_stats``, ``metrics_snapshot``).
     """
 
     def __init__(self, context: IOContext, *,
                  workers: int = 2,
-                 mode: str = "auto",
                  host: str = "127.0.0.1", port: int = 0,
                  policy: BackpressurePolicy | str =
                  BackpressurePolicy.BLOCK,
@@ -577,12 +489,7 @@ class ShardedBroadcastServer(PublishFront):
                  start_timeout: float = 60.0) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
-        if mode not in ("auto", "reuseport", "fdpass"):
-            raise ValueError(f"unknown shard mode {mode!r}")
         self.context = context
-        self.requested_mode = mode
-        self.mode: str | None = None
-        self.mode_reason: str | None = None
         self.policy = BackpressurePolicy.coerce(policy)
         self.stats = BroadcastStats()
         self.worker_count = workers
@@ -616,34 +523,27 @@ class ShardedBroadcastServer(PublishFront):
         if self._started:
             return self
         self._started = True
-        self._select_mode()
         self._bind()
         multiprocessing.allow_connection_pickling()
         ctx = multiprocessing.get_context("spawn")
         deadline = time.monotonic() + self._start_timeout
-        os.environ[WORKER_ENV_MARKER] = str(os.getpid())
-        try:
-            for index in range(self.worker_count):
-                handle = _WorkerHandle(index)
-                parent_sock, child_sock = socket.socketpair()
-                set_cloexec(parent_sock)
-                handle.ctl = ControlSocket(parent_sock)
-                config = WorkerConfig(index=index, mode=self.mode,
-                                      host=self.host, port=self.port,
-                                      **self._config)
-                handle.process = ctx.Process(
-                    target=_worker_entry, args=(child_sock, config),
-                    name=f"repro-shard-{index}", daemon=True)
-                handle.process.start()
-                child_sock.close()
-                handle.alive = True
-                handle.reader = threading.Thread(
-                    target=self._reader, args=(handle,),
-                    name=f"shard-ctl-{index}", daemon=True)
-                handle.reader.start()
-                self._workers.append(handle)
-        finally:
-            os.environ.pop(WORKER_ENV_MARKER, None)
+        for index in range(self.worker_count):
+            handle = _WorkerHandle(index)
+            parent_sock, child_sock = socket.socketpair()
+            set_cloexec(parent_sock)
+            handle.ctl = ControlSocket(parent_sock)
+            config = WorkerConfig(index=index, **self._config)
+            handle.process = ctx.Process(
+                target=_worker_entry, args=(child_sock, config),
+                name=f"repro-shard-{index}", daemon=True)
+            handle.process.start()
+            child_sock.close()
+            handle.alive = True
+            handle.reader = threading.Thread(
+                target=self._reader, args=(handle,),
+                name=f"shard-ctl-{index}", daemon=True)
+            handle.reader.start()
+            self._workers.append(handle)
         for handle in self._workers:
             remaining = max(0.0, deadline - time.monotonic())
             if not handle.started.wait(remaining):
@@ -658,39 +558,15 @@ class ShardedBroadcastServer(PublishFront):
                     f"{handle.start_error}")
         for handle in self._workers:
             self._seed_worker(handle)
-        if self.mode == "reuseport":
-            # workers hold the port now; drop the reservation so no
-            # connection ever lands in a backlog nobody accepts from
-            self._listener.close()
-            self._listener = None
-        else:
-            self._acceptor = threading.Thread(
-                target=self._pass_connections, name="shard-acceptor",
-                daemon=True)
-            self._acceptor.start()
+        self._acceptor = threading.Thread(
+            target=self._pass_connections, name="shard-acceptor",
+            daemon=True)
+        self._acceptor.start()
         return self
-
-    def _select_mode(self) -> None:
-        if self.requested_mode == "fdpass":
-            self.mode, self.mode_reason = "fdpass", "explicit override"
-            return
-        ok, reason = reuseport_available()
-        if self.requested_mode == "reuseport":
-            if not ok:
-                raise TransportError(
-                    f"reuseport mode requested but unavailable: "
-                    f"{reason}")
-            self.mode, self.mode_reason = "reuseport", reason
-            return
-        self.mode = "reuseport" if ok else "fdpass"
-        self.mode_reason = reason
 
     def _bind(self) -> None:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if self.mode == "reuseport":
-            listener.setsockopt(socket.SOL_SOCKET,
-                                socket.SO_REUSEPORT, 1)
         listener.bind((self.host, self.port))
         listener.listen(1024)
         set_cloexec(listener)
@@ -749,13 +625,12 @@ class ShardedBroadcastServer(PublishFront):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- acceptor (fdpass mode) ---------------------------------------------
+    # -- acceptor -----------------------------------------------------------
 
     def _pass_connections(self) -> None:
         listener = self._listener
-        if listener is not None:
-            listener.settimeout(1.0)
-        while not self._closed and listener is not None:
+        listener.settimeout(1.0)
+        while not self._closed:
             try:
                 sock, addr = listener.accept()
             except (TimeoutError, socket.timeout):
@@ -1102,5 +977,4 @@ class ShardedBroadcastServer(PublishFront):
         out["workers"] = len(self._workers)
         out["workers_alive"] = len(self._live())
         out["worker_failures"] = self.worker_failures
-        out["mode"] = self.mode
         return out

@@ -92,7 +92,7 @@ def test_mixed_fleet_across_four_shards():
     assert len(chain) == 2
     v1_id, v2_id = chain
 
-    with ShardedBroadcastServer(ctx, workers=WORKERS, mode="fdpass",
+    with ShardedBroadcastServer(ctx, workers=WORKERS,
                                 max_queue_bytes=16 << 20,
                                 start_timeout=300.0) as srv:
         subs = [Subscriber(srv.host, srv.port, pinned=i < PINNED)

@@ -472,22 +472,3 @@ class TestForkSafety:
                 "refused adoption must close the socket"
         finally:
             ours.close()
-
-    @pytest.mark.timeout(30)
-    def test_injected_listener_serves_clients(self):
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(8)
-        server, _handler = echo_server(listener_socket=listener)
-        server.start()
-        try:
-            assert server.port == listener.getsockname()[1]
-            with socket.create_connection(
-                    (server.host, server.port)) as sock:
-                sock.sendall(data(b"via-injected").encode())
-                sock.settimeout(5)
-                buf = bytearray(sock.recv(4096))
-                frames = list(iter_frames(buf))
-                assert frames and frames[0].payload == b"via-injected"
-        finally:
-            server.close()

@@ -89,3 +89,13 @@ def test_the_event_loop_reassembles_frames_in_one_place():
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in ("unpack", "unpack_from")]
     assert unpackers == ["iter_frames"]
+
+
+def test_a_shard_is_entered_one_way():
+    """The fdpass acceptor is the only way a subscriber reaches a
+    shard: no worker binds a shared port and no loop takes a listener
+    built elsewhere."""
+    for path in sorted((PACKAGE / "transport").rglob("*.py")):
+        text = path.read_text()
+        for word in ("SO_REUSEPORT", "listener_socket"):
+            assert word not in text, f"transport/{path.name}: {word}"

@@ -1,13 +1,17 @@
-"""Sharded broadcast: probe, control plane, and multi-process e2e."""
+"""Sharded broadcast: control plane and multi-process e2e."""
 
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
-import types
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ProtocolError, TransportError
 from repro.pbio.context import IOContext
 from repro.pbio.format import IOFormat
@@ -18,7 +22,7 @@ from repro.transport.eventloop import iter_frames
 from repro.transport.messages import Frame, FrameType, frame_bytes
 from repro.transport.sharded import (
     ControlSocket, Ctl, ShardedBroadcastServer, WorkerConfig,
-    _pack_name, _ShardWorkerPublisher, _unpack_name, reuseport_available,
+    _pack_name, _ShardWorkerPublisher, _unpack_name,
 )
 from repro.transport.tcp import TCPChannel
 
@@ -35,7 +39,6 @@ def make_context() -> IOContext:
 
 def make_server(**kwargs) -> ShardedBroadcastServer:
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("mode", "fdpass")
     kwargs.setdefault("start_timeout", 120.0)
     return ShardedBroadcastServer(make_context(), **kwargs)
 
@@ -79,79 +82,6 @@ class Subscriber(threading.Thread):
             self.error = exc
         finally:
             self.conn.close()
-
-
-# ---------------------------------------------------------------------------
-# SO_REUSEPORT capability probe (monkeypatched socket module)
-# ---------------------------------------------------------------------------
-
-class TestReuseportProbe:
-    def test_real_platform_probe_is_conclusive(self):
-        ok, reason = reuseport_available()
-        assert isinstance(ok, bool) and reason
-
-    def test_missing_constant_falls_back(self):
-        fake = types.SimpleNamespace()  # no SO_REUSEPORT at all
-        ok, reason = reuseport_available(socket_module=fake)
-        assert not ok
-        assert "not defined" in reason
-
-    def test_non_balancing_platform_falls_back(self):
-        ok, reason = reuseport_available(platform="darwin")
-        assert not ok
-        assert "darwin" in reason
-
-    def test_probe_bind_failure_falls_back(self):
-        class Refusing:
-            SO_REUSEPORT = socket.SO_REUSEPORT if \
-                hasattr(socket, "SO_REUSEPORT") else 15
-
-            @staticmethod
-            def socket(*args, **kwargs):
-                raise OSError("seccomp says no")
-
-        ok, reason = reuseport_available(socket_module=Refusing)
-        assert not ok
-        assert "probe failed" in reason
-
-    def test_setsockopt_rejection_falls_back(self):
-        class Sock:
-            def __init__(self, real):
-                self._real = real
-
-            def setsockopt(self, *args):
-                raise OSError("EOPNOTSUPP")
-
-            def __getattr__(self, name):
-                return getattr(self._real, name)
-
-        class Module:
-            SO_REUSEPORT = 15
-
-            @staticmethod
-            def socket(*args, **kwargs):
-                return Sock(socket.socket(*args, **kwargs))
-
-        ok, reason = reuseport_available(socket_module=Module)
-        assert not ok
-
-    def test_auto_mode_falls_back_to_fdpass(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.transport.sharded.reuseport_available",
-            lambda *a, **k: (False, "forced off for test"))
-        srv = make_server(mode="auto", workers=1)
-        srv._select_mode()
-        assert srv.mode == "fdpass"
-        assert srv.mode_reason == "forced off for test"
-
-    def test_explicit_reuseport_raises_when_unavailable(
-            self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.transport.sharded.reuseport_available",
-            lambda *a, **k: (False, "forced off for test"))
-        srv = make_server(mode="reuseport", workers=1)
-        with pytest.raises(TransportError, match="forced off"):
-            srv._select_mode()
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +163,7 @@ class TestControlProtocol:
 
     def test_worker_config_is_picklable(self):
         import pickle
-        config = WorkerConfig(index=3, mode="fdpass",
-                              host="127.0.0.1", port=0,
-                              policy="block",
+        config = WorkerConfig(index=3, policy="block",
                               max_queue_bytes=1024,
                               block_timeout=1.0,
                               max_frame_len=1 << 20)
@@ -248,19 +176,10 @@ class TestControlProtocol:
 # End-to-end across processes
 # ---------------------------------------------------------------------------
 
-def available_modes():
-    modes = ["fdpass"]
-    if reuseport_available()[0]:
-        modes.append("reuseport")
-    return modes
-
-
 class TestShardedEndToEnd:
     @pytest.mark.timeout(180)
-    @pytest.mark.parametrize("mode", available_modes())
-    def test_fan_out_across_shards(self, mode):
-        with make_server(mode=mode) as srv:
-            assert srv.mode == mode
+    def test_fan_out_across_shards(self):
+        with make_server() as srv:
             subs = [Subscriber(srv.host, srv.port) for _ in range(8)]
             for sub in subs:
                 sub.start()
@@ -275,12 +194,11 @@ class TestShardedEndToEnd:
                 "SimpleData", {"timestep": 5, "data": [2.5]})
             assert srv.publish_encoded(wire) == 2
             assert srv.flush(timeout=60)
-            if mode == "fdpass":
-                # round-robin: a 2-way split of 8 is exactly 4+4
-                stats = srv.worker_stats(timeout=60)
-                counts = sorted(s["server"]["clients"]
-                                for s in stats.values())
-                assert counts == [4, 4]
+            # round-robin: a 2-way split of 8 is exactly 4+4
+            stats = srv.worker_stats(timeout=60)
+            counts = sorted(s["server"]["clients"]
+                            for s in stats.values())
+            assert counts == [4, 4]
         for sub in subs:
             sub.join(30)
             assert sub.error is None
@@ -373,6 +291,28 @@ class TestShardedEndToEnd:
                 if [r["timestep"] for _, r in sub.records] == [0, 1]]
         assert len(full) == 2
 
+    @pytest.mark.timeout(180)
+    def test_new_subscribers_skip_a_dead_worker(self):
+        with make_server(workers=2) as srv:
+            victim = srv._workers[0]
+            victim.process.terminate()
+            victim.process.join(30)
+            with srv._census:
+                assert srv._census.wait_for(lambda: not victim.alive, 30)
+            subs = [Subscriber(srv.host, srv.port) for _ in range(4)]
+            for sub in subs:
+                sub.start()
+            assert srv.wait_for_subscribers(4, timeout=60)
+            stats = srv.worker_stats(timeout=60)
+            assert {label: shard["server"]["clients_accepted"]
+                    for label, shard in stats.items()} == {"w1": 4}
+            assert srv.publish("SimpleData",
+                               {"timestep": 0, "data": [1.0]}) == 1
+            assert srv.flush(timeout=60)
+        for sub in subs:
+            sub.join(30)
+            assert sub.error is None
+            assert [r["timestep"] for _, r in sub.records] == [0]
 
     @pytest.mark.timeout(180)
     def test_each_format_is_announced_once_per_subscriber(self):
@@ -458,6 +398,70 @@ def test_census_counts_a_subscriber_only_once_a_publish_reaches_it():
         upstream.close()
 
 
+#: a publisher process for the parent-kill test: prints its port and
+#: worker pids, then "flushed" once three publishes reached 4
+#: subscribers, then waits to be killed
+PARENT_SCRIPT = f"""
+import time
+from repro.pbio.context import IOContext
+from repro.pbio.format_server import FormatServer
+from repro.transport.sharded import ShardedBroadcastServer
+
+ctx = IOContext(format_server=FormatServer())
+ctx.register_layout("SimpleData", {SPECS!r})
+srv = ShardedBroadcastServer(ctx, workers=2, start_timeout=120.0).start()
+print(srv.port, *(h.process.pid for h in srv._workers), flush=True)
+assert srv.wait_for_subscribers(4, timeout=60)
+for t in range(3):
+    srv.publish("SimpleData", {{"timestep": t, "data": [1.0]}})
+assert srv.flush(timeout=60)
+print("flushed", flush=True)
+time.sleep(600)
+"""
+
+
+def running(pid: int) -> bool:
+    """Is *pid* a live process (an unreaped zombie is not)?"""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.timeout(180)
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="reads process state from /proc")
+def test_workers_exit_when_the_parent_is_killed():
+    """A SIGKILLed publisher runs no cleanup; its workers must still
+    go, on the EOF of their control sockets, not linger as orphans."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    parent = subprocess.Popen([sys.executable, "-c", PARENT_SCRIPT],
+                              stdout=subprocess.PIPE, text=True, env=env)
+    socks = []
+    try:
+        port, *workers = map(int, parent.stdout.readline().split())
+        assert len(workers) == 2
+        socks = [socket.create_connection(("127.0.0.1", port))
+                 for _ in range(4)]
+        assert parent.stdout.readline().strip() == "flushed"
+        assert all(running(pid) for pid in workers)
+        parent.kill()
+        parent.wait(30)
+        deadline = time.monotonic() + 2.0
+        while any(map(running, workers)) and \
+                time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(running(pid) for pid in workers)
+    finally:
+        parent.kill()
+        parent.wait(30)
+        parent.stdout.close()
+        for sock in socks:
+            sock.close()
+
+
 class TestShardedEvolution:
     @staticmethod
     def grid_format(specs, architecture) -> IOFormat:
@@ -470,8 +474,7 @@ class TestShardedEvolution:
             self.grid_format(SPECS, ctx.architecture))
         ctx.register_evolution(
             self.grid_format(V2_SPECS, ctx.architecture))
-        return ShardedBroadcastServer(ctx, workers=2, mode="fdpass",
-                                      start_timeout=120.0)
+        return ShardedBroadcastServer(ctx, workers=2, start_timeout=120.0)
 
     @pytest.mark.timeout(180)
     def test_lineage_negotiation_served_from_every_shard(self):
@@ -526,7 +529,7 @@ class TestShardedEvolution:
         ctx = IOContext(format_server=FormatServer())
         ctx.register_evolution(
             self.grid_format(SPECS, ctx.architecture))
-        with ShardedBroadcastServer(ctx, workers=2, mode="fdpass",
+        with ShardedBroadcastServer(ctx, workers=2,
                                     start_timeout=120.0) as srv:
             subs = [Subscriber(srv.host, srv.port) for _ in range(4)]
             for sub in subs:
@@ -556,7 +559,7 @@ class TestFormatMissProxy:
         """A format the publisher learned after the shards were seeded
         resolves through the shard's read-through replica."""
         ctx = make_context()
-        with ShardedBroadcastServer(ctx, workers=1, mode="fdpass",
+        with ShardedBroadcastServer(ctx, workers=1,
                                     start_timeout=120.0) as srv:
             # registered post-start: the replica has never seen it
             extra = ctx.register_layout("ExtraFormat",
