@@ -4,10 +4,10 @@ Stands in for the Apache server of the paper's experimental setup.
 Serves GET requests from a :class:`DocumentStore` on a loopback socket.
 It is a handler on :class:`~repro.transport.eventloop.EventLoopServer`
 — the loop owns the listener, the sockets and the one thread — whose
-``parse`` hook reads a request head where the framed services read a
-length prefix; one request per connection (HTTP/1.0 close semantics),
-which is entirely adequate for the discovery path it exists to
-exercise.
+``parse`` hook reads a request head from the client's read buffer
+where the framed services take length-prefixed frames; one request
+per connection (HTTP/1.0 close semantics), which is entirely adequate
+for the discovery path it exists to exercise.
 
 Usage::
 
@@ -31,6 +31,7 @@ from repro.obs.exposition import (
 from repro.obs.metrics import HTTP_REQUESTS
 from repro.obs.registry import REGISTRY
 from repro.transport.eventloop import ClientHandle, EventLoopServer
+from repro.transport.messages import FrameReader
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 500: "Internal Server Error"}
@@ -135,23 +136,24 @@ class MetadataHTTPServer:
     def on_disconnect(self, client: ClientHandle, reason) -> None:
         self._connections.pop(client, None)
 
-    def parse(self, buffer: bytearray):
-        """The loop's parse hook: the request head at the front of
-        *buffer* as ``(method, path)``, or None for a head that is
-        malformed or over the cap; nothing until it has all arrived.
-        Whatever follows the head is discarded — HTTP/1.0, one request
-        per connection."""
+    def parse(self, reader: FrameReader):
+        """The loop's parse hook: the request head at the front of the
+        client's *reader* as ``(method, path)``, or None for a head
+        that is malformed or over the cap; nothing until it has all
+        arrived.  Whatever follows the head is discarded — HTTP/1.0,
+        one request per connection."""
         self._close_overdue()
+        buffer = reader.unread()
         end = buffer.find(b"\r\n\r\n")
         if end < 0 and len(buffer) <= self._MAX_HEAD_BYTES:
             return
         request = None
         if 0 <= end <= self._MAX_HEAD_BYTES:
-            line = bytes(buffer[:buffer.index(b"\r\n")])
+            line = buffer[:buffer.index(b"\r\n")]
             parts = line.decode("latin-1").split(" ")
             if len(parts) == 3 and parts[2].startswith("HTTP/"):
                 request = parts[0], parts[1]
-        del buffer[:]
+        reader.discard()
         yield request
 
     def on_frame(self, client: ClientHandle, request) -> None:

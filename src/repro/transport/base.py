@@ -10,7 +10,6 @@ for in-process queues changes nothing but the constructor.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable
 
 from repro.errors import TransportError
 from repro.transport.messages import Frame
@@ -22,16 +21,6 @@ class Channel(ABC):
     @abstractmethod
     def send(self, frame: Frame) -> None:
         """Send one frame; raises :class:`TransportError` when closed."""
-
-    def send_many(self, frames: Iterable[Frame]) -> None:
-        """Send several frames back to back.
-
-        The base implementation loops over :meth:`send`; transports
-        with per-call costs (TCP's syscall per ``sendall``) override
-        it to coalesce the writes.
-        """
-        for frame in frames:
-            self.send(frame)
 
     def fileno(self) -> int:
         """The OS-level descriptor, for event-loop registration.

@@ -5,9 +5,9 @@ transport (:class:`~repro.transport.tcp.TCPListener` plus a thread per
 channel) tops out at a few dozen peers; the paper's motivating
 deployment — "single servers must provide information to large numbers
 of clients" — needs hundreds.  :class:`EventLoopServer` accepts every
-subscriber on the same thread, reassembles inbound frames
-incrementally (the same length-prefix protocol as
-:class:`~repro.transport.tcp.TCPChannel`).  Outbound frames write
+subscriber on the same thread and reads every client through the
+transport's one reassembler, :class:`~repro.transport.messages
+.FrameReader`, the one ``TCPChannel`` reads with.  Outbound frames write
 through: :meth:`EventLoopServer.enqueue` sends on the caller's thread
 while the client's queue is empty, and the loop thread only drains a
 backlog, with scatter-gather ``sendmsg`` — one syscall per backlogged
@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import selectors
 import socket
-import struct
 import threading
 from collections import deque
-from typing import Iterator
+from functools import partial
 
 from repro.errors import (
     FrameTooLargeError, ProtocolError, TransportError,
@@ -42,7 +41,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.registry import FOLD_LOCK, REGISTRY
 from repro.transport.messages import (
-    MAX_FRAME, Frame, count_malformed, decode_frame, frame_length_error,
+    MAX_FRAME, ZERO_LENGTH, FrameReader, count_malformed,
 )
 
 try:
@@ -50,8 +49,6 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX
     _fcntl = None
 
-_LEN = struct.Struct(">I")
-_RECV_CHUNK = 256 * 1024
 #: iovec entries per drain sendmsg (conservative vs. kernel IOV_MAX)
 _SENDMSG_BATCH = 512
 
@@ -146,7 +143,7 @@ class ClientHandle:
     """
 
     __slots__ = (
-        "id", "sock", "addr", "read_buffer", "write_queue",
+        "id", "sock", "addr", "reader", "write_queue",
         "head_offset", "in_flight", "queued_bytes",
         "queue_high_water", "sent_bytes", "frames_enqueued",
         "frames_sent", "frames_received", "frames_dropped", "open",
@@ -159,7 +156,7 @@ class ClientHandle:
         self.id = client_id
         self.sock = sock
         self.addr = addr
-        self.read_buffer = bytearray()
+        self.reader = FrameReader()
         #: entries are ``[memoryview, droppable]``; the head entry may
         #: be partially sent (``head_offset`` bytes already written)
         self.write_queue: deque = deque()
@@ -221,11 +218,11 @@ class EventLoopServer:
       other threads, so what it enqueues goes out first.
     * ``on_registered(client)`` — once the client is in
       :attr:`open_clients`, so a publish from now on reaches it.
-    * ``parse(buffer)`` — an iterator over the complete messages at
-      the head of a client's read buffer, consumed in place.  The
-      default is :func:`iter_frames`, the length-prefix reassembler;
-      a service speaking another protocol (HTTP request heads)
-      supplies its own.
+    * ``parse(reader)`` — an iterator over the complete messages in a
+      client's :class:`~repro.transport.messages.FrameReader`, consumed
+      in place: by default whole frames; a service speaking another
+      protocol (HTTP request heads) supplies its own, reading the same
+      bytes through ``unread()`` / ``discard()``.
     * ``on_frame(client, message)`` — once per parsed message.
     * ``on_disconnect(client, reason)`` — *reason* is None for an
       orderly close, else the exception that ended the client.
@@ -617,39 +614,37 @@ class EventLoopServer:
             self._callback("on_registered", client)
 
     def _readable(self, client: ClientHandle) -> None:
-        buf = client.read_buffer
+        """Read and deliver by turns until EAGAIN or the client closes."""
+        reader = client.reader
+        parse = getattr(self.handler, "parse", None)
         try:
-            while True:
-                chunk = client.sock.recv(_RECV_CHUNK)
-                if not chunk:
+            while client.open:
+                try:
+                    got = reader.fill(client.sock.recv_into)
+                except BlockingIOError:
+                    return
+                except OSError as exc:
+                    self._close_client(
+                        client, TransportError(f"recv failed: {exc}"))
+                    return
+                if not got:
                     # a reason: graceful close's, or enqueue's error
                     self._close_client(client, client.close_reason)
                     return
-                buf.extend(chunk)
-                if len(chunk) < _RECV_CHUNK:
-                    break
-        except BlockingIOError:
-            pass
-        except OSError as exc:
-            self._close_client(client,
-                               TransportError(f"recv failed: {exc}"))
-            return
-        parse = getattr(self.handler, "parse", None)
-        messages = (iter_frames(buf, self.max_frame_len)
-                    if parse is None else parse(buf))
-        try:
-            for message in messages:
-                client.frames_received += 1
-                self._callback("on_frame", client, message)
-                if not client.open:
-                    return
+                for message in (
+                        iter(partial(reader.frame, self.max_frame_len),
+                             None)
+                        if parse is None else parse(reader)):
+                    client.frames_received += 1
+                    self._callback("on_frame", client, message)
+                    if not client.open:
+                        return
         except ProtocolError as exc:
-            # the parser leaves the frame it rejects at the buffer's
-            # head, so an all-zero prefix is still there to be seen
             count_malformed(
                 "eventloop",
                 "oversized_frame" if isinstance(exc, FrameTooLargeError)
-                else "bad_frame" if any(buf[:4]) else "zero_length_frame")
+                else "zero_length_frame" if str(exc) == ZERO_LENGTH
+                else "bad_frame")
             self._close_client(client, exc)
 
     def _writable(self, client: ClientHandle) -> None:
@@ -787,21 +782,3 @@ class EventLoopServer:
             self._changed.notify_all()
         self._obs_retire()
 
-
-def iter_frames(buffer: bytearray,
-                max_frame_len: int = MAX_FRAME) -> Iterator[Frame]:
-    """Yield complete frames from *buffer*, consuming them in place.
-
-    The one incremental length-prefix parser: the event loop's default
-    ``parse`` hook, and what callers that manage their own sockets
-    (benchmark drainers, tests) use.  A frame it rejects stays at the
-    head of *buffer*."""
-    while len(buffer) >= 4:
-        (length,) = _LEN.unpack_from(buffer)
-        if not 0 < length <= max_frame_len:
-            raise frame_length_error(length, max_frame_len)
-        if len(buffer) < 4 + length:
-            return
-        frame = decode_frame(bytes(buffer[4:4 + length]))
-        del buffer[:4 + length]
-        yield frame

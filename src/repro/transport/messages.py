@@ -36,6 +36,7 @@ untrusted-wire posture of the rest of the protocol.
 from __future__ import annotations
 
 import enum
+import mmap
 import struct
 from dataclasses import dataclass
 
@@ -45,7 +46,9 @@ from repro.obs.metrics import MALFORMED_FRAMES
 from repro.pbio.format import FormatID
 
 _PREFIX = struct.Struct(">IB")  # length (type byte + payload) | type
+_LEN = struct.Struct(">I")
 MAX_FRAME = 256 * 1024 * 1024  # defensive cap
+_WINDOW = 4 + 64 * 1024  # a FrameReader's window: 64 KiB frames whole
 
 _DIGEST_LEN = 8
 _NULL_DIGEST = b"\x00" * _DIGEST_LEN
@@ -128,10 +131,13 @@ FRAME_TYPES = _FrameTypes((ftype.value, ftype) for ftype in FrameType)
 RECORD_FRAMES = (FrameType.DATA, FrameType.DATA_BATCH)
 
 
+ZERO_LENGTH = "zero-length frame"  # the message, for counting it
+
+
 def frame_length_error(length: int, limit: int) -> ProtocolError:
     """What every receiver raises for a length prefix not in 1..limit."""
     return (FrameTooLargeError(length, limit) if length
-            else ProtocolError("zero-length frame"))
+            else ProtocolError(ZERO_LENGTH))
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -139,6 +145,106 @@ def decode_frame(data: bytes) -> Frame:
     if not data:
         raise ProtocolError("empty frame")
     return Frame(FRAME_TYPES[data[0]], bytes(data[1:]))
+
+
+class FrameReader:
+    """The one length-prefix reassembler, behind ``TCPChannel``, each
+    event-loop client and each shard control socket: the caller reads
+    into the space :meth:`fill` offers, then takes whole frames.
+
+    Bytes land in a 64 KiB + 4 B **window** (an anonymous private
+    ``mmap``, mapped by the first read; only pages written take RAM)
+    between cursors ``lo`` and ``hi``, so a frame of up to 64 KiB
+    leaves it in one copy; one that would run past the end is first
+    moved to the front.  A larger frame's payload gets a private buffer
+    (decoded arrays alias it) that starts at the payload length halved
+    towards the bytes in hand and only doubles when full: never over
+    twice what the peer really sent, whatever the prefix claimed.
+    """
+
+    __slots__ = ("_window", "_view", "_lo", "_hi", "_frame", "_have",
+                 "_size")
+
+    def __init__(self) -> None:
+        self._window: mmap.mmap | None = None
+        self._view: memoryview | None = None
+        self._lo = self._hi = 0
+        #: a large frame's own buffer, payload bytes in it, payload size
+        self._frame: bytearray | None = None
+        self._have = self._size = 0
+
+    def fill(self, read) -> int:
+        """``read(space)``, a ``recv_into``: its byte count, 0 at EOF."""
+        frame = self._frame
+        if frame is not None:
+            if self._have == len(frame):
+                frame *= 2
+            with memoryview(frame) as view, \
+                    view[self._have:self._size] as space:
+                got = read(space)
+            self._have += got
+            return got
+        if self._window is None:
+            self._window = mmap.mmap(-1, _WINDOW, mmap.MAP_PRIVATE)
+            self._view = memoryview(self._window)
+        got = read(self._view[self._hi:] if self._hi else self._window)
+        self._hi += got
+        return got
+
+    def pop(self, limit: int) -> tuple[int, bytes | memoryview] | None:
+        """The next whole frame as ``(type byte, payload)``, else None;
+        a large frame's payload is a read-only view of its buffer."""
+        window, lo, hi = self._window, self._lo, self._hi
+        if self._frame is not None:
+            if self._have < self._size:
+                return None
+            payload = memoryview(self._frame)[:self._size].toreadonly()
+            self._frame = None
+            self._lo = self._hi = 0
+            return window[lo + 4], payload
+        need = 4
+        if hi - lo >= 4:
+            (length,) = _LEN.unpack_from(window, lo)
+            if not 0 < length <= limit:
+                raise frame_length_error(length, limit)
+            end = lo + 4 + length
+            if end <= hi:
+                self._lo, self._hi = (0, 0) if end == hi else (end, hi)
+                return window[lo + 4], window[lo + 5:end]
+            if length <= _WINDOW - 4:
+                need = 4 + length
+            elif hi - lo < 5:
+                need = 5
+            else:  # the head that came with the prefix moves over
+                size = room = length - 1
+                while (room + 1) // 2 >= max(hi - lo - 5, _WINDOW - 4):
+                    room = (room + 1) // 2
+                self._frame = bytearray(room)
+                self._frame[:hi - lo - 5] = self._view[lo + 5:hi]
+                self._have, self._size, self._hi = hi - lo - 5, size, lo + 5
+                return None
+        if lo + need > _WINDOW:
+            window.move(0, lo, hi - lo)
+            self._lo, self._hi = 0, hi - lo
+        return None
+
+    def frame(self, limit: int) -> Frame | None:
+        """:meth:`pop` as a :class:`Frame` (an unknown type raises);
+        only a record keeps a large payload as a view."""
+        got = self.pop(limit)
+        if got is None:
+            return None
+        ftype, payload = FRAME_TYPES[got[0]], got[1]
+        if type(payload) is not bytes and ftype not in RECORD_FRAMES:
+            payload = bytes(payload)
+        return Frame(ftype, payload)
+
+    def unread(self) -> bytes:
+        """A copy of the bytes held, for another protocol's parser."""
+        return self._window[self._lo:self._hi] if self._hi else b""
+
+    def discard(self) -> None:
+        self._lo = self._hi = 0
 
 
 # -- lineage handshake payloads ---------------------------------------------

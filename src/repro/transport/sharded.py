@@ -63,7 +63,7 @@ from repro.transport.broadcast import (
 )
 from repro.transport.eventloop import ClientHandle, set_cloexec
 from repro.transport.messages import (
-    MAX_FRAME, FrameType, frame_bytes,
+    MAX_FRAME, FrameReader, FrameType, frame_bytes,
 )
 
 _U32 = struct.Struct(">I")
@@ -118,21 +118,23 @@ def _take_fid(payload: bytes, offset: int) -> tuple[FormatID, int]:
 
 
 class ControlSocket:
-    """Length-prefixed control messages over one stream socket.
+    """Length-prefixed control messages over one stream socket, read
+    through a :class:`~repro.transport.messages.FrameReader`; a kind
+    is any type byte, and a worker ignores kinds it does not know.
 
     Sends are serialized under a lock so the publisher thread, the
     acceptor thread and FMT_MISS replies never interleave partial
     writes.  ``send_fd`` attaches an ``SCM_RIGHTS`` fd to its frame's
     first byte; because all sends are ordered, the k-th CONN frame a
     worker parses corresponds to the k-th fd it received — the reader
-    therefore *always* uses ``recv_fds`` so ancillary data is never
-    truncated away.
+    therefore *always* reads with ``recvmsg_into`` and room for
+    ancillary data, so no fd is ever truncated away.
     """
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self._send_lock = threading.Lock()
-        self._buffer = bytearray()
+        self._reader = FrameReader()
         self._fds: list[int] = []
 
     def send(self, kind: int, payload: bytes = b"") -> None:
@@ -154,31 +156,29 @@ class ControlSocket:
         """One ``(kind, payload, fd or None)``; None at EOF."""
         self.sock.settimeout(timeout)
         while True:
-            if len(self._buffer) >= 5:
-                (length,) = _U32.unpack_from(self._buffer)
-                if length == 0 or length > _MAX_CTL_FRAME:
-                    raise ProtocolError(
-                        f"bad control frame length {length}")
-                if len(self._buffer) >= 4 + length:
-                    kind = self._buffer[4]
-                    payload = bytes(self._buffer[5:4 + length])
-                    del self._buffer[:4 + length]
-                    fd = self._fds.pop(0) if kind == Ctl.CONN and \
-                        self._fds else None
-                    return kind, payload, fd
+            got = self._reader.pop(_MAX_CTL_FRAME)
+            if got is not None:
+                kind, payload = got
+                fd = self._fds.pop(0) if kind == Ctl.CONN and \
+                    self._fds else None
+                return kind, bytes(payload), fd
             try:
-                data, fds, _flags, _addr = socket.recv_fds(
-                    self.sock, 256 * 1024, 16)
+                if not self._reader.fill(self._recvmsg_into):
+                    return None
             except (TimeoutError, socket.timeout):
                 raise
             except OSError:
                 return None
-            for fd in fds:
-                os.set_inheritable(fd, False)
-            self._fds.extend(fds)
-            if not data:
-                return None
-            self._buffer.extend(data)
+
+    def _recvmsg_into(self, buffer) -> int:
+        got, ancdata, _flags, _addr = self.sock.recvmsg_into(
+            [buffer], socket.CMSG_SPACE(64))  # room for 16 fds
+        for level, kind, data in ancdata:
+            if (level, kind) == (socket.SOL_SOCKET, socket.SCM_RIGHTS):
+                for fd in memoryview(data)[:len(data) // 4 * 4].cast("i"):
+                    os.set_inheritable(fd, False)
+                    self._fds.append(fd)
+        return got
 
     def close(self) -> None:
         try:

@@ -20,9 +20,9 @@ from repro.pbio.context import IOContext
 from repro.pbio.format_server import FormatServer
 from repro.transport.broadcast import BroadcastPublisher
 from repro.transport.connection import Connection
-from repro.transport.eventloop import iter_frames
 from repro.transport.messages import Frame, FrameType, frame_bytes
 from repro.transport.tcp import TCPChannel
+from tests.transport.frames import iter_frames
 
 XSD = """
 <xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">

@@ -147,7 +147,7 @@ class TestOnTheEventLoop:
 
     @staticmethod
     def _exchange(sock, frame: bytes):
-        from repro.transport.eventloop import iter_frames
+        from tests.transport.frames import iter_frames
         sock.sendall(frame)
         buffer = bytearray()
         while True:

@@ -2,16 +2,12 @@
 
 import threading
 
-import pytest
-
 from repro.errors import TransportError
 from repro.pbio.context import IOContext
 from repro.pbio.format_server import FormatServer
 from repro.pbio.machine import X86_64
 from repro.transport.connection import Connection
 from repro.transport.inproc import channel_pair
-from repro.transport.messages import Frame, FrameType
-from repro.transport.tcp import tcp_pair
 
 SPECS = [("timestep", "integer"), ("size", "integer"),
          ("data", "float[size]")]
@@ -137,44 +133,3 @@ class TestNegotiation:
         assert not rt.is_alive() and not pt.is_alive()
         assert len(results) == 6
         assert b.negotiations == 1
-
-
-class TestChannelSendMany:
-    def test_default_send_many_loops(self):
-        a, b = channel_pair()
-        frames = [Frame(FrameType.DATA, bytes([i])) for i in range(3)]
-        a.send_many(frames)
-        got = [b.recv(timeout=5) for _ in range(3)]
-        assert [f.payload for f in got] == [b"\x00", b"\x01", b"\x02"]
-        assert a.frames_sent == 3
-
-    def test_tcp_send_many_coalesces(self):
-        a, b = tcp_pair()
-        try:
-            frames = [Frame(FrameType.DATA, b"x" * i)
-                      for i in range(1, 5)]
-            a.send_many(frames)
-            got = [b.recv(timeout=5) for _ in range(4)]
-            assert [len(f.payload) for f in got] == [1, 2, 3, 4]
-            assert a.frames_sent == 4
-            assert a.bytes_sent == sum(
-                len(f.encode()) for f in frames)
-        finally:
-            a.close()
-            b.close()
-
-    def test_tcp_send_many_empty_is_noop(self):
-        a, b = tcp_pair()
-        try:
-            a.send_many([])
-            assert a.frames_sent == 0
-        finally:
-            a.close()
-            b.close()
-
-    def test_send_many_on_closed_channel_raises(self):
-        a, b = tcp_pair()
-        a.close()
-        with pytest.raises(TransportError):
-            a.send_many([Frame(FrameType.DATA, b"z")])
-        b.close()

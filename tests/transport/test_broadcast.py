@@ -12,9 +12,9 @@ from repro.transport.broadcast import (
     BackpressurePolicy, BroadcastPublisher,
 )
 from repro.transport.connection import Connection
-from repro.transport.eventloop import iter_frames
 from repro.transport.messages import Frame, FrameType
 from repro.transport.tcp import TCPChannel
+from tests.transport.frames import iter_frames
 
 SPECS = [("timestep", "integer"), ("size", "integer"),
          ("data", "float[size]")]

@@ -214,33 +214,9 @@ class _NoSendmsgSocket:
 
 
 class TestSendMany:
-    def test_many_small_frames_ordered(self):
-        """Scatter-gather path: far more frames than one iovec batch,
-        with partial writes forced by a concurrent reader."""
-        a, b = tcp_pair()
-        received = []
-
-        def reader():
-            while True:
-                frame = b.recv(timeout=10)
-                if frame is None:
-                    break
-                received.append(bytes(frame.payload))
-
-        r = threading.Thread(target=reader)
-        r.start()
-        frames = [data(b"f%05d" % i + b"." * 1024)
-                  for i in range(2000)]
-        a.send_many(frames)
-        assert a.frames_sent == 2000
-        a.close()
-        r.join(30)
-        assert received == [bytes(f.payload) for f in frames]
-        b.close()
-
     def test_fallback_without_sendmsg_chunks_the_join(self):
-        """Where sendmsg is unavailable the frames ship via bounded
-        joins — same bytes on the wire, no full-batch copy."""
+        """Where sendmsg is unavailable a parts payload ships via
+        bounded joins — same bytes on the wire, no whole-frame copy."""
         a, b = tcp_pair()
         a._sock = _NoSendmsgSocket(a._sock)
         received = []
@@ -254,20 +230,13 @@ class TestSendMany:
 
         r = threading.Thread(target=reader)
         r.start()
-        # three frames of 600 KiB exceed the 1 MiB fallback chunk
-        frames = [data(bytes([i]) * (600 * 1024)) for i in range(3)]
-        a.send_many(frames)
+        # three parts of 600 KiB exceed the 1 MiB fallback chunk
+        parts = tuple(bytes([i]) * (600 * 1024) for i in range(3))
+        a.send(data(parts))
         a.close()
         r.join(30)
-        assert received == [bytes(f.payload) for f in frames]
+        assert received == [b"".join(parts)]
         b.close()
-
-    def test_empty_send_many_is_a_noop(self):
-        a, _b = tcp_pair()
-        a.send_many([])
-        assert a.frames_sent == 0
-        a.close()
-        _b.close()
 
 
 class TestFrameCap:

@@ -4,6 +4,7 @@ crosses user space once per direction — uncopied on send (wire parts +
 the decoded array aliases)."""
 
 import array
+import socket
 import threading
 import tracemalloc
 
@@ -14,6 +15,7 @@ from repro.pbio.context import IOContext
 from repro.pbio.encode import BULK_STATS
 from repro.pbio.format_server import FormatServer
 from repro.transport.connection import Connection
+from repro.transport.eventloop import EventLoopServer
 from repro.transport.messages import Frame, FrameType
 from repro.transport.tcp import tcp_pair
 
@@ -160,3 +162,41 @@ def test_small_frame_receive_peaks_below_4_kib():
     finally:
         a.close()
         b.close()
+
+
+class _Inbox:
+    """Event-loop handler that keeps every frame and counts arrivals."""
+
+    def __init__(self) -> None:
+        self.frames: list = []
+        self.arrived = threading.Semaphore(0)
+
+    def on_frame(self, client, frame) -> None:
+        self.frames.append(frame)
+        self.arrived.release()
+
+
+def test_small_frame_server_side_receive_peaks_below_4_kib():
+    """The server-side twin: an event-loop client's 77-byte frame is
+    read into the client's standing window, not into a per-read chunk."""
+    inbox = _Inbox()
+    frame = Frame(FrameType.DATA, bytes(range(72)))
+    wire = frame.encode()
+    with EventLoopServer(handler=inbox) as server:
+        sock = socket.create_connection((server.host, server.port),
+                                        timeout=5)
+        try:
+            sock.sendall(wire)
+            assert inbox.arrived.acquire(timeout=5)  # window mapped
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                sock.sendall(wire)
+                assert inbox.arrived.acquire(timeout=5)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        finally:
+            sock.close()
+    assert inbox.frames == [frame, frame]
+    assert peak < 4 * 1024, peak

@@ -8,10 +8,11 @@ import pytest
 
 from repro.errors import FrameTooLargeError, ProtocolError
 from repro.transport.eventloop import (
-    ClientHandle, EventLoopServer, Poller, iter_frames,
+    ClientHandle, EventLoopServer, Poller,
 )
 from repro.transport.messages import Frame, FrameType
 from repro.transport.tcp import TCPChannel
+from tests.transport.frames import iter_frames
 
 
 def data(payload: bytes) -> Frame:

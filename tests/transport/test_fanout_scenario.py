@@ -36,11 +36,11 @@ from repro.pbio.format import IOFormat
 from repro.pbio.format_server import FormatServer
 from repro.pbio.layout import compute_layout
 from repro.transport.broadcast import BroadcastPublisher, BroadcastStats
-from repro.transport.eventloop import iter_frames
 from repro.transport.messages import (
     Frame, FrameType, decode_lineage_rsp, encode_lineage_req, frame_bytes,
     lineage_reply,
 )
+from tests.transport.frames import iter_frames
 
 ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "10000"))
 ROUNDS = max(1, ITERATIONS // 1000)

@@ -79,16 +79,62 @@ def test_the_sharded_server_inherits_its_publish_front():
         ["PublishFront"]
 
 
-def test_the_event_loop_reassembles_frames_in_one_place():
-    tree = ast.parse((PACKAGE / "transport/eventloop.py").read_text())
-    unpackers = [
-        function.name for function in ast.walk(tree)
-        if isinstance(function, ast.FunctionDef)
-        for node in ast.walk(function)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("unpack", "unpack_from")]
-    assert unpackers == ["iter_frames"]
+#: struct formats a frame-length prefix is read with: the length alone,
+#: or the length and the type byte
+PREFIX_FORMATS = (">I", ">IB")
+#: names a frame length is checked against (a record length inside a
+#: batch payload is bounded by the payload instead)
+FRAME_CAPS = {"frame_length_error", "FrameTooLargeError", "MAX_FRAME",
+              "max_frame_len", "_MAX_CTL_FRAME"}
+
+
+def _length_prefix_readers(tree) -> list[str]:
+    """Top-level functions and classes of *tree* that unpack a
+    big-endian u32 into a name ``length`` and check it against a frame
+    cap: a frame-length prefix."""
+    structs = {target.id for node in tree.body
+               if isinstance(node, ast.Assign)
+               and ast.unparse(node.value).startswith("struct.Struct(")
+               and ast.literal_eval(node.value.args[0]) in PREFIX_FORMATS
+               for target in node.targets if isinstance(target, ast.Name)}
+
+    def reads_prefix(node) -> bool:
+        if not (isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr in ("unpack", "unpack_from")):
+            return False
+        owner = ast.unparse(node.value.func.value)
+        if owner == "struct":
+            first = node.value.args[0]
+            unpacks_u32 = (isinstance(first, ast.Constant)
+                           and first.value in PREFIX_FORMATS)
+        else:
+            unpacks_u32 = owner in structs
+        return unpacks_u32 and any(
+            isinstance(name, ast.Name) and name.id == "length"
+            for target in node.targets for name in ast.walk(target))
+
+    def names(top) -> set[str]:
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute))}
+
+    return [top.name for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            and any(reads_prefix(node) for node in ast.walk(top))
+            and names(top) & FRAME_CAPS]
+
+
+def test_the_transport_reassembles_frames_in_one_place():
+    readers = [f"{name}:{reader}" for name, tree in _modules()
+               for reader in _length_prefix_readers(tree)]
+    assert readers == ["transport/messages.py:FrameReader"]
+    for module in ("transport/eventloop.py", "transport/sharded.py"):
+        text = (PACKAGE / module).read_text()
+        for call in ("client.sock.recv(", "socket.recv_fds(",
+                     "iter_frames"):
+            assert call not in text, f"{module}: {call}"
 
 
 def test_a_shard_is_entered_one_way():

@@ -1,8 +1,11 @@
-"""The TCP receive window: ``TCPChannel.recv`` reads into one standing
-``bytearray`` with ``lo``/``hi`` cursors.  Whatever the chunking of the
-byte stream, it yields exactly the frames ``iter_frames`` parses from
-the same bytes; a frame straddling the window's end, a timed-out read
-mid-frame and EOF at any offset keep the stream in step.
+"""The one frame reassembler, ``FrameReader``, behind its three
+feeders: ``TCPChannel.recv`` (blocking, under a deadline), an
+``EventLoopServer`` client (non-blocking) and a shard's
+``ControlSocket`` (``recvmsg_into`` with ``SCM_RIGHTS``).  Whatever the
+chunking of the byte stream, each yields exactly the frames the
+reference parser (``tests/transport/frames.py``) takes from the same
+bytes; a frame straddling the window's end, a timed-out read mid-frame,
+EOF at any offset and every malformed prefix keep them in step.
 
 ``REPRO_FUZZ_ITERATIONS`` scales the number of random streams (one
 per thousand iterations; CI's fuzz smoke runs 10 000).
@@ -13,20 +16,25 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import socket
 import struct
 import threading
 
 import pytest
 
 from repro.errors import FrameTooLargeError, ProtocolError, TransportError
-from repro.transport.eventloop import iter_frames
-from repro.transport.messages import Frame, FrameType
+from repro.obs import runtime
+from repro.obs.metrics import MALFORMED_FRAMES
+from repro.transport.eventloop import EventLoopServer
+from repro.transport.messages import MAX_FRAME, Frame, FrameType
+from repro.transport.sharded import _MAX_CTL_FRAME, ControlSocket
 from repro.transport.tcp import tcp_pair
+from tests.transport.frames import iter_frames
 
 ITERATIONS = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "10000"))
 STREAMS = max(1, ITERATIONS // 1000)
 SEED = 20261017
-WINDOW = 4 + 64 * 1024  # what the channel's window holds whole
+WINDOW = 4 + 64 * 1024  # what the reader's window holds whole
 CONTROL = [(FrameType.HELLO, b"x86_64"), (FrameType.FMT_REQ, bytes(8)),
            (FrameType.STATS_REQ, b""), (FrameType.LIN_REQ, b"\x01a\x00"),
            (FrameType.BYE, b"")]
@@ -65,6 +73,20 @@ def as_tuples(frames) -> list[tuple]:
     return [(f.type, bytes(f.payload)) for f in frames]
 
 
+def outcome(item):
+    """What a reader produced, comparable across readers: a frame (or
+    control message) as ``(type byte, payload)``, an error as ``(type,
+    message)``, an orderly end as None."""
+    if item is None:
+        return None
+    if isinstance(item, BaseException):
+        return type(item), str(item)
+    if isinstance(item, Frame):
+        return int(item.type), bytes(item.payload)
+    kind, payload, _fd = item
+    return kind, payload
+
+
 def close_both(a, b) -> None:
     """Close both ends at once: each sees the other's FIN at once
     instead of lingering for it."""
@@ -81,23 +103,145 @@ def pair():
     close_both(a, b)
 
 
-def test_recv_yields_what_iter_frames_parses(pair):
-    a, b = pair
-    rng = random.Random(SEED)
-    for _ in range(STREAMS):
-        frames = random_stream(rng)
-        raw = b"".join(f.encode() for f in frames)
-        expected = as_tuples(iter_frames(bytearray(raw)))
-        assert expected == as_tuples(frames)
-        writer = threading.Thread(target=lambda: [
-            a._sock.sendall(chunk) for chunk in chunks(rng, raw)])
-        writer.start()
-        got = [b.recv(timeout=10) for _ in frames]
+def send_all(sock, pieces, *, eof: bool) -> threading.Thread:
+    """Write *pieces* one ``sendall`` each on a thread of their own,
+    then half-close when *eof*."""
+    def run():
+        for piece in pieces:
+            sock.sendall(piece)
+        if eof:
+            sock.shutdown(socket.SHUT_WR)
+    writer = threading.Thread(target=run)
+    writer.start()
+    return writer
+
+
+def through_channel(pieces, count=None, limit=MAX_FRAME) -> list:
+    """``TCPChannel.recv`` on *pieces*: *count* frames, or (with no
+    count) everything up to EOF or an error."""
+    a, b = tcp_pair(max_frame_len=limit)
+    writer = send_all(a._sock, pieces, eof=count is None)
+    got: list = []
+    try:
+        while count is None or len(got) < count:
+            try:
+                item = b.recv(timeout=10)
+            except TransportError as exc:
+                item = exc
+            got.append(item)
+            if not isinstance(item, Frame):
+                break
+    finally:
         writer.join(10)
-        assert as_tuples(got) == expected
-        # only a record payload may stay a view of a receive buffer
-        assert all(type(f.payload) is bytes for f in got
-                   if f.type not in (FrameType.DATA, FrameType.DATA_BATCH))
+        close_both(a, b)
+    return got
+
+
+class Recorder:
+    """Event-loop handler keeping what its one client delivered; the
+    client's disconnect reason (None for an orderly close) ends it."""
+
+    def __init__(self) -> None:
+        self.items: list = []
+        self.ended = False
+        self.changed = threading.Condition()
+
+    def on_frame(self, client, frame) -> None:
+        with self.changed:
+            self.items.append(frame)
+            self.changed.notify_all()
+
+    def on_disconnect(self, client, reason) -> None:
+        with self.changed:
+            self.items.append(reason)
+            self.ended = True
+            self.changed.notify_all()
+
+
+def through_event_loop(pieces, count=None, limit=MAX_FRAME) -> list:
+    """An ``EventLoopServer`` client fed *pieces*, as
+    :func:`through_channel`."""
+    recorder = Recorder()
+    with EventLoopServer(handler=recorder, max_frame_len=limit) as server:
+        sock = socket.create_connection((server.host, server.port),
+                                        timeout=10)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        writer = send_all(sock, pieces, eof=count is None)
+        with recorder.changed:
+            assert recorder.changed.wait_for(
+                lambda: recorder.ended or count is not None
+                and len(recorder.items) >= count, 10)
+            got = list(recorder.items)
+        writer.join(10)
+        sock.close()
+    return got
+
+
+def through_control_socket(pieces, count=None,
+                           limit=_MAX_CTL_FRAME) -> list:
+    """``ControlSocket.recv`` fed *pieces*, as :func:`through_channel`;
+    its cap is fixed."""
+    assert limit == _MAX_CTL_FRAME
+    ours, theirs = socket.socketpair()
+    reader = ControlSocket(theirs)
+    writer = send_all(ours, pieces, eof=count is None)
+    got: list = []
+    try:
+        while count is None or len(got) < count:
+            try:
+                item = reader.recv(10)
+            except ProtocolError as exc:
+                item = exc
+            got.append(item)
+            if type(item) is not tuple:
+                break
+    finally:
+        writer.join(10)
+        ours.close()
+        reader.close()
+    return got
+
+
+FEEDERS = {"channel": through_channel, "event_loop": through_event_loop,
+           "control_socket": through_control_socket}
+
+
+def fuzzed_streams():
+    """``STREAMS`` random streams back to back, cut at random, and the
+    reference parser's reading of them."""
+    rng = random.Random(SEED)
+    frames = [frame for _ in range(STREAMS) for frame in random_stream(rng)]
+    raw = b"".join(f.encode() for f in frames)
+    expected = [outcome(f) for f in iter_frames(bytearray(raw))]
+    assert expected == [outcome(f) for f in frames]
+    return list(chunks(rng, raw)), expected
+
+
+def only_records_are_views(got) -> bool:
+    """Only a record payload may stay a view of a receive buffer."""
+    return all(type(f.payload) is bytes for f in got
+               if f.type not in (FrameType.DATA, FrameType.DATA_BATCH))
+
+
+def test_recv_yields_what_iter_frames_parses():
+    pieces, expected = fuzzed_streams()
+    got = through_channel(pieces, len(expected))
+    assert [outcome(f) for f in got] == expected
+    assert only_records_are_views(got)
+
+
+def test_event_loop_client_yields_what_iter_frames_parses():
+    pieces, expected = fuzzed_streams()
+    got = through_event_loop(pieces, len(expected))
+    assert [outcome(f) for f in got] == expected
+    assert only_records_are_views(got)
+
+
+def test_control_socket_yields_what_iter_frames_parses():
+    pieces, expected = fuzzed_streams()
+    got = through_control_socket(pieces, len(expected))
+    assert [outcome(m) for m in got] == expected
+    assert all(type(m[1]) is bytes and m[2] is None for m in got)
 
 
 def test_large_frame_read_together_with_small_ones(pair):
@@ -119,16 +263,18 @@ def test_large_frame_read_together_with_small_ones(pair):
 def test_frame_straddling_the_window_end_compacts(pair):
     a, b = pair
     first = Frame(FrameType.DATA, bytes(WINDOW - 5 - 10))  # ends 10 B short
-    second = Frame(FrameType.DATA, b"y" * 1000)
-    raw = first.encode() + second.encode()
-    a._sock.sendall(raw[:WINDOW])  # the window fills up exactly
-    assert b.recv(timeout=5) == first
-    window = b._window
-    with pytest.raises(TransportError, match="timed out"):
-        b.recv(timeout=0.01)  # 10 bytes of `second` in hand, no more
-    a._sock.sendall(raw[WINDOW:])
-    assert b.recv(timeout=5) == second
-    assert b._window is window  # moved to the front, never regrown
+    # the second frame runs far past the window's end, or by one byte
+    for second in (Frame(FrameType.DATA, b"y" * 1000),
+                   Frame(FrameType.DATA, b"z" * 6)):
+        raw = first.encode() + second.encode()
+        a._sock.sendall(raw[:WINDOW])  # the window fills up exactly
+        assert b.recv(timeout=5) == first
+        window = b._reader._window
+        with pytest.raises(TransportError, match="timed out"):
+            b.recv(timeout=0.01)  # 10 bytes of `second` in hand, no more
+        a._sock.sendall(raw[WINDOW:])
+        assert b.recv(timeout=5) == second
+        assert b._reader._window is window  # moved to the front, not regrown
 
 
 @pytest.mark.parametrize("size", [100, 200 * 1024], ids=["small", "large"])
@@ -146,76 +292,77 @@ def test_timeout_mid_frame_then_resume(pair, size):
     assert b.recv(timeout=5) == after
 
 
-def eof_case(raw: bytes, cut: int) -> list:
-    """Frames received from *raw* cut at *cut* and then closed; the
-    last entry is None (orderly EOF) or the error raised."""
-    a, b = tcp_pair()
-    try:
-        a._sock.sendall(raw[:cut])
-        a._sock.shutdown(2)
-        out = []
-        while True:
-            try:
-                frame = b.recv(timeout=5)
-            except TransportError as exc:
-                out.append(exc)
-                return out
-            out.append(frame)
-            if frame is None:
-                return out
-    finally:
-        a._sock.close()
-        b.close()
-
-
 def test_eof_at_every_offset():
+    """Every frame whole before the cut comes out of every reader;
+    then the channel reports an orderly close at a frame boundary and
+    ``closed mid-frame`` anywhere else, and the event loop and the
+    control socket just end."""
     frames = [Frame(FrameType.HELLO, b"arch"), Frame(FrameType.DATA, b""),
               Frame(FrameType.DATA, b"record bytes")]
     raw = b"".join(f.encode() for f in frames)
     ends = list(itertools.accumulate(len(f.encode()) for f in frames))
-    for cut in range(len(raw) + 1):
-        got = eof_case(raw, cut)
-        assert got[:-1] == [f for f, end in zip(frames, ends)
-                            if end <= cut], cut
-        if cut in (0, *ends):
-            assert got[-1] is None, cut
-        else:
-            assert isinstance(got[-1], TransportError), cut
-            assert "closed mid-frame" in str(got[-1])
+    for name, feed in FEEDERS.items():
+        for cut in range(len(raw) + 1):
+            got = [outcome(item) for item in feed([raw[:cut]])]
+            assert got[:-1] == [outcome(f) for f, end in zip(frames, ends)
+                                if end <= cut], (name, cut)
+            if name == "channel" and cut not in (0, *ends):
+                assert got[-1] == (TransportError,
+                                   "connection closed mid-frame"), cut
+            else:
+                assert got[-1] is None, (name, cut)
 
 
 def test_eof_inside_a_large_frame():
     large = Frame(FrameType.DATA, bytes(100 * 1024))
     raw = large.encode()
-    for cut in (1, 4, 5, 6, WINDOW, len(raw) - 1):
-        (error,) = eof_case(raw, cut)
-        assert isinstance(error, TransportError)
-        assert "closed mid-frame" in str(error)
-    assert eof_case(raw, len(raw)) == [large, None]
+    mid_frame = {"channel": (TransportError, "connection closed mid-frame"),
+                 "event_loop": None, "control_socket": None}
+    for name, feed in FEEDERS.items():
+        for cut in (1, 4, 5, 6, WINDOW, len(raw) - 1):
+            got = [outcome(item) for item in feed([raw[:cut]])]
+            assert got == [mid_frame[name]], (name, cut)
+        assert [outcome(item) for item in feed([raw])] == \
+            [outcome(large), None], name
 
 
-MALFORMED = {
-    "zero_length": struct.pack(">I", 0),
-    "oversized": struct.pack(">IB", 1025, FrameType.DATA) + bytes(1024),
-    "unknown_type": struct.pack(">IB", 3, 99) + b"xy",
-}
+def malformed(case: str, limit: int) -> bytes:
+    return {"zero_length": struct.pack(">I", 0),
+            "oversized": struct.pack(">IB", limit + 1, FrameType.DATA),
+            "unknown_type": struct.pack(">IB", 3, 99) + b"xy"}[case]
 
 
-@pytest.mark.parametrize("case", list(MALFORMED))
+#: each reader's frame cap here (the control socket's is fixed)
+LIMITS = {"channel": 1024, "event_loop": 1024,
+          "control_socket": _MAX_CTL_FRAME}
+#: the malformed-frame counter the event loop bumps for each case
+REASONS = {"zero_length": "zero_length_frame",
+           "oversized": "oversized_frame", "unknown_type": "bad_frame"}
+
+
+@pytest.mark.parametrize("case", list(REASONS))
 def test_one_error_for_one_malformed_prefix(case):
-    """The channel and the event loop's parser reject each bad prefix
-    with the same error type and message."""
-    raw = MALFORMED[case]
-    with pytest.raises(ProtocolError) as parsed:
-        list(iter_frames(bytearray(raw), 1024))
-    a, b = tcp_pair(max_frame_len=1024)
+    """Every reader rejects each bad prefix with the reference
+    parser's error type and message — except an unknown type byte on
+    the control socket, whose kinds are not frame types: it is handed
+    on for the worker to ignore.  The event loop counts each rejection
+    under the reason its error names."""
+    saved, runtime.enabled = runtime.enabled, True
     try:
-        a._sock.sendall(raw)
-        with pytest.raises(ProtocolError) as received:
-            b.recv(timeout=5)
+        for name, feed in FEEDERS.items():
+            limit = LIMITS[name]
+            raw = malformed(case, limit)
+            with pytest.raises(ProtocolError) as parsed:
+                list(iter_frames(bytearray(raw), limit))
+            counter = MALFORMED_FRAMES.labels("eventloop", REASONS[case])
+            before = counter.value
+            got = [outcome(item) for item in feed([raw], limit=limit)]
+            if name == "control_socket" and case == "unknown_type":
+                assert got == [(99, b"xy"), None]
+                continue
+            assert got == [outcome(parsed.value)], name
+            assert isinstance(parsed.value, FrameTooLargeError) == \
+                (case == "oversized")
+            assert counter.value == before + (name == "event_loop"), name
     finally:
-        close_both(a, b)
-    assert type(received.value) is type(parsed.value)
-    assert str(received.value) == str(parsed.value)
-    assert isinstance(received.value, FrameTooLargeError) == \
-        (case == "oversized")
+        runtime.enabled = saved

@@ -18,13 +18,13 @@ from repro.pbio.format import IOFormat
 from repro.pbio.format_server import FormatServer
 from repro.pbio.layout import compute_layout
 from repro.transport.connection import Connection
-from repro.transport.eventloop import iter_frames
 from repro.transport.messages import Frame, FrameType, frame_bytes
 from repro.transport.sharded import (
     ControlSocket, Ctl, ShardedBroadcastServer, WorkerConfig,
     _pack_name, _ShardWorkerPublisher, _unpack_name,
 )
 from repro.transport.tcp import TCPChannel
+from tests.transport.frames import iter_frames
 
 SPECS = [("timestep", "integer"), ("size", "integer"),
          ("data", "float[size]")]

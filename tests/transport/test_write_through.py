@@ -18,9 +18,9 @@ from repro.pbio.format_server import FormatServer
 from repro.pbio.layout import compute_layout
 from repro.transport.broadcast import BroadcastPublisher
 from repro.transport.connection import Connection
-from repro.transport.eventloop import iter_frames
 from repro.transport.messages import Frame, FrameType
 from repro.transport.tcp import TCPChannel
+from tests.transport.frames import iter_frames
 from tests.transport.test_broadcast import SPECS, wait_until
 
 #: far more than a 4 KiB SO_SNDBUF / SO_RCVBUF pair absorbs (~12 KiB
