@@ -1,18 +1,14 @@
-"""Extension — fused codec plans and batched record streaming.
+"""Extension — fused codec plans.
 
-Measures what the marshaling tentpole bought:
-
-* per-record encode/decode latency of the fused fast path vs the
-  per-field baseline (``fuse=False``), on Fig. 7 record shapes;
-* end-to-end message rate over loopback TCP, per-record DATA frames
-  vs one shared-header DATA_BATCH.
+Measures what the marshaling tentpole bought: per-record encode/decode
+latency of the fused fast path vs the per-field baseline
+(``fuse=False``), on Fig. 7 record shapes.
 
 The measured ratios land in ``BENCH_fused.json`` (written by
 ``conftest.pytest_sessionfinish``); ``benchmarks/check_fused_gate.py``
-enforces the acceptance thresholds (>=1.5x encode on fused-run
-shapes, >=3x batched message rate) as a separate CI step.  In-test
-assertions use looser margins so machine noise cannot flake the
-tier-1 suite.
+enforces the acceptance threshold (>=1.5x encode on fused-run shapes)
+as a separate CI step.  In-test assertions use looser margins so
+machine noise cannot flake the tier-1 suite.
 """
 
 import pytest
@@ -23,8 +19,6 @@ from repro.pbio.context import IOContext
 from repro.pbio.decode import RecordDecoder
 from repro.pbio.encode import RecordEncoder
 from repro.pbio.format_server import FormatServer
-from repro.transport.connection import Connection
-from repro.transport.tcp import tcp_pair
 
 _SPECS = hydrology_field_specs()
 
@@ -59,8 +53,6 @@ CASES = {
                        timestep=5, value=0.375),
     },
 }
-
-BATCH_RECORDS = 512
 
 
 def _format_for(label):
@@ -129,53 +121,3 @@ def test_fused_speedup_recorded(fused_metrics):
     fused_metrics["encode"] = encode_out
     fused_metrics["decode"] = decode_out
 
-
-def test_batch_message_rate_recorded(fused_metrics):
-    """Per-record DATA frames vs one DATA_BATCH over loopback TCP.
-
-    Measured sequentially — send the whole burst, then drain it — so
-    the numbers do not depend on thread scheduling.  512 FlowParams
-    records fit comfortably inside the loopback socket buffer, so the
-    send loop never blocks on the receiver."""
-    server = FormatServer()
-    send_ctx = IOContext(format_server=server)
-    recv_ctx = IOContext(format_server=server)
-    send_ctx.register_layout("FlowParams", _SPECS["FlowParams"])
-    a_ch, b_ch = tcp_pair()
-    sender = Connection(send_ctx, a_ch)
-    receiver = Connection(recv_ctx, b_ch)
-    record = CASES["FlowParams"]["record"]
-    n = BATCH_RECORDS
-
-    def single_pass():
-        for _ in range(n):
-            sender.send("FlowParams", record)
-        for _ in range(n):
-            receiver.receive(timeout=10)
-
-    def batch_pass():
-        sender.send_many("FlowParams", [record] * n)
-        got = 0
-        while got < n:
-            got += len(receiver.receive_many(timeout=10))
-
-    def best_rate(pass_fn, reps=7):
-        # warmup inside time_callable also negotiates the format once
-        return n / time_callable(pass_fn, repeat=reps, number=1).best
-
-    try:
-        single_rate = best_rate(single_pass)
-        batch_rate = best_rate(batch_pass)
-    finally:
-        sender.close()
-        receiver.close()
-
-    fused_metrics["batch_message_rate"] = {
-        "records": n,
-        "per_record_rps": single_rate,
-        "batched_rps": batch_rate,
-        "speedup": batch_rate / single_rate,
-    }
-    # loose floor; check_fused_gate.py enforces the real 3x
-    assert batch_rate / single_rate > 1.8, \
-        fused_metrics["batch_message_rate"]

@@ -18,9 +18,8 @@ The measured ratios land in ``BENCH_obs.json`` (written by
 enforces the acceptance thresholds (enabled <= 1.05x no-op, hook
 <= 1% of a no-op encode) on the gated shapes — records large enough
 that a constant per-call hook cost must disappear into the per-record
-work.  Small scalar shapes are measured but not gated; a ~100ns hook
-is a visible fraction of a 2us encode and the paper's answer there is
-the batch API, not thinner hooks.  In-test assertions use looser
+work.  Small scalar shapes are measured but not gated: a ~100ns hook
+is a visible fraction of a 2us encode.  In-test assertions use looser
 margins so machine noise cannot flake the suite.
 """
 

@@ -91,11 +91,11 @@ class DecodeError(PBIOError):
 
 
 class WireParseError(DecodeError, EncodeError):
-    """A record or batch envelope failed validation (bad magic,
-    unsupported version, lying lengths).
+    """A record header failed validation (bad magic, unsupported
+    version, unknown flag bits, lying lengths).
 
     Subclasses both :class:`DecodeError` and :class:`EncodeError`:
-    header/batch parsing historically raised :class:`EncodeError`
+    header parsing historically raised :class:`EncodeError`
     (the parsers live next to the encoder), but the untrusted-input
     contract promises receivers that every rejection of wire bytes is
     a :class:`DecodeError`.  Deriving from both keeps existing callers

@@ -44,8 +44,7 @@ _NAME_PHASES = {
     # loading a persisted plan is *not* registration work — warm
     # starts must read as RDM ≈ 0, so the load files under "other"
     "plan_cache_load": "other",
-    "encode": "marshal", "encode_many": "marshal",
-    "decode": "unmarshal", "decode_many": "unmarshal",
+    "encode": "marshal", "decode": "unmarshal",
     "send": "transport", "receive": "transport",
     "fan_out": "transport", "pipeline": "transport",
 }

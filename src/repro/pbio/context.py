@@ -31,16 +31,14 @@ from __future__ import annotations
 import struct
 from typing import NamedTuple
 
-from repro.errors import (
-    DecodeError, FormatRegistrationError, UnknownFormatError,
-)
+from repro.errors import FormatRegistrationError, UnknownFormatError
 from repro.obs.registry import Tally
 from repro.obs.spans import observe_phase, sample_t0, span
 from repro.pbio.convert import ConversionPlan, plan_conversion
 from repro.pbio.decode import RecordDecoder, decoder_for_format
 from repro.pbio.encode import (
-    FLAG_BATCH, HEADER_LEN, HEADER_MAGIC, HEADER_VERSION, RecordEncoder,
-    encoder_for_format, parse_batch, split_header,
+    FLAG_BIG_ENDIAN, HEADER_LEN, HEADER_MAGIC, HEADER_VERSION,
+    RecordEncoder, encoder_for_format, split_header,
 )
 from repro.pbio.fields import FieldList
 from repro.pbio.format import FormatID, IOFormat
@@ -70,16 +68,6 @@ class ContextStats(Tally):
     _METRIC = "repro_codec_events_total"
 
     __slots__ = ()
-
-    def count_encoded(self, records: int, nbytes: int) -> None:
-        row = self.row()
-        row["records_encoded"] += records
-        row["bytes_encoded"] += nbytes
-
-    def count_decoded(self, records: int, nbytes: int) -> None:
-        row = self.row()
-        row["records_decoded"] += records
-        row["bytes_decoded"] += nbytes
 
 
 class DecodedRecord(NamedTuple):
@@ -258,22 +246,6 @@ class IOContext:
                                  else sum(map(len, wire)))
         return wire if parts else b"".join(wire)
 
-    def encode_many(self, format_name: str | IOFormat,
-                    records) -> bytes:
-        """Encode *records* into one shared-header batch
-        (:func:`~repro.pbio.encode.build_batch`): N same-format
-        records under a single 16-byte header, ready for one
-        transport frame."""
-        fmt = (format_name if isinstance(format_name, IOFormat)
-               else self.lookup_format(format_name))
-        records = list(records)
-        t0 = sample_t0()
-        wire = self.encoder_for(fmt).encode_batch(records)
-        if t0:
-            observe_phase("marshal", t0)
-        self.stats.count_encoded(len(records), len(wire))
-        return wire
-
     # -- decoding ---------------------------------------------------------------
 
     def _resolve_wire_format(self, fid: FormatID) -> IOFormat:
@@ -311,11 +283,9 @@ class IOContext:
         magic_version, flags, digest, body_len = (
             _HEADER.unpack_from(data) if size >= HEADER_LEN
             else _NO_HEADER)
-        if (magic_version != _MAGIC_VERSION or flags & FLAG_BATCH
+        if (magic_version != _MAGIC_VERSION or flags & ~FLAG_BIG_ENDIAN
                 or body_len > size - HEADER_LEN):
-            split_header(data, require_body=True)  # names the fault
-            raise DecodeError(
-                "data is a record batch; use decode_many()")
+            split_header(data, require_body=True)  # raises, naming why
         try:
             decode, name, fid = self._bound[arrays][digest]
         except KeyError:
@@ -329,23 +299,6 @@ class IOContext:
         row["records_decoded"] += 1
         row["bytes_decoded"] += size
         return tuple.__new__(DecodedRecord, (name, fid, record))
-
-    def decode_many(self, data: bytes, *, arrays: str = "list") \
-            -> list[DecodedRecord]:
-        """Decode a shared-header record batch produced by
-        :meth:`encode_many` under its sender's field view: the format
-        is resolved once for every record in it."""
-        fid, _big, bodies = parse_batch(data)
-        fmt = self._resolve_wire_format(fid)
-        decode = self.decoder_for(fmt, arrays=arrays).decode
-        t0 = sample_t0()
-        records = [tuple.__new__(DecodedRecord,
-                                 (fmt.name, fid, decode(body)))
-                   for body in bodies]
-        if t0:
-            observe_phase("unmarshal", t0)
-        self.stats.count_decoded(len(records), len(data))
-        return records
 
     def decode_as(self, data: bytes, native_name: str, *,
                   arrays: str = "list") -> dict:

@@ -22,7 +22,6 @@ import struct
 import numpy as np
 
 from repro.errors import DecodeError
-from repro.pbio.encode import parse_batch
 from repro.pbio.fields import FieldList, IOField
 from repro.pbio.format import IOFormat
 from repro.pbio.plancache import PlanFrontEnd, compile_codec
@@ -111,11 +110,6 @@ class RecordDecoder:
                     f"field {name!r}: corrupt record data: "
                     f"{exc}") from None
         return record
-
-    def decode_many(self, bodies) -> list[dict]:
-        """Decode an iterable of record bodies (e.g. from
-        :func:`~repro.pbio.encode.parse_batch`)."""
-        return [self.decode(body) for body in bodies]
 
     # -- compilation ------------------------------------------------------------
 
@@ -489,14 +483,3 @@ def clear_decoder_cache(*, persistent: bool = True) -> None:
     :func:`~repro.pbio.encode.clear_encoder_cache`)."""
     DECODERS.clear(persistent=persistent)
 
-
-def decode_batch(fmt: IOFormat, data, *, arrays: str = "list") \
-        -> list[dict]:
-    """Decode a shared-header record batch produced by
-    :func:`~repro.pbio.encode.build_batch` for a known format."""
-    fid, _big, bodies = parse_batch(data)
-    if fid != fmt.format_id:
-        raise DecodeError(
-            f"batch format id {fid} does not match format "
-            f"{fmt.format_id}")
-    return decoder_for_format(fmt, arrays=arrays).decode_many(bodies)

@@ -40,10 +40,9 @@ Three steady-state optimizations ride on top of the compiled plan (see
 Record headers (prepended by :meth:`RecordEncoder.encode` /
 :class:`~repro.pbio.context.IOContext`) are 16 bytes, always big-endian:
 magic ``PB``, version, flags, 8-byte format ID, 4-byte body length.
-Flag bit ``0x1`` marks a big-endian sender; flag bit ``0x2`` marks a
-**record batch** (:func:`build_batch`), whose payload is
-``u32 count`` followed by ``count`` × ``u32 length | body`` — N
-same-format records under one header.
+Flag bit ``0x1`` marks a big-endian sender; every other flag bit is
+rejected, and bit ``0x2`` (retired shared-header record batches) must
+not be reused.
 """
 
 from __future__ import annotations
@@ -66,15 +65,13 @@ from repro.pbio.walk import (
 )
 
 HEADER_MAGIC = b"PB"
-_MAGIC_0, _MAGIC_1 = HEADER_MAGIC  # is_batch compares ints, no slice
 HEADER_VERSION = 1
 HEADER_LEN = 16
 _HEADER_STRUCT = struct.Struct(">2sBB8sI")
 _COUNT32 = struct.Struct(">I")
 
-#: header flag bits
+#: the one header flag bit; any other bit set is a malformed header
 FLAG_BIG_ENDIAN = 0x1
-FLAG_BATCH = 0x2
 
 #: typed var-array payloads at least this large spill out of the
 #: record body as zero-copy segments (below it the extra frame part
@@ -190,6 +187,8 @@ def split_header(data, *, require_body: bool = False) \
         raise WireParseError(f"bad record magic {magic!r}")
     if version != HEADER_VERSION:
         raise WireParseError(f"unsupported record version {version}")
+    if flags & ~FLAG_BIG_ENDIAN:
+        raise WireParseError(f"unknown record header flags {flags:#04x}")
     if require_body and body_len > len(data) - HEADER_LEN:
         raise WireParseError(
             f"record truncated: header says {body_len} body bytes, "
@@ -204,82 +203,6 @@ def parse_header(data: bytes, *,
     digest, _flags, body_len = split_header(
         data, require_body=require_body)
     return FormatID.from_bytes(digest), body_len
-
-
-def is_batch(data) -> bool:
-    """True when *data* starts with a record-batch header."""
-    return (len(data) >= 4 and data[0] == _MAGIC_0
-            and data[1] == _MAGIC_1 and bool(data[3] & FLAG_BATCH))
-
-
-def build_batch(format_id: FormatID, bodies, *,
-                big_endian: bool) -> bytes:
-    """Frame N same-format record bodies under one shared header.
-
-    Layout after the 16-byte header (``FLAG_BATCH`` set, body length
-    covering everything that follows): ``u32 count``, then per record
-    ``u32 length | body``.  All batch integers are big-endian, like the
-    header itself.
-    """
-    flags = (FLAG_BIG_ENDIAN if big_endian else 0) | FLAG_BATCH
-    total = 4 + sum(4 + len(b) for b in bodies)
-    parts = [_HEADER_STRUCT.pack(HEADER_MAGIC, HEADER_VERSION, flags,
-                                 format_id.to_bytes(), total),
-             _COUNT32.pack(len(bodies))]
-    for body in bodies:
-        parts.append(_COUNT32.pack(len(body)))
-        parts.append(bytes(body))
-    return b"".join(parts)
-
-
-def parse_batch(data) -> tuple[FormatID, bool, list[memoryview]]:
-    """Split a record batch into (format id, big-endian?, bodies)."""
-    digest, flags, total = split_header(data)
-    if not flags & FLAG_BATCH:
-        raise WireParseError("not a record batch (FLAG_BATCH clear)")
-    payload = memoryview(data)[HEADER_LEN:]
-    if len(payload) < total:
-        raise WireParseError(
-            f"batch truncated: header says {total} payload bytes, "
-            f"got {len(payload)}")
-    payload = payload[:total]
-    if total < 4:
-        raise WireParseError(
-            f"batch payload of {total} bytes cannot hold a count")
-    (count,) = _COUNT32.unpack_from(payload, 0)
-    if 4 + 4 * count > total:
-        raise WireParseError(
-            f"batch count {count} impossible for {total} payload bytes")
-    bodies: list[memoryview] = []
-    offset = 4
-    for index in range(count):
-        if offset + 4 > total:
-            raise WireParseError(
-                f"batch truncated inside record {index}'s length "
-                f"prefix (offset {offset} of {total})")
-        (length,) = _COUNT32.unpack_from(payload, offset)
-        offset += 4
-        if length > total - offset:
-            raise WireParseError(
-                f"batch record {index} ({length} bytes at offset "
-                f"{offset}) extends past the {total}-byte payload")
-        bodies.append(payload[offset:offset + length])
-        offset += length
-    return (FormatID.from_bytes(digest), bool(flags & FLAG_BIG_ENDIAN),
-            bodies)
-
-
-def explode_batch(data) -> list[bytes]:
-    """Split a record batch into standalone per-record wires.
-
-    Each result carries its own 16-byte header, so code written for
-    single records (``parse_header`` + decode) consumes batch members
-    unchanged — how :class:`~repro.transport.connection.Connection`
-    delivers batches through its per-record ``receive()``.
-    """
-    fid, big_endian, bodies = parse_batch(data)
-    return [build_header(fid, len(body), big_endian=big_endian)
-            + bytes(body) for body in bodies]
 
 
 class BufferPool:
@@ -403,8 +326,16 @@ class RecordEncoder:
     # -- public ---------------------------------------------------------------
 
     def encode(self, record: dict) -> EncodedRecord:
-        body = self._encode_pooled(record)
-        return EncodedRecord(self.format.format_id, body)
+        record = self._normalize(record, self.field_list,
+                                 self._length_links,
+                                 path=self.format.name)
+        body = self._pool.acquire(self.field_list.record_length)
+        try:
+            for op in self._ops:
+                op(record, body, 0)
+            return EncodedRecord(self.format.format_id, bytes(body))
+        finally:
+            self._pool.release(body)
 
     def encode_body(self, record: dict) -> bytearray:
         record = self._normalize(record, self.field_list,
@@ -464,39 +395,6 @@ class RecordEncoder:
             if spill:
                 body.segments.clear()
             pool.release(body)
-
-    def encode_bodies(self, records) -> list[bytes]:
-        """Encode many records, reusing one pooled buffer throughout.
-
-        Failures name the offending record index on top of the
-        per-field attribution the compiled ops already provide.
-        """
-        out = []
-        for index, record in enumerate(records):
-            try:
-                out.append(self._encode_pooled(record))
-            except EncodeError as exc:
-                raise EncodeError(f"record[{index}]: {exc}") from None
-        return out
-
-    def encode_batch(self, records) -> bytes:
-        """Encode *records* into one shared-header batch
-        (:func:`build_batch`)."""
-        return build_batch(self.format.format_id,
-                           self.encode_bodies(records),
-                           big_endian=self._big)
-
-    def _encode_pooled(self, record: dict) -> bytes:
-        record = self._normalize(record, self.field_list,
-                                 self._length_links,
-                                 path=self.format.name)
-        body = self._pool.acquire(self.field_list.record_length)
-        try:
-            for op in self._ops:
-                op(record, body, 0)
-            return bytes(body)
-        finally:
-            self._pool.release(body)
 
     # -- normalization ---------------------------------------------------------
 

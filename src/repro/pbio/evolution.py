@@ -72,11 +72,11 @@ def can_evolve(old: IOFormat, new: IOFormat) -> bool:
     return evolution_report(old, new).compatible
 
 
-def _count_event(event: str, n: int = 1) -> None:
+def _count_event(event: str) -> None:
     from repro.obs import runtime as _obs
     if _obs.enabled:
         from repro.obs.metrics import EVOLUTION_EVENTS
-        EVOLUTION_EVENTS.labels(event).inc(n)
+        EVOLUTION_EVENTS.labels(event).inc()
 
 
 class DownConverter:
@@ -141,12 +141,6 @@ class DownConverter:
         _count_event("records_down_converted")
         return self._encoder.encode_wire_parts(
             self.convert_record(record))
-
-    def encode_batch(self, records) -> bytes:
-        """Old-version shared-header batch from new-version records."""
-        records = [self.convert_record(r) for r in records]
-        _count_event("records_down_converted", len(records))
-        return self._encoder.encode_batch(records)
 
     def convert_wire(self, wire: bytes) -> bytes:
         """Old-version wire bytes from a new-version wire record —

@@ -9,7 +9,7 @@ that promise into an executable oracle:
 
 * :class:`FrameMutator` — a deterministic (seeded) corpus-driven
   mutator: byte/bit flips, truncations, extensions, pointer and count
-  smashing at every offset, zero/0xFF runs, batch-header splicing and
+  smashing at every offset, zero/0xFF runs, header splicing and
   cross-frame crossover.  The lineage handshake adds two kinds of its
   own (u8 length/count smashing, digest splicing) that campaigns opt
   into via :data:`HANDSHAKE_KINDS`.
@@ -45,9 +45,7 @@ from repro.errors import DecodeError, EncodeError, ProtocolError
 from repro.pbio.decode import (
     RecordDecoder, decoder_for_format, materialize_record,
 )
-from repro.pbio.encode import (
-    HEADER_LEN, encoder_for_format, is_batch, parse_batch, parse_header,
-)
+from repro.pbio.encode import HEADER_LEN, encoder_for_format, parse_header
 from repro.pbio.format import IOFormat
 
 #: decoded cells allowed per wire byte — a valid PBIO record cannot
@@ -143,8 +141,7 @@ class FrameMutator:
     (short reads, framing bugs), 32-bit pointer/count smashing at
     arbitrary offsets (the attack the bounds checks exist for), runs
     of zeros/0xFF (cleared or freed buffers), and header splicing
-    between corpus frames (a batch header on a scalar body and vice
-    versa).
+    between corpus frames (one format's header on another's body).
     """
 
     def __init__(self, rng: random.Random,
@@ -230,7 +227,7 @@ class FrameMutator:
 
     def _splice_header(self, data: bytearray) -> bytearray:
         """Put another corpus frame's header (format id, flags, body
-        length — possibly FLAG_BATCH) on this frame's body."""
+        length) on this frame's body."""
         if self.corpus_frames and len(data) >= HEADER_LEN:
             other = self.rng.choice(self.corpus_frames)
             data[:HEADER_LEN] = other[:HEADER_LEN]
@@ -391,15 +388,6 @@ class WireOracle:
         unexpected exception types propagate as themselves and are
         classified by :func:`run_fuzz`).
         """
-        if is_batch(wire):
-            fid, _big, bodies = parse_batch(wire)
-            entry = self._entry(fid)
-            decoded = reencoded = 0
-            for body in bodies:
-                ok = self._check_body(entry, bytes(body), len(wire))
-                decoded += 1
-                reencoded += ok
-            return {"decoded": decoded, "reencoded": reencoded}
         fid, body_len = parse_header(wire, require_body=True)
         entry = self._entry(fid)
         body = wire[HEADER_LEN:HEADER_LEN + body_len]

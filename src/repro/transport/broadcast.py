@@ -111,7 +111,7 @@ class PublishFront:
     format, marshal **once**, frame once, and hand the frame — plus a
     way to re-encode it for a subscriber pinned to an older lineage
     version — to the one thing a topology decides for itself,
-    ``_fan_out(fmt, data, records, down_convert)``.
+    ``_fan_out(fmt, data, down_convert)``.
 
     Subclasses provide ``context`` (the only
     :class:`~repro.pbio.context.IOContext` that ever encodes) and
@@ -136,26 +136,7 @@ class PublishFront:
                 record)
             return frame_bytes(FrameType.DATA, *parts)
 
-        return self._fan_out(fmt, data, records=1,
-                             down_convert=down_convert)
-
-    def publish_many(self, format_name: str | IOFormat,
-                     records) -> int:
-        """Encode *records* into one shared-header batch and fan the
-        single DATA_BATCH frame out."""
-        fmt = self._format(format_name)
-        records = list(records)
-        if not records:
-            return 0
-        wire = self.context.encode_many(fmt, records)
-        data = frame_bytes(FrameType.DATA_BATCH, wire)
-
-        def down_convert(old_fmt: IOFormat) -> bytes:
-            batch = down_converter(fmt, old_fmt).encode_batch(records)
-            return frame_bytes(FrameType.DATA_BATCH, batch)
-
-        return self._fan_out(fmt, data, records=len(records),
-                             down_convert=down_convert)
+        return self._fan_out(fmt, data, down_convert)
 
     def publish_encoded(self, wire: bytes) -> int:
         """Fan out an already-encoded record (bytes from
@@ -169,8 +150,7 @@ class PublishFront:
             converted = down_converter(fmt, old_fmt).convert_wire(wire)
             return frame_bytes(FrameType.DATA, converted)
 
-        return self._fan_out(fmt, data, records=1,
-                             down_convert=down_convert)
+        return self._fan_out(fmt, data, down_convert)
 
     def _format(self, format_name: str | IOFormat) -> IOFormat:
         if isinstance(format_name, IOFormat):
@@ -312,8 +292,7 @@ class BroadcastPublisher(PublishFront):
 
     # -- internals ----------------------------------------------------------
 
-    def _fan_out(self, fmt: IOFormat, data: bytes, records: int,
-                 down_convert) -> int:
+    def _fan_out(self, fmt: IOFormat, data: bytes, down_convert) -> int:
         t0 = sample_t0()
         server = self.server
         clients = server.open_clients  # lock-free: a fresh tuple per change
@@ -355,7 +334,7 @@ class BroadcastPublisher(PublishFront):
         # one encode regardless of subscriber count — the whole
         # point; frame overhead (5 bytes) excluded
         row = self.stats.row()
-        row["messages_broadcast"] += records
+        row["messages_broadcast"] += 1
         row["bytes_encoded"] += len(data) - 5
         row["frames_enqueued"] += reached
         row["bytes_queued"] += queued

@@ -24,12 +24,12 @@ from repro.errors import (
     TransportError, UnknownFormatError,
 )
 from repro.pbio.context import DecodedRecord, IOContext
-from repro.pbio.encode import explode_batch, is_batch, parse_header
+from repro.pbio.encode import parse_header
 from repro.pbio.evolution import DownConverter, down_converter
 from repro.pbio.format import FormatID, IOFormat
 from repro.transport.base import Channel
 from repro.transport.messages import (
-    RECORD_FRAMES, Frame, FrameType, count_malformed, decode_lineage_req,
+    Frame, FrameType, count_malformed, decode_lineage_req,
     decode_lineage_rsp, encode_lineage_req, lineage_reply,
 )
 
@@ -120,16 +120,6 @@ class Connection:
         self.channel.send(Frame(_DATA, wire))
         self.records_sent += 1
 
-    def send_many(self, format_name: str | IOFormat, records) -> int:
-        """Encode *records* into one shared-header batch and ship it
-        as a single DATA_BATCH frame — N records, one header, one
-        transport send.  Returns the number of records sent."""
-        records = list(records)
-        wire = self.context.encode_many(format_name, records)
-        self.channel.send(Frame(FrameType.DATA_BATCH, wire))
-        self.records_sent += len(records)
-        return len(records)
-
     def send_encoded(self, wire: bytes) -> None:
         """Send an already-encoded record (from
         :meth:`~repro.pbio.context.IOContext.encode`).
@@ -169,7 +159,7 @@ class Connection:
                 if rsp_name == name:
                     return chosen
                 continue  # unrelated announcement, already recorded
-            if frame.type in RECORD_FRAMES:
+            if frame.type == _DATA:
                 self._pending.append(frame.payload)
                 continue
             self._service(frame)
@@ -222,13 +212,12 @@ class Connection:
             -> ReceivedMessage | None:
         """Deliver the next application record (None on orderly close)."""
         frame = None if self._pending else self.channel.recv(timeout)
-        if frame is not None and frame.type is _DATA \
-                and not is_batch(frame.payload):
-            wire = frame.payload  # the steady state: one plain record
+        if frame is not None and frame.type is _DATA:
+            wire = frame.payload  # the steady state: one record
         elif frame is None and not self._pending:
             return None  # orderly close
         else:
-            wire = self._next_wire(timeout, True, frame)
+            wire = self._next_wire(timeout, frame)
             if wire is None:
                 return None
         try:
@@ -243,7 +232,7 @@ class Connection:
                    timeout: float | None = None) -> dict | None:
         """Like :meth:`receive` but converted to the receiver's own
         registered format view (restricted evolution applies)."""
-        wire = self._next_wire(timeout, True)
+        wire = self._next_wire(timeout)
         if wire is None:
             return None
         try:
@@ -255,27 +244,12 @@ class Connection:
         self.records_received += 1
         return record
 
-    def receive_many(self, timeout: float | None = None) \
-            -> list[ReceivedMessage] | None:
-        """Deliver the next DATA_BATCH whole: one frame, one format
-        resolution, one decoder for every record in it.  A plain DATA
-        frame yields a one-element list; None means orderly close."""
-        wire = self._next_wire(timeout, False)
-        if wire is None:
-            return None
-        try:
-            out = self._decode_whole(wire, arrays=self.arrays)
-        except (UnknownFormatError, DecodeError) as exc:
-            out = self._recover(exc, self._decode_whole, wire, timeout)
-        self.records_received += len(out)
-        return out
-
     # -- internals ----------------------------------------------------------
 
     def _recover(self, exc: Exception, decode, wire, timeout, *args):
         """A wire the context rejected: an unknown format is negotiated
-        and *decode* retried, once; each record rejected is counted,
-        here or (a batch that does not split) in :meth:`_next_wire`."""
+        and *decode* retried, once; each record rejected is counted
+        here."""
         try:
             if not isinstance(exc, UnknownFormatError):
                 raise exc
@@ -285,39 +259,22 @@ class Connection:
             count_malformed("connection", "bad_record")
             raise
 
-    def _decode_whole(self, wire: bytes, *, arrays: str) -> list:
-        """receive_many's *decode*: a batch or a single record."""
-        if is_batch(wire):
-            return self.context.decode_many(wire, arrays=arrays)
-        return [self.context.decode(wire, arrays=arrays)]
-
-    def _next_wire(self, timeout: float | None, single: bool,
+    def _next_wire(self, timeout: float | None,
                    frame: Frame | None = None):
         """The next record payload, None on orderly close: queued ones,
         then *frame* (if the caller read one), then the channel's, with
-        metadata frames serviced on the way; *single* splits a batch
-        into per-record wires queued ahead of the rest."""
+        metadata frames serviced on the way."""
         while True:
             if frame is None and self._pending:
-                wire = self._pending.popleft()
-            else:
-                if frame is None:
-                    frame = self.channel.recv(timeout)
-                if frame is None or frame.type == FrameType.BYE:
-                    return None
-                if frame.type not in RECORD_FRAMES:
-                    self._service(frame)
-                    frame = None
-                    continue
-                wire, frame = frame.payload, None
-            if not (single and is_batch(wire)):
-                return wire
-            try:
-                singles = explode_batch(wire)
-            except DecodeError:
-                count_malformed("connection", "bad_record")
-                raise
-            self._pending.extendleft(reversed(singles))
+                return self._pending.popleft()
+            if frame is None:
+                frame = self.channel.recv(timeout)
+            if frame is None or frame.type == FrameType.BYE:
+                return None
+            if frame.type == _DATA:
+                return frame.payload
+            self._service(frame)
+            frame = None
 
     def _ensure_format(self, fid: FormatID,
                        timeout: float | None) -> None:
@@ -338,7 +295,7 @@ class Connection:
                 if got == fid:
                     return
                 continue
-            if frame.type in RECORD_FRAMES:
+            if frame.type == _DATA:
                 self._pending.append(frame.payload)
                 continue
             self._service(frame)

@@ -9,8 +9,6 @@ FMT_REQ     payload = 8-byte format ID the sender cannot resolve
 FMT_RSP     payload = 8-byte format ID + canonical format metadata
 HELLO       connection greeting (payload = architecture name)
 BYE         orderly shutdown
-DATA_BATCH  a PBIO record batch: one header shared by N bodies
-            (:func:`repro.pbio.encode.build_batch`)
 STATS_REQ   ask the peer for its telemetry snapshot (empty payload)
 STATS_RSP   payload = UTF-8 JSON telemetry snapshot
 LIN_REQ     lineage handshake: the digests the sender can decode
@@ -66,7 +64,7 @@ class FrameType(enum.IntEnum):
     FMT_REG = 6   # payload = canonical metadata to register
     FMT_ACK = 7   # payload = 8-byte assigned format ID
     FMT_ERR = 8   # payload = UTF-8 error message
-    DATA_BATCH = 9  # payload = shared-header record batch
+    # 9 is retired (shared-header record batches): unknown, not reused
     # live telemetry (repro.obs): snapshot over the data channel
     STATS_REQ = 10  # empty payload: request a telemetry snapshot
     STATS_RSP = 11  # payload = UTF-8 JSON snapshot + publisher stats
@@ -79,9 +77,9 @@ class FrameType(enum.IntEnum):
 class Frame:
     """One transport frame, built once each way per message: a plain
     two-slot class.  Outbound, ``payload`` may be a tuple of buffers (a
-    record's wire parts, sent unjoined); inbound, a large DATA /
-    DATA_BATCH payload may be a read-only ``memoryview`` of the
-    frame's private receive buffer.  Otherwise it is ``bytes``."""
+    record's wire parts, sent unjoined); inbound, a large DATA payload
+    may be a read-only ``memoryview`` of the frame's private receive
+    buffer.  Otherwise it is ``bytes``."""
 
     type: FrameType
     payload: bytes | memoryview | tuple
@@ -127,8 +125,6 @@ class _FrameTypes(dict):
 
 
 FRAME_TYPES = _FrameTypes((ftype.value, ftype) for ftype in FrameType)
-#: the frames that carry PBIO records
-RECORD_FRAMES = (FrameType.DATA, FrameType.DATA_BATCH)
 
 
 ZERO_LENGTH = "zero-length frame"  # the message, for counting it
@@ -235,7 +231,7 @@ class FrameReader:
         if got is None:
             return None
         ftype, payload = FRAME_TYPES[got[0]], got[1]
-        if type(payload) is not bytes and ftype not in RECORD_FRAMES:
+        if type(payload) is not bytes and ftype != FrameType.DATA:
             payload = bytes(payload)
         return Frame(ftype, payload)
 

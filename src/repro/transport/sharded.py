@@ -471,7 +471,7 @@ class ShardedBroadcastServer(PublishFront):
 
     The publisher-facing API is
     :class:`~repro.transport.broadcast.BroadcastPublisher`'s:
-    ``publish`` / ``publish_many`` / ``publish_encoded`` (the shared
+    ``publish`` / ``publish_encoded`` (the shared
     :class:`~repro.transport.broadcast.PublishFront`, reaching live
     shards instead of subscribers), ``cutover`` / ``flush`` /
     ``wait_for_subscribers`` / ``close``, plus process-topology extras
@@ -832,8 +832,7 @@ class ShardedBroadcastServer(PublishFront):
         self.stats.count("cutovers")
         return reached
 
-    def _fan_out(self, fmt: IOFormat, data: bytes, records: int,
-                 down_convert) -> int:
+    def _fan_out(self, fmt: IOFormat, data: bytes, down_convert) -> int:
         """Hand the frame to every live shard (replicating the format
         first where a shard lacks it); returns the shards reached."""
         #: (fid, frame, primary) per version — the current-version
@@ -869,7 +868,7 @@ class ShardedBroadcastServer(PublishFront):
         if t0:
             observe_phase("transport", t0)
         row = self.stats.row()
-        row["messages_broadcast"] += records
+        row["messages_broadcast"] += 1
         row["bytes_encoded"] += len(data) - 5
         row["frames_enqueued"] += reached
         row["bytes_queued"] += reached * len(data)

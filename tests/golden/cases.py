@@ -174,11 +174,6 @@ _HYDROLOGY_RECORDS: dict[str, dict] = {
     },
 }
 
-#: Case name -> batch of records locked as one shared-header batch
-#: vector (exercises the DATA_BATCH payload layout byte for byte).
-_BATCH_CASES: dict[str, str] = {"SimpleData__batch": "SimpleData"}
-
-
 def _bulk_ints(count: int) -> list[int]:
     """Deterministic int32 walk covering sign and magnitude."""
     return [((i * 2654435761 + 97) % (1 << 32)) - (1 << 31)
@@ -286,46 +281,40 @@ def bulk_record(case: str, source: str) -> dict:
 
 def case_names() -> list[str]:
     return (sorted(_HYDROLOGY_RECORDS) + sorted(_EXTRA_CASES)
-            + sorted(_BATCH_CASES) + bulk_case_names())
+            + bulk_case_names())
 
 
 def build_format(case: str, architecture) -> IOFormat:
-    base = _BATCH_CASES.get(case, case)
-    if base in _HYDROLOGY_RECORDS:
-        specs = hydrology_field_specs(architecture)[base]
+    if case in _HYDROLOGY_RECORDS:
+        specs = hydrology_field_specs(architecture)[case]
         layout = compute_layout(specs, architecture=architecture)
-        return IOFormat(base, layout.field_list)
-    if base in _BULK_CASES:
-        layout = compute_layout(_BULK_CASES[base]["specs"],
+        return IOFormat(case, layout.field_list)
+    if case in _BULK_CASES:
+        layout = compute_layout(_BULK_CASES[case]["specs"],
                                 architecture=architecture)
-        return IOFormat(base, layout.field_list)
-    spec = _EXTRA_CASES[base]
+        return IOFormat(case, layout.field_list)
+    spec = _EXTRA_CASES[case]
     subformats = {
         name: compute_layout(sub, architecture=architecture).field_list
         for name, sub in spec.get("subformats", {}).items()}
     layout = compute_layout(spec["specs"], architecture=architecture,
                             subformats=subformats or None)
-    return IOFormat(base, layout.field_list, spec.get("enums"))
+    return IOFormat(case, layout.field_list, spec.get("enums"))
 
 
 def case_record(case: str) -> dict:
-    base = _BATCH_CASES.get(case, case)
-    if base in _HYDROLOGY_RECORDS:
-        return dict(_HYDROLOGY_RECORDS[base])
-    if base in _BULK_CASES:
-        return _BULK_CASES[base]["build"]()
-    return dict(_EXTRA_CASES[base]["record"])
+    if case in _HYDROLOGY_RECORDS:
+        return dict(_HYDROLOGY_RECORDS[case])
+    if case in _BULK_CASES:
+        return _BULK_CASES[case]["build"]()
+    return dict(_EXTRA_CASES[case]["record"])
 
 
 def encode_case(case: str, architecture, *, fuse: bool = True) -> bytes:
     """The full wire bytes for *case* on *architecture*."""
     fmt = build_format(case, architecture)
     encoder = RecordEncoder(fmt, fuse=fuse)
-    record = case_record(case)
-    if case in _BATCH_CASES:
-        batch = [dict(record, timestep=t) for t in range(3)]
-        return encoder.encode_batch(batch)
-    return encoder.encode_wire(record)
+    return encoder.encode_wire(case_record(case))
 
 
 def compute_vectors() -> dict[str, dict]:

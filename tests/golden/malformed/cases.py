@@ -10,8 +10,9 @@ typed :class:`~repro.errors.DecodeError` whose message matches
 * pointers or self-sizing counters past the end of the record (raw
   ``struct.error`` escapes before normalization),
 * smashed element counts (multi-GB allocations before the clamp),
-* record headers and batch envelopes whose declared lengths lie about
-  the buffer (``struct.error`` out of ``parse_batch``).
+* record headers whose declared lengths lie about the buffer, or
+  that set a flag bit no sender may set (bit ``0x2`` once marked a
+  shared-header record batch; it is retired and rejected).
 
 Frames are derived deterministically from the pristine golden vectors
 (``tests/golden/vectors.json``) and committed as hex in
@@ -26,9 +27,7 @@ import struct
 from pathlib import Path
 
 from tests.golden.cases import ARCHITECTURES, build_format, load_vectors
-from repro.pbio.encode import (
-    FLAG_BATCH, HEADER_LEN, HEADER_MAGIC, HEADER_VERSION, _HEADER_STRUCT,
-)
+from repro.pbio.encode import HEADER_LEN
 
 FRAMES_PATH = Path(__file__).with_name("frames.json")
 
@@ -74,13 +73,6 @@ def _read_pointer(wire: bytearray, case: str, order: str,
     code = fmt.architecture.struct_byte_order_char + (
         "I" if width == 4 else "Q")
     return struct.unpack_from(code, wire, HEADER_LEN + field.offset)[0]
-
-
-def _batch_header(case: str, order: str, total: int) -> bytes:
-    fmt = build_format(case, _arch(order))
-    flags = FLAG_BATCH | (0x1 if order == "big" else 0)
-    return _HEADER_STRUCT.pack(HEADER_MAGIC, HEADER_VERSION, flags,
-                               fmt.format_id.to_bytes(), total)
 
 
 # -- the vectors ------------------------------------------------------------
@@ -143,25 +135,11 @@ def _header_body_len_lies(order: str) -> bytearray:
     return wire
 
 
-def _batch_truncated_prefix(order: str) -> bytearray:
-    # record 0's body eats into the bytes record 1's length prefix
-    # needs, so that prefix straddles the end of the payload
-    # (struct.error out of parse_batch before the bounds check)
-    payload = (_U32BE.pack(2) + _U32BE.pack(3) + b"\x00" * 3
-               + b"\x00\x00")
-    return bytearray(
-        _batch_header("SimpleData", order, len(payload)) + payload)
-
-
-def _batch_record_len_lies(order: str) -> bytearray:
-    payload = _U32BE.pack(1) + _U32BE.pack(100) + b"\x00" * 4
-    return bytearray(
-        _batch_header("SimpleData", order, len(payload)) + payload)
-
-
-def _batch_count_impossible(order: str) -> bytearray:
-    wire = _pristine("SimpleData__batch", order)
-    _U32BE.pack_into(wire, HEADER_LEN, 0xFFFFFFFF)
+def _unknown_flags(order: str) -> bytearray:
+    # a valid record with the retired batch bit (0x2) set beside the
+    # byte-order bit: rejected at the header, never decoded
+    wire = _pristine("SimpleData", order)
+    wire[3] |= 0x2
     return wire
 
 
@@ -231,15 +209,9 @@ _CASES: dict[str, tuple] = {
     "header_body_len_lies": (
         _header_body_len_lies, "SimpleData",
         "record truncated"),
-    "batch_truncated_prefix": (
-        _batch_truncated_prefix, "SimpleData",
-        "truncated inside record 1's length prefix"),
-    "batch_record_len_lies": (
-        _batch_record_len_lies, "SimpleData",
-        "extends past"),
-    "batch_count_impossible": (
-        _batch_count_impossible, "SimpleData__batch",
-        "impossible"),
+    "unknown_flags": (
+        _unknown_flags, "SimpleData",
+        "unknown record header flags"),
     "bulk_count_smashed": (
         _bulk_count_smashed, "BulkInt32_1k",
         "outside record"),

@@ -10,9 +10,7 @@ halves as separate steps via ``-k little`` / ``-k big``.
 import pytest
 
 from repro.pbio.decode import RecordDecoder
-from repro.pbio.encode import (
-    HEADER_LEN, RecordEncoder, is_batch, parse_header,
-)
+from repro.pbio.encode import HEADER_LEN, RecordEncoder, parse_header
 from tests.golden.cases import (
     ARCHITECTURES, build_format, bulk_case_names, bulk_record,
     case_names, case_record, encode_case, entry_matches, load_vectors,
@@ -73,8 +71,6 @@ def test_golden_wire_decodes_identically_both_paths(case, order):
         assert entry_matches(entry, wire)
     else:
         wire = bytes.fromhex(entry)
-    if is_batch(wire):
-        return  # batch framing is covered by the byte tests above
     fmt = build_format(case, arch)
     _fid, body_len = parse_header(wire)
     body = wire[HEADER_LEN:HEADER_LEN + body_len]

@@ -251,7 +251,7 @@ class TestTally:
 class TestSeriesNeverRunBackwards:
     def test_series_never_decrease_across_owner_collection(self):
         stats = ContextStats()
-        stats.count_encoded(7, 70)
+        stats.count("records_encoded", 7)
         first = series("repro_codec_events_total",
                        event="records_encoded")
         del stats
@@ -330,8 +330,10 @@ class TestStatsClassesExactUnderThreads:
         before = {event: series("repro_codec_events_total",
                                 event=event)
                   for event in ("records_encoded", "bytes_decoded")}
-        hammer(lambda i: stats.count_encoded(1, 10))
-        hammer(lambda i: stats.count_decoded(2, 20))
+        hammer(lambda i: (stats.count("records_encoded"),
+                          stats.count("bytes_encoded", 10)))
+        hammer(lambda i: (stats.count("records_decoded", 2),
+                          stats.count("bytes_decoded", 20)))
         expected = THREADS * PER_THREAD
         assert stats.records_encoded == expected
         assert stats.bytes_encoded == expected * 10

@@ -3,8 +3,8 @@
 Every bulk decision the codec can make — zero-copy view, byteswap
 convert, spill segment, small-array fallback — must be byte-for-byte
 indistinguishable from the per-element baseline, across element type,
-byte order, payload source (list / ndarray / array.array), fuse mode,
-validation mode and batching.  The decode side must agree across its
+byte order, payload source (list / ndarray / array.array), fuse mode
+and validation mode.  The decode side must agree across its
 three representations (``list`` / ``numpy`` / ``view``), and the
 zero-copy views must honor the buffer-lifetime contract: read-only,
 alive views pin the buffer, and a materialized copy survives anything
@@ -23,7 +23,7 @@ import repro.pbio.encode as encode_mod
 from repro.errors import EncodeError
 from repro.pbio.decode import RecordDecoder, materialize_record
 from repro.pbio.encode import (
-    BULK_STATS, HEADER_LEN, RecordEncoder, numpy_dtype, parse_batch,
+    BULK_STATS, HEADER_LEN, RecordEncoder, numpy_dtype,
 )
 from repro.pbio.format import IOFormat
 from repro.pbio.layout import field_list_for
@@ -143,24 +143,6 @@ def test_parts_join_matches_wire_with_spills(case, arch, source):
     assert joined == baseline
     if any(record[name] for name, _d, _t in arrays):
         assert BULK_STATS.snapshot()["spilled_segments"] > before
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=bulk_case(max_arrays=2), arch=st.sampled_from(ARCHS),
-       source=st.sampled_from(("list", "ndarray", "array")))
-def test_batch_bulk_equals_baseline(case, arch, source):
-    specs, record, arrays = case
-    fmt = _format_for(specs, arch)
-    batch = [dict(record, tag=t) for t in range(3)]
-    baseline = RecordEncoder(fmt, bulk=False).encode_batch(batch)
-    typed = [_as_source(r, arrays, source) for r in batch]
-    assert RecordEncoder(fmt).encode_batch(typed) == baseline
-    _fid, _big, bodies = parse_batch(baseline)
-    listed = RecordDecoder(fmt).decode_many(
-        [bytes(b) for b in bodies])
-    viewed = RecordDecoder(fmt, arrays="view").decode_many(
-        [bytes(b) for b in bodies])
-    assert [materialize_record(r) for r in viewed] == listed
 
 
 # -- decode: list / numpy / view representations agree ----------------------
@@ -293,17 +275,6 @@ def test_numpy_dtype_error_names_the_field():
     with pytest.raises(EncodeError,
                        match="^no bulk representation for kind char"):
         numpy_dtype("char", 1, "little")
-
-
-def test_encode_bodies_names_the_offending_record():
-    specs = [("values", "integer[3]", 4)]
-    fmt = _format_for(specs, X86_64)
-    good = {"values": [1, 2, 3]}
-    bad = {"values": np.arange(4, dtype="i4")}
-    with pytest.raises(EncodeError,
-                       match=r"record\[2\]: field 'values': fixed "
-                             r"array of 3, got 4 elements"):
-        RecordEncoder(fmt).encode_bodies([good, good, bad])
 
 
 def test_wrong_length_bulk_fixed_array_names_the_field():

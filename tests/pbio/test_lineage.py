@@ -229,16 +229,6 @@ class TestDownConverter:
         assert decoded.record == {"timestep": 9, "size": 3,
                                   "data": [1.5, -2.5, 4.0]}
 
-    def test_encode_batch(self, versions):
-        v1, _, v3 = versions
-        ctx = IOContext(format_server=FormatServer())
-        ctx.register(v1)
-        batch = DownConverter(v3, v1).encode_batch(
-            [REC_V3, REC_V3 | {"timestep": 10}])
-        records = ctx.decode_many(batch)
-        assert [r.record["timestep"] for r in records] == [9, 10]
-        assert all(r.format_id == v1.format_id for r in records)
-
     def test_convert_wire_roundtrip(self, versions):
         v1, _, v3 = versions
         sender = IOContext(format_server=FormatServer())

@@ -2,7 +2,7 @@
 
 ``tests/golden/malformed/frames.json`` holds one minimized frame per
 bug class the hardening fixed (pointer aliasing, smashed counts, lying
-envelope lengths).  Every frame must raise :class:`DecodeError` with
+header lengths, unknown header flags).  Every frame must raise :class:`DecodeError` with
 the recorded message under both the fused and per-field decode plans;
 a frame that starts decoding again is a regression, a frame that
 raises anything untyped is a contract break.
@@ -16,14 +16,11 @@ import struct
 import pytest
 
 import repro.pbio.decode as decode_mod
-from repro.errors import DecodeError, EncodeError
+from repro.errors import DecodeError, EncodeError, WireParseError
 from repro.pbio.context import IOContext
 from repro.pbio.decode import RecordDecoder
-from repro.pbio.encode import (
-    HEADER_LEN, RecordEncoder, build_batch, is_batch, parse_batch,
-    parse_header,
-)
-from repro.pbio.format import FormatID, IOFormat
+from repro.pbio.encode import HEADER_LEN, RecordEncoder, parse_header
+from repro.pbio.format import IOFormat
 from repro.pbio.layout import compute_layout
 from repro.pbio.machine import X86_64
 from tests.golden.cases import ARCHITECTURES, build_format
@@ -35,14 +32,11 @@ _ENTRIES = [(name, order) for name in sorted(FRAMES)
 
 
 def _strict_decode(fmt, wire: bytes, *, fuse: bool):
-    """The receiving pipeline with no leniency: envelope length checks
-    plus a validated decoder, as Connection/iofile run it."""
-    decoder = RecordDecoder(fmt, fuse=fuse)
-    if is_batch(wire):
-        _fid, _big, bodies = parse_batch(wire)
-        return [decoder.decode(bytes(b)) for b in bodies]
+    """The receiving pipeline with no leniency: header checks plus a
+    validated decoder, as Connection/iofile run it."""
     _fid, body_len = parse_header(wire, require_body=True)
-    return decoder.decode(wire[HEADER_LEN:HEADER_LEN + body_len])
+    return RecordDecoder(fmt, fuse=fuse).decode(
+        wire[HEADER_LEN:HEADER_LEN + body_len])
 
 
 def test_committed_frames_in_sync():
@@ -87,6 +81,28 @@ def test_context_rejects_lying_header():
     ctx.register(fmt)
     with pytest.raises(DecodeError, match="truncated"):
         ctx.decode(bytes.fromhex(entry["hex"]))
+
+
+@pytest.mark.parametrize("order", sorted(ARCHITECTURES))
+def test_context_rejects_unknown_flags(order):
+    """The retired batch bit fails the fast path's guard and is named
+    by the one header check, as one typed error."""
+    entry = FRAMES["unknown_flags"][order]
+    ctx = IOContext()
+    ctx.register(build_format(entry["case"], ARCHITECTURES[order]))
+    with pytest.raises(WireParseError) as caught:
+        ctx.decode(bytes.fromhex(entry["hex"]))
+    assert type(caught.value) is WireParseError
+    assert "unknown record header flags" in str(caught.value)
+
+
+def test_header_rejections_also_satisfy_legacy_encode_type():
+    # WireParseError bridges both hierarchies: parse-layer callers
+    # that predate the hardening catch EncodeError
+    with pytest.raises(EncodeError):
+        parse_header(b"XX" + b"\x00" * 14)
+    with pytest.raises(EncodeError):
+        parse_header(bytes.fromhex(FRAMES["unknown_flags"]["big"]["hex"]))
 
 
 class TestVarSubformatPointer:
@@ -134,53 +150,6 @@ class TestVarSubformatPointer:
         struct.pack_into("<I", body, where, 0x7FFFFFFF)
         with pytest.raises(DecodeError, match="outside record"):
             RecordDecoder(fmt).decode(bytes(body))
-
-
-class TestParseBatchLies:
-    """parse_batch against envelopes whose lengths lie about the
-    buffer — every rejection typed, none via raw struct.error."""
-
-    FID = FormatID(0x1234)
-
-    def _frame(self, payload: bytes) -> bytes:
-        good = build_batch(self.FID, [b"abcd"], big_endian=False)
-        header = bytearray(good[:HEADER_LEN])
-        struct.pack_into(">I", header, 12, len(payload))
-        return bytes(header) + payload
-
-    def test_payload_shorter_than_declared(self):
-        good = build_batch(self.FID, [b"abcd"], big_endian=False)
-        with pytest.raises(DecodeError, match="batch truncated"):
-            parse_batch(good[:-1])
-
-    def test_total_cannot_hold_count(self):
-        with pytest.raises(DecodeError, match="cannot hold a count"):
-            parse_batch(self._frame(b"\x00\x00"))
-
-    def test_count_impossible_for_payload(self):
-        payload = struct.pack(">I", 1000) + b"\x00" * 8
-        with pytest.raises(DecodeError, match="impossible"):
-            parse_batch(self._frame(payload))
-
-    def test_record_length_extends_past_payload(self):
-        payload = struct.pack(">II", 1, 100) + b"\x00" * 4
-        with pytest.raises(DecodeError, match="extends past"):
-            parse_batch(self._frame(payload))
-
-    def test_length_prefix_straddles_end(self):
-        # record 0 consumes the bytes record 1's prefix needs
-        payload = (struct.pack(">II", 2, 3) + b"\x00" * 3 + b"\x00\x00")
-        with pytest.raises(DecodeError,
-                           match="inside record 1's length prefix"):
-            parse_batch(self._frame(payload))
-
-    def test_rejections_also_satisfy_legacy_encode_type(self):
-        # WireParseError bridges both hierarchies: parse-layer callers
-        # that predate the hardening catch EncodeError
-        with pytest.raises(EncodeError):
-            parse_batch(self._frame(b"\x00\x00"))
-        with pytest.raises(EncodeError):
-            parse_header(b"XX" + b"\x00" * 14)
 
 
 class TestHostileCountListDecode:

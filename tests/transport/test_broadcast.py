@@ -146,19 +146,6 @@ class TestBroadcastBasics:
             assert fid == fmt.format_id
             sock.close()
 
-    def test_publish_many_ships_one_batch_frame(self):
-        with make_publisher() as pub:
-            sock = socket.create_connection((pub.host, pub.port))
-            reader = _Reader(sock)
-            assert pub.wait_for_subscribers(1, timeout=5)
-            records = [{"timestep": i, "data": [0.5]} for i in range(4)]
-            assert pub.publish_many("SimpleData", records) == 1
-            pub.close()
-            reader.join(10)
-            sock.close()
-        kinds = [f.type for f in reader.frames]
-        assert kinds.count(FrameType.DATA_BATCH) == 1
-
     def test_publish_encoded_matches_publish(self):
         with make_publisher() as pub:
             sock = socket.create_connection((pub.host, pub.port))

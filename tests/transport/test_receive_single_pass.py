@@ -17,7 +17,6 @@ from repro.errors import UnknownFormatError, WireParseError
 from repro.obs import runtime
 from repro.obs.metrics import MALFORMED_FRAMES
 from repro.pbio.context import DecodedRecord, IOContext
-from repro.pbio.encode import FLAG_BATCH
 from repro.pbio.format import FormatID
 from repro.pbio.format_server import FormatServer
 from repro.transport.connection import Connection, ReceivedMessage
@@ -66,17 +65,6 @@ class TestOneResultType:
         assert msg.format_id == \
             a.context.lookup_format("SimpleData").format_id
 
-    def test_receive_many_wraps_nothing_either(self):
-        a, b = make_pair()
-        a.send_many("SimpleData", [record(i) for i in range(3)])
-        a.send("SimpleData", record(3))
-        batch, single = b.receive_many(timeout=5), \
-            b.receive_many(timeout=5)
-        assert [type(m) for m in batch + single] == [DecodedRecord] * 4
-        assert [m.record["timestep"] for m in batch + single] == \
-            [0, 1, 2, 3]
-        assert b.records_received == 4
-
 
 def _malformed_wires(wire: bytes) -> dict[str, bytes]:
     lying = bytearray(wire)
@@ -86,8 +74,8 @@ def _malformed_wires(wire: bytes) -> dict[str, bytes]:
         "bad_magic": b"XX" + wire[2:],
         "bad_version": wire[:2] + b"\x09" + wire[3:],
         "lying_body_length": bytes(lying),
-        "batch_flagged": wire[:3] + bytes([wire[3] | FLAG_BATCH])
-        + wire[4:],
+        # bit 0x2 once flagged a shared-header batch; it is retired
+        "unknown_flags": wire[:3] + bytes([wire[3] | 0x2]) + wire[4:],
     }
 
 
@@ -101,9 +89,8 @@ class TestHeaderChecksSurviveTheSinglePass:
 
     @pytest.mark.parametrize("case", ["short", "bad_magic", "bad_version",
                                       "lying_body_length",
-                                      "batch_flagged"])
-    @pytest.mark.parametrize("method", ["receive", "receive_as",
-                                        "receive_many"])
+                                      "unknown_flags"])
+    @pytest.mark.parametrize("method", ["receive", "receive_as"])
     def test_rejected_with_the_same_type_and_counted_once(self, case,
                                                           method):
         a, b = make_pair()

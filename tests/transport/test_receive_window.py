@@ -41,13 +41,13 @@ CONTROL = [(FrameType.HELLO, b"x86_64"), (FrameType.FMT_REQ, bytes(8)),
 
 
 def random_stream(rng: random.Random) -> list[Frame]:
-    """Small DATA frames and control frames, one DATA_BATCH, one DATA
-    and one control frame over 64 KiB and one DATA frame at the
-    window's edge, in random order."""
+    """Small DATA frames and control frames, one DATA frame up to
+    4 KiB, one DATA and one control frame over 64 KiB and one DATA
+    frame at the window's edge, in random order."""
     frames = [Frame(FrameType.DATA, rng.randbytes(rng.randint(0, 300)))
               for _ in range(rng.randint(5, 30))]
     frames += [Frame(*rng.choice(CONTROL)) for _ in range(3)]
-    frames.append(Frame(FrameType.DATA_BATCH,
+    frames.append(Frame(FrameType.DATA,
                         rng.randbytes(rng.randint(16, 4096))))
     frames.append(Frame(FrameType.DATA, rng.randbytes(
         rng.randint(64 * 1024 + 1, 200 * 1024))))
@@ -220,7 +220,7 @@ def fuzzed_streams():
 def only_records_are_views(got) -> bool:
     """Only a record payload may stay a view of a receive buffer."""
     return all(type(f.payload) is bytes for f in got
-               if f.type not in (FrameType.DATA, FrameType.DATA_BATCH))
+               if f.type != FrameType.DATA)
 
 
 def test_recv_yields_what_iter_frames_parses():
@@ -329,7 +329,9 @@ def test_eof_inside_a_large_frame():
 def malformed(case: str, limit: int) -> bytes:
     return {"zero_length": struct.pack(">I", 0),
             "oversized": struct.pack(">IB", limit + 1, FrameType.DATA),
-            "unknown_type": struct.pack(">IB", 3, 99) + b"xy"}[case]
+            "unknown_type": struct.pack(">IB", 3, 99) + b"xy",
+            # 9 carried shared-header record batches; it is retired
+            "retired_type_9": struct.pack(">IB", 3, 9) + b"xy"}[case]
 
 
 #: each reader's frame cap here (the control socket's is fixed)
@@ -337,16 +339,17 @@ LIMITS = {"channel": 1024, "event_loop": 1024,
           "control_socket": _MAX_CTL_FRAME}
 #: the malformed-frame counter the event loop bumps for each case
 REASONS = {"zero_length": "zero_length_frame",
-           "oversized": "oversized_frame", "unknown_type": "bad_frame"}
+           "oversized": "oversized_frame", "unknown_type": "bad_frame",
+           "retired_type_9": "bad_frame"}
 
 
 @pytest.mark.parametrize("case", list(REASONS))
 def test_one_error_for_one_malformed_prefix(case):
     """Every reader rejects each bad prefix with the reference
-    parser's error type and message — except an unknown type byte on
-    the control socket, whose kinds are not frame types: it is handed
-    on for the worker to ignore.  The event loop counts each rejection
-    under the reason its error names."""
+    parser's error type and message — except a type byte on the
+    control socket, whose kinds are not frame types: it is handed on
+    for the worker to act on (9 is its STOP) or ignore.  The event
+    loop counts each rejection under the reason its error names."""
     saved, runtime.enabled = runtime.enabled, True
     try:
         for name, feed in FEEDERS.items():
@@ -357,12 +360,15 @@ def test_one_error_for_one_malformed_prefix(case):
             counter = MALFORMED_FRAMES.labels("eventloop", REASONS[case])
             before = counter.value
             got = [outcome(item) for item in feed([raw], limit=limit)]
-            if name == "control_socket" and case == "unknown_type":
-                assert got == [(99, b"xy"), None]
+            if name == "control_socket" and case in ("unknown_type",
+                                                     "retired_type_9"):
+                assert got == [(raw[4], b"xy"), None]
                 continue
             assert got == [outcome(parsed.value)], name
             assert isinstance(parsed.value, FrameTooLargeError) == \
                 (case == "oversized")
+            if case == "retired_type_9":
+                assert str(parsed.value) == "unknown frame type 9"
             assert counter.value == before + (name == "event_loop"), name
     finally:
         runtime.enabled = saved
