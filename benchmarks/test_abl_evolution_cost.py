@@ -11,7 +11,7 @@ cached :class:`~repro.pbio.evolution.DownConverter`.  Per shape the
 sweep records what one down-converted frame costs next to what the
 stale subscriber pays to decode a native frame anyway — the numbers
 land in ``BENCH_evolution.json`` and
-``benchmarks/check_evolution_gate.py`` enforces the acceptance bound
+``benchmarks/check_gates.py`` enforces the acceptance bound
 (record-path down-conversion within 2x of a native decode).
 """
 
@@ -120,7 +120,7 @@ def test_sender_latency(shape, path, benchmark):
         benchmark(lambda: conv.encode_record(record))
 
 
-def test_evolution_cost_recorded(evolution_metrics):
+def test_evolution_cost_recorded(bench_json):
     """Record, per shape, what a stale subscriber's frame costs the
     publisher (record path) and a relay (wire path) next to the native
     decode that subscriber performs anyway."""
@@ -147,9 +147,9 @@ def test_evolution_cost_recorded(evolution_metrics):
             "down_convert_over_native_decode": down_t / native_t,
             "relay_convert_over_native_decode": relay_t / native_t,
         }
-        # loose in-test ceiling; check_evolution_gate.py enforces the
+        # loose in-test ceiling; check_gates.py enforces the
         # real 2x bound
         assert down_t / native_t < 3.0, (shape, shapes[shape])
 
-    evolution_metrics["sender"] = shapes
+    bench_json["BENCH_evolution.json"]["sender"] = shapes
 

@@ -18,7 +18,7 @@ payloads, the dominant traffic of the paper's grid pipelines:
   than inferring it from timings.
 
 The measured ratios land in ``BENCH_bulk.json`` (written by
-``conftest.pytest_sessionfinish``); ``benchmarks/check_bulk_gate.py``
+``conftest.pytest_sessionfinish``); ``benchmarks/check_gates.py``
 enforces the acceptance thresholds (>=3x decode on every size and
 encode from 10 240 elements up, bulk counters on the 1024-element
 encode row, single-copy counters on the fan-out row) as a separate CI
@@ -85,7 +85,7 @@ def test_decode_latency(size, path, benchmark):
         benchmark(lambda: np.asarray(decoder.decode(body)["data"]))
 
 
-def test_bulk_speedup_recorded(bulk_metrics):
+def test_bulk_speedup_recorded(bench_json):
     """Measure bulk-vs-baseline ratios on every size and record them
     for the CI gate; assert a conservative floor here."""
     encode_out, decode_out = {}, {}
@@ -137,17 +137,17 @@ def test_bulk_speedup_recorded(bulk_metrics):
             "speedup": td_list / td_view,
             "gate": True,
         }
-        # loose floors; check_bulk_gate.py enforces the real 3x
+        # loose floors; check_gates.py enforces the real 3x
         assert counters["zero_copy_views"] == 1, (size, counters)
         assert counters["fallback_arrays"] == 0, (size, counters)
         if encode_out[key]["gate"]:
             assert te_plain / te_bulk > 2.0, (size, encode_out[key])
         assert td_list / td_view > 2.0, (size, decode_out[key])
-    bulk_metrics["encode"] = encode_out
-    bulk_metrics["decode"] = decode_out
+    bench_json["BENCH_bulk.json"]["encode"] = encode_out
+    bench_json["BENCH_bulk.json"]["decode"] = decode_out
 
 
-def test_fanout_single_copy_recorded(bulk_metrics):
+def test_fanout_single_copy_recorded(bench_json):
     """A ~1 MB grid through ``encode_wire_parts``: the counters must
     show one zero-copy spill segment and zero payload copies — the
     only copy of the grid is the transport's single frame join."""
@@ -176,7 +176,7 @@ def test_fanout_single_copy_recorded(bulk_metrics):
     t_plain = time_callable(
         lambda: plain.encode_wire(list_record), repeat=7).best
 
-    bulk_metrics["fanout_single_copy"] = {
+    row = bench_json["BENCH_bulk.json"]["fanout_single_copy"] = {
         "elements": FANOUT_ELEMENTS,
         "payload_bytes": data.nbytes,
         "parts_join_us": t_parts * 1e6,
@@ -188,5 +188,5 @@ def test_fanout_single_copy_recorded(bulk_metrics):
         "copied_bytes": delta["copied_bytes"],
         "fallback_arrays": delta["fallback_arrays"],
     }
-    # loose floor; check_bulk_gate.py enforces the real 3x
-    assert t_plain / t_parts > 2.0, bulk_metrics["fanout_single_copy"]
+    # loose floor; check_gates.py enforces the real 3x
+    assert t_plain / t_parts > 2.0, row

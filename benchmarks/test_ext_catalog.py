@@ -1,7 +1,7 @@
 """Extension — catalog scale (lazy compile) and warm-start latency.
 
 Two claims behind this PR, measured together and flushed to
-``BENCH_catalog.json`` for ``benchmarks/check_catalog_gate.py``:
+``BENCH_catalog.json`` for ``benchmarks/check_gates.py``:
 
 * **Lazy schema compile**: loading a 10k-complexType catalog
   (``REPRO_CATALOG_FORMATS`` overrides the size) with ``lazy=True``
@@ -71,7 +71,7 @@ def wide_xsd(n_fields: int) -> str:
 
 
 @pytest.mark.benchmark(group="ext-catalog")
-def test_ext_catalog_lazy_compile(benchmark, catalog_metrics):
+def test_ext_catalog_lazy_compile(benchmark, bench_json):
     doc = catalog_xsd(N_FORMATS)
 
     def sweep():
@@ -103,7 +103,7 @@ def test_ext_catalog_lazy_compile(benchmark, catalog_metrics):
     lazy_load_s, eager_load_s, eager_compile_s, first_bind_us, \
         stats = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
-    catalog_metrics["catalog"] = {
+    row = bench_json["BENCH_catalog.json"]["catalog"] = {
         "formats": N_FORMATS,
         "lazy_load_s": round(lazy_load_s, 3),
         "eager_load_s": round(eager_load_s, 3),
@@ -113,7 +113,7 @@ def test_ext_catalog_lazy_compile(benchmark, catalog_metrics):
         "lazy_compiles_after_bind": stats["lazy_compiles"],
         "lazy_document_compiles": stats["compiles"],
     }
-    benchmark.extra_info.update(catalog_metrics["catalog"])
+    benchmark.extra_info.update(row)
 
     assert stats["deferred_formats"] == N_FORMATS
     assert stats["compiles"] == 0
@@ -124,7 +124,7 @@ def test_ext_catalog_lazy_compile(benchmark, catalog_metrics):
 
 
 @pytest.mark.benchmark(group="ext-catalog")
-def test_ext_warm_start_first_message(benchmark, catalog_metrics,
+def test_ext_warm_start_first_message(benchmark, bench_json,
                                       tmp_path):
     xsd = wide_xsd(N_FIELDS)
     record = {f"f{i:02d}": (1 if i % 3 != 1 else 0.5)
@@ -207,7 +207,7 @@ def test_ext_warm_start_first_message(benchmark, catalog_metrics,
 
     cold_us = statistics.median(colds)
     warm_us = statistics.median(warms)
-    catalog_metrics["warm_start"] = {
+    row = bench_json["BENCH_catalog.json"]["warm_start"] = {
         "fields": N_FIELDS,
         "rounds": ROUNDS,
         "cold_first_message_us": round(cold_us, 1),
@@ -223,7 +223,7 @@ def test_ext_warm_start_first_message(benchmark, catalog_metrics,
         "warm_plan_load_spans": plan_loads,
         "warm_disk_hits": disk_hits,
     }
-    benchmark.extra_info.update(catalog_metrics["warm_start"])
+    benchmark.extra_info.update(row)
 
     assert discovery_spans == 0
     assert plan_loads == disk_hits == 1

@@ -16,10 +16,13 @@ subscribers:
   share encodings across clients that renegotiate formatting).
 
 The sweep lands in ``BENCH_fanout.json`` (written by
-``conftest.pytest_sessionfinish``); ``benchmarks/check_fanout_gate.py``
+``conftest.pytest_sessionfinish``); ``benchmarks/check_gates.py``
 enforces the acceptance shape — encode-once per-client cost stays
 roughly flat from N=1 to N=128 while the per-client strategies pay
-full marshaling for every subscriber — as a separate CI step.
+full marshaling for every subscriber — as a separate CI step.  Each
+run also records how many records its context encoded, so the same
+step checks encode-once by counter: ``messages`` at every N for the
+broadcast, ``messages × clients`` for encode-per-client.
 In-test assertions use looser margins so machine noise cannot flake
 the suite.
 """
@@ -99,7 +102,8 @@ class _Drainer:
         self._selector.close()
 
 
-def _measure_encode_once(clients: int, messages: int) -> float:
+def _measure_encode_once(clients: int,
+                         messages: int) -> tuple[float, int]:
     ctx = _context()
     pub = BroadcastPublisher(ctx, policy="block",
                              max_queue_bytes=16 * 1024 * 1024).start()
@@ -122,7 +126,7 @@ def _measure_encode_once(clients: int, messages: int) -> float:
         drainer.close()
         for sock in socks:
             sock.close()
-    return elapsed
+    return elapsed, ctx.stats.as_dict()["records_encoded"]
 
 
 def _per_client_channels(clients: int, drainer: _Drainer):
@@ -136,7 +140,8 @@ def _per_client_channels(clients: int, drainer: _Drainer):
     return channels
 
 
-def _measure_encode_per_client(clients: int, messages: int) -> float:
+def _measure_encode_per_client(clients: int,
+                               messages: int) -> tuple[float, int]:
     ctx = _context()
     drainer = _Drainer()
     channels = _per_client_channels(clients, drainer)
@@ -153,10 +158,11 @@ def _measure_encode_per_client(clients: int, messages: int) -> float:
         for channel in channels:
             channel.close()
         drainer.close()
-    return elapsed
+    return elapsed, ctx.stats.as_dict()["records_encoded"]
 
 
-def _measure_xml_per_client(clients: int, messages: int) -> float:
+def _measure_xml_per_client(clients: int,
+                            messages: int) -> tuple[float, int]:
     ctx = _context()
     codec = XMLWireCodec(ctx.lookup_format("ASDOffEvent"))
     drainer = _Drainer()
@@ -173,7 +179,7 @@ def _measure_xml_per_client(clients: int, messages: int) -> float:
         for channel in channels:
             channel.close()
         drainer.close()
-    return elapsed
+    return elapsed, ctx.stats.as_dict()["records_encoded"]
 
 
 _STRATEGIES = {
@@ -183,7 +189,7 @@ _STRATEGIES = {
 }
 
 
-def test_fanout_sweep_recorded(fanout_metrics):
+def test_fanout_sweep_recorded(bench_json):
     """Run the three strategies across the subscriber sweep, record
     the numbers for the CI gate, and assert conservative shapes."""
     for name, measure in _STRATEGIES.items():
@@ -192,20 +198,21 @@ def test_fanout_sweep_recorded(fanout_metrics):
             # one throwaway warm round so compiled plans, the XML
             # serializer and the TCP stacks are all hot before timing
             measure(clients, 10)
-            elapsed = measure(clients, MESSAGES)
+            elapsed, encoded = measure(clients, MESSAGES)
             rows[str(clients)] = {
                 "clients": clients,
                 "messages": MESSAGES,
+                "records_encoded": encoded,
                 "total_s": elapsed,
                 "per_message_us": elapsed / MESSAGES * 1e6,
                 "per_client_us":
                     elapsed / (MESSAGES * clients) * 1e6,
             }
-        fanout_metrics[name] = rows
+        bench_json["BENCH_fanout.json"][name] = rows
 
-    once = fanout_metrics["encode_once"]
-    per_client = fanout_metrics["encode_per_client"]
-    xml = fanout_metrics["xml_per_client"]
+    once = bench_json["BENCH_fanout.json"]["encode_once"]
+    per_client = bench_json["BENCH_fanout.json"]["encode_per_client"]
+    xml = bench_json["BENCH_fanout.json"]["xml_per_client"]
 
     # Encode-once amortizes marshaling: per-client cost must not grow
     # meaningfully with N (gate: 2x; in-test: 3x against noise).

@@ -8,7 +8,7 @@ N subscribers spread over 1, 2 and 4 *worker processes*
 acceptor round-robins subscribers, so the split is exact).
 
 Two claims, both recorded in ``BENCH_fanout_sharded.json`` and
-enforced by ``benchmarks/check_sharded_gate.py``:
+enforced by ``benchmarks/check_gates.py``:
 
 * **encode-once survives sharding** — the publisher marshals each
   record exactly once no matter how many workers fan it out (codec and
@@ -129,11 +129,12 @@ def _measure(clients: int, workers: int) -> dict:
 
 
 @pytest.mark.parametrize("clients", FANOUT)
-def test_sharded_fanout_sweep_recorded(clients, sharded_metrics):
+def test_sharded_fanout_sweep_recorded(clients, bench_json):
     """One fleet size across the worker-count axis; records rows for
     the CI gate and asserts the encode-once counter shape."""
-    sharded_metrics.setdefault("cpus", os.cpu_count() or 1)
-    matrix = sharded_metrics.setdefault("matrix", {})
+    metrics = bench_json["BENCH_fanout_sharded.json"]
+    metrics.setdefault("cpus", os.cpu_count() or 1)
+    matrix = metrics.setdefault("matrix", {})
     rows = matrix.setdefault(str(clients), {})
     for workers in WORKER_COUNTS:
         row = _measure(clients, workers)

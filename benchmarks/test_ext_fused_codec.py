@@ -5,7 +5,7 @@ latency of the fused fast path vs the per-field baseline
 (``fuse=False``), on Fig. 7 record shapes.
 
 The measured ratios land in ``BENCH_fused.json`` (written by
-``conftest.pytest_sessionfinish``); ``benchmarks/check_fused_gate.py``
+``conftest.pytest_sessionfinish``); ``benchmarks/check_gates.py``
 enforces the acceptance threshold (>=1.5x encode on fused-run shapes)
 as a separate CI step.  In-test assertions use looser margins so
 machine noise cannot flake the tier-1 suite.
@@ -80,7 +80,7 @@ def test_decode_latency(label, path, benchmark):
     benchmark(lambda: decoder.decode(body))
 
 
-def test_fused_speedup_recorded(fused_metrics):
+def test_fused_speedup_recorded(bench_json):
     """Measure fused-vs-baseline ratios on every shape and record
     them for the CI gate; assert a conservative floor here."""
     encode_out, decode_out = {}, {}
@@ -116,8 +116,8 @@ def test_fused_speedup_recorded(fused_metrics):
             "gate": case["gate"],
         }
         if case["gate"]:
-            # loose floor; check_fused_gate.py enforces the real 1.5x
+            # loose floor; check_gates.py enforces the real 1.5x
             assert te_plain / te_fused > 1.2, (label, encode_out[label])
-    fused_metrics["encode"] = encode_out
-    fused_metrics["decode"] = decode_out
+    bench_json["BENCH_fused.json"]["encode"] = encode_out
+    bench_json["BENCH_fused.json"]["decode"] = decode_out
 

@@ -15,7 +15,7 @@ or ``python -m repro.tools.obsdump``.
 Hot-path cost is bounded by design — per-owner counts in cells only
 the counting thread writes, plain-int adds under striped locks for
 the shared series, sampled codec timing, a single-branch no-op mode —
-and enforced by ``benchmarks/check_obs_gate.py`` in CI.
+and enforced by ``benchmarks/check_gates.py`` in CI.
 """
 
 from repro.obs import runtime

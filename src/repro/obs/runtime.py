@@ -5,7 +5,7 @@ sites do ``from repro.obs import runtime as _obs`` once and then test
 ``_obs.enabled`` — a module attribute read and a branch, tens of
 nanoseconds — instead of calling into the registry.  That is what
 keeps the no-op mode within the benchmark gate's 1% bound
-(``benchmarks/check_obs_gate.py``).
+(``benchmarks/check_gates.py``).
 
 * ``enabled`` — master switch.  Off: no spans, no histograms, no
   inline increments of shared series; per-owner

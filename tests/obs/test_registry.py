@@ -375,7 +375,7 @@ class TestStatsClassesExactUnderThreads:
                       direction="out") == half
 
     def test_bulk_stats(self):
-        """The counters bench_e2e and check_bulk_gate read as exact:
+        """The counters bench_e2e and check_gates read as exact:
         many threads, one cached encoder, one typed array each."""
         ctx = IOContext(format_server=FormatServer())
         fmt = ctx.register_layout("Bulk", [("n", "integer", 4),
