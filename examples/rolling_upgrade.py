@@ -1,0 +1,296 @@
+#!/usr/bin/env python
+"""A live rolling upgrade, end to end, on both broadcast topologies.
+
+The paper's restricted evolution (section 5) lets fields be added to a
+message "without causing receivers of previous versions of the message
+to fail".  Here the format document changes at its URL while a stream
+is live, and the publisher moves the stream to the new version without
+a flag day:
+
+1. v1-pinned subscribers negotiate their version (LIN_REQ); an
+   un-negotiated follower just reads the stream;
+2. the publisher publishes at v1;
+3. it cuts over to v2 — new metadata (FMT_RSP) and the grown lineage
+   (LIN_RSP) land in every subscriber's queue ahead of v2 data;
+4. it keeps publishing, down-converting once per message for the v1
+   cohort;
+5. a late subscriber negotiates v2 after the cut;
+6. the v1 cohort leaves, and down-conversion stops.
+
+The same sequence runs against ``BroadcastPublisher`` (one event loop)
+and ``ShardedBroadcastServer`` (two worker processes), then once over a
+point-to-point ``Connection``: an old component and an upgraded one
+exchange records, each in its own version.  The oracle checks every
+subscriber's record count, field set and format digest, and the
+publisher's counters, and the script exits 1 on any mismatch.
+
+Run:  python examples/rolling_upgrade.py
+"""
+
+import sys
+import threading
+import time
+
+from repro import NATIVE, XMIT, Connection, IOContext
+from repro.http import publish_document
+from repro.pbio.format_server import FormatServer
+from repro.transport import (
+    BroadcastPublisher, ShardedBroadcastServer, TCPChannel, tcp_pair,
+)
+
+NAME = "SimpleData"
+V1 = """\
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:complexType name="SimpleData">
+    <xsd:element name="timestep" type="xsd:integer" />
+    <xsd:element name="size" type="xsd:integer" />
+    <xsd:element name="data" type="xsd:float" maxOccurs="*"
+                 dimensionName="size" />
+  </xsd:complexType>
+</xsd:schema>
+"""
+V2 = V1.replace(
+    "</xsd:complexType>",
+    '  <xsd:element name="units" type="xsd:string" />\n'
+    '  <xsd:element name="quality" type="xsd:double" />\n'
+    "</xsd:complexType>")
+V1_FIELDS = {"timestep", "size", "data"}
+V2_FIELDS = V1_FIELDS | {"units", "quality"}
+
+#: records published per phase: before the cut, after it, after the
+#: late subscriber joined, after the v1 cohort left
+BEFORE, AFTER, LATE, GONE = 3, 3, 2, 2
+TIMEOUT = 60.0
+
+
+def bind_versions() -> tuple:
+    """Discover the format from its document, edit the document at its
+    URL, and discover it again: the v1 and v2 bindings."""
+    versions = []
+    for text in (V1, V2):
+        url = publish_document("rolling.xsd", text)
+        xmit = XMIT()
+        xmit.load_url(url)
+        versions.append(xmit.bind(NAME, architecture=NATIVE).artifact)
+    return tuple(versions)
+
+
+def make_record(t: int) -> dict:
+    """Record *t* at the stream's version then: v2 from the cut on."""
+    record = {"timestep": t, "data": [t * 0.5, t + 0.25]}
+    if t >= BEFORE:
+        record.update(units=f"u{t}", quality=t / 10.0)
+    return record
+
+
+def context_with(*versions) -> IOContext:
+    ctx = IOContext(format_server=FormatServer())
+    for fmt in versions:
+        ctx.register_evolution(fmt)
+    return ctx
+
+
+class Subscriber(threading.Thread):
+    """One fleet member: connects, optionally negotiates, then keeps
+    ``(format id, field names, timestep)`` per record until BYE — or
+    leaves after *leave_after* records."""
+
+    def __init__(self, host: str, port: int, versions, *,
+                 negotiate: bool, leave_after: int | None = None):
+        super().__init__(daemon=True)
+        self.conn = Connection(context_with(*versions),
+                               TCPChannel.connect(host, port))
+        self.negotiate = negotiate
+        self.leave_after = leave_after
+        self.chosen = None
+        self.records: list = []
+        self.error: BaseException | None = None
+        self.ready = threading.Event()
+        self.start()
+
+    def run(self) -> None:
+        try:
+            if self.negotiate:
+                self.chosen = self.conn.negotiate_version(NAME, TIMEOUT)
+            self.ready.set()
+            while len(self.records) != self.leave_after:
+                msg = self.conn.receive(TIMEOUT)
+                if msg is None:
+                    break
+                self.records.append((msg.format_id, set(msg.record),
+                                     msg.record["timestep"]))
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            self.error = exc
+        finally:
+            self.ready.set()
+            self.conn.close()
+
+
+class Oracle:
+    def __init__(self, label: str) -> None:
+        self.label = label
+        self.failures: list[str] = []
+
+    def check(self, what: str, got, want) -> None:
+        if got != want:
+            self.failures.append(
+                f"{self.label}: {what}: got {got!r}, want {want!r}")
+
+    def subscriber(self, what: str, sub: Subscriber, chosen,
+                   announced, stream) -> None:
+        """*stream*: the ``(format id, field names, timestep)`` the
+        subscriber must have received, in order."""
+        sub.join(TIMEOUT)
+        self.check(f"{what} error", sub.error, None)
+        self.check(f"{what} negotiated", sub.chosen, chosen)
+        self.check(f"{what} announced version",
+                   sub.conn.announced_versions.get(NAME), announced)
+        self.check(f"{what} record count", len(sub.records), len(stream))
+        self.check(f"{what} records", sub.records, stream)
+
+
+def settle(predicate) -> bool:
+    deadline = time.monotonic() + TIMEOUT
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def rolling_upgrade(publisher, v1, v2, shards: int | None) -> Oracle:
+    """Drive the six steps on a started *publisher* bound to v1; with
+    *shards*, a publish or cutover reaches that many shard workers
+    rather than subscribers."""
+    label = type(publisher).__name__
+    oracle = Oracle(label)
+    check = oracle.check
+    host, port = publisher.host, publisher.port
+    sharded = shards is not None
+
+    def publish(steps: range, subscribers: int) -> None:
+        for t in steps:
+            check(f"publish {t} reached",
+                  publisher.publish(NAME, make_record(t)),
+                  shards or subscribers)
+
+    # 1. a v1-pinned cohort that negotiates, and a follower that does not
+    v1_cohort = [Subscriber(host, port, [v1], negotiate=True,
+                            leave_after=BEFORE + AFTER + LATE)
+                 for _ in range(2)]
+    follower = Subscriber(host, port, [v1], negotiate=False)
+    check("subscribers joined", publisher.wait_for_subscribers(3, TIMEOUT),
+          True)
+    for sub in v1_cohort + [follower]:
+        sub.ready.wait(TIMEOUT)
+    if sharded:
+        check("pins reported", publisher.wait_for_pins(NAME, 2, TIMEOUT),
+              True)
+
+    # 2. publish at v1; 3. cut over to v2
+    publish(range(BEFORE), 3)
+    check("cutover reached", publisher.cutover(v2), shards or 3)
+    check("lineage", publisher.context.format_server.lineage(NAME),
+          (v1.format_id, v2.format_id))
+
+    # 4. keep publishing: one down-converted variant per message
+    publish(range(BEFORE, BEFORE + AFTER), 3)
+    check("down-converted after the cut",
+          publisher.stats.frames_down_converted, AFTER)
+
+    # 5. a late subscriber negotiates v2
+    late = Subscriber(host, port, [v1, v2], negotiate=True)
+    check("late subscriber joined",
+          publisher.wait_for_subscribers(4, TIMEOUT), True)
+    late.ready.wait(TIMEOUT)
+    publish(range(BEFORE + AFTER, BEFORE + AFTER + LATE), 4)
+
+    # 6. the v1 cohort leaves; down-conversion stops with it
+    check("v1 cohort left",
+          settle(lambda: publisher.subscriber_count == 2), True)
+    converted = publisher.stats.frames_down_converted
+    check("down-converted while pinned", converted, AFTER + LATE)
+    publish(range(BEFORE + AFTER + LATE, BEFORE + AFTER + LATE + GONE),
+            2)
+    publisher.flush(TIMEOUT)
+    check("down-converted after the cohort left",
+          publisher.stats.frames_down_converted, converted)
+    check("cutovers counted", publisher.stats.cutovers, 1)
+    publisher.close()
+
+    old, new = (v1.format_id, V1_FIELDS), (v2.format_id, V2_FIELDS)
+    total = BEFORE + AFTER + LATE + GONE
+    cut = [old] * BEFORE + [new] * (total - BEFORE)
+    for i, sub in enumerate(v1_cohort):
+        oracle.subscriber(
+            f"v1 subscriber {i}", sub, v1.format_id, v1.format_id,
+            [(*old, t) for t in range(BEFORE + AFTER + LATE)])
+    oracle.subscriber("follower", follower, None, v2.format_id,
+                      [(*cut[t], t) for t in range(total)])
+    oracle.subscriber("late subscriber", late, v2.format_id,
+                      v2.format_id,
+                      [(*new, t) for t in range(BEFORE + AFTER, total)])
+    return oracle
+
+
+def point_to_point(v1, v2) -> Oracle:
+    """An old component (v1 only) and an upgraded one (v1 and v2) on
+    one connection: the old side negotiates and sends at v1, the new
+    side reads that record in its own v2 view and answers with
+    ``send_negotiated``, which down-converts to the old side's v1."""
+    oracle = Oracle("Connection")
+    old_channel, new_channel = tcp_pair()
+    old = Connection(context_with(v1), old_channel)
+    new = Connection(context_with(v1, v2), new_channel)
+    got = {}
+
+    def old_component() -> None:
+        try:
+            got["chosen"] = old.negotiate_version(NAME, TIMEOUT)
+            old.send(NAME, {"timestep": 1, "data": [0.5]})
+            got["reply"] = old.receive(TIMEOUT)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            got["error"] = exc
+
+    thread = threading.Thread(target=old_component, daemon=True)
+    thread.start()
+    # receive_as services the LIN_REQ on the way to the v1 record
+    request = new.receive_as(NAME, TIMEOUT)
+    new.send_negotiated(NAME, make_record(BEFORE))
+    thread.join(TIMEOUT)
+    old.close()
+    new.close()
+    oracle.check("error", got.get("error"), None)
+    oracle.check("negotiated", got.get("chosen"), v1.format_id)
+    oracle.check("request in the v2 view",
+                 request and (set(request), request["units"]),
+                 (V2_FIELDS, None))
+    reply = got.get("reply")
+    oracle.check("reply", reply and (reply.format_id, set(reply.record)),
+                 (v1.format_id, V1_FIELDS))
+    return oracle
+
+
+def main() -> int:
+    v1, v2 = bind_versions()
+    runs = [
+        lambda: rolling_upgrade(
+            BroadcastPublisher(context_with(v1)).start(), v1, v2, None),
+        lambda: rolling_upgrade(
+            ShardedBroadcastServer(context_with(v1), workers=2).start(),
+            v1, v2, 2),
+        lambda: point_to_point(v1, v2),
+    ]
+    failures = []
+    for run in runs:
+        oracle = run()
+        print(f"{oracle.label}: "
+              f"{'ok' if not oracle.failures else 'MISMATCH'}")
+        failures += oracle.failures
+    for line in failures:
+        print(f"  {line}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

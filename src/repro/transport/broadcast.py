@@ -32,15 +32,16 @@ import enum
 import json
 import threading
 
-from repro.errors import SlowConsumerError, UnknownFormatError
+from repro.errors import SlowConsumerError
 from repro.obs import runtime as _obs
 from repro.obs.registry import Tally
 from repro.obs.spans import observe_phase, sample_t0
 from repro.pbio.context import IOContext
 from repro.pbio.encode import parse_header
-from repro.pbio.evolution import down_converter
 from repro.pbio.format import FormatID, IOFormat
-from repro.transport.connection import answer_lineage_request
+from repro.transport.connection import (
+    answer_lineage_request, encode_at_version,
+)
 from repro.transport.eventloop import ClientHandle, EventLoopServer
 from repro.transport.messages import (
     MAX_FRAME, Frame, FrameType, frame_bytes, lineage_reply,
@@ -108,65 +109,62 @@ class BroadcastStats(Tally):
 
 class PublishFront:
     """The publishing half every broadcast server shares: resolve the
-    format, marshal **once**, frame once, and hand the frame — plus a
-    way to re-encode it for a subscriber pinned to an older lineage
-    version — to the one thing a topology decides for itself,
-    ``_fan_out(fmt, data, down_convert)``.
+    format, marshal **once**, frame once, and hand the frame — plus its
+    source (the record, or the wire bytes on the relay path), which
+    :func:`~repro.transport.connection.encode_at_version` re-encodes for
+    a subscriber pinned to an older lineage version — to what a
+    topology decides for itself, ``_fan_out(fmt, data, source)``.  The
+    cutover is shared the same way: each topology supplies only its
+    :meth:`reannounce` step.
 
     Subclasses provide ``context`` (the only
     :class:`~repro.pbio.context.IOContext` that ever encodes) and
-    ``_version_formats``, the digest -> IOFormat memo for the older
-    versions subscribers negotiated down to (resolved once, reused
-    every fan-out).
+    ``stats`` (a :class:`BroadcastStats`).
     """
 
     def publish(self, format_name: str | IOFormat, record: dict) -> int:
         """Marshal *record* exactly once and fan the same frame bytes
         out; returns what :meth:`_fan_out` reached (subscribers for a
         single loop, live shards for a sharded server)."""
-        fmt = self._format(format_name)
+        fmt = (format_name if isinstance(format_name, IOFormat)
+               else self.context.lookup_format(format_name))
         # all parts framed in a single join — bulk array payloads
         # arrive as zero-copy segments, so a 1 MB grid is copied
         # exactly once (by the join), never per layer
         parts = self.context.encode(fmt, record, parts=True)
-        data = frame_bytes(FrameType.DATA, *parts)
-
-        def down_convert(old_fmt: IOFormat) -> bytes:
-            parts = down_converter(fmt, old_fmt).encode_record_parts(
-                record)
-            return frame_bytes(FrameType.DATA, *parts)
-
-        return self._fan_out(fmt, data, down_convert)
+        return self._fan_out(fmt, frame_bytes(FrameType.DATA, *parts),
+                             record)
 
     def publish_encoded(self, wire: bytes) -> int:
         """Fan out an already-encoded record (bytes from
         :meth:`~repro.pbio.context.IOContext.encode`)."""
         fid, _ = parse_header(wire, require_body=True)
         fmt = self.context._resolve_wire_format(fid)
-        data = frame_bytes(FrameType.DATA, wire)
+        return self._fan_out(fmt, frame_bytes(FrameType.DATA, wire),
+                             wire)
 
-        def down_convert(old_fmt: IOFormat) -> bytes:
-            # relay path: only the wire bytes are in hand
-            converted = down_converter(fmt, old_fmt).convert_wire(wire)
-            return frame_bytes(FrameType.DATA, converted)
+    def cutover(self, new_fmt: IOFormat) -> int:
+        """Upgrade the stream to *new_fmt* mid-flight, zero drops.
 
-        return self._fan_out(fmt, data, down_convert)
-
-    def _format(self, format_name: str | IOFormat) -> IOFormat:
-        if isinstance(format_name, IOFormat):
-            return format_name
-        return self.context.lookup_format(format_name)
-
-    def _version_format(self, name: str, fid: FormatID) -> IOFormat:
-        """Resolve an older lineage version a subscriber negotiated."""
-        fmt = self._version_formats.get(fid)
-        if fmt is None:
-            try:
-                fmt = self.context.version_for(name, fid)
-            except UnknownFormatError:
-                fmt = self.context.format_server.lookup(fid)
-            self._version_formats[fid] = fmt
-        return fmt
+        The name's current binding becomes the previous lineage link
+        (:meth:`~repro.pbio.context.IOContext.register_evolution`
+        validates the restricted-evolution rule), then :meth:`reannounce`
+        pushes the new metadata as FMT_RSP and the grown lineage as
+        LIN_RSP to every subscriber, as **non-droppable** control frames
+        on its FIFO write queue.  FIFO ordering is the zero-drop
+        guarantee: the announcements land strictly before the first
+        record published at the new version, so an un-negotiated
+        subscriber resolves the new ID without a FMT_REQ round-trip,
+        while subscribers pinned to an ancestor version keep receiving
+        down-converted frames and never notice the cut.  Returns what
+        :meth:`reannounce` reached.
+        """
+        self.context.register_evolution(new_fmt)
+        self.stats.count("cutovers")
+        if _obs.enabled:
+            from repro.obs.metrics import EVOLUTION_EVENTS
+            EVOLUTION_EVENTS.labels("cutovers").inc()
+        return self.reannounce(new_fmt.name, new_fmt.format_id)
 
 
 class BroadcastPublisher(PublishFront):
@@ -198,9 +196,6 @@ class BroadcastPublisher(PublishFront):
         self._hello = Frame(
             FrameType.HELLO,
             context.architecture.name.encode("utf-8")).encode()
-        #: digest -> IOFormat for older lineage versions subscribers
-        #: negotiated down to (resolved once, reused every fan-out)
-        self._version_formats: dict[FormatID, IOFormat] = {}
         self.server = EventLoopServer(host=host, port=port,
                                       handler=self,
                                       max_frame_len=max_frame_len,
@@ -231,34 +226,12 @@ class BroadcastPublisher(PublishFront):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def cutover(self, new_fmt: IOFormat) -> int:
-        """Upgrade the stream to *new_fmt* mid-flight, zero drops.
-
-        The name's current binding becomes the previous lineage link
-        (:meth:`~repro.pbio.context.IOContext.register_evolution`
-        validates the restricted-evolution rule), then every connected
-        subscriber is re-announced — the new metadata as FMT_RSP and
-        the grown lineage as LIN_RSP — with **non-droppable** control
-        frames on its FIFO write queue.  FIFO ordering is the zero-
-        drop guarantee: the announcements land strictly before the
-        first record published at the new version, so an un-negotiated
-        subscriber resolves the new ID without a FMT_REQ round-trip,
-        while subscribers pinned to an ancestor version keep receiving
-        down-converted frames and never notice the cut.  Returns the
-        number of subscribers re-announced.
-        """
-        self.context.register_evolution(new_fmt)
-        if _obs.enabled:
-            from repro.obs.metrics import EVOLUTION_EVENTS
-            EVOLUTION_EVENTS.labels("cutovers").inc()
-        return self.reannounce(new_fmt.name, new_fmt.format_id)
-
     def reannounce(self, name: str, new_fid: FormatID) -> int:
         """Push *name*'s new version *new_fid* (already in the format
         server's lineage) to every subscriber: its metadata, then a
         LIN_RSP naming the version that subscriber keeps receiving.
-        The one loop behind :meth:`cutover`, here and in every shard
-        worker."""
+        The single loop's step of :meth:`cutover`, run here and, on a
+        ``CUTOVER`` control message, in every shard worker."""
         chain = self.context.format_server.lineage(name)
         reached = 0
         for client in self.server.open_clients:
@@ -270,7 +243,6 @@ class BroadcastPublisher(PublishFront):
                     client, frame_bytes(FrameType.LIN_RSP, payload),
                     droppable=False):
                 reached += 1
-        self.stats.count("cutovers")
         return reached
 
     def flush(self, timeout: float | None = None) -> bool:
@@ -292,7 +264,7 @@ class BroadcastPublisher(PublishFront):
 
     # -- internals ----------------------------------------------------------
 
-    def _fan_out(self, fmt: IOFormat, data: bytes, down_convert) -> int:
+    def _fan_out(self, fmt: IOFormat, data: bytes, source) -> int:
         t0 = sample_t0()
         server = self.server
         clients = server.open_clients  # lock-free: a fresh tuple per change
@@ -311,8 +283,9 @@ class BroadcastPublisher(PublishFront):
                 if target is not None and target != fid:
                     send = variants.get(target)
                     if send is None:
-                        frame = down_convert(
-                            self._version_format(fmt.name, target))
+                        frame = frame_bytes(
+                            FrameType.DATA, *encode_at_version(
+                                self.context, fmt, source, target))
                         send = variants[target] = (
                             target, target.value, frame,
                             self.max_queue_bytes - len(frame))

@@ -25,7 +25,7 @@ from repro.errors import (
 )
 from repro.pbio.context import DecodedRecord, IOContext
 from repro.pbio.encode import parse_header
-from repro.pbio.evolution import DownConverter, down_converter
+from repro.pbio.evolution import down_converter
 from repro.pbio.format import FormatID, IOFormat
 from repro.transport.base import Channel
 from repro.transport.messages import (
@@ -34,30 +34,15 @@ from repro.transport.messages import (
 )
 
 
-def count_negotiation(chosen: FormatID | None, chain) -> None:
-    """Record one resolved lineage handshake (responder side): outcome
-    plus the negotiated position in the lineage chain."""
-    from repro.obs import runtime as _obs
-    if not _obs.enabled:
-        return
-    from repro.obs.metrics import EVOLUTION_EVENTS, NEGOTIATED_VERSIONS
-    if chosen is None:
-        EVOLUTION_EVENTS.labels("no_common_version").inc()
-        return
-    EVOLUTION_EVENTS.labels("negotiations").inc()
-    chain = tuple(chain)
-    version = (f"v{chain.index(chosen)}" if chosen in chain
-               else "unversioned")
-    NEGOTIATED_VERSIONS.labels(version).inc()
-
-
 def answer_lineage_request(format_server, payload: bytes,
                            layer: str) \
         -> tuple[str, FormatID | None, bytes]:
     """The LIN_REQ responder, whoever owns the socket: negotiate the
     newest mutually-decodable version of the requested name against
-    *format_server* and count the outcome.  Returns ``(name, chosen or
-    None, LIN_RSP payload)``; the caller records the pin, then sends."""
+    *format_server* and count the outcome (and, when pinned, the
+    chosen position in the chain).  Returns ``(name, chosen or None,
+    LIN_RSP payload)``; the caller records the pin, then sends."""
+    from repro.obs import runtime as _obs
     try:
         name, offered = decode_lineage_req(payload)
     except ProtocolError:
@@ -65,8 +50,30 @@ def answer_lineage_request(format_server, payload: bytes,
         raise
     chosen = format_server.negotiate(name, offered)
     chain = format_server.lineage(name)
-    count_negotiation(chosen, chain)
+    if _obs.enabled:
+        from repro.obs.metrics import EVOLUTION_EVENTS, NEGOTIATED_VERSIONS
+        if chosen is None:
+            EVOLUTION_EVENTS.labels("no_common_version").inc()
+        else:
+            EVOLUTION_EVENTS.labels("negotiations").inc()
+            NEGOTIATED_VERSIONS.labels(
+                f"v{chain.index(chosen)}" if chosen in chain
+                else "unversioned").inc()
     return name, chosen, lineage_reply(name, chosen, chain)
+
+
+def encode_at_version(context: IOContext, fmt: IOFormat, source,
+                      target: FormatID) -> tuple:
+    """The one sender-side down-convert: *source* — a record, or on
+    the relay path its wire bytes at *fmt* — as wire parts at *target*,
+    the older lineage version a peer negotiated.  Both memos it needs
+    are the process's own: the context's wire-format table resolves
+    *target*, and :func:`~repro.pbio.evolution.down_converter` is the
+    digest-keyed converter cache."""
+    converter = down_converter(fmt, context._resolve_wire_format(target))
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        return (converter.convert_wire(source),)
+    return converter.encode_record_parts(source)
 
 
 #: what a connection delivers: the object ``IOContext.decode`` built
@@ -99,8 +106,6 @@ class Connection:
         #: name -> version the *peer* negotiated down to (we are the
         #: sender; send_negotiated encodes at this version)
         self._peer_versions: dict[str, FormatID] = {}
-        #: name -> cached DownConverter serving _peer_versions
-        self._converters: dict[str, DownConverter] = {}
         #: name -> version the peer announced it streams (we are the
         #: receiver; filled by negotiate_version and by unsolicited
         #: LIN_RSP re-announcements during a cutover)
@@ -177,8 +182,7 @@ class Connection:
         Without a prior LIN_REQ from the peer (or when the peer keeps
         pace with our newest version) this is exactly :meth:`send`;
         after a peer pinned itself to an ancestor version, the record
-        is projected through the cached
-        :class:`~repro.pbio.evolution.DownConverter` and shipped as
+        goes through :func:`encode_at_version` and is shipped as
         old-version wire bytes the peer decodes natively.
         """
         fmt = (format_name if isinstance(format_name, IOFormat)
@@ -187,24 +191,9 @@ class Connection:
         if target is None or target == fmt.format_id:
             self.send(fmt, record)
             return
-        converter = self._converter_for(fmt, target)
-        self.channel.send(Frame(FrameType.DATA,
-                                converter.encode_record_parts(record)))
+        self.channel.send(Frame(_DATA, encode_at_version(
+            self.context, fmt, record, target)))
         self.records_sent += 1
-
-    def _converter_for(self, fmt: IOFormat, target: FormatID):
-        converter = self._converters.get(fmt.name)
-        if converter is not None and \
-                converter.new.format_id == fmt.format_id and \
-                converter.old.format_id == target:
-            return converter
-        try:
-            old = self.context.version_for(fmt.name, target)
-        except UnknownFormatError:
-            old = self.context.format_server.lookup(target)
-        converter = down_converter(fmt, old)
-        self._converters[fmt.name] = converter
-        return converter
 
     # -- receiving ----------------------------------------------------------
 

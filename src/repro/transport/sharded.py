@@ -19,9 +19,10 @@ intact fleet-wide while breaking that ceiling:
 * **one shared format authority** — the publisher's
   :class:`~repro.pbio.format_server.FormatServer` is the source of
   truth; workers hold read-through replicas fed over the same control
-  sockets (``REG``/``EVOLVE`` push on first publish, ``FMT_MISS``
-  pull on a subscriber's cold FMT_REQ), so FMT_REQ/LIN_REQ are
-  answered from every shard without a second registration step.
+  sockets by one routine, ``_replicate`` (a format travels with its
+  lineage: root ``REG``, one ``EVOLVE`` per missing link) — at seeding,
+  first publish, cutover, or ``FMT_MISS`` pull on a subscriber's cold
+  FMT_REQ — so FMT_REQ/LIN_REQ are answered from every shard.
 
 One acceptor thread in the publisher accepts every subscriber and
 round-robins its connected fd to the next live worker over
@@ -38,6 +39,8 @@ against the replicated lineage and report pins upstream; the publisher
 then down-converts **once per pinned version per message** (never per
 subscriber) and ships the variant frames tagged with their version, so
 a mixed-version fleet still costs one encode per version fleet-wide.
+A cutover replicates the grown lineage to each shard, then ``CUTOVER``
+has each shard re-announce it to its own clients.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.errors import ProtocolError, TransportError
+from repro.errors import ProtocolError, TransportError, UnknownFormatError
 from repro.obs.spans import observe_phase, sample_t0
 from repro.pbio.context import IOContext
 from repro.pbio.format import FormatID, IOFormat
@@ -61,6 +64,7 @@ from repro.transport.broadcast import (
     BackpressurePolicy, BroadcastPublisher, BroadcastStats,
     PublishFront,
 )
+from repro.transport.connection import encode_at_version
 from repro.transport.eventloop import ClientHandle, set_cloexec
 from repro.transport.messages import (
     MAX_FRAME, FrameReader, FrameType, frame_bytes,
@@ -512,7 +516,6 @@ class ShardedBroadcastServer(PublishFront):
         #: name -> {fid: pin count} reported by workers (older
         #: versions some subscriber negotiated down to)
         self._pins: dict[str, dict[FormatID, int]] = {}
-        self._version_formats: dict[FormatID, IOFormat] = {}
         self._started = False
         self._closed = False
         self.worker_failures = 0
@@ -556,11 +559,20 @@ class ShardedBroadcastServer(PublishFront):
                 raise TransportError(
                     f"shard worker {handle.index} failed to start: "
                     f"{handle.start_error}")
+        # seed every shard with what the FormatServer already holds,
+        # so a subscriber's first FMT_REQ or LIN_REQ is answerable
+        # there before anything was ever published
         for handle in self._workers:
-            self._seed_worker(handle)
+            try:
+                for fid in self.context.format_server.known_ids():
+                    self._replicate(handle, fid)
+            except OSError:
+                self._mark_dead(handle)
+        # the thread gets the socket itself: a close() racing this
+        # start sets self._listener to None before the thread runs
         self._acceptor = threading.Thread(
-            target=self._pass_connections, name="shard-acceptor",
-            daemon=True)
+            target=self._pass_connections, args=(self._listener,),
+            name="shard-acceptor", daemon=True)
         self._acceptor.start()
         return self
 
@@ -627,9 +639,11 @@ class ShardedBroadcastServer(PublishFront):
 
     # -- acceptor -----------------------------------------------------------
 
-    def _pass_connections(self) -> None:
-        listener = self._listener
-        listener.settimeout(1.0)
+    def _pass_connections(self, listener: socket.socket) -> None:
+        try:
+            listener.settimeout(1.0)
+        except OSError:
+            return  # closed before this thread ran
         while not self._closed:
             try:
                 sock, addr = listener.accept()
@@ -724,15 +738,12 @@ class ShardedBroadcastServer(PublishFront):
     def _serve_fmt_miss(self, handle: _WorkerHandle,
                         fid: FormatID) -> None:
         try:
-            metadata = self.context.format_server.lookup_bytes(fid)
-            name = self.context.format_server.lookup(fid).name
-        except Exception:
             try:
+                self._replicate(handle, fid)
+            except UnknownFormatError:
                 handle.ctl.send(Ctl.FMT_FAIL, fid.to_bytes())
-            except OSError:
-                self._mark_dead(handle)
-            return
-        self._send_reg(handle, fid, name, metadata)
+        except OSError:
+            self._mark_dead(handle)
 
     def _mark_dead(self, handle: _WorkerHandle,
                    expected: bool = False) -> None:
@@ -746,93 +757,58 @@ class ShardedBroadcastServer(PublishFront):
 
     # -- format replication --------------------------------------------------
 
-    def _send_reg(self, handle: _WorkerHandle, fid: FormatID,
-                  name: str, metadata: bytes) -> None:
+    def _replicate(self, handle: _WorkerHandle, fid: FormatID) -> None:
+        """Make *fid* known to one worker, with its lineage: the chain's
+        root as REG, then one EVOLVE per link the worker lacks, oldest
+        first, up to *fid*.  Idempotent (keyed by
+        ``handle.sent_formats``), and REG/EVOLVE are idempotent on the
+        replica too, so racing callers at worst repeat a link.  Raises
+        OSError when the worker's socket is gone and
+        :class:`~repro.errors.UnknownFormatError` when the publisher
+        does not hold *fid* either."""
         if fid in handle.sent_formats:
             return
-        try:
-            handle.ctl.send(Ctl.REG, fid.to_bytes() + _pack_name(name)
-                            + metadata)
-            handle.sent_formats.add(fid)
-        except OSError:
-            self._mark_dead(handle)
-
-    def _seed_worker(self, handle: _WorkerHandle) -> None:
-        """Replicate every format and lineage the publisher's
-        FormatServer already holds, so a subscriber's first FMT_REQ or
-        LIN_REQ is answerable from the shard before anything was ever
-        published.  Chains replay oldest-first as REG(root) + one
-        EVOLVE per link — the same wire the live :meth:`cutover` path
-        uses, so replicas cannot diverge from late upgrades."""
         server = self.context.format_server
-        seeded_names: set[str] = set()
-        for fid in server.known_ids():
-            name = server.lookup(fid).name
-            if name in seeded_names:
+        name = server.lookup(fid).name
+        chain = server.lineage(name)
+        chain = chain[:chain.index(fid) + 1] if fid in chain else (fid,)
+        for index, link in enumerate(chain):
+            if link in handle.sent_formats:
                 continue
-            seeded_names.add(name)
-            chain = server.lineage(name)
-            if not chain:
-                continue
-            self._send_reg(handle, chain[0], name,
-                           server.lookup_bytes(chain[0]))
-            for old_fid, new_fid in zip(chain, chain[1:]):
-                if new_fid in handle.sent_formats:
-                    continue
-                try:
-                    handle.ctl.send(
-                        Ctl.EVOLVE,
-                        _pack_name(name) + old_fid.to_bytes()
-                        + new_fid.to_bytes()
-                        + server.lookup_bytes(new_fid))
-                    handle.sent_formats.add(new_fid)
-                except OSError:
-                    self._mark_dead(handle)
-                    return
-        for fid in server.known_ids():
-            if fid not in handle.sent_formats:
-                self._send_reg(handle, fid, server.lookup(fid).name,
-                               server.lookup_bytes(fid))
+            if index == 0:
+                kind, head = Ctl.REG, link.to_bytes() + _pack_name(name)
+            else:
+                kind, head = Ctl.EVOLVE, (_pack_name(name)
+                                          + chain[index - 1].to_bytes()
+                                          + link.to_bytes())
+            handle.ctl.send(kind, head + server.lookup_bytes(link))
+            handle.sent_formats.add(link)
 
     def _live(self) -> list[_WorkerHandle]:
         return [h for h in self._workers if h.alive]
 
     # -- publishing ----------------------------------------------------------
 
-    def cutover(self, new_fmt: IOFormat) -> int:
-        """Upgrade the stream fleet-wide, zero drops per shard.
-
-        Registers the evolution locally, replicates the grown lineage
-        to every worker (EVOLVE), then has each shard re-announce
-        (FMT_RSP + LIN_RSP ahead of any new-version data on each
-        client's FIFO queue — the same ordering guarantee as the
-        single-process cutover, applied per shard)."""
-        old_fmt = self.context.lookup_format(new_fmt.name)
-        self.context.register_evolution(new_fmt)
-        metadata = new_fmt.canonical_bytes()
-        payload = (_pack_name(new_fmt.name)
-                   + old_fmt.format_id.to_bytes()
-                   + new_fmt.format_id.to_bytes() + metadata)
+    def reannounce(self, name: str, new_fid: FormatID) -> int:
+        """This topology's step of the shared
+        :meth:`~repro.transport.broadcast.PublishFront.cutover`:
+        replicate *name*'s grown lineage to every live shard, then have
+        each shard re-announce (FMT_RSP + LIN_RSP ahead of any
+        new-version data on each client's FIFO queue — the same
+        ordering guarantee as the single-process cutover, applied per
+        shard).  Returns the shards reached."""
+        message = _pack_name(name) + new_fid.to_bytes()
         reached = 0
         for handle in self._live():
             try:
-                if old_fmt.format_id not in handle.sent_formats:
-                    self._send_reg(
-                        handle, old_fmt.format_id, old_fmt.name,
-                        self.context.format_server.lookup_bytes(
-                            old_fmt.format_id))
-                handle.ctl.send(Ctl.EVOLVE, payload)
-                handle.sent_formats.add(new_fmt.format_id)
-                handle.ctl.send(Ctl.CUTOVER,
-                                _pack_name(new_fmt.name)
-                                + new_fmt.format_id.to_bytes())
+                self._replicate(handle, new_fid)
+                handle.ctl.send(Ctl.CUTOVER, message)
                 reached += 1
             except OSError:
                 self._mark_dead(handle)
-        self.stats.count("cutovers")
         return reached
 
-    def _fan_out(self, fmt: IOFormat, data: bytes, down_convert) -> int:
+    def _fan_out(self, fmt: IOFormat, data: bytes, source) -> int:
         """Hand the frame to every live shard (replicating the format
         first where a shard lacks it); returns the shards reached."""
         #: (fid, frame, primary) per version — the current-version
@@ -845,19 +821,16 @@ class ShardedBroadcastServer(PublishFront):
                       self._pins.get(fmt.name, {}).items()
                       if count > 0 and fid != fmt.format_id]
         for fid in pinned:
-            old_fmt = self._version_format(fmt.name, fid)
-            frames.append((fid, down_convert(old_fmt), False))
+            frames.append((fid, frame_bytes(
+                FrameType.DATA, *encode_at_version(
+                    self.context, fmt, source, fid)), False))
         t0 = sample_t0()
         name_bytes = _pack_name(fmt.name)
         reached = 0
         for handle in self._live():
             try:
                 for fid, frame, primary in frames:
-                    if fid not in handle.sent_formats:
-                        self._send_reg(
-                            handle, fid, fmt.name,
-                            self.context.format_server
-                            .lookup_bytes(fid))
+                    self._replicate(handle, fid)
                     handle.ctl.send(
                         Ctl.BCAST,
                         bytes((primary,)) + fid.to_bytes()
@@ -871,7 +844,10 @@ class ShardedBroadcastServer(PublishFront):
         row["messages_broadcast"] += 1
         row["bytes_encoded"] += len(data) - 5
         row["frames_enqueued"] += reached
-        row["bytes_queued"] += reached * len(data)
+        # every frame shipped to every shard reached: the current one
+        # and each down-converted variant, at its own size
+        row["bytes_queued"] += reached * sum(
+            len(frame) for _, frame, _ in frames)
         row["frames_down_converted"] += len(pinned)
         self.stats.mark("subscriber_high_water", self.subscriber_count)
         return reached

@@ -14,6 +14,7 @@ import pytest
 import repro
 from repro.errors import ProtocolError, TransportError
 from repro.pbio.context import IOContext
+from repro.pbio.evolution import down_converter
 from repro.pbio.format import IOFormat
 from repro.pbio.format_server import FormatServer
 from repro.pbio.layout import compute_layout
@@ -501,14 +502,25 @@ class TestShardedEvolution:
             modern = Subscriber(srv.host, srv.port)
             modern.start()
             assert srv.wait_for_subscribers(3, timeout=60)
+            v1, v2 = (srv.context._resolve_wire_format(fid)
+                      for fid in chain)
+            queued = 0
             for t in range(4):
                 record = {"timestep": t, "data": [t * 1.0],
                           "units": "mm"}
                 assert srv.publish("Grid", record) == 2
+                # each shard gets the current frame and the v1 variant
+                queued += 2 * (
+                    len(frame_bytes(FrameType.DATA,
+                                    srv.context.encode(v2, record)))
+                    + len(frame_bytes(FrameType.DATA,
+                                      down_converter(v2, v1)
+                                      .encode_record(record))))
             assert srv.flush(timeout=60)
             # one down-conversion per message for the pinned version,
             # NOT one per pinned subscriber (2) or per shard (2)
             assert srv.stats.frames_down_converted == 4
+            assert srv.stats.bytes_queued == queued
         for sub in subs:
             sub.join(30)
             assert sub.error is None
