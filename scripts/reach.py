@@ -8,7 +8,9 @@ each ``src/repro`` function that was called at least once:
 
 * **system** -- every ``examples/*.py``, each ``bench_e2e`` workload
   (one short untraced and one traced run), ``pytest benchmarks``,
-  ``xmitgen`` for all four source targets and ``obsdump --pipeline``;
+  ``xmitgen`` for all four source targets, ``xmitgen --validate`` on
+  ``examples/telemetry.xml`` (matched, and strictly against one
+  named format) and ``obsdump --pipeline``;
 * **tier1** -- ``pytest tests`` (without ``-x``: under the profiler a
   wall-clock-bounded test or two may miss its bound).
 
@@ -71,6 +73,10 @@ def system_commands(scratch: Path) -> list[list[str]]:
     cmds.append([py, "-m", "repro.tools.xmitgen",
                  "bench_e2e/schemas/flow.xsd", "-t", "c", "-t", "cpp",
                  "-t", "java", "-t", "idl", "-o", str(scratch / "gen")])
+    for strict in ([], ["-f", "Telemetry"]):
+        cmds.append([py, "-m", "repro.tools.xmitgen",
+                     "bench_e2e/schemas/telemetry.xsd",
+                     "--validate", "examples/telemetry.xml", *strict])
     cmds.append([py, "-m", "repro.tools.obsdump", "--pipeline"])
     return cmds
 

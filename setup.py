@@ -18,7 +18,6 @@ setup(
     entry_points={
         "console_scripts": [
             "xmitgen=repro.tools.xmitgen:main",
-            "repro-inspect=repro.tools.inspect:main",
         ],
     },
 )

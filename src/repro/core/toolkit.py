@@ -143,13 +143,6 @@ class XMIT:
         :mod:`repro.core.targets.python_target`)."""
         return self.bind(format_name, target="python").artifact
 
-    def generate_java_source(self, format_name: str,
-                             package: str = "xmit.generated") -> str:
-        """Java source text for *format_name* (and dependencies via the
-        token's ``details['units']``)."""
-        return self.bind(format_name, target="java",
-                         package=package).artifact
-
     def generate_c_source(self, format_name: str,
                           architecture: Architecture | None = None) \
             -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.errors import FormatRegistrationError, UnknownFormatError
+from repro.errors import FormatRegistrationError
 from repro.pbio.format import FormatID, IOFormat
 
 
@@ -48,15 +48,6 @@ class LineageRegistry:
 
     # -- growth -------------------------------------------------------------
 
-    def ensure_root(self, fmt: IOFormat) -> None:
-        """Start *fmt*'s lineage at itself if the name is unseen.
-
-        A name already carrying a chain is left alone — the root of an
-        established lineage never moves.
-        """
-        with self._lock:
-            self._chains.setdefault(fmt.name, [fmt.format_id])
-
     def append(self, old: IOFormat, new: IOFormat) -> FormatID:
         """Record *new* as the next version after *old*.
 
@@ -65,8 +56,9 @@ class LineageRegistry:
         fields convertible), and *old* must be the current chain tail
         (lineages are linear, not trees).  Re-recording a link the
         chain already holds — as a second context sharing the format
-        server will do — is an idempotent no-op.  Returns *new*'s
-        digest.
+        server will do — is an idempotent no-op, and so is an *old* equal
+        to *new*, which starts the lineage at it if the name is unseen
+        (an established root never moves).  Returns *new*'s digest.
         """
         from repro.pbio.evolution import evolution_report
         if old.name != new.name:
@@ -75,7 +67,8 @@ class LineageRegistry:
                 f"{old.name!r} != {new.name!r}")
         old_id, new_id = old.format_id, new.format_id
         if old_id == new_id:
-            self.ensure_root(old)
+            with self._lock:
+                self._chains.setdefault(old.name, [old_id])
             return new_id
         report = evolution_report(old, new)
         if not report.compatible:
@@ -109,23 +102,6 @@ class LineageRegistry:
         with self._lock:
             return tuple(self._chains.get(name, ()))
 
-    def latest(self, name: str) -> FormatID:
-        chain = self.chain(name)
-        if not chain:
-            raise UnknownFormatError(
-                f"no lineage registered for {name!r}")
-        return chain[-1]
-
-    def version_index(self, name: str, fid: FormatID) -> int:
-        """Position of *fid* within *name*'s chain (0 = oldest)."""
-        chain = self.chain(name)
-        try:
-            return chain.index(fid)
-        except ValueError:
-            raise UnknownFormatError(
-                f"format {fid} is not in the lineage of {name!r}"
-            ) from None
-
     def highest_common(self, name: str, offered) -> FormatID | None:
         """The newest digest in *name*'s chain that *offered* (any
         iterable of :class:`FormatID`) also contains, or None when the
@@ -135,13 +111,3 @@ class LineageRegistry:
             if fid in offered:
                 return fid
         return None
-
-    def as_dict(self) -> dict[str, tuple[str, ...]]:
-        """Snapshot for telemetry/debugging: name -> digest hex chain."""
-        with self._lock:
-            return {name: tuple(str(fid) for fid in chain)
-                    for name, chain in self._chains.items()}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._chains)

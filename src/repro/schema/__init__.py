@@ -10,12 +10,12 @@ array's length to an integer field of the same record.
 
 This package provides:
 
-* :mod:`repro.schema.datatypes` -- the primitive type registry with
-  lexical <-> value mapping and range checking,
+* :mod:`repro.schema.datatypes` -- the primitive type registry:
+  XML Schema lexical forms -> range-checked values,
 * :mod:`repro.schema.model`     -- the schema component model,
 * :mod:`repro.schema.parser`    -- XSD document -> :class:`Schema`,
-* :mod:`repro.schema.validator` -- instance documents / record dicts
-  against a :class:`ComplexType`,
+* :mod:`repro.schema.validator` -- XML instance documents against a
+  :class:`ComplexType` (:func:`load_instance`, :func:`match_format`),
 * :mod:`repro.schema.emitter`   -- :class:`Schema` -> XSD document.
 """
 
@@ -31,7 +31,6 @@ from repro.schema.model import (
     VARIABLE,
 )
 from repro.schema.parser import parse_schema, parse_schema_text
-from repro.schema.validator import validate_record
 from repro.schema.emitter import emit_schema
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "lookup_datatype",
     "parse_schema",
     "parse_schema_text",
-    "validate_record",
 ]

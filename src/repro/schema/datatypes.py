@@ -3,9 +3,16 @@
 Implements the subset of XML Schema Part 2 datatypes the paper's
 metadata uses: the string/boolean/floating types and the full integer
 derivation ladder (byte .. unsignedLong).  Each datatype knows how to
+``parse`` a lexical form into a Python value, range-checked.
 
-* ``parse``  a lexical form into a Python value (range-checked), and
-* ``format`` a Python value back into canonical lexical form.
+Lexical forms are XML Schema 1.0's (Part 2, second edition, 2004 --
+the version the paper's 2001-era documents were written against), in
+ASCII only: integers are ``[+-]?[0-9]+``; float and double are a
+decimal mantissa with an optional ``E``/``e`` exponent, or ``INF``,
+``-INF`` and ``NaN``; decimal has neither exponent nor specials.
+``+INF`` is an XML Schema 1.1 addition, so it is rejected here, as are
+the spellings only Python's ``int()`` / ``float()`` accept
+(``1_000``, ``inf``, ``Infinity``, non-ASCII digits).
 
 These are the types that XMIT maps onto native BCM types; the mapping
 itself lives with each target (:mod:`repro.core.targets`).
@@ -14,6 +21,7 @@ itself lives with each target (:mod:`repro.core.targets`).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,41 +35,41 @@ XSD_NAMESPACE_ALIASES = (
     "http://www.w3.org/2000/10/XMLSchema",
 )
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_DECIMAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)")
+_FLOAT = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([Ee][+-]?[0-9]+)?")
+_SPECIALS = {"INF": math.inf, "-INF": -math.inf, "NaN": math.nan}
+
 
 @dataclass(frozen=True)
 class Datatype:
     """A primitive schema datatype.
 
-    ``python_type`` is the canonical in-memory representation;
-    ``parse``/``format`` convert lexical forms.  ``kind`` is the coarse
-    class XMIT targets dispatch on: ``"integer"``, ``"unsigned"``,
-    ``"float"``, ``"string"``, ``"boolean"``.
+    ``parse`` converts a lexical form into a value.  ``kind`` is the
+    coarse class XMIT targets dispatch on: ``"integer"``,
+    ``"unsigned"``, ``"float"``, ``"string"``, ``"boolean"``.
     """
 
     name: str
     kind: str
-    python_type: type
     parse: Callable[[str], object]
-    format: Callable[[object], str]
     bits: int | None = None  # natural width hint for binary targets
-
-    def check(self, value: object) -> object:
-        """Validate *value* against this type's value space; return it
-        (possibly canonicalized, e.g. bool(1) for boolean)."""
-        return self.parse(self.format(value))
 
 
 def _strip(lexical: str) -> str:
-    # whiteSpace facet is 'collapse' for every numeric/boolean type.
-    return lexical.strip()
+    # whiteSpace facet is 'collapse' for every numeric/boolean type,
+    # and XML white space is these four characters only.
+    return lexical.strip(" \t\r\n")
 
 
 def _int_parser(name: str, lo: int | None, hi: int | None):
     def parse(lexical: str) -> int:
-        text = _strip(str(lexical))
+        text = _strip(lexical)
         try:
+            if not _INTEGER.fullmatch(text):
+                raise ValueError
             value = int(text, 10)
-        except ValueError:
+        except ValueError:  # also past int()'s digit limit
             raise SchemaValidationError(
                 f"{text!r} is not a valid {name}") from None
         if (lo is not None and value < lo) or (hi is not None and value > hi):
@@ -71,46 +79,20 @@ def _int_parser(name: str, lo: int | None, hi: int | None):
     return parse
 
 
-def _int_formatter(name: str):
-    def fmt(value: object) -> str:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaValidationError(
-                f"{name} value must be int, got {type(value).__name__}")
-        return str(value)
-    return fmt
-
-
-def _float_parser(name: str):
+def _float_parser(name: str, pattern: re.Pattern, specials: dict):
     def parse(lexical: str) -> float:
-        text = _strip(str(lexical))
-        if text == "INF":
-            return math.inf
-        if text == "-INF":
-            return -math.inf
-        if text == "NaN":
-            return math.nan
-        try:
-            return float(text)
-        except ValueError:
+        text = _strip(lexical)
+        if text in specials:
+            return specials[text]
+        if not pattern.fullmatch(text):
             raise SchemaValidationError(
-                f"{text!r} is not a valid {name}") from None
+                f"{text!r} is not a valid {name}")
+        return float(text)
     return parse
 
 
-def _float_formatter(value: object) -> str:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaValidationError(
-            f"float value expected, got {type(value).__name__}")
-    value = float(value)
-    if math.isinf(value):
-        return "INF" if value > 0 else "-INF"
-    if math.isnan(value):
-        return "NaN"
-    return repr(value)
-
-
 def _parse_boolean(lexical: str) -> bool:
-    text = _strip(str(lexical))
+    text = _strip(lexical)
     if text in ("true", "1"):
         return True
     if text in ("false", "0"):
@@ -118,31 +100,8 @@ def _parse_boolean(lexical: str) -> bool:
     raise SchemaValidationError(f"{text!r} is not a valid boolean")
 
 
-def _format_boolean(value: object) -> str:
-    if not isinstance(value, bool):
-        raise SchemaValidationError(
-            f"boolean value expected, got {type(value).__name__}")
-    return "true" if value else "false"
-
-
 def _parse_string(lexical: str) -> str:
-    if not isinstance(lexical, str):
-        raise SchemaValidationError(
-            f"string value expected, got {type(lexical).__name__}")
     return lexical
-
-
-def _format_string(value: object) -> str:
-    if not isinstance(value, str):
-        raise SchemaValidationError(
-            f"string value expected, got {type(value).__name__}")
-    return value
-
-
-def _make(name: str, kind: str, python_type: type, parse, fmt,
-          bits: int | None = None) -> Datatype:
-    return Datatype(name=name, kind=kind, python_type=python_type,
-                    parse=parse, format=fmt, bits=bits)
 
 
 def _bounded_int(name: str, bits: int, signed: bool) -> Datatype:
@@ -152,8 +111,7 @@ def _bounded_int(name: str, bits: int, signed: bool) -> Datatype:
     else:
         lo, hi = 0, (1 << bits) - 1
         kind = "unsigned"
-    return _make(name, kind, int,
-                 _int_parser(name, lo, hi), _int_formatter(name), bits)
+    return Datatype(name, kind, _int_parser(name, lo, hi), bits)
 
 
 _DATATYPES: dict[str, Datatype] = {}
@@ -164,22 +122,19 @@ def _register(dt: Datatype) -> Datatype:
     return dt
 
 
-STRING = _register(_make("string", "string", str,
-                         _parse_string, _format_string))
-BOOLEAN = _register(_make("boolean", "boolean", bool,
-                          _parse_boolean, _format_boolean, 8))
-FLOAT = _register(_make("float", "float", float,
-                        _float_parser("float"), _float_formatter, 32))
-DOUBLE = _register(_make("double", "float", float,
-                         _float_parser("double"), _float_formatter, 64))
-DECIMAL = _register(_make("decimal", "float", float,
-                          _float_parser("decimal"), _float_formatter, 64))
+STRING = _register(Datatype("string", "string", _parse_string))
+BOOLEAN = _register(Datatype("boolean", "boolean", _parse_boolean, 8))
+FLOAT = _register(Datatype(
+    "float", "float", _float_parser("float", _FLOAT, _SPECIALS), 32))
+DOUBLE = _register(Datatype(
+    "double", "float", _float_parser("double", _FLOAT, _SPECIALS), 64))
+DECIMAL = _register(Datatype(
+    "decimal", "float", _float_parser("decimal", _DECIMAL, {}), 64))
 
 #: ``integer`` is unbounded in XML Schema; binary targets treat it as a
 #: native int (the paper maps C ``int`` fields onto ``xsd:integer``).
-INTEGER = _register(_make(
-    "integer", "integer", int,
-    _int_parser("integer", None, None), _int_formatter("integer"), 32))
+INTEGER = _register(Datatype(
+    "integer", "integer", _int_parser("integer", None, None), 32))
 
 LONG = _register(_bounded_int("long", 64, signed=True))
 INT = _register(_bounded_int("int", 32, signed=True))
@@ -190,14 +145,12 @@ UNSIGNED_INT = _register(_bounded_int("unsignedInt", 32, signed=False))
 UNSIGNED_SHORT = _register(_bounded_int("unsignedShort", 16, signed=False))
 UNSIGNED_BYTE = _register(_bounded_int("unsignedByte", 8, signed=False))
 
-NON_NEGATIVE_INTEGER = _register(_make(
-    "nonNegativeInteger", "unsigned", int,
-    _int_parser("nonNegativeInteger", 0, None),
-    _int_formatter("nonNegativeInteger"), 32))
-POSITIVE_INTEGER = _register(_make(
-    "positiveInteger", "unsigned", int,
-    _int_parser("positiveInteger", 1, None),
-    _int_formatter("positiveInteger"), 32))
+NON_NEGATIVE_INTEGER = _register(Datatype(
+    "nonNegativeInteger", "unsigned",
+    _int_parser("nonNegativeInteger", 0, None), 32))
+POSITIVE_INTEGER = _register(Datatype(
+    "positiveInteger", "unsigned",
+    _int_parser("positiveInteger", 1, None), 32))
 
 
 def lookup_datatype(name: str) -> Datatype:
@@ -215,7 +168,3 @@ def is_primitive(name: str) -> bool:
     """True if *name* names a supported primitive datatype."""
     return name in _DATATYPES
 
-
-def all_datatypes() -> dict[str, Datatype]:
-    """A copy of the primitive-type registry (name -> Datatype)."""
-    return dict(_DATATYPES)

@@ -1,21 +1,14 @@
-"""Wire-record inspection.
+"""Format inspection.
 
-:func:`dump_record` renders a PBIO wire record (header + body) as an
-annotated hexdump: which bytes are the header, which belong to each
-field of the fixed section (including padding), and where the
-variable-length section's strings/arrays live.  :func:`describe_format`
-prints a format's field table, Fig. 2 style.
-
-Both operate purely on metadata — no decoding assumptions beyond what
-the format declares — which makes them safe on corrupt records (the
-usual reason one reaches for a dumper).
+:func:`describe_format` prints a format's field table, Fig. 2 style:
+each field's offset, type and size, nested subformats, and enum
+tables.  It reads metadata only.
 """
 
 from __future__ import annotations
 
 from io import StringIO
 
-from repro.pbio.encode import HEADER_LEN, parse_header
 from repro.pbio.fields import FieldList
 from repro.pbio.format import IOFormat
 
@@ -45,120 +38,3 @@ def _write_field_table(out: StringIO, field_list: FieldList,
             out.write(f"{indent}    subformat {ftype.base}:\n")
             _write_field_table(out, field_list.subformat(ftype.base),
                                indent + "    ")
-
-
-def dump_record(data: bytes, fmt: IOFormat | None = None, *,
-                width: int = 16) -> str:
-    """Annotated hexdump of a wire record.
-
-    With *fmt*, fixed-section byte ranges are labeled per field; the
-    variable section is dumped raw.  Without it only the header is
-    interpreted.
-    """
-    out = StringIO()
-    fid, body_len = parse_header(data)
-    out.write(f"header: magic PB, format id {fid}, "
-              f"body {body_len} bytes\n")
-    _hexdump(out, data[:HEADER_LEN], base=0, label="header",
-             width=width)
-    body = data[HEADER_LEN:HEADER_LEN + body_len]
-    if fmt is None:
-        _hexdump(out, body, base=HEADER_LEN, label="body", width=width)
-        return out.getvalue()
-
-    if fmt.format_id != fid:
-        out.write(f"warning: supplied format id {fmt.format_id} does "
-                  "not match the record\n")
-    field_list = fmt.field_list
-    cursor = 0
-    for field in field_list:
-        extent = field_list.inline_extent(field)
-        if field.offset > cursor:
-            _hexdump(out, body[cursor:field.offset],
-                     base=HEADER_LEN + cursor, label="(padding)",
-                     width=width)
-        _hexdump(out, body[field.offset:field.offset + extent],
-                 base=HEADER_LEN + field.offset,
-                 label=f"{field.name}: {field.type}", width=width)
-        cursor = field.offset + extent
-    record_len = field_list.record_length
-    if cursor < record_len:
-        _hexdump(out, body[cursor:record_len],
-                 base=HEADER_LEN + cursor, label="(padding)",
-                 width=width)
-    if len(body) > record_len:
-        _hexdump(out, body[record_len:], base=HEADER_LEN + record_len,
-                 label="variable section", width=width)
-    return out.getvalue()
-
-
-def _hexdump(out: StringIO, chunk: bytes, *, base: int, label: str,
-             width: int) -> None:
-    if not chunk:
-        return
-    out.write(f"-- {label}\n")
-    for start in range(0, len(chunk), width):
-        row = chunk[start:start + width]
-        hexes = " ".join(f"{b:02x}" for b in row)
-        text = "".join(chr(b) if 0x20 <= b < 0x7F else "." for b in row)
-        out.write(f"{base + start:08x}  {hexes:<{width * 3}s} "
-                  f"|{text}|\n")
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI: ``python -m repro.tools.inspect record.bin
-    [--schema doc.xsd --format Name]``."""
-    import argparse
-    import sys
-    from pathlib import Path
-
-    parser = argparse.ArgumentParser(
-        prog="repro-inspect",
-        description="Annotated hexdump of a PBIO wire record.")
-    parser.add_argument("record", help="file containing the raw "
-                                       "wire record (header + body)")
-    parser.add_argument("--schema", help="schema document (path or "
-                                         "URL) describing the format")
-    parser.add_argument("--format", dest="format_name",
-                        help="format name within the schema")
-    args = parser.parse_args(argv)
-
-    try:
-        data = Path(args.record).read_bytes()
-    except OSError as exc:
-        print(f"repro-inspect: {exc}", file=sys.stderr)
-        return 1
-
-    fmt = None
-    if args.schema:
-        if not args.format_name:
-            print("repro-inspect: --schema requires --format",
-                  file=sys.stderr)
-            return 1
-        from repro.core.toolkit import XMIT
-        from repro.errors import ReproError
-        xmit = XMIT()
-        try:
-            if ":" in args.schema and not Path(args.schema).exists():
-                xmit.load_url(args.schema)
-            else:
-                xmit.load_text(
-                    Path(args.schema).read_text(encoding="utf-8"))
-            fmt = xmit.bind(args.format_name).artifact
-            print(describe_format(fmt))
-        except (ReproError, OSError) as exc:
-            print(f"repro-inspect: {exc}", file=sys.stderr)
-            return 1
-    try:
-        print(dump_record(data, fmt), end="")
-    except Exception as exc:
-        print(f"repro-inspect: cannot parse record: {exc}",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI shim
-    import sys
-
-    sys.exit(main())

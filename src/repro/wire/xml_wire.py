@@ -89,11 +89,17 @@ def decode_fields(elem: Element, field_list: FieldList) -> dict:
     return record
 
 
+#: XML Schema's spellings of the non-finite floats (Python's are
+#: ``inf`` / ``-inf`` / ``nan``).
+_NON_FINITE = {"inf": "INF", "-inf": "-INF", "nan": "NaN"}
+
+
 def _to_text(ftype: FieldType, value) -> str:
     # repr() for floats preserves round-trip precision, matching what a
     # careful 2001-era XML sender would emit.
     if ftype.kind == "float":
-        return repr(float(value))
+        text = repr(float(value))
+        return _NON_FINITE.get(text, text)
     if ftype.kind == "boolean":
         return "true" if value else "false"
     text = str(value)

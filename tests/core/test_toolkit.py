@@ -117,7 +117,7 @@ class TestBinding:
         xmit = XMIT()
         xmit.load_text(XSD_V1)
         assert "class SimpleData" in \
-            xmit.generate_java_source("SimpleData")
+            xmit.bind("SimpleData", target="java").artifact
         assert "typedef struct _SimpleData" in \
             xmit.generate_c_source("SimpleData")
         cls = xmit.generate_python_class("SimpleData")

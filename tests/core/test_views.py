@@ -109,6 +109,7 @@ class TestHandheldScenario:
                            name="TinyMeta")
         xmit.ir.add_format(view)
         assert "TinyMeta" in xmit.generate_c_source("TinyMeta")
-        assert "class TinyMeta" in xmit.generate_java_source("TinyMeta")
+        assert "class TinyMeta" in \
+            xmit.bind("TinyMeta", target="java").artifact
         cls = xmit.generate_python_class("TinyMeta")
         assert cls.FIELD_NAMES == ("timestep", "mean_depth")

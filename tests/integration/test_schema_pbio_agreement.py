@@ -1,8 +1,8 @@
 """Cross-layer property: schema-valid records marshal losslessly.
 
-Any record the schema validator accepts for a discovered format must
-encode and decode through the XMIT-bound PBIO format, on any
-architecture, with values preserved (float32 narrowing excepted).
+Any record drawn from a discovered format's value space must encode
+and decode through the XMIT-bound PBIO format, on any architecture,
+with values preserved (float32 narrowing excepted).
 This ties the three layers of the system — schema semantics, IR
 compilation, binary marshaling — to one contract.
 """
@@ -18,7 +18,6 @@ from repro.pbio.context import IOContext
 from repro.pbio.format_server import FormatServer
 from repro.pbio.machine import SPARC_32, SPARC_V9, X86_32, X86_64
 from repro.schema.parser import parse_schema_text
-from repro.schema.validator import validate_record
 
 ARCHS = (SPARC_32, SPARC_V9, X86_32, X86_64)
 
@@ -120,15 +119,12 @@ def test_valid_records_marshal_losslessly(case, data, arch):
     xsd, name, record_strategy = case
     record = data.draw(record_strategy)
 
-    schema = parse_schema_text(xsd)
-    validated = validate_record(schema, name, record)
-
-    ir = compile_schema(schema)
+    ir = compile_schema(parse_schema_text(xsd))
     token = PBIOTarget().generate(ir, name, architecture=arch)
     ctx = IOContext(architecture=arch, format_server=FormatServer())
     ctx.register(token.artifact)
 
-    decoded = ctx.decode(ctx.encode(name, validated)).record
-    for field_name, sent in validated.items():
+    decoded = ctx.decode(ctx.encode(name, record)).record
+    for field_name, sent in record.items():
         assert _close(sent, decoded[field_name]), \
             (field_name, sent, decoded[field_name])

@@ -43,11 +43,11 @@ class TestLineageRegistry:
         reg = LineageRegistry()
         reg.append(v1, v2)
         reg.append(v2, v3)
-        assert reg.chain("Grid") == (v1.format_id, v2.format_id,
-                                     v3.format_id)
-        assert reg.latest("Grid") == v3.format_id
-        assert reg.version_index("Grid", v1.format_id) == 0
-        assert reg.version_index("Grid", v3.format_id) == 2
+        chain = reg.chain("Grid")
+        assert chain == (v1.format_id, v2.format_id, v3.format_id)
+        assert chain[-1] == v3.format_id
+        assert chain.index(v1.format_id) == 0
+        assert reg.chain("Nope") == ()
 
     def test_append_is_idempotent_at_tail(self, versions):
         v1, v2, _ = versions
@@ -116,23 +116,15 @@ class TestLineageRegistry:
         assert reg.highest_common("Unknown", offered) is None
 
     def test_ensure_root_keeps_established_root(self, versions):
+        # a same-digest append roots an unseen name at that version and
+        # leaves an established root where it is
         v1, v2, _ = versions
         reg = LineageRegistry()
+        assert reg.append(v1, v1) == v1.format_id
+        assert reg.chain("Grid") == (v1.format_id,)
         reg.append(v1, v2)
-        reg.ensure_root(v2)  # no-op: root already v1
-        assert reg.chain("Grid")[0] == v1.format_id
-
-    def test_latest_unknown_raises(self):
-        with pytest.raises(UnknownFormatError):
-            LineageRegistry().latest("Nope")
-
-    def test_as_dict_snapshot(self, versions):
-        v1, v2, _ = versions
-        reg = LineageRegistry()
-        reg.append(v1, v2)
-        assert reg.as_dict() == {
-            "Grid": (str(v1.format_id), str(v2.format_id))}
-        assert len(reg) == 1
+        assert reg.append(v2, v2) == v2.format_id
+        assert reg.chain("Grid") == (v1.format_id, v2.format_id)
 
 
 class TestFormatServerNegotiation:

@@ -1,12 +1,10 @@
-"""Instance validation: record dicts and XML instances."""
+"""Instance validation: XML instance documents against a schema."""
 
 import pytest
 
 from repro.errors import SchemaValidationError
 from repro.schema.parser import parse_schema_text
-from repro.schema.validator import (
-    load_instance, match_format, validate_record,
-)
+from repro.schema.validator import load_instance, match_format
 from repro.xmlcore import parse
 
 SCHEMA = parse_schema_text("""
@@ -33,70 +31,6 @@ SCHEMA = parse_schema_text("""
   </xsd:complexType>
 </xsd:schema>
 """)
-
-
-def good_record():
-    return {"id": 1, "label": "L", "mode": "fast",
-            "origin": {"x": 1.0, "y": 2.0}, "size": 2,
-            "data": [1.5, 2.5], "pair": [7, 8]}
-
-
-class TestValidateRecord:
-    def test_valid(self):
-        out = validate_record(SCHEMA, "Msg", good_record())
-        assert out["origin"] == {"x": 1.0, "y": 2.0}
-
-    def test_optional_field_may_be_absent(self):
-        rec = good_record()
-        del rec["label"]
-        out = validate_record(SCHEMA, "Msg", rec)
-        assert "label" not in out
-
-    def test_required_field_missing(self):
-        rec = good_record()
-        del rec["id"]
-        with pytest.raises(SchemaValidationError, match="id"):
-            validate_record(SCHEMA, "Msg", rec)
-
-    def test_unknown_field(self):
-        rec = good_record() | {"bogus": 1}
-        with pytest.raises(SchemaValidationError, match="bogus"):
-            validate_record(SCHEMA, "Msg", rec)
-
-    def test_type_violation(self):
-        rec = good_record() | {"id": "one"}
-        with pytest.raises(SchemaValidationError):
-            validate_record(SCHEMA, "Msg", rec)
-
-    def test_enum_violation(self):
-        rec = good_record() | {"mode": "reckless"}
-        with pytest.raises(SchemaValidationError):
-            validate_record(SCHEMA, "Msg", rec)
-
-    def test_nested_violation_reports_path(self):
-        rec = good_record()
-        rec["origin"] = {"x": 1.0}
-        with pytest.raises(SchemaValidationError, match="origin"):
-            validate_record(SCHEMA, "Msg", rec)
-
-    def test_fixed_array_size_enforced(self):
-        rec = good_record() | {"pair": [1]}
-        with pytest.raises(SchemaValidationError, match="fixed array"):
-            validate_record(SCHEMA, "Msg", rec)
-
-    def test_length_field_mismatch(self):
-        rec = good_record() | {"size": 5}
-        with pytest.raises(SchemaValidationError, match="length field"):
-            validate_record(SCHEMA, "Msg", rec)
-
-    def test_scalar_where_array_expected(self):
-        rec = good_record() | {"data": 1.5}
-        with pytest.raises(SchemaValidationError, match="sequence"):
-            validate_record(SCHEMA, "Msg", rec)
-
-    def test_non_dict_record(self):
-        with pytest.raises(SchemaValidationError):
-            validate_record(SCHEMA, "Msg", [1, 2])
 
 
 INSTANCE = """
@@ -145,6 +79,39 @@ class TestLoadInstance:
         text = INSTANCE.replace("<pair>2</pair>", "")
         with pytest.raises(SchemaValidationError, match="pair"):
             load_instance(SCHEMA, "Msg", parse(text).root)
+
+
+class TestValidateRecord:
+    """Value-level checks of the record an instance carries."""
+
+    def load(self, old, new):
+        text = INSTANCE.replace(old, new)
+        return load_instance(SCHEMA, "Msg", parse(text).root)
+
+    def test_type_violation(self):
+        with pytest.raises(SchemaValidationError, match="Msg.id"):
+            self.load("<id>5</id>", "<id>one</id>")
+
+    def test_enum_violation(self):
+        with pytest.raises(SchemaValidationError, match="reckless"):
+            self.load("<mode>safe</mode>", "<mode>reckless</mode>")
+
+    def test_nested_violation_reports_path(self):
+        with pytest.raises(SchemaValidationError, match="Msg.origin.y"):
+            self.load("<y>1.5</y>", "")
+
+    def test_scalar_where_array_expected(self):
+        # an array written as one space-separated element (xsd:list
+        # style) is not three occurrences
+        with pytest.raises(SchemaValidationError, match="data"):
+            self.load("<data>1.0</data><data>2.0</data><data>3.0</data>",
+                      "<data>1.0 2.0 3.0</data>")
+
+    def test_float_instance_in_python_spelling_rejected(self):
+        with pytest.raises(SchemaValidationError, match="Infinity"):
+            self.load("<x>0.5</x>", "<x>Infinity</x>")
+        with pytest.raises(SchemaValidationError, match="1_000"):
+            self.load("<id>5</id>", "<id>1_000</id>")
 
 
 class TestMatchFormat:

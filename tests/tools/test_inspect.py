@@ -1,26 +1,22 @@
-"""Record inspector."""
+"""Format inspector."""
 
 import pytest
 
 from repro.pbio.context import IOContext
 from repro.pbio.format_server import FormatServer
-from repro.tools.inspect import describe_format, dump_record
+from repro.tools.inspect import describe_format
 
 
 @pytest.fixture
-def setup():
+def fmt():
     ctx = IOContext(format_server=FormatServer())
-    fmt = ctx.register_layout("Msg", [
+    return ctx.register_layout("Msg", [
         ("tag", "char"), ("count", "integer", 4),
         ("label", "string"), ("values", "float[count]", 4)])
-    wire = ctx.encode("Msg", {"tag": "A", "label": "hello",
-                              "values": [1.0, 2.0]})
-    return fmt, wire
 
 
 class TestDescribeFormat:
-    def test_field_table(self, setup):
-        fmt, _ = setup
+    def test_field_table(self, fmt):
         text = describe_format(fmt)
         assert "format 'Msg'" in text
         assert "label" in text and "string" in text
@@ -43,38 +39,3 @@ class TestDescribeFormat:
             [("mode", "enumeration", 4)]),
             {"mode": ("fast", "safe")})
         assert "['fast', 'safe']" in describe_format(fmt)
-
-
-class TestDumpRecord:
-    def test_header_summary(self, setup):
-        fmt, wire = setup
-        text = dump_record(wire, fmt)
-        assert "magic PB" in text
-        assert str(fmt.format_id) in text
-
-    def test_fields_labeled(self, setup):
-        fmt, wire = setup
-        text = dump_record(wire, fmt)
-        for label in ("tag: char", "count: integer", "label: string",
-                      "values: float[count]", "variable section"):
-            assert label in text
-
-    def test_padding_marked(self, setup):
-        fmt, wire = setup
-        assert "(padding)" in dump_record(wire, fmt)
-
-    def test_string_bytes_visible(self, setup):
-        fmt, wire = setup
-        assert "hello" in dump_record(wire, fmt)
-
-    def test_without_format(self, setup):
-        _, wire = setup
-        text = dump_record(wire)
-        assert "-- body" in text
-
-    def test_mismatched_format_warns(self, setup):
-        fmt, _ = setup
-        ctx = IOContext(format_server=FormatServer())
-        other = ctx.register_layout("Other", [("x", "integer", 4)])
-        wire = ctx.encode("Other", {"x": 1})
-        assert "does not match" in dump_record(wire, fmt)

@@ -1,5 +1,7 @@
 """Per-codec behaviour and cross-codec agreement."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,6 +146,18 @@ class TestXMLWireSpecifics:
         with pytest.raises(WireFormatError):
             codec.decode(b"<SimpleData><timestep>NIL</timestep>"
                          b"<size>0</size></SimpleData>")
+
+    def test_non_finite_floats_in_xsd_spelling(self):
+        # XML Schema spells them INF / -INF / NaN; Python's repr() is
+        # inf / -inf / nan, which an XSD validator rejects
+        codec = XMLWireCodec(simple_format())
+        record = {"timestep": 1, "size": 4,
+                  "data": [math.inf, -math.inf, math.nan, 2.5]}
+        text = codec.encode(record).decode()
+        assert ("<data>INF</data><data>-INF</data><data>NaN</data>"
+                "<data>2.5</data>") in text
+        got = codec.decode(text.encode())["data"]
+        assert got[:2] == [math.inf, -math.inf] and math.isnan(got[2])
 
     def test_control_characters_unrepresentable(self):
         # binary formats carry any byte; XML 1.0 cannot even escape
