@@ -22,7 +22,8 @@ and ``ShardedBroadcastServer`` (two worker processes), then once over a
 point-to-point ``Connection``: an old component and an upgraded one
 exchange records, each in its own version.  The oracle checks every
 subscriber's record count, field set and format digest, and the
-publisher's counters, and the script exits 1 on any mismatch.
+publisher's counters — on the sharded leg, also the fleet's merged
+metrics scrape — and the script exits 1 on any mismatch.
 
 Run:  python examples/rolling_upgrade.py
 """
@@ -216,6 +217,18 @@ def rolling_upgrade(publisher, v1, v2, shards: int | None) -> Oracle:
     check("down-converted after the cohort left",
           publisher.stats.frames_down_converted, converted)
     check("cutovers counted", publisher.stats.cutovers, 1)
+    if sharded:
+        # the fleet's one scrape body: each shard's registry under its
+        # worker label, fetched over the control sockets, which no
+        # shard counts among its clients
+        clients = {
+            series["labels"]["worker"]: series["value"]
+            for series in publisher.metrics_snapshot(TIMEOUT)[
+                "repro_transport_clients"]["series"]}
+        workers = {f"w{i}" for i in range(shards)}
+        check("workers scraped", workers <= set(clients), True)
+        check("clients scraped",
+              sum(clients.get(worker, 0) for worker in workers), 2)
     publisher.close()
 
     old, new = (v1.format_id, V1_FIELDS), (v2.format_id, V2_FIELDS)

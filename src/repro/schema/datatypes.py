@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +40,12 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _DECIMAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)")
 _FLOAT = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([Ee][+-]?[0-9]+)?")
 _SPECIALS = {"INF": math.inf, "-INF": -math.inf, "NaN": math.nan}
+#: characters of a rejected value an error message repeats
+_ECHO = 40
+#: significant digits ``int()`` converts (CPython's int-string limit;
+#: 0 means none): an unbounded ``integer`` longer than this is out of
+#: range, not malformed
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @dataclass(frozen=True)
@@ -62,16 +69,29 @@ def _strip(lexical: str) -> str:
     return lexical.strip(" \t\r\n")
 
 
+def _echo(text: str) -> str:
+    """*text* as an error message repeats it: a bounded prefix."""
+    if len(text) <= _ECHO:
+        return repr(text)
+    return f"{text[:_ECHO]!r}... ({len(text)} characters)"
+
+
 def _int_parser(name: str, lo: int | None, hi: int | None):
+    # the most significant digits a value in range can have, checked
+    # before int() converts (and so before its own limit can trip)
+    digits = _INT_DIGITS if hi is None else len(str(max(-lo, hi)))
+
     def parse(lexical: str) -> int:
         text = _strip(lexical)
-        try:
-            if not _INTEGER.fullmatch(text):
-                raise ValueError
-            value = int(text, 10)
-        except ValueError:  # also past int()'s digit limit
+        if not _INTEGER.fullmatch(text):
             raise SchemaValidationError(
-                f"{text!r} is not a valid {name}") from None
+                f"{_echo(text)} is not a valid {name}")
+        significant = text.lstrip("+-").lstrip("0") or "0"
+        if digits and len(significant) > digits:
+            raise SchemaValidationError(
+                f"{_echo(text)} out of range for {name} "
+                f"(more than {digits} digits)")
+        value = int(significant) * (-1 if text[0] == "-" else 1)
         if (lo is not None and value < lo) or (hi is not None and value > hi):
             raise SchemaValidationError(
                 f"{value} out of range for {name}")
@@ -86,7 +106,7 @@ def _float_parser(name: str, pattern: re.Pattern, specials: dict):
             return specials[text]
         if not pattern.fullmatch(text):
             raise SchemaValidationError(
-                f"{text!r} is not a valid {name}")
+                f"{_echo(text)} is not a valid {name}")
         return float(text)
     return parse
 
@@ -97,7 +117,7 @@ def _parse_boolean(lexical: str) -> bool:
         return True
     if text in ("false", "0"):
         return False
-    raise SchemaValidationError(f"{text!r} is not a valid boolean")
+    raise SchemaValidationError(f"{_echo(text)} is not a valid boolean")
 
 
 def _parse_string(lexical: str) -> str:

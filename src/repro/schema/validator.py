@@ -57,7 +57,8 @@ def _load_instance(schema: Schema, ct: ComplexType, elem: Element,
                 for i, occ in enumerate(occurrences)]
         else:
             if not occurrences:
-                if decl.optional:
+                if decl.optional:  # the record form of an absent one
+                    record[decl.name] = None
                     continue
                 raise SchemaValidationError(
                     f"{fpath}: required element missing")

@@ -27,6 +27,7 @@ from __future__ import annotations
 import selectors
 import socket
 import threading
+import time
 from collections import deque
 from functools import partial
 
@@ -143,7 +144,8 @@ class ClientHandle:
     """
 
     __slots__ = (
-        "id", "sock", "addr", "reader", "write_queue",
+        "id", "sock", "addr", "reader", "recv_into", "max_frame_len",
+        "write_queue",
         "head_offset", "in_flight", "queued_bytes",
         "queue_high_water", "sent_bytes", "frames_enqueued",
         "frames_sent", "frames_received", "frames_dropped", "open",
@@ -152,11 +154,14 @@ class ClientHandle:
     )
 
     def __init__(self, client_id: int, sock: socket.socket,
-                 addr) -> None:
+                 addr, max_frame_len: int = MAX_FRAME) -> None:
         self.id = client_id
         self.sock = sock
         self.addr = addr
         self.reader = FrameReader()
+        #: how the loop reads this socket, and with what frame cap
+        self.recv_into = sock.recv_into
+        self.max_frame_len = max_frame_len
         #: entries are ``[memoryview, droppable]``; the head entry may
         #: be partially sent (``head_offset`` bytes already written)
         self.write_queue: deque = deque()
@@ -229,6 +234,11 @@ class EventLoopServer:
 
     Callbacks are optional (missing attributes are skipped), so a
     plain object with the methods it cares about suffices.
+
+    The loop runs on a thread of its own (:meth:`start`) or on the
+    caller's (:meth:`run`).  A callback may wait on the loop thread —
+    :meth:`flush`, :meth:`wait_queue_below` — without deadlocking: the
+    loop keeps turning inside the wait (see :meth:`_wait`).
     """
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
@@ -249,7 +259,7 @@ class EventLoopServer:
             set_cloexec(self._listener)
             self.host, self.port = self._listener.getsockname()
             self._poller.register(self._listener, selectors.EVENT_READ,
-                                  "accept")
+                                  self._accept_ready)
         else:
             # accept-less loop: clients arrive via adopt() (fd passing
             # from an acceptor process)
@@ -263,11 +273,17 @@ class EventLoopServer:
         #: it without taking the lock
         self.open_clients: tuple[ClientHandle, ...] = ()
         self._next_id = 0
-        self._want_write: set[int] = set()
+        #: the one connection outside the client table (:meth:`attach`)
+        self._peer: ClientHandle | None = None
+        self._want_write: set[ClientHandle] = set()
         self._close_requests: deque = deque()
         self._adoptions: deque = deque()
-        self._running = False
+        self._stopping = False
         self._thread: threading.Thread | None = None
+        #: the thread running the loop, once it runs; the client whose
+        #: input is being delivered on it, if any
+        self._loop_ident: int | None = None
+        self._reading: ClientHandle | None = None
         self._torn_down = False
         self.clients_accepted = 0
         self.clients_closed = 0
@@ -285,24 +301,32 @@ class EventLoopServer:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "EventLoopServer":
-        if self._thread is not None:
-            return self
-        self._running = True
-        self._thread = threading.Thread(target=self._run,
-                                        name="event-loop-server",
-                                        daemon=True)
-        self._thread.start()
+        if self._thread is None:
+            self._thread = threading.Thread(target=self.run,
+                                            name="event-loop-server",
+                                            daemon=True)
+            self._thread.start()
         return self
 
-    def close(self, timeout: float = 5.0) -> None:
-        if not self._running and self._thread is None:
+    def run(self) -> None:
+        """Serve on the calling thread until :meth:`close`."""
+        self._loop_ident = threading.get_ident()
+        try:
+            while not self._stopping:
+                self._turn(1.0)
+        finally:
             self._teardown()
-            return
-        self._running = False
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Stop the loop; off the loop thread, join it (*timeout*)."""
+        self._stopping = True
         self._poller.wake()
         if self._thread is not None:
-            self._thread.join(timeout)
-            self._thread = None
+            if self._thread.ident != threading.get_ident():
+                self._thread.join(timeout)
+                self._thread = None
+        elif self._loop_ident is None:  # never ran
+            self._teardown()
 
     def __enter__(self) -> "EventLoopServer":
         return self.start()
@@ -419,7 +443,7 @@ class EventLoopServer:
                     client.frames_sent += 1
                     return True
                 client.head_offset = sent
-                self._want_write.add(client.id)
+                self._want_write.add(client)
             queue.append([memoryview(data), droppable])
             client.queued_bytes += len(data) - sent
             if client.queued_bytes > client.queue_high_water:
@@ -457,6 +481,22 @@ class EventLoopServer:
             if freed:
                 self._changed.notify_all()
         return freed, dropped
+
+    def attach(self, sock: socket.socket, *, recv_into=None,
+               max_frame_len: int = MAX_FRAME) -> ClientHandle:
+        """Make *sock* the loop's **peer** (before the loop runs): read
+        and written like a client — ``on_frame``, :meth:`enqueue`,
+        ``on_disconnect`` — but outside the client table, so never a
+        fan-out target nor in :meth:`totals`, the census or the
+        gauges.  *recv_into* replaces the socket's own."""
+        sock.setblocking(False)
+        set_cloexec(sock)
+        peer = ClientHandle(-1, sock, "peer", max_frame_len)
+        if recv_into is not None:
+            peer.recv_into = recv_into
+        self._peer = peer
+        self._poller.register(sock, selectors.EVENT_READ, peer)
+        return peer
 
     def adopt(self, sock: socket.socket, addr=None) -> bool:
         """Hand an already-connected socket to the loop.
@@ -503,45 +543,67 @@ class EventLoopServer:
                          timeout: float | None) -> bool:
         """Block until *client*'s queued bytes fall to *limit* or the
         client closes; False on timeout (the ``block`` policy wait)."""
-        with self._changed:
-            return self._changed.wait_for(
-                lambda: not client.open or client.queued_bytes <= limit,
-                timeout)
+        return self._wait(
+            lambda: not client.open or client.queued_bytes <= limit,
+            timeout)
 
     def flush(self, timeout: float | None = None) -> bool:
         """Block until every open client's write queue is empty;
         False on timeout."""
-        with self._changed:
-            return self._changed.wait_for(
-                lambda: not any(c.queued_bytes
-                                for c in self._clients.values()
-                                if c.open),
-                timeout)
+        return self._wait(
+            lambda: not any(c.queued_bytes
+                            for c in self._clients.values() if c.open),
+            timeout)
 
     def wait_for_clients(self, count: int,
                          timeout: float | None = None) -> bool:
         """Block until at least *count* clients are connected."""
-        with self._changed:
-            return self._changed.wait_for(
-                lambda: len(self._clients) >= count, timeout)
+        return self._wait(lambda: len(self._clients) >= count, timeout)
+
+    def _wait(self, ready, timeout: float | None) -> bool:
+        """Block until ``ready()``; False on timeout.  A callback
+        waiting on the loop thread keeps the loop turning instead, less
+        the input of the client whose frame it handles: that socket
+        leaves the selector until the wait ends, so its sender meets
+        backpressure and none of its frames is read out of turn."""
+        if threading.get_ident() != self._loop_ident:
+            with self._changed:
+                return self._changed.wait_for(ready, timeout)
+        held = self._reading
+        if held is not None:
+            self._poller.unregister(held.sock)
+        deadline = None if timeout is None else \
+            time.monotonic() + timeout
+        try:
+            while not ready() and not self._torn_down:
+                left = None if deadline is None else \
+                    deadline - time.monotonic()
+                if left is not None and left <= 0:
+                    return False
+                self._turn(left)
+            return ready()
+        finally:
+            self._reading = held
+            if held is not None and held.open:
+                self._poller.register(
+                    held.sock, selectors.EVENT_READ | (
+                        selectors.EVENT_WRITE if held.write_queue else 0),
+                    held)
 
     # -- loop ---------------------------------------------------------------
 
-    def _run(self) -> None:
-        try:
-            while self._running:
-                self._apply_requests()
-                for key, events in self._poller.poll(1.0):
-                    if key.data == "accept":
-                        self._accept_ready()
-                        continue
-                    client = key.data
-                    if events & selectors.EVENT_READ:
-                        self._readable(client)
-                    if client.open and events & selectors.EVENT_WRITE:
-                        self._writable(client)
-        finally:
-            self._teardown()
+    def _turn(self, timeout: float | None) -> None:
+        """Apply cross-thread requests, then serve one poll's events."""
+        self._apply_requests()
+        for key, events in self._poller.poll(timeout):
+            client = key.data
+            if type(client) is not ClientHandle:
+                client()  # the listener's accept
+                continue
+            if events & selectors.EVENT_READ:
+                self._readable(client)
+            if client.open and events & selectors.EVENT_WRITE:
+                self._writable(client)
 
     def _apply_requests(self) -> None:
         """Apply cross-thread state changes on the loop thread (the
@@ -551,8 +613,7 @@ class EventLoopServer:
             self._close_requests.clear()
             adoptions = list(self._adoptions)
             self._adoptions.clear()
-            wants = [self._clients.get(cid)
-                     for cid in self._want_write]
+            wants = list(self._want_write)
             self._want_write.clear()
         for sock, addr in adoptions:
             self._register_client(sock, addr)
@@ -568,7 +629,7 @@ class EventLoopServer:
                 client.close_reason = reason
                 self._finish_graceful(client)
         for client in wants:
-            if client is not None and client.open:
+            if client.open:
                 self._set_interest(client, write=True)
 
     def _set_interest(self, client: ClientHandle, *,
@@ -599,7 +660,8 @@ class EventLoopServer:
         except OSError:
             pass  # not TCP (unix socketpair in tests, adopted pipes)
         with self._lock:
-            client = ClientHandle(self._next_id, sock, addr)
+            client = ClientHandle(self._next_id, sock, addr,
+                                  self.max_frame_len)
             self._next_id += 1
             self.clients_accepted += 1
         self._poller.register(sock, selectors.EVENT_READ, client)
@@ -615,12 +677,13 @@ class EventLoopServer:
 
     def _readable(self, client: ClientHandle) -> None:
         """Read and deliver by turns until EAGAIN or the client closes."""
-        reader = client.reader
+        reader, recv_into = client.reader, client.recv_into
         parse = getattr(self.handler, "parse", None)
+        self._reading = client
         try:
             while client.open:
                 try:
-                    got = reader.fill(client.sock.recv_into)
+                    got = reader.fill(recv_into)
                 except BlockingIOError:
                     return
                 except OSError as exc:
@@ -632,7 +695,7 @@ class EventLoopServer:
                     self._close_client(client, client.close_reason)
                     return
                 for message in (
-                        iter(partial(reader.frame, self.max_frame_len),
+                        iter(partial(reader.frame, client.max_frame_len),
                              None)
                         if parse is None else parse(reader)):
                     client.frames_received += 1
@@ -646,6 +709,8 @@ class EventLoopServer:
                 else "zero_length_frame" if str(exc) == ZERO_LENGTH
                 else "bad_frame")
             self._close_client(client, exc)
+        finally:
+            self._reading = None
 
     def _writable(self, client: ClientHandle) -> None:
         with self._lock:
@@ -730,14 +795,15 @@ class EventLoopServer:
             client.write_queue.clear()
             client.queued_bytes = 0
             client.in_flight = 0
-            self._clients.pop(client.id, None)
-            self.open_clients = tuple(self._clients.values())
-            self.clients_closed += 1
-            totals = self._closed_totals
-            for name in totals:
-                totals[name] += getattr(client, name)
-            if client.queue_high_water > self._closed_queue_high_water:
-                self._closed_queue_high_water = client.queue_high_water
+            if client is not self._peer:
+                self._clients.pop(client.id, None)
+                self.open_clients = tuple(self._clients.values())
+                self.clients_closed += 1
+                totals = self._closed_totals
+                for name in totals:
+                    totals[name] += getattr(client, name)
+                self._closed_queue_high_water = max(
+                    self._closed_queue_high_water, client.queue_high_water)
             self._changed.notify_all()
         self._poller.unregister(client.sock)
         try:
@@ -763,6 +829,8 @@ class EventLoopServer:
         self._torn_down = True
         for client in list(self._clients.values()):
             self._close_client(client, None)
+        if self._peer is not None:
+            self._close_client(self._peer, None)
         with self._lock:
             orphans = list(self._adoptions)
             self._adoptions.clear()

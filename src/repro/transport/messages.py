@@ -13,6 +13,7 @@ STATS_REQ   ask the peer for its telemetry snapshot (empty payload)
 STATS_RSP   payload = UTF-8 JSON telemetry snapshot
 LIN_REQ     lineage handshake: the digests the sender can decode
 LIN_RSP     lineage handshake reply: the negotiated digest + chain
+SHARD       publisher <-> shard worker control (``u8 sub-kind | body``)
 ==========  =====================================================
 
 The lineage handshake (``docs/EVOLUTION.md``) rides on two frames:
@@ -71,6 +72,9 @@ class FrameType(enum.IntEnum):
     # lineage-aware version negotiation (repro.pbio.lineage)
     LIN_REQ = 12  # payload = name + digests the sender can decode
     LIN_RSP = 13  # payload = name + negotiated digest + full chain
+    # sharded broadcast control plane (repro.transport.sharded); only
+    # ever valid on a worker's control socket, never from a subscriber
+    SHARD = 14    # payload = u8 sub-kind + body
 
 
 @dataclass(slots=True)
@@ -145,7 +149,8 @@ def decode_frame(data: bytes) -> Frame:
 
 class FrameReader:
     """The one length-prefix reassembler, behind ``TCPChannel``, each
-    event-loop client and each shard control socket: the caller reads
+    event-loop client (a shard worker's control socket is one) and the
+    sharded publisher's control loop: the caller reads
     into the space :meth:`fill` offers, then takes whole frames.
 
     Bytes land in a 64 KiB + 4 B **window** (an anonymous private
@@ -226,12 +231,14 @@ class FrameReader:
 
     def frame(self, limit: int) -> Frame | None:
         """:meth:`pop` as a :class:`Frame` (an unknown type raises);
-        only a record keeps a large payload as a view."""
+        only a record, or a shard control frame carrying one, keeps a
+        large payload as a view."""
         got = self.pop(limit)
         if got is None:
             return None
         ftype, payload = FRAME_TYPES[got[0]], got[1]
-        if type(payload) is not bytes and ftype != FrameType.DATA:
+        if type(payload) is not bytes and ftype != FrameType.DATA \
+                and ftype != FrameType.SHARD:
             payload = bytes(payload)
         return Frame(ftype, payload)
 

@@ -2,45 +2,48 @@
 
 :class:`~repro.transport.broadcast.BroadcastPublisher` marshals each
 record once, but one ``selectors`` thread does every per-client queue
-append and every ``sendmsg`` — encode-once fan-out is flat *per
-client*, yet aggregate throughput is capped at one core by the GIL.
-:class:`ShardedBroadcastServer` keeps the paper's amortization story
-intact fleet-wide while breaking that ceiling:
+append and every ``sendmsg``, so aggregate throughput is capped at one
+core by the GIL.  :class:`ShardedBroadcastServer` keeps the paper's
+amortization story intact fleet-wide while breaking that ceiling:
 
 * **one publisher process** owns the only
-  :class:`~repro.pbio.context.IOContext` that ever encodes — each
-  ``publish()`` runs ``encode_wire_parts`` exactly once (zero-copy
-  spill segments included) and hands the *same* frame bytes to every
-  worker over a length-prefixed control socket;
+  :class:`~repro.pbio.context.IOContext` that ever encodes: each
+  ``publish()`` encodes once, frames once, wraps the frame once in a
+  ``BCAST`` control frame and writes those same bytes to every worker;
 * **N worker processes** each run a full
   :class:`~repro.transport.eventloop.EventLoopServer` serving their
-  shard of subscribers, with the per-shard backpressure policies
-  (``block`` / ``drop-oldest`` / ``disconnect-slow``) unchanged;
-* **one shared format authority** — the publisher's
-  :class:`~repro.pbio.format_server.FormatServer` is the source of
-  truth; workers hold read-through replicas fed over the same control
-  sockets by one routine, ``_replicate`` (a format travels with its
-  lineage: root ``REG``, one ``EVOLVE`` per missing link) — at seeding,
-  first publish, cutover, or ``FMT_MISS`` pull on a subscriber's cold
-  FMT_REQ — so FMT_REQ/LIN_REQ are answered from every shard.
+  shard of subscribers, with the backpressure policies unchanged;
+* **one format authority** — the publisher's
+  :class:`~repro.pbio.format_server.FormatServer`; workers hold
+  read-through replicas fed by one routine, ``_replicate`` (a format
+  travels with its lineage: the root as ``FMT_RSP``, one ``EVOLVE``
+  per missing link), so FMT_REQ/LIN_REQ are answered on every shard.
 
-One acceptor thread in the publisher accepts every subscriber and
-round-robins its connected fd to the next live worker over
-``SCM_RIGHTS`` (anywhere ``AF_UNIX`` ancillary data works), so the
-split is exact.  Workers accept nothing themselves and hold no
-listening port.  They are ``multiprocessing`` *spawn* children — no
-forked locks, no inherited shard sockets (every event-loop fd is
-``FD_CLOEXEC``, see :func:`repro.transport.eventloop.set_cloexec`) —
-and each exits at EOF on its control socket, so a worker never
-outlives its publisher.
+Control messages are :mod:`repro.transport.messages` frames.  One that
+already has a frame type keeps it (``HELLO`` when a worker serves,
+``BYE`` to stop it, ``FMT_RSP`` / ``FMT_REQ`` to replicate a format,
+``STATS_REQ`` / ``STATS_RSP``); the rest share one ``SHARD`` type and a
+:class:`Shard` sub-kind byte, so subscribers see one more frame type,
+not ten, and a shard refuses control from a subscriber in one test.
 
-Version evolution rides along: workers negotiate LIN_REQ locally
-against the replicated lineage and report pins upstream; the publisher
-then down-converts **once per pinned version per message** (never per
-subscriber) and ships the variant frames tagged with their version, so
-a mixed-version fleet still costs one encode per version fleet-wide.
-A cutover replicates the grown lineage to each shard, then ``CUTOVER``
-has each shard re-announce it to its own clients.
+Threads: a worker is **one thread**.  Its control socket is its loop's
+peer (:meth:`~repro.transport.eventloop.EventLoopServer.attach`), read
+on the loop with ``recvmsg_into`` (the k-th CONN frame gets the k-th
+``SCM_RIGHTS`` fd) and written through ``enqueue``; a ``block`` wait,
+a barrier and a stop wait inside the loop, control socket unread, so
+the publisher's ``sendall`` meets backpressure while every other
+subscriber drains.  The publisher adds **one thread**: a selectors
+loop that accepts each subscriber, hands its fd to the next live
+worker round-robin, and reads every worker's reports.  Workers are
+``multiprocessing`` *spawn* children holding no listening port and no
+other shard's sockets (``FD_CLOEXEC``), and each exits at EOF on its
+control socket, so none outlives its publisher.
+
+Versions: workers negotiate LIN_REQ against the replicated lineage and
+report pins upstream; the publisher down-converts **once per pinned
+version per message** and ships the variants tagged with their
+version.  A cutover replicates the grown lineage, then ``CUTOVER`` has
+each shard re-announce it to its own clients.
 """
 
 from __future__ import annotations
@@ -49,53 +52,53 @@ import enum
 import json
 import multiprocessing
 import os
+import selectors
 import socket
 import struct
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError, TransportError, UnknownFormatError
 from repro.obs.spans import observe_phase, sample_t0
 from repro.pbio.context import IOContext
-from repro.pbio.format import FormatID, IOFormat
+from repro.pbio.format import FormatID, IOFormat, deserialize_format
 from repro.pbio.format_server import FormatServer
 from repro.transport.broadcast import (
     BackpressurePolicy, BroadcastPublisher, BroadcastStats,
     PublishFront,
 )
 from repro.transport.connection import encode_at_version
-from repro.transport.eventloop import ClientHandle, set_cloexec
+from repro.transport.eventloop import ClientHandle, Poller, set_cloexec
 from repro.transport.messages import (
-    MAX_FRAME, FrameReader, FrameType, frame_bytes,
+    MAX_FRAME, FrameReader, FrameType, count_malformed, frame_bytes,
 )
 
 _U32 = struct.Struct(">I")
 _MAX_CTL_FRAME = MAX_FRAME + 4096    # one data frame + headroom
 
 
-class Ctl(enum.IntEnum):
-    """Control-plane message kinds on the publisher<->worker socket."""
+class Shard(enum.IntEnum):
+    """Sub-kinds of a ``SHARD`` control frame (``u8 sub-kind | body``):
+    the control messages no existing frame type carries."""
 
     # publisher -> worker
-    REG = 1        # fid | name | canonical metadata (replicate format)
-    EVOLVE = 2     # name | old fid | new fid | new metadata (lineage)
-    BCAST = 3      # primary | fid | name | one whole wire frame
-    CUTOVER = 4    # name | new fid (re-announce to every shard client)
-    BARRIER = 5    # seq (reply ACK once shard queues have drained)
-    STATS_REQ = 6  # seq (reply STATS_RSP with a JSON snapshot)
-    FMT_FAIL = 7   # fid (publisher cannot resolve a FMT_MISS either)
-    CONN = 8       # fd-passing: addr text; the fd rides as SCM_RIGHTS
-    STOP = 9       # shut the shard down (BYE + graceful close)
+    BCAST = 1      # primary | fid | name | one whole wire frame
+    EVOLVE = 2     # old fid | new metadata (the next lineage link)
+    CUTOVER = 3    # name | new fid (re-announce to every shard client)
+    BARRIER = 4    # seq (reply ACK once shard queues have drained)
+    FMT_FAIL = 5   # fid (publisher cannot resolve a FMT_REQ either)
+    CONN = 6       # addr text; the subscriber's fd rides as SCM_RIGHTS
     # worker -> publisher
-    STARTED = 20   # shard is serving
-    ACK = 21       # seq | ok (barrier complete)
-    STATS_RSP = 22  # seq | JSON snapshot
-    COUNT = 23     # clients | accepted | closed (shard census update)
-    PIN = 24       # name | fid (a subscriber negotiated this version)
-    UNPIN = 25     # name | fid (that subscriber went away)
-    FMT_MISS = 26  # fid (subscriber FMT_REQ the replica cannot serve)
-    STOPPED = 27   # shard shut down cleanly
+    ACK = 7        # seq | ok (barrier complete)
+    COUNT = 8      # clients (shard census update)
+    PIN = 9        # name | fid (a subscriber negotiated this version)
+    UNPIN = 10     # name | fid (that subscriber went away)
+
+
+def _shard(kind: Shard, *parts: bytes) -> bytes:
+    return frame_bytes(FrameType.SHARD, bytes((kind,)), *parts)
 
 
 def _pack_name(name: str) -> bytes:
@@ -105,96 +108,21 @@ def _pack_name(name: str) -> bytes:
     return struct.pack(">H", len(raw)) + raw
 
 
-def _unpack_name(payload: bytes, offset: int) -> tuple[str, int]:
+def _unpack_name(payload, offset: int) -> tuple[str, int]:
     if offset + 2 > len(payload):
         raise ProtocolError("control frame truncated at name length")
     (n,) = struct.unpack_from(">H", payload, offset)
     offset += 2
     if offset + n > len(payload):
         raise ProtocolError("control frame truncated at name")
-    return payload[offset:offset + n].decode("utf-8"), offset + n
+    return str(payload[offset:offset + n], "utf-8"), offset + n
 
 
-def _take_fid(payload: bytes, offset: int) -> tuple[FormatID, int]:
+def _take_fid(payload, offset: int) -> tuple[FormatID, int]:
     if offset + 8 > len(payload):
         raise ProtocolError("control frame truncated at format id")
-    return FormatID.from_bytes(payload[offset:offset + 8]), offset + 8
-
-
-class ControlSocket:
-    """Length-prefixed control messages over one stream socket, read
-    through a :class:`~repro.transport.messages.FrameReader`; a kind
-    is any type byte, and a worker ignores kinds it does not know.
-
-    Sends are serialized under a lock so the publisher thread, the
-    acceptor thread and FMT_MISS replies never interleave partial
-    writes.  ``send_fd`` attaches an ``SCM_RIGHTS`` fd to its frame's
-    first byte; because all sends are ordered, the k-th CONN frame a
-    worker parses corresponds to the k-th fd it received — the reader
-    therefore *always* reads with ``recvmsg_into`` and room for
-    ancillary data, so no fd is ever truncated away.
-    """
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self._send_lock = threading.Lock()
-        self._reader = FrameReader()
-        self._fds: list[int] = []
-
-    def send(self, kind: int, payload: bytes = b"") -> None:
-        frame = frame_bytes(kind, payload)
-        with self._send_lock:
-            self.sock.sendall(frame)
-
-    def send_fd(self, kind: int, payload: bytes, fd: int) -> None:
-        frame = frame_bytes(kind, payload)
-        with self._send_lock:
-            # the fd attaches to the frame's leading bytes; sendall
-            # the remainder under the same lock so frames stay whole
-            sent = socket.send_fds(self.sock, [frame], [fd])
-            if sent < len(frame):
-                self.sock.sendall(frame[sent:])
-
-    def recv(self, timeout: float | None = None) \
-            -> tuple[int, bytes, int | None] | None:
-        """One ``(kind, payload, fd or None)``; None at EOF."""
-        self.sock.settimeout(timeout)
-        while True:
-            got = self._reader.pop(_MAX_CTL_FRAME)
-            if got is not None:
-                kind, payload = got
-                fd = self._fds.pop(0) if kind == Ctl.CONN and \
-                    self._fds else None
-                return kind, bytes(payload), fd
-            try:
-                if not self._reader.fill(self._recvmsg_into):
-                    return None
-            except (TimeoutError, socket.timeout):
-                raise
-            except OSError:
-                return None
-
-    def _recvmsg_into(self, buffer) -> int:
-        got, ancdata, _flags, _addr = self.sock.recvmsg_into(
-            [buffer], socket.CMSG_SPACE(64))  # room for 16 fds
-        for level, kind, data in ancdata:
-            if (level, kind) == (socket.SOL_SOCKET, socket.SCM_RIGHTS):
-                for fd in memoryview(data)[:len(data) // 4 * 4].cast("i"):
-                    os.set_inheritable(fd, False)
-                    self._fds.append(fd)
-        return got
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-        for fd in self._fds:
-            try:
-                os.close(fd)
-            except OSError:
-                pass
-        self._fds.clear()
+    return FormatID.from_bytes(bytes(payload[offset:offset + 8])), \
+        offset + 8
 
 
 # ---------------------------------------------------------------------------
@@ -217,28 +145,42 @@ class WorkerConfig:
 
 
 class _ShardWorkerPublisher(BroadcastPublisher):
-    """The per-shard fan-out engine inside a worker process.
+    """One shard, the whole of a worker process, on one thread.
 
     A :class:`BroadcastPublisher` whose encode paths are never used:
-    frames arrive pre-marshaled from the publisher process and are
-    delivered through :meth:`broadcast_frame`.  Everything else —
-    bounded-queue backpressure, FMT_RSP pre-announcement, LIN_REQ
-    negotiation, malformed-frame accounting — is inherited unchanged,
-    so per-shard semantics match the single-process server exactly.
+    frames arrive pre-marshaled on the control socket (``upstream``,
+    its loop's peer) for :meth:`broadcast_frame`.  Backpressure,
+    pre-announcement, LIN_REQ negotiation and malformed-frame
+    accounting are inherited, so a shard behaves as the single-process
+    server does.  Everything runs on the loop thread: no locks.
     """
 
-    def __init__(self, context: IOContext, upstream: ControlSocket,
-                 **kwargs) -> None:
+    def __init__(self, context: IOContext, ctl_sock: socket.socket, *,
+                 label: str = "w0", **kwargs) -> None:
         super().__init__(context, **kwargs)
-        self._upstream = upstream
+        self.label = label
+        #: SCM_RIGHTS fds received, in order, not yet claimed by a CONN
+        self._fds: deque[int] = deque()
+        self.upstream = self.server.attach(
+            ctl_sock, recv_into=self._recvmsg_into,
+            max_frame_len=_MAX_CTL_FRAME)
         #: fids subscribers asked for that the replica cannot serve
         #: yet: fid -> client ids awaiting a FMT_RSP
         self._pending_fmt: dict[FormatID, list[int]] = {}
-        self._pending_lock = threading.Lock()
 
-    # -- shard data plane (control thread) ----------------------------------
+    def _recvmsg_into(self, buffer) -> int:
+        got, ancdata, _flags, _addr = self.upstream.sock.recvmsg_into(
+            [buffer], socket.CMSG_SPACE(64))  # room for 16 fds
+        for level, kind, data in ancdata:
+            if (level, kind) == (socket.SOL_SOCKET, socket.SCM_RIGHTS):
+                for fd in memoryview(data)[:len(data) // 4 * 4].cast("i"):
+                    os.set_inheritable(fd, False)
+                    self._fds.append(fd)
+        return got
 
-    def broadcast_frame(self, name: str, fid: FormatID, frame: bytes,
+    # -- shard data plane ---------------------------------------------------
+
+    def broadcast_frame(self, name: str, fid: FormatID, frame,
                         primary: bool) -> int:
         """Queue one pre-encoded wire frame to every shard subscriber
         on the matching version; returns subscribers reached."""
@@ -266,10 +208,9 @@ class _ShardWorkerPublisher(BroadcastPublisher):
         return reached
 
     def resolve_pending(self, fid: FormatID, ok: bool) -> None:
-        """A REG (or FMT_FAIL) for *fid* arrived from the publisher:
-        answer the subscribers whose FMT_REQ was parked on it."""
-        with self._pending_lock:
-            waiting = self._pending_fmt.pop(fid, [])
+        """The publisher sent *fid*'s metadata (or ``FMT_FAIL``): answer
+        the subscribers whose FMT_REQ was parked on it."""
+        waiting = self._pending_fmt.pop(fid, [])
         if not waiting:
             return
         by_id = {c.id: c for c in self.server.open_clients}
@@ -287,19 +228,66 @@ class _ShardWorkerPublisher(BroadcastPublisher):
                                 f"{fid}".encode()),
                     droppable=False)
 
+    # -- control frames from the publisher ----------------------------------
+
+    def _control(self, ftype: FrameType, payload) -> None:
+        if ftype == FrameType.SHARD:
+            kind = payload[0]
+            if kind == Shard.BCAST:
+                fid, offset = _take_fid(payload, 2)
+                name, offset = _unpack_name(payload, offset)
+                self.broadcast_frame(name, fid, memoryview(payload)[offset:],
+                                     primary=payload[1] == 1)
+            elif kind == Shard.CONN:
+                if self._fds:
+                    self.server.adopt(
+                        socket.socket(fileno=self._fds.popleft()),
+                        str(payload[1:], "utf-8", "replace"))
+            elif kind == Shard.EVOLVE:
+                replica = self.context.format_server
+                self.resolve_pending(replica.register_evolution(
+                    replica.lookup(_take_fid(payload, 1)[0]),
+                    deserialize_format(bytes(payload[9:]))), ok=True)
+            elif kind == Shard.CUTOVER:
+                name, offset = _unpack_name(payload, 1)
+                self.reannounce(name, _take_fid(payload, offset)[0])
+            elif kind == Shard.BARRIER:
+                ok = self.server.flush(self.block_timeout * 4 + 30.0)
+                self._up(_shard(Shard.ACK, bytes(payload[1:5]),
+                                b"\x01" if ok else b"\x00"))
+            elif kind == Shard.FMT_FAIL:
+                self.resolve_pending(_take_fid(payload, 1)[0], ok=False)
+        elif ftype == FrameType.FMT_RSP:
+            self.resolve_pending(self.context.format_server.import_bytes(
+                bytes(payload[8:])), ok=True)
+        elif ftype == FrameType.STATS_REQ:
+            self._up(frame_bytes(FrameType.STATS_RSP, bytes(payload[:4]),
+                                 self._stats_json()))
+        elif ftype == FrameType.BYE:
+            self.close()
+        # anything else is ignored: forward-compatible control plane
+
+    def _stats_json(self) -> bytes:
+        from repro import obs
+        from repro.pbio.encode import BULK_STATS
+        return json.dumps({
+            "worker": self.label,
+            "threads": threading.active_count(),
+            "metrics": obs.snapshot(),
+            "publisher": self.stats_dict(),
+            "server": self.server.totals(),
+            "bulk": BULK_STATS.snapshot(),
+            "codec": self.context.stats.as_dict(),
+            "format_server": self.context.format_server.stats,
+        }, sort_keys=True).encode("utf-8")
+
     # -- upstream reports ----------------------------------------------------
 
-    def _send_up(self, kind: int, payload: bytes = b"") -> None:
-        try:
-            self._upstream.send(kind, payload)
-        except OSError:
-            pass  # publisher is gone; the control loop will exit
+    def _up(self, frame: bytes) -> None:
+        self.server.enqueue(self.upstream, frame, droppable=False)
 
     def _census(self) -> None:
-        server = self.server
-        accepted, closed = server.clients_accepted, server.clients_closed
-        self._send_up(Ctl.COUNT, struct.pack(
-            ">III", accepted - closed, accepted, closed))
+        self._up(_shard(Shard.COUNT, _U32.pack(self.server.client_count)))
 
     # -- inherited hooks -----------------------------------------------------
 
@@ -308,142 +296,52 @@ class _ShardWorkerPublisher(BroadcastPublisher):
         # the parent's wait_for_subscribers count it
         self._census()
 
-    def on_disconnect(self, client: ClientHandle,
-                      reason) -> None:
+    def on_disconnect(self, client: ClientHandle, reason) -> None:
+        if client is self.upstream:
+            self.close()  # the publisher is gone: shut the shard down
+            return
         for name, fid in list(client.negotiated.items()):
-            self._send_up(Ctl.UNPIN, _pack_name(name) + fid.to_bytes())
+            self._up(_shard(Shard.UNPIN, _pack_name(name), fid.to_bytes()))
         self._census()
 
     def _on_negotiated(self, client: ClientHandle, name: str,
                        chosen: FormatID) -> None:
-        self._send_up(Ctl.PIN, _pack_name(name) + chosen.to_bytes())
+        self._up(_shard(Shard.PIN, _pack_name(name), chosen.to_bytes()))
 
     def on_frame(self, client: ClientHandle, frame) -> None:
+        if client is self.upstream:
+            self._control(frame.type, frame.payload)
+            return
+        if frame.type == FrameType.SHARD:
+            # control belongs to the publisher's socket alone
+            count_malformed("shard", "unexpected_frame")
+            raise ProtocolError("shard control frame from a subscriber")
         if frame.type == FrameType.FMT_REQ and len(frame.payload) == 8:
             fid = FormatID.from_bytes(frame.payload)
             try:
                 self.context.format_server.lookup_bytes(fid)
             except Exception:
                 # read-through miss: park the request, ask upstream
-                with self._pending_lock:
-                    waiters = self._pending_fmt.setdefault(fid, [])
-                    first = not waiters
-                    waiters.append(client.id)
-                if first:
-                    self._send_up(Ctl.FMT_MISS, fid.to_bytes())
+                waiters = self._pending_fmt.setdefault(fid, [])
+                if not waiters:
+                    self._up(frame_bytes(FrameType.FMT_REQ, fid.to_bytes()))
+                waiters.append(client.id)
                 return
         super().on_frame(client, frame)
 
 
-class _WorkerRuntime:
-    """Control loop of one shard worker process."""
-
-    def __init__(self, ctl: ControlSocket,
-                 config: WorkerConfig) -> None:
-        self.ctl = ctl
-        self.config = config
-        self.replica = FormatServer()
-        self.context = IOContext(format_server=self.replica)
-        # accept-less: subscribers arrive as CONN fds from the acceptor
-        self.publisher = _ShardWorkerPublisher(
-            self.context, ctl, listen=False, policy=config.policy,
-            max_queue_bytes=config.max_queue_bytes,
-            block_timeout=config.block_timeout,
-            max_frame_len=config.max_frame_len)
-
-    def run(self) -> None:
-        self.publisher.start()
-        self.ctl.send(Ctl.STARTED)
-        try:
-            while True:
-                msg = self.ctl.recv(None)
-                if msg is None:
-                    break  # publisher died: shut the shard down
-                kind, payload, fd = msg
-                if kind == Ctl.STOP:
-                    self._shutdown()
-                    self.ctl.send(Ctl.STOPPED)
-                    break
-                self._dispatch(kind, payload, fd)
-        finally:
-            self._shutdown()
-
-    def _shutdown(self) -> None:
-        if not self.publisher._closed:
-            self.publisher.close(timeout=5.0)
-
-    def _dispatch(self, kind: int, payload: bytes,
-                  fd: int | None) -> None:
-        if kind == Ctl.BCAST:
-            fid, offset = _take_fid(payload, 1)
-            name, offset = _unpack_name(payload, offset)
-            self.publisher.broadcast_frame(
-                name, fid, payload[offset:], primary=bool(payload[0]))
-        elif kind == Ctl.REG:
-            fid, offset = _take_fid(payload, 0)
-            _name, offset = _unpack_name(payload, offset)
-            self.replica.import_bytes(payload[offset:])
-            self.publisher.resolve_pending(fid, ok=True)
-        elif kind == Ctl.EVOLVE:
-            _name, offset = _unpack_name(payload, 0)
-            old_fid, offset = _take_fid(payload, offset)
-            new_fid, offset = _take_fid(payload, offset)
-            old = self.replica.lookup(old_fid)
-            from repro.pbio.format import deserialize_format
-            new = deserialize_format(payload[offset:])
-            self.replica.register_evolution(old, new)
-            self.publisher.resolve_pending(new_fid, ok=True)
-        elif kind == Ctl.CUTOVER:
-            name, offset = _unpack_name(payload, 0)
-            new_fid, _ = _take_fid(payload, offset)
-            self.publisher.reannounce(name, new_fid)
-        elif kind == Ctl.BARRIER:
-            (seq,) = _U32.unpack_from(payload)
-            ok = self.publisher.server.flush(
-                timeout=self.config.block_timeout * 4 + 30.0)
-            self.ctl.send(Ctl.ACK,
-                          _U32.pack(seq) + bytes((1 if ok else 0,)))
-        elif kind == Ctl.STATS_REQ:
-            (seq,) = _U32.unpack_from(payload)
-            self.ctl.send(Ctl.STATS_RSP,
-                          _U32.pack(seq) + self._stats_json())
-        elif kind == Ctl.FMT_FAIL:
-            fid, _ = _take_fid(payload, 0)
-            self.publisher.resolve_pending(fid, ok=False)
-        elif kind == Ctl.CONN:
-            if fd is not None:
-                sock = socket.socket(fileno=fd)
-                addr = payload.decode("utf-8", errors="replace")
-                self.publisher.server.adopt(sock, addr)
-        # unknown kinds are ignored: forward-compatible control plane
-
-    def _stats_json(self) -> bytes:
-        from repro import obs
-        from repro.pbio.encode import BULK_STATS
-        return json.dumps({
-            "worker": self.config.label,
-            "metrics": obs.snapshot(),
-            "publisher": self.publisher.stats_dict(),
-            "server": self.publisher.server.totals(),
-            "bulk": BULK_STATS.snapshot(),
-            "codec": self.context.stats.as_dict(),
-            "format_server": self.replica.stats,
-        }, sort_keys=True).encode("utf-8")
-
-
 def _worker_entry(ctl_sock: socket.socket,
                   config: WorkerConfig) -> None:
-    """Spawned worker main: build the shard, serve until STOP/EOF."""
-    ctl = ControlSocket(ctl_sock)
-    try:
-        runtime = _WorkerRuntime(ctl, config)
-    except Exception as exc:  # tell the publisher why
-        try:
-            ctl.send(Ctl.STOPPED, repr(exc).encode())
-        except OSError:
-            pass
-        raise
-    runtime.run()
+    """Spawned worker main: serve the shard on this, the process's
+    only thread, until BYE or EOF on the control socket."""
+    shard = _ShardWorkerPublisher(
+        IOContext(format_server=FormatServer()), ctl_sock,
+        label=config.label, listen=False, policy=config.policy,
+        max_queue_bytes=config.max_queue_bytes,
+        block_timeout=config.block_timeout,
+        max_frame_len=config.max_frame_len)
+    shard._up(shard._hello)  # serving
+    shard.server.run()
 
 
 # ---------------------------------------------------------------------------
@@ -453,25 +351,34 @@ def _worker_entry(ctl_sock: socket.socket,
 class _WorkerHandle:
     """Publisher-side state for one shard worker."""
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, sock: socket.socket) -> None:
         self.index = index
         self.label = f"w{index}"
+        #: the control socket's publisher end: blocking, written by
+        #: any thread under ``send_lock``, read by the control loop
+        self.sock = sock
+        self.reader = FrameReader()
+        self.send_lock = threading.Lock()
         self.process = None
-        self.ctl: ControlSocket | None = None
-        self.reader: threading.Thread | None = None
-        self.started = threading.Event()
-        self.stopped = threading.Event()
-        self.alive = False
+        self.started = False
+        self.alive = True
         self.clients = 0
-        self.accepted = 0
-        self.closed = 0
         #: format ids whose metadata this worker already holds
         self.sent_formats: set[FormatID] = set()
-        self.start_error: str | None = None
+
+    def send(self, frame: bytes, fd: int | None = None) -> None:
+        """Write one whole frame; *fd* rides on its first byte as
+        ``SCM_RIGHTS``.  Frames never interleave, so the k-th CONN
+        frame the worker parses is the one the k-th fd came with."""
+        with self.send_lock:
+            if fd is not None:
+                sent = socket.send_fds(self.sock, [frame], [fd])
+                frame = memoryview(frame)[sent:]
+            self.sock.sendall(frame)
 
 
 class ShardedBroadcastServer(PublishFront):
-    """An acceptor plus N event-loop worker processes, marshal-once.
+    """A control loop plus N event-loop worker processes, marshal-once.
 
     The publisher-facing API is
     :class:`~repro.transport.broadcast.BroadcastPublisher`'s:
@@ -507,12 +414,14 @@ class ShardedBroadcastServer(PublishFront):
         self._start_timeout = start_timeout
         self._workers: list[_WorkerHandle] = []
         self._listener: socket.socket | None = None
-        self._acceptor: threading.Thread | None = None
+        self._poller: Poller | None = None
+        self._thread: threading.Thread | None = None
         self._accept_index = 0
         self._lock = threading.Lock()
         self._census = threading.Condition(self._lock)
         self._seq = 0
-        self._acks: dict[int, tuple[threading.Event, list]] = {}
+        #: seq -> replies gathered so far for that round trip
+        self._acks: dict[int, list] = {}
         #: name -> {fid: pin count} reported by workers (older
         #: versions some subscriber negotiated down to)
         self._pins: dict[str, dict[FormatID, int]] = {}
@@ -527,38 +436,33 @@ class ShardedBroadcastServer(PublishFront):
             return self
         self._started = True
         self._bind()
+        self._poller = Poller()
         multiprocessing.allow_connection_pickling()
         ctx = multiprocessing.get_context("spawn")
-        deadline = time.monotonic() + self._start_timeout
         for index in range(self.worker_count):
-            handle = _WorkerHandle(index)
             parent_sock, child_sock = socket.socketpair()
             set_cloexec(parent_sock)
-            handle.ctl = ControlSocket(parent_sock)
-            config = WorkerConfig(index=index, **self._config)
+            handle = _WorkerHandle(index, parent_sock)
             handle.process = ctx.Process(
-                target=_worker_entry, args=(child_sock, config),
+                target=_worker_entry,
+                args=(child_sock, WorkerConfig(index=index, **self._config)),
                 name=f"repro-shard-{index}", daemon=True)
             handle.process.start()
             child_sock.close()
-            handle.alive = True
-            handle.reader = threading.Thread(
-                target=self._reader, args=(handle,),
-                name=f"shard-ctl-{index}", daemon=True)
-            handle.reader.start()
+            self._poller.register(parent_sock, selectors.EVENT_READ, handle)
             self._workers.append(handle)
+        # each worker says HELLO once it serves; read the greetings on
+        # this thread, before the control loop's exists
+        deadline = time.monotonic() + self._start_timeout
+        while any(h.alive and not h.started for h in self._workers) \
+                and time.monotonic() < deadline:
+            self._turn(deadline - time.monotonic())
         for handle in self._workers:
-            remaining = max(0.0, deadline - time.monotonic())
-            if not handle.started.wait(remaining):
+            if not handle.started:
                 self.close(timeout=5.0)
-                raise TransportError(
-                    f"shard worker {handle.index} did not start "
-                    f"within {self._start_timeout}s")
-            if handle.start_error is not None:
-                self.close(timeout=5.0)
-                raise TransportError(
-                    f"shard worker {handle.index} failed to start: "
-                    f"{handle.start_error}")
+                why = "exited before it started" if not handle.alive \
+                    else f"did not start within {self._start_timeout}s"
+                raise TransportError(f"shard worker {handle.index} {why}")
         # seed every shard with what the FormatServer already holds,
         # so a subscriber's first FMT_REQ or LIN_REQ is answerable
         # there before anything was ever published
@@ -568,12 +472,10 @@ class ShardedBroadcastServer(PublishFront):
                     self._replicate(handle, fid)
             except OSError:
                 self._mark_dead(handle)
-        # the thread gets the socket itself: a close() racing this
-        # start sets self._listener to None before the thread runs
-        self._acceptor = threading.Thread(
-            target=self._pass_connections, args=(self._listener,),
-            name="shard-acceptor", daemon=True)
-        self._acceptor.start()
+        self._poller.register(self._listener, selectors.EVENT_READ, None)
+        self._thread = threading.Thread(
+            target=self._serve, name="shard-control", daemon=True)
+        self._thread.start()
         return self
 
     def _bind(self) -> None:
@@ -581,6 +483,7 @@ class ShardedBroadcastServer(PublishFront):
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self.host, self.port))
         listener.listen(1024)
+        listener.setblocking(False)
         set_cloexec(listener)
         self.host, self.port = listener.getsockname()
         self._listener = listener
@@ -591,32 +494,22 @@ class ShardedBroadcastServer(PublishFront):
             return
         self._closed = True
         deadline = time.monotonic() + timeout
+        if self._thread is not None:
+            self._poller.wake()
+            self._thread.join(max(0.0, deadline - time.monotonic()))
+            self._thread = None
         if self._listener is not None:
-            # a plain close() does not wake a thread blocked in
-            # accept(); shutdown() does, and the loop's poll timeout
-            # covers platforms where even that is a no-op
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            self._listener.close()
             self._listener = None
-        if self._acceptor is not None:
-            self._acceptor.join(max(0.0, deadline - time.monotonic()))
-            self._acceptor = None
+        bye = frame_bytes(FrameType.BYE, b"")
         for handle in self._workers:
-            if handle.alive and handle.ctl is not None:
+            if handle.alive:
                 try:
-                    handle.ctl.send(Ctl.STOP)
+                    handle.send(bye)
                 except OSError:
                     pass
         for handle in self._workers:
             process = handle.process
-            if process is None:
-                continue
             process.join(max(0.1, deadline - time.monotonic()))
             if process.is_alive():
                 process.terminate()
@@ -625,11 +518,9 @@ class ShardedBroadcastServer(PublishFront):
                 process.kill()
                 process.join(1.0)
             handle.alive = False
-            if handle.ctl is not None:
-                handle.ctl.close()
-        for handle in self._workers:
-            if handle.reader is not None:
-                handle.reader.join(1.0)
+            handle.sock.close()
+        if self._poller is not None:
+            self._poller.close()
 
     def __enter__(self) -> "ShardedBroadcastServer":
         return self.start()
@@ -637,30 +528,33 @@ class ShardedBroadcastServer(PublishFront):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- acceptor -----------------------------------------------------------
+    # -- the control loop (one thread) --------------------------------------
 
-    def _pass_connections(self, listener: socket.socket) -> None:
-        try:
-            listener.settimeout(1.0)
-        except OSError:
-            return  # closed before this thread ran
+    def _serve(self) -> None:
         while not self._closed:
+            self._turn(1.0)
+
+    def _turn(self, timeout: float | None) -> None:
+        for key, _events in self._poller.poll(timeout):
+            if key.data is None:
+                self._accept()
+            else:
+                self._read(key.data)
+
+    def _accept(self) -> None:
+        """Hand every pending subscriber to the next live worker."""
+        while True:
             try:
-                sock, addr = listener.accept()
-            except (TimeoutError, socket.timeout):
-                continue
+                sock, addr = self._listener.accept()
             except OSError:
-                return  # listener closed: shutting down
-            sock.setblocking(True)
+                return  # none left (or the listener closed)
             set_cloexec(sock)
             handle = self._next_worker()
-            if handle is None:
-                sock.close()
-                continue
             try:
-                handle.ctl.send_fd(
-                    Ctl.CONN, f"{addr[0]}:{addr[1]}".encode(),
-                    sock.fileno())
+                if handle is not None:
+                    handle.send(_shard(Shard.CONN,
+                                       f"{addr[0]}:{addr[1]}".encode()),
+                                sock.fileno())
             except OSError:
                 self._mark_dead(handle)
             finally:
@@ -676,64 +570,53 @@ class ShardedBroadcastServer(PublishFront):
                 return handle
         return None
 
-    # -- control-plane reader (one thread per worker) -----------------------
+    def _read(self, handle: _WorkerHandle) -> None:
+        """One read of a worker's reports, then every whole frame in
+        hand; EOF or a malformed frame ends the worker."""
+        reader = handle.reader
+        try:
+            if reader.fill(handle.sock.recv_into):
+                while (frame := reader.frame(_MAX_CTL_FRAME)) is not None:
+                    self._on_report(handle, frame.type, frame.payload)
+                return
+        except (ProtocolError, OSError):
+            pass
+        self._poller.unregister(handle.sock)
+        self._mark_dead(handle)
 
-    def _reader(self, handle: _WorkerHandle) -> None:
-        ctl = handle.ctl
-        while True:
-            try:
-                msg = ctl.recv(None)
-            except (ProtocolError, OSError):
-                msg = None
-            if msg is None:
-                self._mark_dead(handle)
-                return
-            kind, payload, _fd = msg
-            if kind == Ctl.STARTED:
-                handle.started.set()
-            elif kind == Ctl.STOPPED:
-                if payload:
-                    handle.start_error = payload.decode(
-                        "utf-8", errors="replace")
-                    handle.started.set()
-                handle.stopped.set()
-                self._mark_dead(handle, expected=True)
-                return
-            elif kind == Ctl.COUNT:
-                clients, accepted, closed = struct.unpack_from(
-                    ">III", payload)
+    def _on_report(self, handle: _WorkerHandle, ftype: FrameType,
+                   payload: bytes) -> None:
+        if ftype == FrameType.SHARD:
+            kind = payload[0]
+            if kind == Shard.COUNT:
                 with self._census:
-                    handle.clients = clients
-                    handle.accepted = accepted
-                    handle.closed = closed
+                    (handle.clients,) = _U32.unpack_from(payload, 1)
                     self._census.notify_all()
-            elif kind in (Ctl.ACK, Ctl.STATS_RSP):
-                (seq,) = _U32.unpack_from(payload)
-                with self._lock:
-                    entry = self._acks.get(seq)
-                if entry is not None:
-                    event, sink = entry
-                    sink.append((handle, payload[4:]))
-                    event.set()
-            elif kind == Ctl.PIN:
-                name, offset = _unpack_name(payload, 0)
+            elif kind == Shard.ACK:
+                self._reply(handle, payload[1:])
+            elif kind in (Shard.PIN, Shard.UNPIN):
+                name, offset = _unpack_name(payload, 1)
                 fid, _ = _take_fid(payload, offset)
                 with self._census:
                     pins = self._pins.setdefault(name, {})
-                    pins[fid] = pins.get(fid, 0) + 1
+                    pins[fid] = pins.get(fid, 0) + (
+                        1 if kind == Shard.PIN else -1)
+                    if pins[fid] <= 0:
+                        del pins[fid]
                     self._census.notify_all()
-            elif kind == Ctl.UNPIN:
-                name, offset = _unpack_name(payload, 0)
-                fid, _ = _take_fid(payload, offset)
-                with self._lock:
-                    pins = self._pins.get(name)
-                    if pins and fid in pins:
-                        pins[fid] -= 1
-                        if pins[fid] <= 0:
-                            del pins[fid]
-            elif kind == Ctl.FMT_MISS:
-                fid, _ = _take_fid(payload, 0)
-                self._serve_fmt_miss(handle, fid)
+        elif ftype == FrameType.STATS_RSP:
+            self._reply(handle, payload)
+        elif ftype == FrameType.FMT_REQ:
+            self._serve_fmt_miss(handle, _take_fid(payload, 0)[0])
+        elif ftype == FrameType.HELLO:
+            handle.started = True
+
+    def _reply(self, handle: _WorkerHandle, body: bytes) -> None:
+        (seq,) = _U32.unpack_from(body)
+        with self._census:
+            if seq in self._acks:
+                self._acks[seq].append((handle, body[4:]))
+                self._census.notify_all()
 
     def _serve_fmt_miss(self, handle: _WorkerHandle,
                         fid: FormatID) -> None:
@@ -741,29 +624,28 @@ class ShardedBroadcastServer(PublishFront):
             try:
                 self._replicate(handle, fid)
             except UnknownFormatError:
-                handle.ctl.send(Ctl.FMT_FAIL, fid.to_bytes())
+                handle.send(_shard(Shard.FMT_FAIL, fid.to_bytes()))
         except OSError:
             self._mark_dead(handle)
 
-    def _mark_dead(self, handle: _WorkerHandle,
-                   expected: bool = False) -> None:
+    def _mark_dead(self, handle: _WorkerHandle) -> None:
         with self._census:
             was_alive = handle.alive
             handle.alive = False
             handle.clients = 0
             self._census.notify_all()
-        if was_alive and not expected and not self._closed:
+        if was_alive and not self._closed:
             self.worker_failures += 1
 
     # -- format replication --------------------------------------------------
 
     def _replicate(self, handle: _WorkerHandle, fid: FormatID) -> None:
         """Make *fid* known to one worker, with its lineage: the chain's
-        root as REG, then one EVOLVE per link the worker lacks, oldest
-        first, up to *fid*.  Idempotent (keyed by
-        ``handle.sent_formats``), and REG/EVOLVE are idempotent on the
-        replica too, so racing callers at worst repeat a link.  Raises
-        OSError when the worker's socket is gone and
+        root as FMT_RSP, then one EVOLVE per link the worker lacks,
+        oldest first, up to *fid*.  Idempotent (keyed by
+        ``handle.sent_formats``), and both messages are idempotent on
+        the replica too, so racing callers at worst repeat a link.
+        Raises OSError when the worker's socket is gone and
         :class:`~repro.errors.UnknownFormatError` when the publisher
         does not hold *fid* either."""
         if fid in handle.sent_formats:
@@ -775,13 +657,11 @@ class ShardedBroadcastServer(PublishFront):
         for index, link in enumerate(chain):
             if link in handle.sent_formats:
                 continue
-            if index == 0:
-                kind, head = Ctl.REG, link.to_bytes() + _pack_name(name)
-            else:
-                kind, head = Ctl.EVOLVE, (_pack_name(name)
-                                          + chain[index - 1].to_bytes()
-                                          + link.to_bytes())
-            handle.ctl.send(kind, head + server.lookup_bytes(link))
+            metadata = server.lookup_bytes(link)
+            handle.send(
+                frame_bytes(FrameType.FMT_RSP, link.to_bytes(), metadata)
+                if index == 0 else
+                _shard(Shard.EVOLVE, chain[index - 1].to_bytes(), metadata))
             handle.sent_formats.add(link)
 
     def _live(self) -> list[_WorkerHandle]:
@@ -797,12 +677,12 @@ class ShardedBroadcastServer(PublishFront):
         new-version data on each client's FIFO queue — the same
         ordering guarantee as the single-process cutover, applied per
         shard).  Returns the shards reached."""
-        message = _pack_name(name) + new_fid.to_bytes()
+        message = _shard(Shard.CUTOVER, _pack_name(name), new_fid.to_bytes())
         reached = 0
         for handle in self._live():
             try:
                 self._replicate(handle, new_fid)
-                handle.ctl.send(Ctl.CUTOVER, message)
+                handle.send(message)
                 reached += 1
             except OSError:
                 self._mark_dead(handle)
@@ -826,15 +706,16 @@ class ShardedBroadcastServer(PublishFront):
                     self.context, fmt, source, fid)), False))
         t0 = sample_t0()
         name_bytes = _pack_name(fmt.name)
+        # each BCAST frame is built once and written to every shard
+        bcasts = [(fid, _shard(Shard.BCAST, bytes((primary,)),
+                               fid.to_bytes(), name_bytes, frame))
+                  for fid, frame, primary in frames]
         reached = 0
         for handle in self._live():
             try:
-                for fid, frame, primary in frames:
+                for fid, bcast in bcasts:
                     self._replicate(handle, fid)
-                    handle.ctl.send(
-                        Ctl.BCAST,
-                        bytes((primary,)) + fid.to_bytes()
-                        + name_bytes + frame)
+                    handle.send(bcast)
                 reached += 1
             except OSError:
                 self._mark_dead(handle)
@@ -854,39 +735,33 @@ class ShardedBroadcastServer(PublishFront):
 
     # -- synchronization -----------------------------------------------------
 
-    def _round_trip(self, kind: int,
+    def _round_trip(self, ftype: FrameType, head: bytes,
                     timeout: float | None) -> list:
-        """Send *kind*+seq to every live worker, gather the replies."""
+        """Send *ftype* (*head* + seq) to every live worker, and gather
+        the replies (seq-stripped) the control loop routes back from
+        those still alive."""
         with self._lock:
             self._seq += 1
             seq = self._seq
-            event = threading.Event()
-            sink: list = []
-            self._acks[seq] = (event, sink)
+            replies = self._acks[seq] = []
         targets = self._live()
+        request = frame_bytes(ftype, head, _U32.pack(seq))
         for handle in targets:
             try:
-                handle.ctl.send(kind, _U32.pack(seq))
+                handle.send(request)
             except OSError:
                 self._mark_dead(handle)
-        deadline = None if timeout is None else \
-            time.monotonic() + timeout
-        try:
-            while len(sink) < len([h for h in targets if h.alive]):
-                remaining = None if deadline is None else \
-                    deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    break
-                event.wait(remaining)
-                event.clear()
-        finally:
-            with self._lock:
-                self._acks.pop(seq, None)
-        return sink
+        with self._census:
+            self._census.wait_for(
+                lambda: len(replies) >= sum(h.alive for h in targets),
+                timeout)
+            del self._acks[seq]
+        return replies
 
     def flush(self, timeout: float | None = 60.0) -> bool:
         """Block until every shard's client queues have drained."""
-        replies = self._round_trip(Ctl.BARRIER, timeout)
+        replies = self._round_trip(
+            FrameType.SHARD, bytes((Shard.BARRIER,)), timeout)
         live = len(self._live())
         return len(replies) >= live and \
             all(payload[:1] == b"\x01" for _h, payload in replies)
@@ -894,8 +769,9 @@ class ShardedBroadcastServer(PublishFront):
     def worker_stats(self, timeout: float | None = 30.0) \
             -> dict[str, dict]:
         """Per-shard telemetry: obs snapshot, publisher counters,
-        event-loop totals, codec/bulk counters, replica stats."""
-        replies = self._round_trip(Ctl.STATS_REQ, timeout)
+        event-loop totals, codec/bulk counters, replica stats, and the
+        worker's Python thread count."""
+        replies = self._round_trip(FrameType.STATS_REQ, b"", timeout)
         out = {}
         for handle, payload in replies:
             try:

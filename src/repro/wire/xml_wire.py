@@ -39,7 +39,8 @@ from repro.xmlcore.serializer import serialize
 
 def encode_fields(builder: DocumentBuilder, field_list: FieldList,
                   record: dict) -> None:
-    """One element per field of *record*, repeated for array items."""
+    """One element per field of *record*, repeated for array items; a
+    scalar that is ``None`` (an absent optional) writes no element."""
     for field in field_list:
         ftype = field.field_type
         name = field.name
@@ -58,7 +59,7 @@ def encode_fields(builder: DocumentBuilder, field_list: FieldList,
             for item in items_of(value):
                 builder.leaf(name, _to_text(ftype, item))
         elif value is None:
-            builder.leaf(name)
+            continue
         else:
             builder.leaf(name, _to_text(ftype, value))
 

@@ -12,8 +12,8 @@ Two real processes share one ``REPRO_PLAN_CACHE_DIR``:
   (``warm_start``: one entry read, one disk ``hit``) and compiles its
   two codecs from it — **zero** ``fetch`` / ``compile`` / ``bind``
   spans, exactly two ``compile_plan`` spans matched by two
-  ``repro_codec_plans_total`` misses, and so a registration cost
-  below the cold one, of which it is a strict subset.
+  ``repro_codec_plans_total`` misses, and — in the discovery counters
+  that read one each on the cold side — no schema fetched or compiled.
 """
 
 from __future__ import annotations
@@ -25,6 +25,14 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: the discovery counters in a script's ``snap``, by event name
+_DISCOVERY = r"""
+def discovery(event):
+    metric = snap.get("repro_discovery_events_total", {"series": []})
+    return sum(s["value"] for s in metric["series"]
+               if s["labels"].get("event") == event)
+"""
 
 _COLD = r"""
 import json, sys
@@ -61,10 +69,12 @@ for step in range(256):
     ctx.encode("Sample", record)
 snap = obs.snapshot()
 reading = rdm_from_snapshot(snap)
+""" + _DISCOVERY + r"""
 json.dump({
     "rdm": reading["rdm"],
-    "registration_seconds": reading["registration_seconds"],
     "entries": len(active_plan_cache().entries()),
+    "fetches": discovery("fetch_attempts"),
+    "schema_compiles": discovery("compiles"),
 }, sys.stdout)
 """
 
@@ -103,10 +113,12 @@ codec_misses = sum(
     s["value"] for s in series("repro_codec_plans_total")
     if s["labels"].get("outcome") == "miss")
 reading = rdm_from_snapshot(snap)
+""" + _DISCOVERY + r"""
 json.dump({
     "restored": restored,
     "rdm": reading["rdm"],
-    "registration_seconds": reading["registration_seconds"],
+    "fetches": discovery("fetch_attempts"),
+    "schema_compiles": discovery("compiles"),
     "discovery_spans": spans("fetch", "compile", "bind"),
     "compile_plan_spans": spans("compile_plan"),
     "plan_load_spans": spans("plan_cache_load"),
@@ -133,6 +145,7 @@ def test_warm_restart_pays_no_registration(tmp_path):
     cold = _run(_COLD, cache_dir)
     assert cold["entries"] >= 1          # one entry per format
     assert cold["rdm"] is not None and cold["rdm"] > 1
+    assert cold["fetches"] == cold["schema_compiles"] == 1
 
     warm = _run(_WARM, cache_dir)
     assert warm["restored"] == 1
@@ -142,10 +155,8 @@ def test_warm_restart_pays_no_registration(tmp_path):
     assert warm["plan_load_spans"] == 1 and warm["disk_hits"] == 1
     # ...and the ledger owns up to the two codecs compiled from it
     assert warm["compile_plan_spans"] == warm["codec_misses"] == 2
-    # the acceptance bar: what is left of registration is the part of
-    # the cold path's that no cache of metadata can take away.  (The
-    # same comparison on RDM would divide by each process's own
-    # per-record marshal time, which differs more between two
-    # processes than the registration times do.)
-    assert 0 < warm["registration_seconds"] < \
-        cold["registration_seconds"]
+    # the acceptance bar, in counters rather than two processes' clocks:
+    # what is left of registration is the part of the cold path's that
+    # no cache of metadata can take away — no schema was fetched or
+    # compiled
+    assert warm["fetches"] == warm["schema_compiles"] == 0

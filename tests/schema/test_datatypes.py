@@ -1,6 +1,7 @@
 """Primitive datatype lexical <-> value behaviour."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -70,6 +71,32 @@ class TestIntegerParsing:
         for name in ("int", "integer", "unsignedInt"):
             with pytest.raises(SchemaValidationError, match="not a valid"):
                 lookup_datatype(name).parse(bad)
+
+    def test_too_many_digits_is_out_of_range(self):
+        """A literal longer than its type can hold is out of range,
+        naming the limit, and not misreported as malformed: for an
+        unbounded integer the limit is the digits ``int()`` converts."""
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SchemaValidationError,
+                           match=f"out of range for integer "
+                                 f"\\(more than {limit} digits\\)"):
+            lookup_datatype("integer").parse("1" * 5000)
+        with pytest.raises(SchemaValidationError,
+                           match="out of range for int "
+                                 "\\(more than 10 digits\\)"):
+            lookup_datatype("int").parse("1" * 30)
+        # leading zeros are not significant
+        assert lookup_datatype("int").parse("0" * 5000 + "7") == 7
+
+    @pytest.mark.parametrize("name,bad", [
+        ("integer", "1" * 5000), ("int", "x" * 5000),
+        ("double", "1e" * 2500), ("boolean", "t" * 5000),
+    ], ids=["integer", "int", "double", "boolean"])
+    def test_errors_echo_a_bounded_prefix(self, name, bad):
+        with pytest.raises(SchemaValidationError) as raised:
+            lookup_datatype(name).parse(bad)
+        assert len(str(raised.value)) < 200
+        assert "(5000 characters)" in str(raised.value)
 
     def test_sign_and_xml_white_space(self):
         assert lookup_datatype("int").parse("+5") == 5

@@ -35,7 +35,9 @@ def test_threads_are_started_in_four_modules():
         return ast.unparse(func) in ("threading.Thread", "Thread")
     assert _modules_calling(is_thread) == {
         "transport/eventloop.py",   # the one loop thread per server
-        "transport/sharded.py",     # control readers, fdpass acceptor
+        # the publisher's one control loop (accept + worker reports);
+        # a shard worker starts none, its loop runs on the main thread
+        "transport/sharded.py",
         "rpc/endpoints.py",
         "hydrology/pipeline.py",
     }
@@ -47,10 +49,20 @@ def test_connections_are_accepted_in_three_modules():
     assert _modules_calling(is_accept) == {
         "transport/eventloop.py",
         "transport/tcp.py",       # TCPListener: one blocking channel
-        # the fdpass acceptor only hands each fd to a shard's loop
-        # (ShardedBroadcastServer._pass_connections); it serves nobody
+        # the control loop only hands each fd to a shard's loop
+        # (ShardedBroadcastServer._accept); it serves nobody
         "transport/sharded.py",
     }
+
+
+def test_one_socket_reads_ancillary_data():
+    """A shard worker's control socket, its loop's peer, is the one
+    socket read with ``recvmsg_into``: the fds of CONN frames arrive
+    there and nowhere else."""
+    def is_recvmsg(func) -> bool:
+        return isinstance(func, ast.Attribute) and func.attr in (
+            "recvmsg", "recvmsg_into", "recv_fds")
+    assert _modules_calling(is_recvmsg) == {"transport/sharded.py"}
 
 
 def test_services_own_no_socket_thread_or_stop_event():

@@ -1,7 +1,8 @@
-"""The one frame reassembler, ``FrameReader``, behind its three
+"""The one frame reassembler, ``FrameReader``, behind three of its
 feeders: ``TCPChannel.recv`` (blocking, under a deadline), an
-``EventLoopServer`` client (non-blocking) and a shard's
-``ControlSocket`` (``recvmsg_into`` with ``SCM_RIGHTS``).  Whatever the
+``EventLoopServer`` client (non-blocking) and a shard worker's control
+socket, its loop's peer (``recvmsg_into`` with ``SCM_RIGHTS``, under
+the control plane's frame cap).  Whatever the
 chunking of the byte stream, each yields exactly the frames the
 reference parser (``tests/transport/frames.py``) takes from the same
 bytes; a frame straddling the window's end, a timed-out read mid-frame,
@@ -26,8 +27,10 @@ from repro.errors import FrameTooLargeError, ProtocolError, TransportError
 from repro.obs import runtime
 from repro.obs.metrics import MALFORMED_FRAMES
 from repro.transport.eventloop import EventLoopServer
+from repro.pbio.context import IOContext
+from repro.pbio.format_server import FormatServer
 from repro.transport.messages import MAX_FRAME, Frame, FrameType
-from repro.transport.sharded import _MAX_CTL_FRAME, ControlSocket
+from repro.transport.sharded import _MAX_CTL_FRAME, _ShardWorkerPublisher
 from repro.transport.tcp import tcp_pair
 from tests.transport.frames import iter_frames
 
@@ -74,17 +77,14 @@ def as_tuples(frames) -> list[tuple]:
 
 
 def outcome(item):
-    """What a reader produced, comparable across readers: a frame (or
-    control message) as ``(type byte, payload)``, an error as ``(type,
-    message)``, an orderly end as None."""
+    """What a reader produced, comparable across readers: a frame as
+    ``(type byte, payload)``, an error as ``(type, message)``, an
+    orderly end as None."""
     if item is None:
         return None
     if isinstance(item, BaseException):
         return type(item), str(item)
-    if isinstance(item, Frame):
-        return int(item.type), bytes(item.payload)
-    kind, payload, _fd = item
-    return kind, payload
+    return int(item.type), bytes(item.payload)
 
 
 def close_both(a, b) -> None:
@@ -177,28 +177,42 @@ def through_event_loop(pieces, count=None, limit=MAX_FRAME) -> list:
     return got
 
 
+class ControlRecorder(_ShardWorkerPublisher):
+    """A shard worker that keeps the frames its control socket
+    delivered instead of acting on them; the socket's close reason
+    (None for EOF) ends it."""
+
+    def __init__(self, sock) -> None:
+        self.recorder = Recorder()
+        super().__init__(IOContext(format_server=FormatServer()), sock,
+                         listen=False)
+
+    def _control(self, ftype, payload) -> None:
+        self.recorder.on_frame(None, Frame(ftype, payload))
+
+    def on_disconnect(self, client, reason) -> None:
+        self.recorder.on_disconnect(client, reason)
+
+
 def through_control_socket(pieces, count=None,
                            limit=_MAX_CTL_FRAME) -> list:
-    """``ControlSocket.recv`` fed *pieces*, as :func:`through_channel`;
-    its cap is fixed."""
+    """A shard worker's control socket fed *pieces*, as
+    :func:`through_channel`; its cap is fixed."""
     assert limit == _MAX_CTL_FRAME
     ours, theirs = socket.socketpair()
-    reader = ControlSocket(theirs)
+    shard = ControlRecorder(theirs).start()
+    recorder = shard.recorder
     writer = send_all(ours, pieces, eof=count is None)
-    got: list = []
     try:
-        while count is None or len(got) < count:
-            try:
-                item = reader.recv(10)
-            except ProtocolError as exc:
-                item = exc
-            got.append(item)
-            if type(item) is not tuple:
-                break
+        with recorder.changed:
+            assert recorder.changed.wait_for(
+                lambda: recorder.ended or count is not None
+                and len(recorder.items) >= count, 10)
+            got = list(recorder.items)
     finally:
         writer.join(10)
         ours.close()
-        reader.close()
+        shard.server.close()
     return got
 
 
@@ -240,8 +254,8 @@ def test_event_loop_client_yields_what_iter_frames_parses():
 def test_control_socket_yields_what_iter_frames_parses():
     pieces, expected = fuzzed_streams()
     got = through_control_socket(pieces, len(expected))
-    assert [outcome(m) for m in got] == expected
-    assert all(type(m[1]) is bytes and m[2] is None for m in got)
+    assert [outcome(f) for f in got] == expected
+    assert only_records_are_views(got)
 
 
 def test_large_frame_read_together_with_small_ones(pair):
@@ -295,8 +309,8 @@ def test_timeout_mid_frame_then_resume(pair, size):
 def test_eof_at_every_offset():
     """Every frame whole before the cut comes out of every reader;
     then the channel reports an orderly close at a frame boundary and
-    ``closed mid-frame`` anywhere else, and the event loop and the
-    control socket just end."""
+    ``closed mid-frame`` anywhere else, and the event loop (a shard's
+    control socket is one of its connections) just ends."""
     frames = [Frame(FrameType.HELLO, b"arch"), Frame(FrameType.DATA, b""),
               Frame(FrameType.DATA, b"record bytes")]
     raw = b"".join(f.encode() for f in frames)
@@ -346,10 +360,10 @@ REASONS = {"zero_length": "zero_length_frame",
 @pytest.mark.parametrize("case", list(REASONS))
 def test_one_error_for_one_malformed_prefix(case):
     """Every reader rejects each bad prefix with the reference
-    parser's error type and message — except a type byte on the
-    control socket, whose kinds are not frame types: it is handed on
-    for the worker to act on (9 is its STOP) or ignore.  The event
-    loop counts each rejection under the reason its error names."""
+    parser's error type and message; a shard's control socket is an
+    event-loop connection, so its frame types are frame types too.
+    The event loop counts each rejection under the reason its error
+    names, on a client and on the control socket alike."""
     saved, runtime.enabled = runtime.enabled, True
     try:
         for name, feed in FEEDERS.items():
@@ -360,15 +374,11 @@ def test_one_error_for_one_malformed_prefix(case):
             counter = MALFORMED_FRAMES.labels("eventloop", REASONS[case])
             before = counter.value
             got = [outcome(item) for item in feed([raw], limit=limit)]
-            if name == "control_socket" and case in ("unknown_type",
-                                                     "retired_type_9"):
-                assert got == [(raw[4], b"xy"), None]
-                continue
             assert got == [outcome(parsed.value)], name
             assert isinstance(parsed.value, FrameTooLargeError) == \
                 (case == "oversized")
             if case == "retired_type_9":
                 assert str(parsed.value) == "unknown frame type 9"
-            assert counter.value == before + (name == "event_loop"), name
+            assert counter.value == before + (name != "channel"), name
     finally:
         runtime.enabled = saved

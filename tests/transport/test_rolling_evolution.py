@@ -121,7 +121,8 @@ def test_relay_path_down_converts_for_a_pinned_subscriber(kind):
 def test_one_down_convert_one_cutover_one_replication_routine():
     """Each decision of rolling evolution has one code path under
     ``repro/transport``: the ``down_converter`` call, the ``cutover``
-    definition, and the REG/EVOLVE sends that replicate a format."""
+    definition, and the sends that replicate a format to a shard — its
+    root as FMT_RSP, each lineage link as a SHARD EVOLVE."""
     calls: dict[str, set[str]] = {"down_converter": set(), "REG": set(),
                                   "EVOLVE": set()}
     cutovers = []
@@ -137,12 +138,17 @@ def test_one_down_convert_one_cutover_one_replication_routine():
                 if isinstance(node, ast.Call) and \
                         text.startswith("down_converter("):
                     calls["down_converter"].add(func.name)
-                if isinstance(node, ast.Attribute) and \
-                        text in ("Ctl.REG", "Ctl.EVOLVE"):
-                    calls[node.attr].add(f"{path.name}:{func.name}")
+                if not isinstance(node, ast.Attribute):
+                    continue
+                if text == "Shard.EVOLVE" or (
+                        text == "FrameType.FMT_RSP"
+                        and path.name == "sharded.py"):
+                    kind = "EVOLVE" if node.attr == "EVOLVE" else "REG"
+                    calls[kind].add(f"{path.name}:{func.name}")
     assert calls["down_converter"] == {"encode_at_version"}
     assert cutovers == ["broadcast.py"]
-    # the worker's dispatch receives them; only _replicate sends them
+    # the worker's control dispatch receives them; only _replicate
+    # sends them
     for kind in ("REG", "EVOLVE"):
         assert calls[kind] == {"sharded.py:_replicate",
-                               "sharded.py:_dispatch"}
+                               "sharded.py:_control"}

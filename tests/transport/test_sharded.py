@@ -19,10 +19,14 @@ from repro.pbio.format import IOFormat
 from repro.pbio.format_server import FormatServer
 from repro.pbio.layout import compute_layout
 from repro.transport.connection import Connection
-from repro.transport.messages import Frame, FrameType, frame_bytes
+from repro.obs import runtime
+from repro.obs.metrics import MALFORMED_FRAMES
+from repro.transport.messages import (
+    Frame, FrameReader, FrameType, frame_bytes,
+)
 from repro.transport.sharded import (
-    ControlSocket, Ctl, ShardedBroadcastServer, WorkerConfig,
-    _pack_name, _ShardWorkerPublisher, _unpack_name,
+    ShardedBroadcastServer, WorkerConfig, _pack_name, _shard,
+    _ShardWorkerPublisher, _unpack_name, _WorkerHandle, Shard,
 )
 from repro.transport.tcp import TCPChannel
 from tests.transport.frames import iter_frames
@@ -89,6 +93,37 @@ class Subscriber(threading.Thread):
 # Control-plane framing
 # ---------------------------------------------------------------------------
 
+class Upstream:
+    """The publisher's view of a shard's control socket in a unit test:
+    what the shard reports, frame by frame."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.reader = FrameReader()
+
+    def frames(self, count: int, timeout: float = 10) -> list:
+        """The next *count* reports as ``(type, payload)``; None at EOF,
+        and nothing more after it."""
+        self.sock.settimeout(timeout)
+        out: list = []
+        while len(out) < count:
+            frame = self.reader.frame(1 << 20)
+            if frame is not None:
+                out.append((frame.type, bytes(frame.payload)))
+            elif not self.reader.fill(self.sock.recv_into):
+                out.append(None)
+                break
+        return out
+
+
+def control_pair():
+    """A shard serving on a thread of its own, without a listener, and
+    the publisher's end of its control socket."""
+    ours, theirs = socket.socketpair()
+    shard = _ShardWorkerPublisher(make_context(), theirs,
+                                  listen=False).start()
+    return _WorkerHandle(0, ours), shard, Upstream(ours)
+
 class TestControlProtocol:
     def test_name_roundtrip(self):
         packed = _pack_name("Grid") + b"tail"
@@ -109,58 +144,69 @@ class TestControlProtocol:
 
     @pytest.mark.timeout(30)
     def test_control_socket_roundtrip(self):
-        a, b = socket.socketpair()
-        left, right = ControlSocket(a), ControlSocket(b)
+        """A barrier is answered on the loop thread, then BYE stops the
+        shard: its loop exits and closes the control socket."""
+        handle, shard, upstream = control_pair()
         try:
-            left.send(Ctl.BARRIER, b"\x00\x00\x00\x07")
-            left.send(Ctl.STOP)
-            assert right.recv(5) == (Ctl.BARRIER,
-                                     b"\x00\x00\x00\x07", None)
-            assert right.recv(5) == (Ctl.STOP, b"", None)
+            handle.send(_shard(Shard.BARRIER, b"\x00\x00\x00\x07"))
+            handle.send(frame_bytes(FrameType.BYE, b""))
+            assert upstream.frames(1) == [
+                (FrameType.SHARD, bytes((Shard.ACK,)) + b"\x00\x00\x00\x07\x01")]
+            shard.server._thread.join(10)
+            assert not shard.server._thread.is_alive()
+            assert upstream.frames(1) == [None]  # EOF: the shard is gone
         finally:
-            left.close()
-            right.close()
+            shard.close()
+            handle.sock.close()
 
     @pytest.mark.timeout(30)
     def test_control_socket_fd_passing_order(self):
-        a, b = socket.socketpair()
-        left, right = ControlSocket(a), ControlSocket(b)
+        handle, shard, upstream = control_pair()
         pipes = [socket.socketpair() for _ in range(3)]
         try:
             for i, (ours, theirs) in enumerate(pipes):
-                left.send(Ctl.BCAST, b"interleaved")
-                left.send_fd(Ctl.CONN, f"peer{i}".encode(),
-                             theirs.fileno())
+                handle.send(_shard(Shard.BARRIER, struct.pack(">I", i)))
+                handle.send(_shard(Shard.CONN, f"peer{i}".encode()),
+                            theirs.fileno())
+            assert shard.server.wait_for_clients(3, timeout=10)
+            by_addr = {c.addr: c for c in shard.server.clients()}
             for i, (ours, theirs) in enumerate(pipes):
-                kind, _payload, fd = right.recv(5)
-                assert (kind, fd) == (Ctl.BCAST, None)
-                kind, payload, fd = right.recv(5)
-                assert kind == Ctl.CONN
-                assert payload == f"peer{i}".encode()
-                assert fd is not None
-                # prove the k-th fd really is the k-th socket
-                dup = socket.socket(fileno=fd)
-                ours.sendall(f"ping{i}".encode())
-                dup.settimeout(5)
-                assert dup.recv(16) == f"ping{i}".encode()
-                dup.close()
+                # prove the k-th fd really is the k-th socket: the
+                # client adopted for the k-th CONN frame shares the
+                # k-th pipe end's inode
+                client = by_addr[f"peer{i}"]
+                assert os.fstat(client.sock.fileno()).st_ino == \
+                    os.fstat(theirs.fileno()).st_ino
+            acks = [payload for ftype, payload in upstream.frames(6)
+                    if payload[0] == Shard.ACK]
+            assert acks == [bytes((Shard.ACK,)) + struct.pack(">I", i)
+                            + b"\x01" for i in range(3)]
         finally:
-            left.close()
-            right.close()
+            shard.close()
+            handle.sock.close()
             for ours, theirs in pipes:
                 ours.close()
                 theirs.close()
 
+    @pytest.mark.timeout(30)
     def test_bad_length_raises(self):
-        a, b = socket.socketpair()
-        left, right = ControlSocket(a), ControlSocket(b)
+        """A zero-length frame on the control socket is a protocol
+        error like anywhere else: the loop counts it, closes the
+        control socket, and the shard shuts down."""
+        saved, runtime.enabled = runtime.enabled, True
+        counter = MALFORMED_FRAMES.labels("eventloop", "zero_length_frame")
+        before = counter.value
+        handle, shard, upstream = control_pair()
         try:
-            a.sendall(struct.pack(">IB", 0, 0))
-            with pytest.raises(ProtocolError):
-                right.recv(5)
+            handle.sock.sendall(struct.pack(">IB", 0, 0))
+            shard.server._thread.join(10)
+            assert not shard.server._thread.is_alive()
+            assert isinstance(shard.upstream.close_reason, ProtocolError)
+            assert counter.value == before + 1
         finally:
-            left.close()
-            right.close()
+            runtime.enabled = saved
+            shard.close()
+            handle.sock.close()
 
     def test_worker_config_is_picklable(self):
         import pickle
@@ -340,6 +386,100 @@ class TestShardedEndToEnd:
                 list(range(100))
 
 
+@pytest.mark.timeout(180)
+def test_a_block_wait_a_barrier_and_a_stop_on_one_shard():
+    """One shard, ``block`` policy: a subscriber that never reads is
+    waited for, then evicted, while a draining one gets every record
+    in order; then a barrier and the shard's close go through."""
+    with make_server(workers=1, policy="block", max_queue_bytes=4096,
+                     block_timeout=0.5) as srv:
+        # small buffers at both ends of the stuck connection, fixed
+        # by the handshake (the shard's end inherits the listener's),
+        # fill after ~12 KiB instead of megabytes
+        srv._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                                 4096)
+        stuck = socket.socket()
+        stuck.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        stuck.connect((srv.host, srv.port))
+        srv._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                                 1 << 20)
+        draining = Subscriber(srv.host, srv.port)
+        draining.start()
+        try:
+            assert srv.wait_for_subscribers(2, timeout=60)
+            for t in range(400):
+                assert srv.publish("SimpleData", {
+                    "timestep": t, "data": [t * 0.5] * 128}) == 1
+            assert srv.flush(timeout=60)
+            (shard,) = srv.worker_stats(timeout=60).values()
+            assert shard["publisher"]["block_waits"] >= 1
+            assert shard["publisher"]["clients_evicted"] == 1
+        finally:
+            srv.close()
+            stuck.close()
+        # close() put BYE on the draining subscriber's stream: its
+        # receive loop ends on it
+        draining.join(30)
+        assert not draining.is_alive()
+    assert draining.error is None
+    assert [r["timestep"] for _, r in draining.records] == \
+        list(range(400))
+
+
+@pytest.mark.timeout(180)
+@pytest.mark.parametrize("workers", [2, 4])
+def test_one_thread_per_worker_and_one_for_the_publisher(workers):
+    """A shard worker is one thread; the publisher's control loop is
+    the one thread ``start()`` adds."""
+    before = set(threading.enumerate())
+    with make_server(workers=workers) as srv:
+        added = [t.name for t in set(threading.enumerate()) - before]
+        assert len(added) <= 2, added
+        stats = srv.worker_stats(timeout=60)
+        assert {label: shard["threads"] for label, shard in stats.items()} \
+            == {f"w{i}": 1 for i in range(workers)}
+
+
+@pytest.mark.timeout(180)
+def test_a_subscriber_cannot_send_control_frames():
+    """A SHARD frame from a subscriber is refused: the subscriber is
+    closed and counted, and the frame is never acted on — here a BCAST
+    that, obeyed, would reach the other subscriber."""
+    with make_server(workers=1) as srv:
+        fid = srv.context.lookup_format("SimpleData").format_id
+        bystander = Subscriber(srv.host, srv.port)
+        bystander.start()
+        rogue = socket.create_connection((srv.host, srv.port))
+        try:
+            assert srv.wait_for_subscribers(2, timeout=60)
+            forged = frame_bytes(FrameType.DATA, srv.context.encode(
+                "SimpleData", {"timestep": 99, "data": [9.0]}))
+            rogue.sendall(_shard(Shard.BCAST, b"\x01", fid.to_bytes(),
+                                 _pack_name("SimpleData"), forged))
+            rogue.settimeout(30)
+            buf = bytearray()
+            while chunk := rogue.recv(1 << 16):
+                buf.extend(chunk)  # the shard closes the rogue
+            assert FrameType.DATA not in \
+                [f.type for f in iter_frames(buf)]
+            assert srv.publish("SimpleData",
+                               {"timestep": 0, "data": [1.0]}) == 1
+            assert srv.flush(timeout=60)
+            (shard,) = srv.worker_stats(timeout=60).values()
+            assert shard["server"]["clients"] == 1
+            worker_counts = [
+                s["value"] for s in shard["metrics"][
+                    "repro_malformed_frames_total"]["series"]
+                if s["labels"] == {"layer": "shard",
+                                   "reason": "unexpected_frame"}]
+            assert worker_counts == [1]
+        finally:
+            rogue.close()
+    bystander.join(30)
+    assert bystander.error is None
+    assert [r["timestep"] for _, r in bystander.records] == [0]
+
+
 class HeldAfterConnect(_ShardWorkerPublisher):
     """A shard's loop thread parks after ``on_connect`` returns, before
     the new client joins the loop's client table."""
@@ -359,9 +499,9 @@ def test_census_counts_a_subscriber_only_once_a_publish_reaches_it():
     """The census feeds the publisher's ``wait_for_subscribers``; a
     subscriber it counts must be one the very next publish reaches."""
     ours, theirs = socket.socketpair()
-    upstream = ControlSocket(ours)
+    upstream = Upstream(ours)
     ctx = make_context()
-    worker = HeldAfterConnect(ctx, ControlSocket(theirs)).start()
+    worker = HeldAfterConnect(ctx, theirs).start()
     fid = ctx.lookup_format("SimpleData").format_id
     frame = frame_bytes(FrameType.DATA, ctx.encode(
         "SimpleData", {"timestep": 0, "data": [1.0]}))
@@ -369,11 +509,11 @@ def test_census_counts_a_subscriber_only_once_a_publish_reaches_it():
     def census(timeout):
         """Subscribers the next COUNT reports; None if none comes."""
         try:
-            kind, payload, _fd = upstream.recv(timeout)
+            ((ftype, payload),) = upstream.frames(1, timeout)
         except TimeoutError:
             return None
-        assert kind == Ctl.COUNT
-        return struct.unpack_from(">I", payload)[0]
+        assert (ftype, payload[0]) == (FrameType.SHARD, Shard.COUNT)
+        return struct.unpack_from(">I", payload, 1)[0]
 
     sub = socket.create_connection((worker.host, worker.port))
     try:
@@ -396,7 +536,7 @@ def test_census_counts_a_subscriber_only_once_a_publish_reaches_it():
         worker.released.set()
         worker.close()
         sub.close()
-        upstream.close()
+        ours.close()
 
 
 #: a publisher process for the parent-kill test: prints its port and

@@ -159,6 +159,37 @@ class TestXMLWireSpecifics:
         got = codec.decode(text.encode())["data"]
         assert got[:2] == [math.inf, -math.inf] and math.isnan(got[2])
 
+    def test_absent_optional_scalar_roundtrips(self):
+        """An optional scalar left ``None`` writes no element, and the
+        XML wire, SOAP and the instance reader all read it back as
+        ``None`` (an empty ``<t />`` is not an integer)."""
+        from repro.core.toolkit import XMIT
+        from repro.rpc.soapwire import SOAPCodec
+        from repro.schema.parser import parse_schema_text
+        from repro.schema.validator import load_instance
+        from repro.xmlcore.parser import parse_bytes
+        xsd = """
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:complexType name="%s">
+    <xsd:element name="id" type="xsd:int" />
+    <xsd:element name="t" type="xsd:int" minOccurs="0" />
+  </xsd:complexType>
+</xsd:schema>
+"""
+        xmit = XMIT()
+        xmit.load_text(xsd % "M")
+        record = {"id": 1, "t": None}
+        wire = XMLWireCodec(xmit.bind("M").artifact).encode(record)
+        assert b"<t" not in wire
+        assert XMLWireCodec(xmit.bind("M").artifact).decode(wire) == \
+            record
+        assert load_instance(parse_schema_text(xsd % "M"), "M",
+                             parse_bytes(wire).root) == record
+        assert xmit.match_message(wire) == "M"
+        soap = SOAPCodec(xsd % "echoParams")
+        assert soap.decode_call(soap.encode_call("echo", record)) == \
+            ("echo", record)
+
     def test_control_characters_unrepresentable(self):
         # binary formats carry any byte; XML 1.0 cannot even escape
         # U+0008 — the codec must fail loudly rather than emit an
