@@ -4,8 +4,8 @@
 The usability scenario motivating the paper: the structure of a shared
 message changes, and because metadata lives in an XML document rather
 than in compiled code, the change is made *once* at the document's URL.
-Components that refresh see the new fields; components that never
-update keep working through PBIO's restricted evolution (added fields
+A component that discovers the format after the change sees the new
+fields; components that never update keep working through PBIO's restricted evolution (added fields
 dropped, missing fields defaulted).
 
 Run:  python examples/format_evolution.py
@@ -50,7 +50,8 @@ def main() -> None:
     print("\nformat document updated at the URL (added 'units', "
           "'quality')\n")
 
-    # the "new" component refreshes and rebinds
+    # the "new" component starts after the change and discovers v2
+    # (a running component refreshes instead: examples/rolling_upgrade.py)
     new_xmit = XMIT()
     new_xmit.load_url(url)
     new_ctx = IOContext(format_server=server)

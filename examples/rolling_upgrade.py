@@ -3,27 +3,42 @@
 
 The paper's restricted evolution (section 5) lets fields be added to a
 message "without causing receivers of previous versions of the message
-to fail".  Here the format document changes at its URL while a stream
-is live, and the publisher moves the stream to the new version without
-a flag day:
+to fail", and its indirect discovery (section 3) centralizes a format
+change at the format's URL.  Here the format document is served by a
+``MetadataHTTPServer`` and edited in its ``DocumentStore`` while a
+stream is live.  One ``XMIT`` loaded it; each ``refresh`` of the URL
+that changes the format notifies a listener, which binds the new
+version and hands it to ``publisher.cutover`` — the one place the
+evolution check runs.  The stream moves to the new version without a
+flag day:
 
 1. v1-pinned subscribers negotiate their version (LIN_REQ); an
    un-negotiated follower just reads the stream;
 2. the publisher publishes at v1;
-3. it cuts over to v2 — new metadata (FMT_RSP) and the grown lineage
+3. the document at the URL is edited to v2, and its refresh cuts the
+   stream over — new metadata (FMT_RSP) and the grown lineage
    (LIN_RSP) land in every subscriber's queue ahead of v2 data;
 4. it keeps publishing, down-converting once per message for the v1
    cohort;
-5. a late subscriber negotiates v2 after the cut;
+
+   *revert*: the document is edited back to v1.  The refresh reports a
+   change, and ``cutover`` rejects it (v1 drops v2's fields), so the
+   rejection is counted and the stream stays at v2;
+
+   *outage*: the HTTP server stops.  The refresh retries, then serves
+   the last-known-good formats and reports no change; the stream stays
+   at v2;
+5. a late subscriber negotiates v2;
 6. the v1 cohort leaves, and down-conversion stops.
 
 The same sequence runs against ``BroadcastPublisher`` (one event loop)
 and ``ShardedBroadcastServer`` (two worker processes), then once over a
 point-to-point ``Connection``: an old component and an upgraded one
 exchange records, each in its own version.  The oracle checks every
-subscriber's record count, field set and format digest, and the
-publisher's counters — on the sharded leg, also the fleet's merged
-metrics scrape — and the script exits 1 on any mismatch.
+refresh's result, the cutovers and the rejection, the discovery
+counters, every subscriber's record count, field set and format digest,
+and the publisher's counters — on the sharded leg, also the fleet's
+merged metrics scrape — and the script exits 1 on any mismatch.
 
 Run:  python examples/rolling_upgrade.py
 """
@@ -33,7 +48,8 @@ import threading
 import time
 
 from repro import NATIVE, XMIT, Connection, IOContext
-from repro.http import publish_document
+from repro.errors import FormatRegistrationError, ReproError
+from repro.http import DocumentStore, MetadataHTTPServer
 from repro.pbio.format_server import FormatServer
 from repro.transport import (
     BroadcastPublisher, ShardedBroadcastServer, TCPChannel, tcp_pair,
@@ -64,16 +80,56 @@ BEFORE, AFTER, LATE, GONE = 3, 3, 2, 2
 TIMEOUT = 60.0
 
 
-def bind_versions() -> tuple:
-    """Discover the format from its document, edit the document at its
-    URL, and discover it again: the v1 and v2 bindings."""
-    versions = []
-    for text in (V1, V2):
-        url = publish_document("rolling.xsd", text)
-        xmit = XMIT()
-        xmit.load_url(url)
-        versions.append(xmit.bind(NAME, architecture=NATIVE).artifact)
-    return tuple(versions)
+class FormatSite:
+    """The format document on an HTTP server, and the one ``XMIT``
+    that loaded it from its URL."""
+
+    PATH = "/rolling.xsd"
+
+    def __init__(self) -> None:
+        self.store = DocumentStore()
+        self.store.put(self.PATH, V1)
+        self.server = MetadataHTTPServer(self.store)
+        self.url = self.server.url_for(self.PATH)
+        self.xmit = XMIT()
+        self.xmit.load_url(self.url)
+
+    def binding(self):
+        return self.xmit.bind(NAME, architecture=NATIVE).artifact
+
+    def edit(self, text: str):
+        """Put *text* at the URL and refresh: the changed names, or the
+        error the refresh raised."""
+        self.store.put(self.PATH, text)
+        return self.refresh()
+
+    def refresh(self):
+        try:
+            return self.xmit.refresh(self.url)
+        except ReproError as exc:
+            return exc
+
+
+class Cutover:
+    """The change listener that drives a publisher: a ``"changed"``
+    format is bound and cut over to; a version the evolution check
+    rejects is counted, and the stream keeps its version."""
+
+    def __init__(self, site: FormatSite, publisher) -> None:
+        self.site = site
+        self.publisher = publisher
+        self.reached: list = []
+        self.rejected: list[str] = []
+        site.xmit.subscribe(self)
+
+    def __call__(self, event: str, name: str, fmt) -> None:
+        if event != "changed" or name != NAME:
+            return
+        try:
+            self.reached.append(
+                self.publisher.cutover(self.site.binding()))
+        except FormatRegistrationError as exc:
+            self.rejected.append(str(exc))
 
 
 def make_record(t: int) -> dict:
@@ -159,10 +215,16 @@ def settle(predicate) -> bool:
     return True
 
 
-def rolling_upgrade(publisher, v1, v2, shards: int | None) -> Oracle:
-    """Drive the six steps on a started *publisher* bound to v1; with
-    *shards*, a publish or cutover reaches that many shard workers
-    rather than subscribers."""
+def rolling_upgrade(make_publisher, shards: int | None):
+    """Drive the six steps and the revert and outage phases on a
+    publisher built by *make_publisher* from a context bound to the
+    version discovered at the URL; with *shards*, a publish or cutover
+    reaches that many shard workers rather than subscribers.  Returns
+    the oracle and the (v1, v2) bindings."""
+    site = FormatSite()
+    v1 = site.binding()
+    publisher = make_publisher(context_with(v1)).start()
+    cut = Cutover(site, publisher)
     label = type(publisher).__name__
     oracle = Oracle(label)
     check = oracle.check
@@ -171,9 +233,11 @@ def rolling_upgrade(publisher, v1, v2, shards: int | None) -> Oracle:
 
     def publish(steps: range, subscribers: int) -> None:
         for t in steps:
-            check(f"publish {t} reached",
-                  publisher.publish(NAME, make_record(t)),
-                  shards or subscribers)
+            try:
+                reached = publisher.publish(NAME, make_record(t))
+            except ReproError as exc:  # the stream is not at v2
+                reached = exc
+            check(f"publish {t} reached", reached, shards or subscribers)
 
     # 1. a v1-pinned cohort that negotiates, and a follower that does not
     v1_cohort = [Subscriber(host, port, [v1], negotiate=True,
@@ -188,16 +252,41 @@ def rolling_upgrade(publisher, v1, v2, shards: int | None) -> Oracle:
         check("pins reported", publisher.wait_for_pins(NAME, 2, TIMEOUT),
               True)
 
-    # 2. publish at v1; 3. cut over to v2
+    # 2. publish at v1; 3. edit the document to v2: the refresh's
+    # "changed" notification cuts the stream over
     publish(range(BEFORE), 3)
-    check("cutover reached", publisher.cutover(v2), shards or 3)
+    check("refresh to v2", site.edit(V2), (NAME,))
+    check("cutover reached", cut.reached, [shards or 3])
+    v2 = site.binding()
+    check("v2 fields", set(v2.field_list.names()), V2_FIELDS)
+    lineage = (v1.format_id, v2.format_id)
     check("lineage", publisher.context.format_server.lineage(NAME),
-          (v1.format_id, v2.format_id))
+          lineage)
 
     # 4. keep publishing: one down-converted variant per message
     publish(range(BEFORE, BEFORE + AFTER), 3)
     check("down-converted after the cut",
           publisher.stats.frames_down_converted, AFTER)
+
+    # revert: v1 again at the URL is a change, and not an evolution
+    check("refresh to the reverted v1", site.edit(V1), (NAME,))
+    check("reverted binding", site.binding().format_id, v1.format_id)
+    check("revert rejected",
+          [("removed=['quality', 'units']" in why) for why in
+           cut.rejected], [True])
+    check("cutovers after the revert", publisher.stats.cutovers, 1)
+    check("lineage after the revert",
+          publisher.context.format_server.lineage(NAME), lineage)
+
+    # outage: the server stops; the refresh retries, then falls back
+    site.server.close()
+    stats = site.xmit.discovery_stats
+    fallbacks, retries = stats.fallbacks, stats.retries
+    check("refresh during the outage", site.refresh(), ())
+    check("fallbacks", stats.fallbacks - fallbacks, 1)
+    check("retried", stats.retries > retries, True)
+    check("format after the outage",
+          publisher.context.lookup_format(NAME).format_id, v2.format_id)
 
     # 5. a late subscriber negotiates v2
     late = Subscriber(host, port, [v1, v2], negotiate=True)
@@ -243,7 +332,7 @@ def rolling_upgrade(publisher, v1, v2, shards: int | None) -> Oracle:
     oracle.subscriber("late subscriber", late, v2.format_id,
                       v2.format_id,
                       [(*new, t) for t in range(BEFORE + AFTER, total)])
-    return oracle
+    return oracle, (v1, v2)
 
 
 def point_to_point(v1, v2) -> Oracle:
@@ -285,18 +374,11 @@ def point_to_point(v1, v2) -> Oracle:
 
 
 def main() -> int:
-    v1, v2 = bind_versions()
-    runs = [
-        lambda: rolling_upgrade(
-            BroadcastPublisher(context_with(v1)).start(), v1, v2, None),
-        lambda: rolling_upgrade(
-            ShardedBroadcastServer(context_with(v1), workers=2).start(),
-            v1, v2, 2),
-        lambda: point_to_point(v1, v2),
-    ]
+    broadcast, versions = rolling_upgrade(BroadcastPublisher, None)
+    sharded, _ = rolling_upgrade(
+        lambda ctx: ShardedBroadcastServer(ctx, workers=2), 2)
     failures = []
-    for run in runs:
-        oracle = run()
+    for oracle in (broadcast, sharded, point_to_point(*versions)):
         print(f"{oracle.label}: "
               f"{'ok' if not oracle.failures else 'MISMATCH'}")
         failures += oracle.failures

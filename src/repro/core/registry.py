@@ -4,8 +4,10 @@ One effect of XMIT's indirect discovery (section 3): "changes to the
 message formats used by distributed programs can be centralized, and
 XMIT ensures that they are propagated to all program components using
 these formats."  The registry remembers which URL produced which
-formats; :meth:`refresh` re-fetches a URL, recompiles, diffs, and
-notifies subscribers of every changed or added format.
+formats.  ``load_url`` past its TTL and :meth:`refresh` take one path:
+re-fetch the URL, ingest a new digest, diff the URL's formats against
+what it served before, and notify subscribers of every added, changed
+or removed format.
 
 The discovery path is resilient (the paper's amortization story
 assumes discovery is rare and reliable; a real network makes it
@@ -14,9 +16,8 @@ neither):
 * fetches go through :func:`repro.http.urls.fetch` under a
   :class:`~repro.http.retry.RetryPolicy` (bounded exponential backoff,
   deterministic jitter);
-* fetched documents are held in a digest-keyed cache with a TTL, so a
-  re-load inside the TTL costs no fetch and an unchanged digest costs
-  no recompile;
+* a re-load inside the TTL costs no fetch, and a digest compiled
+  before costs no recompile: it brings back its own compile;
 * URLs that exhausted their retry budget are negative-cached for a
   short interval, failing fast instead of hammering a dead server;
 * a failed :meth:`refresh` (or re-load) of a URL that loaded
@@ -58,17 +59,8 @@ ChangeListener = Callable[[str, str, FormatIR | None], None]
 
 @dataclass
 class _Source:
-    url: str
     digest: str
     format_names: tuple[str, ...]
-    enum_names: tuple[str, ...] = ()
-
-
-@dataclass
-class _CachedDocument:
-    data: bytes
-    digest: str
-    fetched_at: float
 
 
 class _LazyFormatMap(dict):
@@ -109,10 +101,6 @@ class _LazyFormatMap(dict):
     def pending_names(self) -> tuple[str, ...]:
         with self._registry._lock:
             return tuple(self._pending)
-
-    def compiled_names(self) -> tuple[str, ...]:
-        with self._registry._lock:
-            return tuple(dict.keys(self))
 
     # -- dict protocol ---------------------------------------------------------
 
@@ -188,18 +176,16 @@ class FormatRegistry:
     clock: Callable[[], float] = field(default=time.monotonic,
                                        repr=False)
     stats: DiscoveryStats = field(default_factory=DiscoveryStats)
-    loads: int = 0
     _sources: dict[str, _Source] = field(default_factory=dict)
     _listeners: list[ChangeListener] = field(default_factory=list)
-    _documents: dict[str, _CachedDocument] = field(default_factory=dict)
+    #: url -> clock() when the document it serves was last fetched
+    _fetched: dict[str, float] = field(default_factory=dict)
     _negative: dict[str, float] = field(default_factory=dict)
-    #: digest -> (format names, enum names) of a completed compile.
-    _compiled: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = \
+    #: digest -> what its document compiled to: the IRSet (eager), or
+    #: the enums-only IRSet and the Schema its complexTypes are
+    #: deferred against (lazy)
+    _compiled: dict[str, tuple[IRSet, Schema | None]] = \
         field(default_factory=dict)
-    #: name -> successive IR versions seen across loads/refreshes
-    #: (advisory lineage; the wire-level digest chains live in
-    #: repro.pbio.lineage.LineageRegistry)
-    _history: dict[str, list[FormatIR]] = field(default_factory=dict)
     _lock: threading.RLock = field(default_factory=threading.RLock,
                                    repr=False)
 
@@ -214,20 +200,19 @@ class FormatRegistry:
         """Fetch, parse and compile the schema document at *url*.
 
         Returns the names of the formats it defined.  A re-load inside
-        the cache TTL is served from the document cache without a
-        fetch; past the TTL it behaves like :meth:`refresh`.  If the
-        URL loaded successfully before and now fails (fetch or
-        compile), the failure is counted and the previously compiled
-        formats keep being served.
+        the cache TTL is served without a fetch; past the TTL it takes
+        :meth:`refresh`'s path, listeners included, and differs only
+        in returning every name rather than the changed ones.
         """
         with self._lock:
-            cached = self._fresh_document(url)
-            if cached is not None:
+            fetched = self._fetched.get(url)
+            if fetched is not None and \
+                    self.clock() - fetched < self.cache_ttl:
                 self.stats.count("cache_hits")
-                return self._ingest(url, cached.data,
-                                    digest=cached.digest)
-            self.stats.count("cache_misses")
-            return self._load_or_fallback(url).format_names
+            else:
+                self.stats.count("cache_misses")
+                self._update(url)
+            return self._sources[url].format_names
 
     def load_text(self, text: str, *, source: str = "<inline>") \
             -> tuple[str, ...]:
@@ -236,64 +221,60 @@ class FormatRegistry:
             return self._ingest(source, text.encode("utf-8"))
 
     def refresh(self, url: str) -> tuple[str, ...]:
-        """Re-fetch *url*; returns names of formats that changed.
-
-        An unchanged document (same digest) is a no-op returning ().
-        The TTL cache is bypassed — refresh is an explicit re-fetch.
-        A failing refresh of a previously loaded URL is a counted
-        no-op (last-known-good); only a URL that never loaded raises.
-        """
+        """Re-fetch *url*, bypassing the TTL; returns the names of the
+        formats that changed.  An unchanged document, a first load and
+        a failure after an earlier success (last-known-good) return
+        (); only a URL that never loaded raises."""
         with self._lock:
-            old = self._sources.get(url)
-            try:
-                data = self._fetch_checked(url)
-            except ReproError as exc:
-                fallback = self._serve_last_known_good(url, exc)
-                if fallback is None:
-                    raise
-                return ()
+            return self._update(url)
+
+    # -- the one change path ---------------------------------------------------
+
+    def _update(self, url: str) -> tuple[str, ...]:
+        """Fetch *url* and serve what it says: a new digest is
+        ingested, the URL's formats are diffed against what it served
+        before, and each change is notified.  Returns the changed
+        names.  Once the URL has loaded, a failed fetch or compile is
+        counted and logged and its last-known-good formats stay
+        served; only a URL that never loaded raises."""
+        old = self._sources.get(url)
+        try:
+            data = self._fetch(url)
             digest = hashlib.sha256(data).hexdigest()
-            if old is not None and old.digest == digest:
-                return ()
-            before = {name: self.ir.formats.get(name)
-                      for name in (old.format_names if old else ())}
-            try:
-                self._ingest(url, data, digest=digest)
-            except ReproError as exc:
-                fallback = self._serve_last_known_good(url, exc)
-                if fallback is None:
-                    raise
-                return ()
-            changed: list[str] = []
-            now = self._sources[url]
-            for name in now.format_names:
-                previous = before.get(name)
-                if previous is None:
-                    self._notify("added", name, self.ir.formats[name])
-                    changed.append(name)
-                elif previous != self.ir.formats[name]:
-                    self._notify("changed", name,
-                                 self.ir.formats[name])
-                    changed.append(name)
-            for name in set(before) - set(now.format_names):
+            # what a changed document's URL served; None: no diff
+            before = None if old is None or old.digest == digest else \
+                {name: self.ir.formats.get(name)
+                 for name in old.format_names}
+            if old is None or before is not None:
+                self._ingest(url, data, digest)
+        except ReproError as exc:
+            if old is None:
+                raise
+            self.stats.count("fallbacks")
+            logger.warning(
+                "discovery of %s failed (%s: %s); serving last-known-"
+                "good formats %s", url, type(exc).__name__, exc,
+                list(old.format_names))
+            return ()
+        self._fetched[url] = self.clock()
+        if before is None:
+            return ()  # unchanged, or a first load
+        now = self._sources[url].format_names
+        events = [("added" if before.get(name) is None else "changed",
+                   name) for name in now
+                  if before.get(name) != self.ir.formats[name]]
+        for name in before:
+            if name not in now:
                 self.ir.formats.pop(name, None)
-                self._notify("removed", name, None)
-                changed.append(name)
-            return tuple(changed)
+                events.append(("removed", name))
+        for event, name in events:
+            fmt = self.ir.formats.get(name)
+            for listener in list(self._listeners):
+                listener(event, name, fmt)
+        return tuple(name for _, name in events)
 
-    # -- resilience internals ------------------------------------------------
-
-    def _fresh_document(self, url: str) -> _CachedDocument | None:
-        cached = self._documents.get(url)
-        if cached is None:
-            return None
-        if self.clock() - cached.fetched_at >= self.cache_ttl:
-            return None
-        return cached
-
-    def _fetch_checked(self, url: str) -> bytes:
-        """Fetch under the retry policy, honouring the negative cache
-        and refreshing the document cache on success."""
+    def _fetch(self, url: str) -> bytes:
+        """Fetch under the retry policy, honouring the negative cache."""
         expiry = self._negative.get(url)
         if expiry is not None:
             if self.clock() < expiry:
@@ -304,114 +285,59 @@ class FormatRegistry:
             del self._negative[url]
         try:
             with span("fetch", url=url):
-                data = fetch(url, retry=self.retry, stats=self.stats)
+                return fetch(url, retry=self.retry, stats=self.stats)
         except ReproError:
             self._negative[url] = self.clock() + self.negative_ttl
             raise
-        self._documents[url] = _CachedDocument(
-            data=data, digest=hashlib.sha256(data).hexdigest(),
-            fetched_at=self.clock())
-        return data
-
-    def _load_or_fallback(self, url: str) -> _Source:
-        """Fetch + ingest *url*, falling back to the last-known-good
-        source on any failure (when one exists)."""
-        try:
-            data = self._fetch_checked(url)
-            self._ingest(url, data,
-                         digest=self._documents[url].digest)
-        except ReproError as exc:
-            fallback = self._serve_last_known_good(url, exc)
-            if fallback is None:
-                raise
-            return fallback
-        return self._sources[url]
-
-    def _serve_last_known_good(self, url: str,
-                               exc: ReproError) -> _Source | None:
-        old = self._sources.get(url)
-        if old is None:
-            return None
-        self.stats.count("fallbacks")
-        logger.warning(
-            "discovery of %s failed (%s: %s); serving last-known-good "
-            "formats %s", url, type(exc).__name__, exc,
-            list(old.format_names))
-        return old
 
     # -- compilation ----------------------------------------------------------
 
     def _ingest(self, url: str, data: bytes,
                 digest: str | None = None) -> tuple[str, ...]:
+        """Serve the formats *data* defines.  A digest compiled before
+        re-merges that compile: the same document is compiled once,
+        and a revert serves its own IR, not the newer one."""
         digest = digest or hashlib.sha256(data).hexdigest()
-        known = self._compiled.get(digest)
-        if known is not None and \
-                all(name in self.ir.formats for name in known[0]):
-            # identical document already compiled and still merged;
-            # just (re)point the source at it.
-            format_names, enum_names = known
-            self._sources[url] = _Source(
-                url=url, digest=digest, format_names=format_names,
-                enum_names=enum_names)
-            return format_names
+        compiled = self._compiled.get(digest)
+        if compiled is None:
+            compiled = self._compiled[digest] = \
+                self._compile(url, data, digest)
+        irset, schema = compiled
+        self.ir.merge(irset)
+        if schema is None:
+            names = tuple(irset.formats)
+        else:
+            # replaces pending schemas and compiled IR alike, so a
+            # changed document never serves stale deferred IR
+            names = tuple(schema.complex_types)
+            for name in names:
+                self.ir.formats.defer(name, schema, replace=True)
+            self.stats.count("deferred_formats", len(names))
+        self._sources[url] = _Source(digest=digest, format_names=names)
+        return names
+
+    def _compile(self, url: str, data: bytes,
+                 digest: str) -> tuple[IRSet, Schema | None]:
         schema = self._parse_with_includes(url, data)
         if self.lazy:
-            return self._ingest_lazy(url, digest, schema)
+            # enums now (cheap, referenced by every using type), each
+            # complexType on its first use
+            return compile_schema(schema, names=()), schema
         with span("compile", source=url, digest=digest) as sp:
             compiled = compile_schema(schema)
         duration_ns = getattr(sp, "duration_ns", 0)  # 0 when disabled
         if duration_ns:
             DISCOVERY_COMPILE_SECONDS.observe(duration_ns * 1e-9)
         self.stats.count("compiles")
-        self.ir.merge(compiled)
-        for name in compiled.formats:
-            chain = self._history.setdefault(name, [])
-            fmt = self.ir.formats[name]
-            if not chain or chain[-1] != fmt:
-                chain.append(fmt)
-        self.loads += 1
-        self._sources[url] = _Source(
-            url=url,
-            digest=digest,
-            format_names=tuple(compiled.formats),
-            enum_names=tuple(compiled.enums))
-        self._compiled[digest] = (tuple(compiled.formats),
-                                  tuple(compiled.enums))
-        return tuple(compiled.formats)
-
-    def _ingest_lazy(self, url: str, digest: str,
-                     schema: Schema) -> tuple[str, ...]:
-        """Lazy ingest: compile enums now (cheap, referenced by every
-        using type), defer each complexType until its first use.
-        Re-ingesting a changed document replaces both the pending
-        schema and any already-compiled IR, so stale IR can never be
-        served after a digest change."""
-        enums_only = compile_schema(schema, names=())
-        self.ir.merge(enums_only)
-        names = tuple(schema.complex_types)
-        fmap = self.ir.formats
-        for name in names:
-            fmap.defer(name, schema, replace=True)
-        self.ir.layouts.clear()  # as IRSet.merge does on the eager path
-        self.stats.count("deferred_formats", len(names))
-        self.loads += 1
-        self._sources[url] = _Source(
-            url=url, digest=digest, format_names=names,
-            enum_names=tuple(enums_only.enums))
-        self._compiled[digest] = (names, tuple(enums_only.enums))
-        return names
+        return compiled, None
 
     def _compile_deferred(self, name: str, schema: Schema) -> FormatIR:
         """Compile one deferred complexType on first use (called under
         the registry lock from :meth:`_LazyFormatMap.__missing__`)."""
         with span("compile", format=name, lazy=True):
             compiled = compile_schema(schema, names=(name,))
-        fmt = compiled.formats[name]
         self.stats.count("lazy_compiles")
-        chain = self._history.setdefault(name, [])
-        if not chain or chain[-1] != fmt:
-            chain.append(fmt)
-        return fmt
+        return compiled.formats[name]
 
     def _parse_with_includes(self, url: str, data: bytes) -> Schema:
         """Parse *data*, fetching ``xsd:include``/``xsd:import``
@@ -439,33 +365,10 @@ class FormatRegistry:
                 depth + 1, merged, visited)
         merged.merge(schema)
 
-    # -- queries ------------------------------------------------------------
-
-    def urls(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(self._sources)
-
-    def lineage(self, format_name: str) -> tuple[FormatIR, ...]:
-        """Every IR version of *format_name* this registry has
-        compiled, oldest first — the discovery-level mirror of the
-        wire-level digest chain.  () if the name was never loaded."""
-        with self._lock:
-            return tuple(self._history.get(format_name, ()))
-
     # -- change propagation ----------------------------------------------------
 
     def subscribe(self, listener: ChangeListener) -> None:
+        """Call *listener* for each change a fetch makes, in
+        subscription order, under the registry lock."""
         with self._lock:
             self._listeners.append(listener)
-
-    def unsubscribe(self, listener: ChangeListener) -> None:
-        with self._lock:
-            try:
-                self._listeners.remove(listener)
-            except ValueError:
-                pass
-
-    def _notify(self, event: str, name: str,
-                fmt: FormatIR | None) -> None:
-        for listener in list(self._listeners):
-            listener(event, name, fmt)

@@ -19,6 +19,8 @@ Typical use::
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core.binding import BindingToken
 from repro.core.ir import IRSet
 from repro.core.registry import FormatRegistry
@@ -50,6 +52,10 @@ class XMIT:
             kwargs["lazy"] = True
         self.registry = FormatRegistry(**kwargs)
         self._bindings: dict[tuple, BindingToken] = {}
+        # the first listener, so no user listener sees a stale binding;
+        # a partial, not a bound method: no registry <-> XMIT cycle
+        self.registry.subscribe(
+            partial(_drop_stale, self._bindings, self.registry.ir))
 
     # -- discovery ----------------------------------------------------------
 
@@ -66,16 +72,9 @@ class XMIT:
         return self.registry.load_text(text)
 
     def refresh(self, url: str) -> tuple[str, ...]:
-        """Re-fetch *url* and propagate any format changes (bindings
-        for changed formats, and for every format that nests one, are
-        invalidated)."""
-        changed = self.registry.refresh(url)
-        if changed:
-            stale = frozenset(changed)
-            self._bindings = {
-                key: token for key, token in self._bindings.items()
-                if not self.ir.depends_on(key[0], stale)}
-        return changed
+        """Re-fetch *url*; returns the names of the formats that
+        changed (see :meth:`FormatRegistry.refresh`)."""
+        return self.registry.refresh(url)
 
     @property
     def ir(self) -> IRSet:
@@ -94,7 +93,8 @@ class XMIT:
 
     def subscribe(self, listener) -> None:
         """Register a change listener (see
-        :class:`~repro.core.registry.FormatRegistry`)."""
+        :meth:`~repro.core.registry.FormatRegistry.subscribe`); it runs
+        after the changed format's bindings are dropped."""
         self.registry.subscribe(listener)
 
     # -- binding ------------------------------------------------------------
@@ -103,8 +103,8 @@ class XMIT:
              **options) -> BindingToken:
         """Generate native metadata for *format_name* via *target*.
 
-        Tokens are cached per (format, target, options); a refresh that
-        changes the format invalidates its cache entries.
+        Tokens are cached per (format, target, options); a change to
+        the format, or to one it nests, drops its cache entries.
         """
         if format_name not in self.registry.ir.formats:
             raise XMITError(
@@ -212,6 +212,16 @@ class XMIT:
                 documentation=field.documentation))
         return ComplexType(name=fmt.name, elements=tuple(decls),
                            documentation=fmt.documentation)
+
+
+def _drop_stale(bindings: dict, ir: IRSet, event: str, name: str,
+                fmt) -> None:
+    """XMIT's change listener: drop the binding tokens of *name* and
+    of every format that nests it."""
+    stale = frozenset((name,))
+    for key in list(bindings):
+        if ir.depends_on(key[0], stale):
+            bindings.pop(key, None)
 
 
 #: IR (kind, bits) -> XSD datatype local name, for schema export.

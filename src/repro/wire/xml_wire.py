@@ -26,9 +26,13 @@ runs the same walk inside its envelope.
 
 from __future__ import annotations
 
-from repro.errors import WireFormatError
-from repro.pbio.fields import FieldList
+from repro.errors import SchemaValidationError, WireFormatError
+from repro.pbio.fields import FieldList, IOField
 from repro.pbio.types import FieldType
+from repro.schema.datatypes import (
+    BOOLEAN, BYTE, DOUBLE, FLOAT, INT, LONG, SHORT, UNSIGNED_BYTE,
+    UNSIGNED_INT, UNSIGNED_LONG, UNSIGNED_SHORT,
+)
 from repro.wire.base import WireCodec, items_of
 from repro.xmlcore.builder import DocumentBuilder
 from repro.xmlcore.chars import is_xml_char
@@ -81,12 +85,12 @@ def decode_fields(elem: Element, field_list: FieldList) -> dict:
             record[name] = items if ftype.dims else \
                 (items[0] if items else {})
         elif ftype.dims and ftype.kind != "char":
-            record[name] = [_from_text(ftype, o.text)
+            record[name] = [_from_text(field, o.text)
                             for o in occurrences]
         elif not occurrences:
             record[name] = None
         else:
-            record[name] = _from_text(ftype, occurrences[0].text)
+            record[name] = _from_text(field, occurrences[0].text)
     return record
 
 
@@ -117,19 +121,27 @@ def _to_text(ftype: FieldType, value) -> str:
     return text
 
 
-def _from_text(ftype: FieldType, text: str):
-    kind = ftype.kind
-    try:
-        if kind in ("integer", "unsigned", "enumeration"):
-            return int(text)
-        if kind == "float":
-            return float(text)
-        if kind == "boolean":
-            return text.strip() in ("true", "1")
+#: PBIO (kind, element size) -> the XML Schema datatype whose lexical
+#: space the wire reads that value in; strings and chars are text
+_LEXICAL = {
+    (kind, datatype.bits // 8): datatype
+    for kinds, datatypes in (
+        (("integer", "enumeration"), (BYTE, SHORT, INT, LONG)),
+        (("unsigned",), (UNSIGNED_BYTE, UNSIGNED_SHORT, UNSIGNED_INT,
+                         UNSIGNED_LONG)),
+        (("float",), (FLOAT, DOUBLE)),
+        (("boolean",), (BOOLEAN,)))
+    for kind in kinds for datatype in datatypes}
+
+
+def _from_text(field: IOField, text: str):
+    datatype = _LEXICAL.get((field.field_type.kind, field.size))
+    if datatype is None:
         return text
-    except ValueError as exc:
-        raise WireFormatError(
-            f"cannot parse {text!r} as {kind}: {exc}") from None
+    try:
+        return datatype.parse(text)
+    except SchemaValidationError as exc:
+        raise WireFormatError(f"field {field.name!r}: {exc}") from None
 
 
 class XMLWireCodec(WireCodec):

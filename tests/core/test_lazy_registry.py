@@ -60,7 +60,6 @@ class TestDeferral:
         assert registry.stats.compiles == 0  # no document compile
         fmap = registry.ir.formats
         assert set(fmap.pending_names()) == set(names)
-        assert fmap.compiled_names() == ()
 
     def test_membership_and_iteration_see_pending(self):
         registry = FormatRegistry(lazy=True)
@@ -157,8 +156,6 @@ class TestStaleness:
         new = registry.ir.formats["Standalone"]
         assert new != old
         assert [f.name for f in new.fields] == ["m", "extra"]
-        # lineage recorded both versions, oldest first
-        assert registry.lineage("Standalone") == (old, new)
 
     def test_document_ttl_serves_cached_copy(self):
         clock = [0.0]

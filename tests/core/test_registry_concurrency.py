@@ -87,7 +87,9 @@ class TestOneCompilePerDigest:
 
         _hammer(load)
         assert registry.stats.compiles == 1
-        assert set(registry.urls()) == {url_a, url_b}
+        assert registry.load_url(url_a) == registry.load_url(url_b) == \
+            ("SimpleData",)
+        assert registry.stats.fetch_attempts == 2
 
 
 class TestListenerIntegrity:
@@ -132,6 +134,13 @@ class TestListenerIntegrity:
             assert event in ("added", "changed", "removed")
             assert fmt_name == "SimpleData"
             assert (fmt is None) == (event == "removed")
+        # and what is served afterwards is the last published document
+        publish_document(name, SIMPLE_DATA_XSD)
+        xmit.refresh(url)
+        fresh = XMIT()
+        fresh.load_text(SIMPLE_DATA_XSD)
+        assert xmit.ir.format("SimpleData") == \
+            fresh.ir.format("SimpleData")
 
     def test_subscribe_during_notification_storm_is_safe(self):
         name = "conc-subscribe.xsd"
@@ -144,9 +153,7 @@ class TestListenerIntegrity:
         def churn(i):
             if i % 3 == 0:
                 for _ in range(ROUNDS):
-                    listener = lambda *a: None  # noqa: E731
-                    registry.subscribe(listener)
-                    registry.unsubscribe(listener)
+                    registry.subscribe(lambda *a: None)
             else:
                 for round_no in range(ROUNDS):
                     publish_document(name, docs[(i + round_no) % 2])

@@ -207,6 +207,59 @@ class TestRefresh:
         assert set(xmit.refresh(url)) == {"Extra"}
 
 
+class TestOneChangePath:
+    """``load_url`` past its TTL and ``refresh`` are one fetch -> diff
+    -> notify path, and what it serves is what the document says."""
+
+    @pytest.mark.parametrize("lazy", [False, True],
+                             ids=["eager", "lazy"])
+    def test_a_revert_is_a_change(self, lazy):
+        """v1 -> v2 -> v1: the second v1 has a digest the registry has
+        compiled before, and must bring back v1's IR, not keep v2's."""
+        path = f"toolkit-revert-{lazy}.xsd"
+        url = publish_document(path, XSD_V1)
+        xmit = XMIT(lazy=lazy)
+        xmit.load_url(url)
+        events = []
+        xmit.subscribe(lambda ev, name, fmt: events.append((ev, name)))
+        publish_document(path, XSD_V2)
+        assert xmit.refresh(url) == ("SimpleData",)
+        assert len(xmit.bind("SimpleData").artifact.field_list) == 4
+        publish_document(path, XSD_V1)
+        assert xmit.refresh(url) == ("SimpleData",)
+        assert events == [("changed", "SimpleData")] * 2
+        assert xmit.ir.format("SimpleData").field_names() == \
+            ("timestep", "size", "data")
+        assert len(xmit.bind("SimpleData").artifact.field_list) == 3
+
+    def test_a_listener_binds_the_new_layout(self):
+        """Bindings are dropped before any user listener runs."""
+        url = publish_document("toolkit-listener.xsd", XSD_V1)
+        xmit = XMIT()
+        xmit.load_url(url)
+        xmit.bind("SimpleData")
+        seen = []
+        xmit.subscribe(lambda ev, name, fmt: seen.append(
+            xmit.bind(name).artifact.field_list.names()))
+        publish_document("toolkit-listener.xsd", XSD_V2)
+        xmit.refresh(url)
+        assert seen == [("timestep", "size", "data", "units")]
+
+    def test_load_url_past_its_ttl_is_a_refresh(self):
+        url = publish_document("toolkit-ttl.xsd", XSD_V1)
+        xmit = XMIT(cache_ttl=0.0)
+        xmit.load_url(url)
+        before = xmit.bind("SimpleData")
+        events = []
+        xmit.subscribe(lambda ev, name, fmt: events.append((ev, name)))
+        publish_document("toolkit-ttl.xsd", XSD_V2)
+        assert xmit.load_url(url) == ("SimpleData",)
+        assert events == [("changed", "SimpleData")]
+        after = xmit.bind("SimpleData")
+        assert after is not before
+        assert "units" in after.artifact.field_list
+
+
 class TestExport:
     def test_export_round_trips(self):
         xmit = XMIT()

@@ -100,6 +100,7 @@ class TestEventLoopServer:
             # length prefix far beyond the cap; payload never sent
             bad.sendall((1 << 20).to_bytes(4, "big"))
             assert bad.recv(4096) == b""  # server hung up on us
+            bad.close()
             good.send(data(b"still fine"))
             assert good.recv(timeout=5).payload == b"still fine"
             good.close()
@@ -207,8 +208,16 @@ class TestEventLoopServer:
 
 
 class TestDropOldest:
+    def setup_method(self):
+        self.sockets = []
+
+    def teardown_method(self):
+        for sock in self.sockets:
+            sock.close()
+
     def _client_with_queue(self, server, frames):
-        client = ClientHandle(0, socket.socket(), ("test", 0))
+        self.sockets.append(socket.socket())
+        client = ClientHandle(0, self.sockets[-1], ("test", 0))
         for payload, droppable in frames:
             server.enqueue(client, payload, droppable=droppable)
         return client

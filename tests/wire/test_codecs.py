@@ -1,6 +1,7 @@
 """Per-codec behaviour and cross-codec agreement."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,43 @@ class TestXMLWireSpecifics:
         soap = SOAPCodec(xsd % "echoParams")
         assert soap.decode_call(soap.encode_call("echo", record)) == \
             ("echo", record)
+
+    @pytest.mark.parametrize("field, text", [
+        ("id", "1_000"), ("id", "\u0661\u0662"), ("f", "Infinity"),
+        ("b", "TRUE"), ("b", "yes")])
+    def test_values_outside_the_lexical_space_are_rejected(
+            self, field, text):
+        """The XML wire and SOAP read values in the schema datatypes'
+        lexical spaces, as the instance reader does: no Python-only
+        spellings, and no boolean read as false by default."""
+        from repro.core.toolkit import XMIT
+        from repro.rpc.soapwire import SOAPCodec
+        xsd = """
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:complexType name="%s">
+    <xsd:element name="id" type="xsd:int" />
+    <xsd:element name="t" type="xsd:int" minOccurs="0" />
+    <xsd:element name="f" type="xsd:double" />
+    <xsd:element name="b" type="xsd:boolean" />
+  </xsd:complexType>
+</xsd:schema>
+"""
+        xmit = XMIT()
+        xmit.load_text(xsd % "M")
+        codec = XMLWireCodec(xmit.bind("M").artifact)
+        record = {"id": 1000, "t": None, "f": 2.5, "b": True}
+        wire = codec.encode(record)
+        assert wire == (b"<M><id>1000</id><f>2.5</f><b>true</b></M>")
+        assert codec.decode(wire) == record
+        bad = {"id": "1000", "f": "2.5", "b": "true", field: text}
+        body = "".join(f"<{k}>{v}</{k}>" for k, v in bad.items())
+        with pytest.raises(WireFormatError, match=repr(field)):
+            codec.decode(f"<M>{body}</M>".encode())
+        soap = SOAPCodec(xsd % "echoParams")
+        call = soap.encode_call("echo", record).decode()
+        call = re.sub(f"<{field}>[^<]*<", f"<{field}>{text}<", call)
+        with pytest.raises(WireFormatError, match=repr(field)):
+            soap.decode_call(call.encode())
 
     def test_control_characters_unrepresentable(self):
         # binary formats carry any byte; XML 1.0 cannot even escape
