@@ -85,7 +85,10 @@ def test_abl_discovery_remote_format_server(benchmark):
 @pytest.mark.benchmark(group="abl-discovery-orthogonality")
 def test_abl_marshaling_identical_across_sources(sources, benchmark):
     """The orthogonality claim itself: formats from every discovery
-    source share a format ID, and their encode times agree."""
+    source share a format ID, hence one compiled encoder object, and
+    marshal a record to the same bytes.  Each source's encode time is
+    recorded in ``extra_info``; it is one encoder, so the times are
+    not compared."""
 
     def sweep():
         contexts = {name: _register_via_url(url)
@@ -93,16 +96,20 @@ def test_abl_marshaling_identical_across_sources(sources, benchmark):
         compiled = IOContext(format_server=FormatServer())
         compiled.register_layout("SimpleData", CASE["specs"])
         contexts["compiled"] = compiled
-        ids = {name: ctx.lookup_format("SimpleData").format_id
-               for name, ctx in contexts.items()}
-        times = {}
+        ids, encoders, bodies, times = {}, {}, {}, {}
         for name, ctx in contexts.items():
-            encoder = ctx.encoder_for(ctx.lookup_format("SimpleData"))
+            fmt = ctx.lookup_format("SimpleData")
+            ids[name] = fmt.format_id
+            encoder = encoders[name] = ctx.encoder_for(fmt)
+            bodies[name] = bytes(encoder.encode_body(RECORD))
             times[name] = time_callable(
                 lambda: encoder.encode_body(RECORD), repeat=3).best
-        return ids, times
+        return ids, encoders, bodies, times
 
-    ids, times = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    ids, encoders, bodies, times = benchmark.pedantic(
+        sweep, rounds=1, iterations=1)
+    benchmark.extra_info["encode_body_best_s"] = times
     assert len(set(ids.values())) == 1, ids
-    fastest, slowest = min(times.values()), max(times.values())
-    assert slowest / fastest < 2.0, times
+    first = encoders["compiled"]
+    assert all(encoder is first for encoder in encoders.values())
+    assert len(set(bodies.values())) == 1

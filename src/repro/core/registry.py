@@ -218,13 +218,15 @@ class FormatRegistry:
             -> tuple[str, ...]:
         """Compile schema *text* not associated with a fetchable URL."""
         with self._lock:
-            return self._ingest(source, text.encode("utf-8"))
+            self._ingest(source, text.encode("utf-8"))
+            return self._sources[source].format_names
 
     def refresh(self, url: str) -> tuple[str, ...]:
         """Re-fetch *url*, bypassing the TTL; returns the names of the
-        formats that changed.  An unchanged document, a first load and
-        a failure after an earlier success (last-known-good) return
-        (); only a URL that never loaded raises."""
+        formats that changed.  An unchanged document, a first load
+        that redefines no served format and a failure after an earlier
+        success (last-known-good) return (); only a URL that never
+        loaded raises."""
         with self._lock:
             return self._update(url)
 
@@ -232,21 +234,22 @@ class FormatRegistry:
 
     def _update(self, url: str) -> tuple[str, ...]:
         """Fetch *url* and serve what it says: a new digest is
-        ingested, the URL's formats are diffed against what it served
-        before, and each change is notified.  Returns the changed
-        names.  Once the URL has loaded, a failed fetch or compile is
-        counted and logged and its last-known-good formats stay
-        served; only a URL that never loaded raises."""
+        ingested, the formats it replaced — the URL's own, and any
+        compiled name another source served — are diffed against what
+        was served before, and each change is notified.  Returns the
+        changed names.  Once the URL has loaded, a failed fetch or
+        compile is counted and logged and its last-known-good formats
+        stay served; only a URL that never loaded raises."""
         old = self._sources.get(url)
+        before = None  # what the new document replaced; None: no diff
         try:
             data = self._fetch(url)
             digest = hashlib.sha256(data).hexdigest()
-            # what a changed document's URL served; None: no diff
-            before = None if old is None or old.digest == digest else \
-                {name: self.ir.formats.get(name)
-                 for name in old.format_names}
-            if old is None or before is not None:
-                self._ingest(url, data, digest)
+            if old is None or old.digest != digest:
+                before = {} if old is None else \
+                    {name: self.ir.formats.get(name)
+                     for name in old.format_names}
+                before.update(self._ingest(url, data, digest))
         except ReproError as exc:
             if old is None:
                 raise
@@ -257,11 +260,12 @@ class FormatRegistry:
                 list(old.format_names))
             return ()
         self._fetched[url] = self.clock()
-        if before is None:
-            return ()  # unchanged, or a first load
+        if before is None or (old is None and not before):
+            return ()  # unchanged, or a first load replacing nothing
         now = self._sources[url].format_names
+        # a first load reports only the names it redefined
         events = [("added" if before.get(name) is None else "changed",
-                   name) for name in now
+                   name) for name in (now if old else before)
                   if before.get(name) != self.ir.formats[name]]
         for name in before:
             if name not in now:
@@ -293,28 +297,31 @@ class FormatRegistry:
     # -- compilation ----------------------------------------------------------
 
     def _ingest(self, url: str, data: bytes,
-                digest: str | None = None) -> tuple[str, ...]:
-        """Serve the formats *data* defines.  A digest compiled before
-        re-merges that compile: the same document is compiled once,
-        and a revert serves its own IR, not the newer one."""
+                digest: str | None = None) -> dict[str, FormatIR]:
+        """Serve the formats *data* defines; returns the compiled IR
+        they replaced, by name.  A digest compiled before re-merges
+        that compile: the same document is compiled once, and a revert
+        serves its own IR, not the newer one."""
         digest = digest or hashlib.sha256(data).hexdigest()
         compiled = self._compiled.get(digest)
         if compiled is None:
             compiled = self._compiled[digest] = \
                 self._compile(url, data, digest)
         irset, schema = compiled
+        names = tuple(irset.formats if schema is None
+                      else schema.complex_types)
+        # dict.get: a name still pending compile was never bound
+        replaced = {name: ir for name in names
+                    if (ir := dict.get(self.ir.formats, name)) is not None}
         self.ir.merge(irset)
-        if schema is None:
-            names = tuple(irset.formats)
-        else:
+        if schema is not None:
             # replaces pending schemas and compiled IR alike, so a
             # changed document never serves stale deferred IR
-            names = tuple(schema.complex_types)
             for name in names:
                 self.ir.formats.defer(name, schema, replace=True)
             self.stats.count("deferred_formats", len(names))
         self._sources[url] = _Source(digest=digest, format_names=names)
-        return names
+        return replaced
 
     def _compile(self, url: str, data: bytes,
                  digest: str) -> tuple[IRSet, Schema | None]:

@@ -169,24 +169,3 @@ FAULTS_INJECTED = REGISTRY.counter(
     "repro_faults_injected_total",
     "Faults served by the repro.testing.faults harness",
     labels=("kind",))
-
-
-def _codec_plan_collector():
-    """Buffer-pool reuse summed over the process-wide cached codec
-    plans — read at snapshot time, free on the encode path."""
-    from repro.pbio.encode import ENCODERS
-    acquires = reuses = 0
-    for encoder in ENCODERS.plans():
-        acquires += encoder._pool.acquires
-        reuses += encoder._pool.reuses
-    return [
-        {"name": "repro_codec_buffer_pool_total", "type": "counter",
-         "help": "Body-buffer acquisitions by cached encoder plans",
-         "labels": {"event": "acquires"}, "value": acquires},
-        {"name": "repro_codec_buffer_pool_total", "type": "counter",
-         "help": "Body-buffer acquisitions by cached encoder plans",
-         "labels": {"event": "reuses"}, "value": reuses},
-    ]
-
-
-REGISTRY.register_collector(_codec_plan_collector)

@@ -22,6 +22,7 @@ import struct
 import numpy as np
 
 from repro.errors import DecodeError
+from repro.pbio.encode import _fused_run_factory
 from repro.pbio.fields import FieldList, IOField
 from repro.pbio.format import IOFormat
 from repro.pbio.plancache import PlanFrontEnd, compile_codec
@@ -76,6 +77,10 @@ class RecordDecoder:
         # (name, op) in field order; a fused run's name is None and
         # its op fills the record dict itself
         self._ops = self._compile(self.field_list, fmt.enums)
+        #: ``record(body)`` when the whole record is one fused run with
+        #: no post-processing; made from that run's one op, which
+        #: ``_ops`` keeps for the ``fused_runs`` stats
+        self._whole = self._compile_whole()
 
     # -- public ---------------------------------------------------------------
 
@@ -90,6 +95,8 @@ class RecordDecoder:
                 f"record body {len(body)} bytes, format "
                 f"{self.format.name!r} requires at least "
                 f"{self.field_list.record_length}")
+        if self._whole is not None:
+            return self._whole(body)
         record: dict = {}
         for names, op in self._ops:
             try:
@@ -126,7 +133,9 @@ class RecordDecoder:
 
         Padding holes become ``x`` pad codes; per-field
         post-processing (bool, char, enum table lookups) is applied to
-        the unpacked tuple, with numeric identities skipped.
+        the unpacked tuple, with numeric identities skipped.  The op
+        keeps the run's codes from offset 0 and its posts as
+        ``op.layout`` for :meth:`_compile_whole`.
         """
         run = step.run
         self.fused_runs += 1
@@ -145,7 +154,8 @@ class RecordDecoder:
             # struct already yields exact ints/floats; skip identity
             posts.append(None if post in (int, float) else post)
             pos = field.offset + field.size
-        unpacker = struct.Struct(self._bo + "".join(parts))
+        codes = "".join(parts)
+        unpacker = struct.Struct(self._bo + codes)
         run_names = tuple(names)
         run_posts = tuple(posts) if any(posts) else None
 
@@ -164,7 +174,23 @@ class RecordDecoder:
                     out[n] = p(v) if p is not None else v
                     i += 1
         op.run_names = run_names
+        op.layout = (f"{start}x{codes}", run_posts)
         return op
+
+    def _compile_whole(self):
+        """``record(body)`` for a format whose fixed section is one
+        fused run needing no post-processing, else None: made from the
+        run op's layout and generated, like the encoder's, by
+        :func:`_fused_run_factory`."""
+        if len(self._ops) != 1 or self._ops[0][0] is not None:
+            return None
+        op = self._ops[0][1]
+        codes, posts = op.layout
+        if posts:
+            return None
+        _, _, make_decode = _fused_run_factory(len(op.run_names))
+        return make_decode(struct.Struct(self._bo + codes).unpack_from,
+                           *op.run_names)
 
     def _compile_scalar(self, step: Step, enums):
         field, ftype = step.field, step.ftype

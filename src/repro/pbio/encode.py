@@ -30,12 +30,12 @@ Three steady-state optimizations ride on top of the compiled plan (see
   single precompiled :class:`struct.Struct`, one ``pack_into`` per run
   instead of one per field (runs break at pointer-valued fields,
   subformats, and large padding gaps);
+* **whole-record plans** — a record whose fixed section is one fused
+  run (no pointers, no arrays) packs header and body in a single
+  ``Struct.pack`` call: no buffer, no join;
 * **plan caching** — compiled encoders are cached per format digest
   (:func:`encoder_for_format`), so every context, codec and one-shot
-  helper in the process shares one plan per format;
-* **buffer pooling** — :meth:`RecordEncoder.encode_wire` reuses
-  ``bytearray`` bodies from a small freelist, so steady-state encoding
-  allocates no fresh buffer per record.
+  helper in the process shares one plan per format.
 
 Record headers (prepended by :meth:`RecordEncoder.encode` /
 :class:`~repro.pbio.context.IOContext`) are 16 bytes, always big-endian:
@@ -205,46 +205,6 @@ def parse_header(data: bytes, *,
     return FormatID.from_bytes(digest), body_len
 
 
-class BufferPool:
-    """A freelist of record-body ``bytearray`` buffers.
-
-    Steady-state encoding borrows a buffer, fills it, snapshots it to
-    immutable ``bytes`` for the transport, and returns it — retaining
-    the capacity the variable section grew to, so the next record of
-    similar shape extends without reallocating.  List append/pop are
-    atomic under the GIL, so the pool is safe to share across threads.
-    """
-
-    def __init__(self, max_buffers: int = 8, *,
-                 factory=bytearray) -> None:
-        self._free: list[bytearray] = []
-        self.max_buffers = max_buffers
-        self._factory = factory
-        self._zeros = b""
-        self.acquires = 0
-        self.reuses = 0
-
-    def acquire(self, size: int) -> bytearray:
-        """A zeroed buffer of exactly *size* bytes."""
-        self.acquires += 1
-        try:
-            buf = self._free.pop()
-        except IndexError:
-            return self._factory(size)
-        self.reuses += 1
-        if len(self._zeros) < size:
-            self._zeros = bytes(size)
-        if len(buf) != size or len(self._zeros) != size:
-            buf[:] = memoryview(self._zeros)[:size]
-        else:
-            buf[:] = self._zeros
-        return buf
-
-    def release(self, buf: bytearray) -> None:
-        if len(self._free) < self.max_buffers:
-            self._free.append(buf)
-
-
 def _round_up(value: int, align: int) -> int:
     return (value + align - 1) // align * align
 
@@ -260,9 +220,7 @@ class _PartsBody(bytearray):
     ops' pointer arithmetic — which is all expressed through
     ``len(body)`` — stays wire-accurate without knowing about spills.
     C-level writes (``extend``/``pack_into``) address the physical
-    buffer and are unaffected.  Segments must be cleared before the
-    body returns to its :class:`BufferPool` (the pool sizes buffers by
-    ``len``).
+    buffer and are unaffected.
     """
 
     __slots__ = ("segments",)
@@ -312,10 +270,11 @@ class RecordEncoder:
         self._ptr = struct.Struct(
             self._bo + ("I" if ptr_size == 4 else "Q"))
         self._count = struct.Struct(self._bo + "I")
-        self._pool = BufferPool()
-        self._parts_pool = BufferPool(factory=_PartsBody)
         # ops run in field order; each is fn(record, body, base)
         self._ops = self._compile(self.field_list, fmt.enums)
+        #: ``wire(record)`` when the whole record is one fused run
+        self._whole = self._compile_whole()
+        self._names = self.field_list.name_set()
         self._length_links = _length_links(self.field_list)
         #: (name, element size) of the fields whose payload can spill
         self._spillable = tuple(
@@ -326,16 +285,8 @@ class RecordEncoder:
     # -- public ---------------------------------------------------------------
 
     def encode(self, record: dict) -> EncodedRecord:
-        record = self._normalize(record, self.field_list,
-                                 self._length_links,
-                                 path=self.format.name)
-        body = self._pool.acquire(self.field_list.record_length)
-        try:
-            for op in self._ops:
-                op(record, body, 0)
-            return EncodedRecord(self.format.format_id, bytes(body))
-        finally:
-            self._pool.release(body)
+        return EncodedRecord(self.format.format_id,
+                             bytes(self.encode_body(record)))
 
     def encode_body(self, record: dict) -> bytearray:
         record = self._normalize(record, self.field_list,
@@ -361,9 +312,13 @@ class RecordEncoder:
         :class:`_PartsBody` and gets such payloads back as zero-copy
         ``memoryview`` segments over the **caller's array**, between
         ``bytes`` pieces — consume (join/send) them before mutating
-        the arrays.  Any other record runs the same ops on a plain
-        pooled ``bytearray`` and is one part.
+        the arrays.  Any other record runs the same ops on a fresh
+        ``bytearray`` and is one part; a record that is one fused run
+        is one ``pack`` of header and fields (:meth:`_compile_whole`).
         """
+        if self._whole is not None and type(record) is dict \
+                and record.keys() == self._names:
+            return (self._whole(record),)
         record = self._normalize(record, self.field_list,
                                  self._length_links,
                                  path=self.format.name)
@@ -372,29 +327,24 @@ class RecordEncoder:
             value = record[name]
             spill |= isinstance(value, (np.ndarray, array.array)) \
                 and len(value) * elem >= SPILL_MIN_BYTES
-        pool = self._parts_pool if spill else self._pool
-        body = pool.acquire(self.field_list.record_length)
-        try:
-            for op in self._ops:
-                op(record, body, 0)
-            length = _COUNT32.pack(len(body))
-            if not (spill and body.segments):
-                return (b"".join((self._header12, length, body)),)
-            parts = [self._header12 + length]
-            prev = 0
-            with memoryview(body) as raw:
-                for cut, segment in body.segments:
-                    if cut > prev:
-                        parts.append(bytes(raw[prev:cut]))
-                    parts.append(segment)
-                    prev = cut
-                if bytearray.__len__(body) > prev:
-                    parts.append(bytes(raw[prev:]))
-            return tuple(parts)
-        finally:
-            if spill:
-                body.segments.clear()
-            pool.release(body)
+        body = (_PartsBody if spill else bytearray)(
+            self.field_list.record_length)
+        for op in self._ops:
+            op(record, body, 0)
+        length = _COUNT32.pack(len(body))
+        if not (spill and body.segments):
+            return (b"".join((self._header12, length, body)),)
+        parts = [self._header12 + length]
+        prev = 0
+        with memoryview(body) as raw:
+            for cut, segment in body.segments:
+                if cut > prev:
+                    parts.append(bytes(raw[prev:cut]))
+                parts.append(segment)
+                prev = cut
+            if bytearray.__len__(body) > prev:
+                parts.append(bytes(raw[prev:]))
+        return tuple(parts)
 
     # -- normalization ---------------------------------------------------------
 
@@ -459,7 +409,8 @@ class RecordEncoder:
         compiled struct writes the run's full byte span in one call.
         The op's code is shared by every run of the same length
         (:func:`_fused_run_factory`); this run supplies only its
-        ``Struct``, start offset, converters and keys.
+        ``Struct``, start offset, converters and keys, and keeps them
+        as ``op.layout`` for :meth:`_compile_whole`.
         """
         run = step.run
         self.fused_runs += 1
@@ -479,9 +430,28 @@ class RecordEncoder:
             cells += (convert, field.name)
             singles.append((field.name, convert, self._bo + code))
             pos = field.offset + field.size
-        packer = struct.Struct(self._bo + "".join(parts))
-        return _fused_run_factory(len(run))(packer.pack_into, start,
-                                            tuple(singles), *cells)
+        codes, singles = "".join(parts), tuple(singles)
+        make_op, _, _ = _fused_run_factory(len(run))
+        op = make_op(struct.Struct(self._bo + codes).pack_into, start,
+                     singles, *cells)
+        # the run's codes from offset 0, where it ends, and its cells
+        op.layout = (f"{start}x{codes}", pos, singles, cells)
+        return op
+
+    def _compile_whole(self):
+        """``wire(record)`` for a format whose fixed section is one
+        fused run, else None: the constant header and the run op's
+        layout in one ``Struct.pack`` (``16s``, codes, trailing pad),
+        generated like the op, so a bad value fails with its message."""
+        if len(self._ops) != 1 or not hasattr(self._ops[0], "layout"):
+            return None
+        codes, end, singles, cells = self._ops[0].layout
+        length = self.field_list.record_length
+        packer = struct.Struct(f"{self._bo}16s{codes}{length - end}x")
+        _, make_whole, _ = _fused_run_factory(len(singles))
+        return make_whole(packer.pack,
+                          self._header12 + _COUNT32.pack(length),
+                          singles, *cells)
 
     def _compile_scalar(self, step: Step, enums):
         field, ftype = step.field, step.ftype
@@ -716,33 +686,54 @@ class RecordEncoder:
 
 @lru_cache(maxsize=64)
 def _fused_run_factory(length: int):
-    """The code of every fused-run op over *length* fields, compiled
-    once per process (bounded: run lengths are schema data).
+    """The code of every fused run over *length* fields, compiled once
+    per process (bounded: run lengths are schema data).
 
-    Returns ``make(pack_into, start, singles, convert0, key0, ...)``,
-    which closes one run's facts over that shared code.  The steady
-    state is one C-level ``pack_into`` with the converter calls inlined
-    as positional arguments — no per-field loop, no argument tuple.
+    Returns three makers that close one run's facts over that shared
+    code: ``make_op(pack_into, start, singles, convert0, key0, ...)``
+    (the run's encode op), ``make_whole(pack, header, singles, ...)``
+    (``wire(record)`` of a record that is the run alone) and
+    ``make_decode(unpack_from, key0, ...)`` (its ``record(body)``).
+    Each is one C-level struct call with the converter calls or the
+    stores inlined — no per-field loop, no argument tuple.
     """
     cells = ", ".join(f"_c{i}, _k{i}" for i in range(length))
     args = ", ".join(f"_c{i}(record[_k{i}])" for i in range(length))
-    src = (
-        f"def _make(_pack_into, _start, _singles, {cells}):\n"
-        "    def _fused(record, body, base):\n"
-        "        try:\n"
-        f"            _pack_into(body, base + _start, {args})\n"
+    keys = ", ".join(f"_k{i}" for i in range(length))
+    values = ", ".join(f"_v{i}" for i in range(length))
+    stores = "".join(f"        out[_k{i}] = _v{i}\n" for i in range(length))
+    diagnose = (
         "        except EncodeError:\n"
         "            raise\n"
         "        except (_struct_error, TypeError, ValueError,\n"
         "                KeyError) as exc:\n"
-        "            _diag(record, _singles, exc)\n"
-        "    return _fused\n")
+        "            _diag(record, _singles, exc)\n")
+    src = (
+        f"def make_op(_pack_into, _start, _singles, {cells}):\n"
+        "    def _fused(record, body, base):\n"
+        "        try:\n"
+        f"            _pack_into(body, base + _start, {args})\n"
+        f"{diagnose}"
+        "    return _fused\n"
+        f"def make_whole(_pack, _header, _singles, {cells}):\n"
+        "    def _whole(record):\n"
+        "        try:\n"
+        f"            return _pack(_header, {args})\n"
+        f"{diagnose}"
+        "    return _whole\n"
+        f"def make_decode(_unpack_from, {keys}):\n"
+        "    def _decode(body):\n"
+        f"        {values}, = _unpack_from(body)\n"
+        "        out = _dict()\n"
+        f"{stores}"
+        "        return out\n"
+        "    return _decode\n")
     env = {"EncodeError": EncodeError, "_struct_error": struct.error,
-           "_diag": _diagnose_fused_failure}
+           "_diag": _diagnose_fused_failure, "_dict": dict}
     # the one exec in the package: source generated right here from an
     # integer — no text from a format, the disk or a peer reaches it
     exec(compile(src, "<fused-run>", "exec"), env)
-    return env["_make"]
+    return env["make_op"], env["make_whole"], env["make_decode"]
 
 
 def _diagnose_fused_failure(record: dict, singles, exc) -> None:

@@ -346,10 +346,6 @@ class PlanLRU:
         with self._lock:
             self._entries.clear()
 
-    def values(self) -> list:
-        with self._lock:
-            return list(self._entries.values())
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -440,9 +436,6 @@ class PlanFrontEnd:
                 return plan
         self._count("hit")
         return plan
-
-    def plans(self) -> list:
-        return self._lru.values()
 
     def clear(self, *, persistent: bool = False) -> None:
         """Drop every cached plan; with *persistent* also purge the

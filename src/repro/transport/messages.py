@@ -155,7 +155,7 @@ class FrameReader:
 
     Bytes land in a 64 KiB + 4 B **window** (an anonymous private
     ``mmap``, mapped by the first read; only pages written take RAM)
-    between cursors ``lo`` and ``hi``, so a frame of up to 64 KiB
+    from cursor ``lo`` on, ``held`` of them, so a frame of up to 64 KiB
     leaves it in one copy; one that would run past the end is first
     moved to the front.  A larger frame's payload gets a private buffer
     (decoded arrays alias it) that starts at the payload length halved
@@ -163,13 +163,15 @@ class FrameReader:
     twice what the peer really sent, whatever the prefix claimed.
     """
 
-    __slots__ = ("_window", "_view", "_lo", "_hi", "_frame", "_have",
+    __slots__ = ("_window", "_view", "_lo", "held", "_frame", "_have",
                  "_size")
 
     def __init__(self) -> None:
         self._window: mmap.mmap | None = None
         self._view: memoryview | None = None
-        self._lo = self._hi = 0
+        #: bytes read and not yet taken as a frame; 0: only a
+        #: :meth:`fill` can bring the next frame
+        self._lo = self.held = 0
         #: a large frame's own buffer, payload bytes in it, payload size
         self._frame: bytearray | None = None
         self._have = self._size = 0
@@ -188,66 +190,62 @@ class FrameReader:
         if self._window is None:
             self._window = mmap.mmap(-1, _WINDOW, mmap.MAP_PRIVATE)
             self._view = memoryview(self._window)
-        got = read(self._view[self._hi:] if self._hi else self._window)
-        self._hi += got
+        end = self._lo + self.held
+        got = read(self._view[end:] if end else self._window)
+        self.held += got
         return got
 
-    def pop(self, limit: int) -> tuple[int, bytes | memoryview] | None:
-        """The next whole frame as ``(type byte, payload)``, else None;
-        a large frame's payload is a read-only view of its buffer."""
-        window, lo, hi = self._window, self._lo, self._hi
+    def frame(self, limit: int) -> Frame | None:
+        """The next whole frame, else None; an unknown type raises.  A
+        frame already in the window comes out of this one call.  A
+        large frame's payload stays a read-only view of its buffer
+        only for a record, or a shard control frame carrying one."""
+        window, lo, held = self._window, self._lo, self.held
         if self._frame is not None:
             if self._have < self._size:
                 return None
             payload = memoryview(self._frame)[:self._size].toreadonly()
             self._frame = None
-            self._lo = self._hi = 0
-            return window[lo + 4], payload
+            self._lo = self.held = 0
+            ftype = FRAME_TYPES[window[lo + 4]]
+            if ftype != FrameType.DATA and ftype != FrameType.SHARD:
+                payload = bytes(payload)
+            return Frame(ftype, payload)
         need = 4
-        if hi - lo >= 4:
+        if held >= 4:
             (length,) = _LEN.unpack_from(window, lo)
             if not 0 < length <= limit:
                 raise frame_length_error(length, limit)
             end = lo + 4 + length
-            if end <= hi:
-                self._lo, self._hi = (0, 0) if end == hi else (end, hi)
-                return window[lo + 4], window[lo + 5:end]
+            if end <= lo + held:  # whole in the window
+                self._lo, self.held = (0, 0) if end == lo + held \
+                    else (end, lo + held - end)
+                return Frame(FRAME_TYPES[window[lo + 4]],
+                             window[lo + 5:end])
             if length <= _WINDOW - 4:
                 need = 4 + length
-            elif hi - lo < 5:
+            elif held < 5:
                 need = 5
             else:  # the head that came with the prefix moves over
                 size = room = length - 1
-                while (room + 1) // 2 >= max(hi - lo - 5, _WINDOW - 4):
+                while (room + 1) // 2 >= max(held - 5, _WINDOW - 4):
                     room = (room + 1) // 2
                 self._frame = bytearray(room)
-                self._frame[:hi - lo - 5] = self._view[lo + 5:hi]
-                self._have, self._size, self._hi = hi - lo - 5, size, lo + 5
+                self._frame[:held - 5] = self._view[lo + 5:lo + held]
+                self._have, self._size, self.held = held - 5, size, 5
                 return None
         if lo + need > _WINDOW:
-            window.move(0, lo, hi - lo)
-            self._lo, self._hi = 0, hi - lo
+            window.move(0, lo, held)
+            self._lo = 0
         return None
-
-    def frame(self, limit: int) -> Frame | None:
-        """:meth:`pop` as a :class:`Frame` (an unknown type raises);
-        only a record, or a shard control frame carrying one, keeps a
-        large payload as a view."""
-        got = self.pop(limit)
-        if got is None:
-            return None
-        ftype, payload = FRAME_TYPES[got[0]], got[1]
-        if type(payload) is not bytes and ftype != FrameType.DATA \
-                and ftype != FrameType.SHARD:
-            payload = bytes(payload)
-        return Frame(ftype, payload)
 
     def unread(self) -> bytes:
         """A copy of the bytes held, for another protocol's parser."""
-        return self._window[self._lo:self._hi] if self._hi else b""
+        return self._window[self._lo:self._lo + self.held] \
+            if self.held else b""
 
     def discard(self) -> None:
-        self._lo = self._hi = 0
+        self._lo = self.held = 0
 
 
 # -- lineage handshake payloads ---------------------------------------------

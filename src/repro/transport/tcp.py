@@ -44,6 +44,8 @@ class TCPChannel(Channel):
         #: blocking read costs no ioctl; unknown (False) until one ran
         self._blocking = False
         self._send_lock = threading.Lock()
+        #: gather-send with sendmsg, or join chunks (non-POSIX)
+        self._gather = hasattr(sock, "sendmsg")
         self.max_frame_len = max_frame_len
         self.bytes_sent = 0
         self.frames_sent = 0
@@ -73,13 +75,13 @@ class TCPChannel(Channel):
         total = sum(map(len, buffers))
         with self._send_lock:
             try:
-                if not hasattr(self._sock, "sendmsg"):  # pragma: no cover
-                    self._sendall_chunked(buffers)  # non-POSIX fallback
-                else:  # a frame is one sendmsg unless the kernel cuts it
+                if self._gather:  # one sendmsg unless the kernel cuts it
                     sent = (self._sock.sendmsg(buffers)
                             if len(buffers) <= _SENDMSG_BATCH else 0)
                     if sent != total:
                         self._sendmsg_all(buffers, total, sent)
+                else:  # a socket with no sendmsg (non-POSIX)
+                    self._sendall_chunked(buffers)
             except OSError as exc:
                 raise TransportError(f"send failed: {exc}") from None
             self.bytes_sent += total
@@ -114,12 +116,12 @@ class TCPChannel(Channel):
             self._sock.sendall(b"".join(chunk))
 
     def recv(self, timeout: float | None = None) -> Frame | None:
-        deadline = None if timeout is None else time.monotonic() + timeout
+        """The next frame, None on an orderly close: one reader call
+        for a frame already in hand, else ``fill`` then that call."""
         reader = self._reader
-        while True:
-            frame = reader.frame(self.max_frame_len)
-            if frame is not None:
-                return frame
+        frame = reader.frame(self.max_frame_len) if reader.held else None
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while frame is None:
             try:
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
@@ -137,9 +139,11 @@ class TCPChannel(Channel):
             except OSError as exc:
                 raise TransportError(f"recv failed: {exc}") from None
             if not got:
-                if not reader.unread():
+                if not reader.held:
                     return None  # orderly close at a frame boundary
                 raise TransportError("connection closed mid-frame")
+            frame = reader.frame(self.max_frame_len)
+        return frame
 
     def close(self) -> None:
         if not self._closed:

@@ -206,6 +206,24 @@ class TestRefresh:
         publish_document("toolkit-r4.xsd", extra)
         assert set(xmit.refresh(url)) == {"Extra"}
 
+    def test_refresh_of_a_document_that_gains_its_first_format(self):
+        """A URL that loaded with no complexType is not a first load
+        when it changes: the formats it gains are added and notified."""
+        empty = ('<xsd:schema xmlns:xsd="http://www.w3.org/2001/'
+                 'XMLSchema"></xsd:schema>')
+        url = publish_document("toolkit-r7.xsd", empty)
+        xmit = XMIT()
+        assert xmit.load_url(url) == ()
+        events = []
+        xmit.subscribe(lambda ev, name, fmt: events.append((ev, name)))
+        publish_document("toolkit-r7.xsd", empty.replace(
+            "</xsd:schema>",
+            '<xsd:complexType name="P">'
+            '<xsd:element name="x" type="xsd:int" /></xsd:complexType>'
+            "</xsd:schema>"))
+        assert xmit.refresh(url) == ("P",)
+        assert events == [("added", "P")]
+
 
 class TestOneChangePath:
     """``load_url`` past its TTL and ``refresh`` are one fetch -> diff
@@ -258,6 +276,31 @@ class TestOneChangePath:
         after = xmit.bind("SimpleData")
         assert after is not before
         assert "units" in after.artifact.field_list
+
+    @pytest.mark.parametrize("lazy", [False, True],
+                             ids=["eager", "lazy"])
+    def test_a_second_url_redefining_a_bound_name_is_a_change(self, lazy):
+        """A URL's first load that redefines a format another URL
+        served drops the stale binding and says so; one that
+        redefines nothing fires no event."""
+        point = ('<xsd:schema xmlns:xsd="http://www.w3.org/2001/'
+                 'XMLSchema"><xsd:complexType name="P">{}'
+                 '</xsd:complexType></xsd:schema>')
+        field = '<xsd:element name="{}" type="xsd:int" />'
+        xmit = XMIT(lazy=lazy)
+        xmit.load_url(publish_document(f"toolkit-p-a-{lazy}.xsd",
+                                       point.format(field.format("x"))))
+        assert xmit.bind("P").artifact.field_list.names() == ("x",)
+        events = []
+        xmit.subscribe(lambda ev, name, fmt: events.append((ev, name)))
+        xy = point.format(field.format("x") + field.format("y"))
+        b = publish_document(f"toolkit-p-b-{lazy}.xsd", xy)
+        assert xmit.load_url(b) == ("P",)
+        assert events == [("changed", "P")]
+        assert xmit.bind("P").artifact.field_list.names() == ("x", "y")
+        c = publish_document(f"toolkit-p-c-{lazy}.xsd", xy)
+        assert xmit.load_url(c) == ("P",)  # same IR: nothing changed
+        assert events == [("changed", "P")]
 
 
 class TestExport:

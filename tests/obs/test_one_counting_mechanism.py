@@ -106,7 +106,6 @@ def test_the_catalog_knows_no_stats_class_and_one_tally_collector():
                 collectors.append(
                     (module, ast.unparse(node.args[0])))
     assert sorted(collectors) == [
-        ("obs/metrics.py", "_codec_plan_collector"),   # buffer pool
         ("obs/registry.py", "_collect_tallies"),       # every tally
         ("transport/eventloop.py", "self._obs_collect"),
     ]

@@ -1,5 +1,4 @@
-"""Compiled codec plans: the process-wide plan caches and the encode
-buffer pool."""
+"""Compiled codec plans: the process-wide plan caches."""
 
 import pytest
 
@@ -8,7 +7,7 @@ from repro.pbio.decode import (
     RecordDecoder, clear_decoder_cache, decoder_for_format,
 )
 from repro.pbio.encode import (
-    BufferPool, RecordEncoder, clear_encoder_cache, encoder_for_format,
+    RecordEncoder, clear_encoder_cache, encoder_for_format,
 )
 from repro.pbio.format_server import FormatServer
 from repro.pbio.machine import X86_64
@@ -58,28 +57,3 @@ class TestPlanCaches:
         assert RecordDecoder(fmt, fuse=True).decode(body) == \
             RecordDecoder(fmt, fuse=False).decode(body)
 
-
-class TestBufferPool:
-    def test_reuse_and_zeroing(self):
-        pool = BufferPool(max_buffers=2)
-        buf = pool.acquire(32)
-        buf[0] = 0xFF
-        pool.release(buf)
-        again = pool.acquire(32)
-        assert again is buf
-        assert bytes(again) == b"\x00" * 32
-        assert pool.reuses == 1
-
-    def test_pool_bounded(self):
-        pool = BufferPool(max_buffers=1)
-        a, b = pool.acquire(8), pool.acquire(8)
-        pool.release(a)
-        pool.release(b)  # over capacity: dropped
-        assert pool.acquire(8) is a
-        assert pool.acquire(8) is not b
-
-    def test_encode_reuses_pooled_buffer(self, fmt):
-        encoder = RecordEncoder(fmt)
-        for i in range(5):
-            encoder.encode({"timestep": i, "data": [1.0]})
-        assert encoder._pool.reuses >= 4

@@ -216,9 +216,10 @@ class _NoSendmsgSocket:
 class TestSendMany:
     def test_fallback_without_sendmsg_chunks_the_join(self):
         """Where sendmsg is unavailable a parts payload ships via
-        bounded joins — same bytes on the wire, no whole-frame copy."""
-        a, b = tcp_pair()
-        a._sock = _NoSendmsgSocket(a._sock)
+        bounded joins — same bytes on the wire, no whole-frame copy.
+        The channel picks its send path when it is built."""
+        client, b = tcp_pair()
+        a = TCPChannel(_NoSendmsgSocket(client._sock))
         received = []
 
         def reader():
