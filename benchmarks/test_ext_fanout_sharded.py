@@ -19,6 +19,11 @@ enforced by ``benchmarks/check_gates.py``:
   at 4); on starved runners the gate degrades to a no-regression
   floor, keyed off the recorded ``cpus`` field.
 
+The 256-subscriber, one-worker cell also records ``floor_us``, a bare
+loop ``sendall``-ing the same frame to 256 loopback sockets
+(:mod:`benchmarks.fanout_floor`), and ``per_client_over_floor``: the
+Python the server spends per subscriber above the send.
+
 In-test assertions cover only the machine-independent counter shape,
 so a 1-CPU container cannot flake the suite.
 """
@@ -32,10 +37,12 @@ import time
 
 import pytest
 
+from benchmarks.fanout_floor import floor_us
 from benchmarks.test_ext_fanout import _Drainer
 from repro.pbio.context import IOContext
 from repro.pbio.encode import BULK_STATS
 from repro.pbio.format_server import FormatServer
+from repro.transport.messages import FrameType, frame_bytes
 from repro.transport.sharded import ShardedBroadcastServer
 
 FANOUT = (256, 1024, 4096)
@@ -44,6 +51,9 @@ WORKER_COUNTS = (1, 2, 4)
 #: whole matrix fits a CI slot; per-client costs normalize this out
 MESSAGES = {256: 40, 1024: 16, 4096: 8}
 GRID_FLOATS = 1024  # 8 KiB payload: well past SPILL_MIN_BYTES
+#: (clients, workers) whose ``per_client_us`` is also recorded over the
+#: send floor (:mod:`benchmarks.fanout_floor`)
+FLOOR_CELL = (256, 1)
 
 SPECS = [("timestep", "integer"), ("size", "integer"),
          ("data", "float[size]", 8)]
@@ -139,6 +149,14 @@ def test_sharded_fanout_sweep_recorded(clients, bench_json):
     for workers in WORKER_COUNTS:
         row = _measure(clients, workers)
         rows[str(workers)] = row
+        if (clients, workers) == FLOOR_CELL:
+            # the same frame, sendall-ed by a bare loop, in this run
+            ctx = _context()
+            row["floor_us"] = floor_us(clients, frame_bytes(
+                FrameType.DATA, ctx.encode("GridSlab", RECORD)),
+                row["messages"])
+            row["per_client_over_floor"] = \
+                row["per_client_us"] / row["floor_us"]
         # machine-independent acceptance: marshal once, fan out many
         assert row["parent_records_encoded"] == row["messages"], row
         assert row["parent_spilled_segments"] >= row["messages"], row

@@ -29,11 +29,14 @@ the decoder bound to its raw digest in one table probe; a
 from __future__ import annotations
 
 import struct
+from threading import get_ident
+from time import perf_counter_ns
 from typing import NamedTuple
 
 from repro.errors import FormatRegistrationError, UnknownFormatError
+from repro.obs import runtime as _obs
 from repro.obs.registry import Tally
-from repro.obs.spans import observe_phase, sample_t0, span
+from repro.obs.spans import _next_tick, observe_phase, span
 from repro.pbio.convert import ConversionPlan, plan_conversion
 from repro.pbio.decode import RecordDecoder, decoder_for_format
 from repro.pbio.encode import (
@@ -96,14 +99,15 @@ class IOContext:
         #: keyed by ``FormatID.value``: an int hashes in C
         self._encoders: dict[int, RecordEncoder] = {}
         self._decoders: dict[tuple[FormatID, str], RecordDecoder] = {}
-        #: arrays mode -> raw wire digest -> (bound ``decoder.decode``,
+        #: arrays mode -> raw wire digest -> (``decoder.decode_wire``,
         #: format name, FormatID).  Ids are content-addressed, so an
         #: entry never goes stale and nothing invalidates the table.
         self._bound: dict[str, dict[bytes, tuple]] = {}
         self._wire_formats: dict[FormatID, IOFormat] = {}
         self._conversions: dict[tuple[FormatID, str], ConversionPlan] = {}
-        #: marshaling counters (records/bytes in each direction)
+        #: marshaling counters, and their per-thread rows (probed inline)
         self.stats = ContextStats()
+        self._rows = self.stats._rows
 
     # -- registration -----------------------------------------------------------
 
@@ -236,11 +240,13 @@ class IOContext:
             fmt = self._formats.get(fmt) or self.lookup_format(fmt)
         encoder = (self._encoders.get(fmt.format_id.value)
                    or self.encoder_for(fmt))
-        t0 = sample_t0()
+        # sample_t0, inlined: one codec operation in sample_mask + 1
+        t0 = (_obs.enabled and not _next_tick() & _obs.sample_mask
+              and perf_counter_ns())
         wire = encoder.encode_wire_parts(record)
         if t0:
             observe_phase("marshal", t0)
-        row = self.stats.row()
+        row = self._rows.get(get_ident()) or self.stats.row()
         row["records_encoded"] += 1
         row["bytes_encoded"] += (len(wire[0]) if len(wire) == 1
                                  else sum(map(len, wire)))
@@ -270,8 +276,8 @@ class IOContext:
         result under the raw digest."""
         fid = FormatID.from_bytes(digest)
         fmt = self._resolve_wire_format(fid)
-        entry = (self.decoder_for(fmt, arrays=arrays).decode, fmt.name,
-                 fid)
+        entry = (self.decoder_for(fmt, arrays=arrays).decode_wire,
+                 fmt.name, fid)
         self._bound.setdefault(arrays, {})[digest] = entry
         return entry
 
@@ -290,12 +296,12 @@ class IOContext:
             decode, name, fid = self._bound[arrays][digest]
         except KeyError:
             decode, name, fid = self._bind(digest, arrays)
-        t0 = sample_t0()
-        record = decode(
-            memoryview(data)[HEADER_LEN:HEADER_LEN + body_len])
+        t0 = (_obs.enabled and not _next_tick() & _obs.sample_mask
+              and perf_counter_ns())
+        record = decode(data, HEADER_LEN, body_len)
         if t0:
             observe_phase("unmarshal", t0)
-        row = self.stats.row()
+        row = self._rows.get(get_ident()) or self.stats.row()
         row["records_decoded"] += 1
         row["bytes_decoded"] += size
         return tuple.__new__(DecodedRecord, (name, fid, record))

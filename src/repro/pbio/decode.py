@@ -18,6 +18,7 @@ benchmarking and byte-equality tests).
 from __future__ import annotations
 
 import struct
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +32,11 @@ from repro.pbio.walk import Step, numpy_dtype, struct_code, walk_fields
 
 def _round_up(value: int, align: int) -> int:
     return (value + align - 1) // align * align
+
+
+def _short(name: str, length: int, size: int) -> None:
+    raise DecodeError(f"record body {size} bytes, format {name!r} "
+                      f"requires at least {length}")
 
 
 class RecordDecoder:
@@ -77,26 +83,24 @@ class RecordDecoder:
         # (name, op) in field order; a fused run's name is None and
         # its op fills the record dict itself
         self._ops = self._compile(self.field_list, fmt.enums)
-        #: ``record(body)`` when the whole record is one fused run with
-        #: no post-processing; made from that run's one op, which
-        #: ``_ops`` keeps for the ``fused_runs`` stats
+        #: ``record(data, at, n)`` when the whole record is one fused
+        #: run with no post-processing; made from that run's one op,
+        #: which ``_ops`` keeps for the ``fused_runs`` stats
         self._whole = self._compile_whole()
 
     # -- public ---------------------------------------------------------------
 
     def decode(self, body: bytes | memoryview) -> dict:
         """Decode a record body (no header) into a record dict."""
+        if self._whole is not None:
+            return self._whole(body, 0, len(body))
         if type(body) is not memoryview:
             body = memoryview(body)
         if self.arrays == "view" and not body.readonly:
             body = body.toreadonly()
         if len(body) < self.field_list.record_length:
-            raise DecodeError(
-                f"record body {len(body)} bytes, format "
-                f"{self.format.name!r} requires at least "
-                f"{self.field_list.record_length}")
-        if self._whole is not None:
-            return self._whole(body)
+            _short(self.format.name, self.field_list.record_length,
+                   len(body))
         record: dict = {}
         for names, op in self._ops:
             try:
@@ -117,6 +121,14 @@ class RecordDecoder:
                     f"field {name!r}: corrupt record data: "
                     f"{exc}") from None
         return record
+
+    @property
+    def decode_wire(self):
+        """``record(data, at, n)`` of the *n*-byte body at offset *at*
+        of *data* (a wire record's at 16): the generated unpack itself
+        for a whole record, else :meth:`decode` of a view."""
+        return self._whole or (
+            lambda data, at, n: self.decode(memoryview(data)[at:at + n]))
 
     # -- compilation ------------------------------------------------------------
 
@@ -178,7 +190,7 @@ class RecordDecoder:
         return op
 
     def _compile_whole(self):
-        """``record(body)`` for a format whose fixed section is one
+        """``record(data, at, n)`` for a format whose fixed section is one
         fused run needing no post-processing, else None: made from the
         run op's layout and generated, like the encoder's, by
         :func:`_fused_run_factory`."""
@@ -188,8 +200,10 @@ class RecordDecoder:
         codes, posts = op.layout
         if posts:
             return None
+        length = self.field_list.record_length
         _, _, make_decode = _fused_run_factory(len(op.run_names))
         return make_decode(struct.Struct(self._bo + codes).unpack_from,
+                           length, partial(_short, self.format.name, length),
                            *op.run_names)
 
     def _compile_scalar(self, step: Step, enums):

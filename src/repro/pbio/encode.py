@@ -417,7 +417,7 @@ class RecordEncoder:
         self.fused_fields += len(run)
         start = run[0][0].offset
         parts: list[str] = []
-        cells: list = []          # convert, key, convert, key, ...
+        cells: list = []          # convert, exact type, key, ...
         singles: list[tuple] = [] # (name, convert, struct format)
         pos = start
         for field, ftype in run:
@@ -427,7 +427,7 @@ class RecordEncoder:
             parts.append(code)
             convert = _scalar_converter(ftype.kind, field,
                                         enums.get(field.name))
-            cells += (convert, field.name)
+            cells += (convert, _EXACT.get(ftype.kind), field.name)
             singles.append((field.name, convert, self._bo + code))
             pos = field.offset + field.size
         codes, singles = "".join(parts), tuple(singles)
@@ -684,21 +684,27 @@ class RecordEncoder:
                  "var": _compile_var_array, "sub": _compile_subformat}
 
 
+#: kind -> the exact type whose values skip the converter (None: no type)
+_EXACT = {"integer": int, "unsigned": int, "float": float}
+
+
 @lru_cache(maxsize=64)
 def _fused_run_factory(length: int):
     """The code of every fused run over *length* fields, compiled once
     per process (bounded: run lengths are schema data).
 
     Returns three makers that close one run's facts over that shared
-    code: ``make_op(pack_into, start, singles, convert0, key0, ...)``
-    (the run's encode op), ``make_whole(pack, header, singles, ...)``
-    (``wire(record)`` of a record that is the run alone) and
-    ``make_decode(unpack_from, key0, ...)`` (its ``record(body)``).
-    Each is one C-level struct call with the converter calls or the
-    stores inlined — no per-field loop, no argument tuple.
+    code: ``make_op(pack_into, start, singles, convert0, exact0, key0,
+    ...)`` (the run's encode op), ``make_whole(pack, header, singles,
+    ...)`` (``wire(record)`` of a record that is the run alone) and
+    ``make_decode(unpack_from, length, short, key0, ...)`` (its
+    ``record(data, at, n)``).  Each is one C-level struct call, a value
+    of its field's exact type packed as is, any other converted.
     """
-    cells = ", ".join(f"_c{i}, _k{i}" for i in range(length))
-    args = ", ".join(f"_c{i}(record[_k{i}])" for i in range(length))
+    cells = ", ".join(f"_c{i}, _t{i}, _k{i}" for i in range(length))
+    args = ", ".join(
+        f"_x if type(_x := record[_k{i}]) is _t{i} else _c{i}(_x)"
+        for i in range(length))
     keys = ", ".join(f"_k{i}" for i in range(length))
     values = ", ".join(f"_v{i}" for i in range(length))
     stores = "".join(f"        out[_k{i}] = _v{i}\n" for i in range(length))
@@ -721,9 +727,11 @@ def _fused_run_factory(length: int):
         f"            return _pack(_header, {args})\n"
         f"{diagnose}"
         "    return _whole\n"
-        f"def make_decode(_unpack_from, {keys}):\n"
-        "    def _decode(body):\n"
-        f"        {values}, = _unpack_from(body)\n"
+        f"def make_decode(_unpack_from, _length, _short, {keys}):\n"
+        "    def _decode(data, at, n):\n"
+        "        if n < _length:\n"
+        "            _short(n)\n"
+        f"        {values}, = _unpack_from(data, at)\n"
         "        out = _dict()\n"
         f"{stores}"
         "        return out\n"

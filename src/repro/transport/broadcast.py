@@ -266,16 +266,14 @@ class BroadcastPublisher(PublishFront):
 
     def _fan_out(self, fmt: IOFormat, data: bytes, source) -> int:
         t0 = sample_t0()
-        server = self.server
-        clients = server.open_clients  # lock-free: a fresh tuple per change
+        clients = self.server.open_clients  # lock-free: fresh per change
         fid = fmt.format_id
-        #: (digest, its value, frame, queue room below the bound) for
-        #: the current version, then per stale version this fan-out
-        #: re-encodes for — at most once per *version*, shared by
-        #: every subscriber on it
-        current = (fid, fid.value, data, self.max_queue_bytes - len(data))
+        #: (digest, its value, frame) for the current version, then per
+        #: stale version this fan-out re-encodes for — at most once per
+        #: *version*, shared by every subscriber on it
+        current = (fid, fid.value, data)
         variants: dict[FormatID, tuple] = {}
-        reached = waiting = queued = 0
+        sends = []
         for client in clients:
             send = current
             if client.negotiated:
@@ -283,25 +281,15 @@ class BroadcastPublisher(PublishFront):
                 if target is not None and target != fid:
                     send = variants.get(target)
                     if send is None:
-                        frame = frame_bytes(
-                            FrameType.DATA, *encode_at_version(
-                                self.context, fmt, source, target))
                         send = variants[target] = (
-                            target, target.value, frame,
-                            self.max_queue_bytes - len(frame))
-            send_fid, key, frame, room = send
+                            target, target.value, frame_bytes(
+                                FrameType.DATA, *encode_at_version(
+                                    self.context, fmt, source, target)))
+            send_fid, key, frame = send
             if key not in client.announced:
                 self._announce_id(client, send_fid)
-            # the policy runs only for a subscriber over its bound
-            if client.queued_bytes > room:
-                if not self._offer(client, frame):
-                    continue
-            elif not server.enqueue(client, frame):
-                continue
-            reached += 1
-            queued += len(frame)  # a down-converted variant at its size
-            if client.queued_bytes > waiting:
-                waiting = client.queued_bytes
+            sends.append((client, frame))
+        reached, queued, waiting = self._deliver(sends)
         if t0:
             observe_phase("transport", t0)
         # one encode regardless of subscriber count — the whole
@@ -318,6 +306,19 @@ class BroadcastPublisher(PublishFront):
             row["subscriber_high_water"] = len(clients)
         return reached
 
+    def _deliver(self, sends: list) -> tuple[int, int, int]:
+        """One write-through pass, then :meth:`_offer`, outside the lock,
+        for each subscriber it left over its bound: ``(reached, bytes
+        queued, most bytes one of them has waiting)``."""
+        reached, queued, waiting, over = self.server.write_through(
+            sends, self.max_queue_bytes)
+        for client, frame in over:
+            if self._offer(client, frame):
+                reached += 1
+                queued += len(frame)
+                waiting = max(waiting, client.queued_bytes)
+        return reached, queued, waiting
+
     def _announce_id(self, client: ClientHandle, fid: FormatID) -> None:
         """Push the format's metadata once per client, ahead of its
         first record — the lazy half of connection establishment.
@@ -332,8 +333,8 @@ class BroadcastPublisher(PublishFront):
             self.stats.count("formats_announced")
 
     def _offer(self, client: ClientHandle, data: bytes) -> bool:
-        """Enqueue under the bounded-queue policy (a fan-out calls this
-        only for a subscriber whose queue is over its bound).
+        """Enqueue under the bounded-queue policy (:meth:`_deliver` calls
+        this only for a subscriber over its bound).
 
         The publisher is the only thread enqueueing *data* frames, so
         the limit check followed by the enqueue cannot over-admit data.

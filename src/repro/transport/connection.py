@@ -122,7 +122,7 @@ class Connection:
         buffer to the kernel uncopied, and is the caller's to mutate
         again as soon as this returns."""
         wire = self.context.encode(format_name, record, parts=True)
-        self.channel.send(Frame(_DATA, wire))
+        self.channel.send(tuple.__new__(Frame, (_DATA, wire)))
         self.records_sent += 1
 
     def send_encoded(self, wire: bytes) -> None:

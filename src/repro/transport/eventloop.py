@@ -8,10 +8,10 @@ of clients" — needs hundreds.  :class:`EventLoopServer` accepts every
 subscriber on the same thread and reads every client through the
 transport's one reassembler, :class:`~repro.transport.messages
 .FrameReader`, the one ``TCPChannel`` reads with.  Outbound frames write
-through: :meth:`EventLoopServer.enqueue` sends on the caller's thread
-while the client's queue is empty, and the loop thread only drains a
-backlog, with scatter-gather ``sendmsg`` — one syscall per backlogged
-client, not one per frame.
+through: :meth:`EventLoopServer.write_through` sends a publish's frames
+on the caller's thread, in one pass under one lock, and the loop
+thread only drains a backlog, with scatter-gather ``sendmsg`` — one
+syscall per backlogged client, not one per frame.
 
 The loop itself is policy-free: bounded-queue backpressure
 (``block`` / ``drop-oldest`` / ``disconnect-slow``) is composed on top
@@ -404,53 +404,66 @@ class EventLoopServer:
 
     def enqueue(self, client: ClientHandle, data: bytes, *,
                 droppable: bool = True) -> bool:
-        """Send or queue *data* (one whole encoded frame) for *client*.
+        """Send or queue *data* (one whole encoded frame) for *client*,
+        unbounded: the one-client case of :meth:`write_through`.
+        Returns False when the client is already gone."""
+        return self.write_through(((client, data),),
+                                  droppable=droppable)[0] == 1
 
-        Write-through: while the client's queue is empty the frame
-        goes to the kernel here, on the calling thread, in one
-        non-blocking ``send`` under the server lock.  An empty queue
-        means every earlier byte is written and the loop thread is not
-        inside a ``sendmsg`` for this client (entries stay queued
-        until accounted), so no two threads ever send on one socket
-        and the stream keeps enqueue order.  What the kernel did not
-        take is queued for the loop thread, woken on that empty ->
-        non-empty transition only.  A send error never raises or runs
-        a callback here: it becomes ``close_reason`` plus a close
-        request, for ``on_disconnect`` on the loop thread.
+    def write_through(self, sends, limit: int = 1 << 62, *,
+                      droppable: bool = True) -> tuple:
+        """Send or queue each ``(client, frame)`` of *sends* — one
+        publish's fan-out — in one pass under **one** acquisition of
+        the server lock (docs/TRANSPORT.md, "The write path").
 
-        Returns False when the client is already gone.  Unbounded:
-        callers that need backpressure check ``queued_bytes`` first
-        (see :class:`~repro.transport.broadcast.BroadcastPublisher`).
-        """
+        An empty queue's frame goes to the kernel here in one
+        non-blocking ``send``; what it did not take is queued for the
+        loop thread, woken once after the pass.  A send error becomes
+        a close request; a closed or closing client is skipped; one
+        whose queue plus frame would pass *limit* is left to the
+        caller.  Returns ``(reached, bytes, most bytes a reached
+        client has queued, [(client, frame) over limit])``."""
+        reached = size = waiting = 0
+        over = []
+        wake = False
         with self._lock:
-            if not client.open or client.closing:
-                return False
-            client.frames_enqueued += 1
-            queue = client.write_queue
-            backlog, sent = bool(queue), 0
-            if not backlog:
-                try:
-                    sent = client.sock.send(data)
-                except BlockingIOError:
-                    pass
-                except OSError as exc:
-                    client.close_reason = TransportError(
-                        f"send failed: {exc}")
-                    self._close_requests.append(
-                        (client, client.close_reason, False))
-                client.sent_bytes += sent
-                if sent == len(data):
-                    client.frames_sent += 1
-                    return True
-                client.head_offset = sent
-                self._want_write.add(client)
-            queue.append([memoryview(data), droppable])
-            client.queued_bytes += len(data) - sent
-            if client.queued_bytes > client.queue_high_water:
-                client.queue_high_water = client.queued_bytes
-        if not backlog:
+            for client, data in sends:
+                if not client.open or client.closing:
+                    continue
+                if client.queued_bytes + len(data) > limit:
+                    over.append((client, data))
+                    continue
+                client.frames_enqueued += 1
+                reached += 1
+                size += len(data)
+                queue = client.write_queue
+                sent = 0
+                if not queue:
+                    try:
+                        sent = client.sock.send(data)
+                    except BlockingIOError:
+                        pass
+                    except OSError as exc:
+                        client.close_reason = TransportError(
+                            f"send failed: {exc}")
+                        self._close_requests.append(
+                            (client, client.close_reason, False))
+                    client.sent_bytes += sent
+                    if sent == len(data):
+                        client.frames_sent += 1
+                        continue
+                    client.head_offset = sent
+                    self._want_write.add(client)
+                    wake = True
+                queue.append([memoryview(data), droppable])
+                client.queued_bytes += len(data) - sent
+                if client.queued_bytes > client.queue_high_water:
+                    client.queue_high_water = client.queued_bytes
+                if client.queued_bytes > waiting:
+                    waiting = client.queued_bytes
+        if wake:
             self._poller.wake()
-        return True
+        return reached, size, waiting, over
 
     def drop_oldest(self, client: ClientHandle,
                     need: int) -> tuple[int, int]:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import mmap
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import FrameTooLargeError, ProtocolError
 from repro.obs import runtime as _obs
@@ -77,10 +77,9 @@ class FrameType(enum.IntEnum):
     SHARD = 14    # payload = u8 sub-kind + body
 
 
-@dataclass(slots=True)
-class Frame:
-    """One transport frame, built once each way per message: a plain
-    two-slot class.  Outbound, ``payload`` may be a tuple of buffers (a
+class Frame(NamedTuple):
+    """One transport frame, built once each way per message (in C on the
+    hot paths).  Outbound, ``payload`` may be a tuple of buffers (a
     record's wire parts, sent unjoined); inbound, a large DATA payload
     may be a read-only ``memoryview`` of the frame's private receive
     buffer.  Otherwise it is ``bytes``."""
@@ -91,11 +90,11 @@ class Frame:
     def buffers(self) -> list:
         """The frame as it goes on the wire, unjoined:
         ``[5-byte prefix, *payload parts]``."""
-        parts = self.payload
+        ftype, parts = self
         if type(parts) is not tuple:
             parts = (parts,)
         size = len(parts[0]) if len(parts) == 1 else sum(map(len, parts))
-        return [_PREFIX.pack(size + 1, self.type), *parts]
+        return [_PREFIX.pack(size + 1, ftype), *parts]
 
     def encode(self) -> bytes:
         return b"".join(self.buffers())
@@ -144,7 +143,7 @@ def decode_frame(data: bytes) -> Frame:
     """Decode one framed message (length prefix already stripped)."""
     if not data:
         raise ProtocolError("empty frame")
-    return Frame(FRAME_TYPES[data[0]], bytes(data[1:]))
+    return tuple.__new__(Frame, (FRAME_TYPES[data[0]], bytes(data[1:])))
 
 
 class FrameReader:
@@ -210,7 +209,7 @@ class FrameReader:
             ftype = FRAME_TYPES[window[lo + 4]]
             if ftype != FrameType.DATA and ftype != FrameType.SHARD:
                 payload = bytes(payload)
-            return Frame(ftype, payload)
+            return tuple.__new__(Frame, (ftype, payload))
         need = 4
         if held >= 4:
             (length,) = _LEN.unpack_from(window, lo)
@@ -220,8 +219,8 @@ class FrameReader:
             if end <= lo + held:  # whole in the window
                 self._lo, self.held = (0, 0) if end == lo + held \
                     else (end, lo + held - end)
-                return Frame(FRAME_TYPES[window[lo + 4]],
-                             window[lo + 5:end])
+                return tuple.__new__(Frame, (FRAME_TYPES[window[lo + 4]],
+                                             window[lo + 5:end]))
             if length <= _WINDOW - 4:
                 need = 4 + length
             elif held < 5:

@@ -187,22 +187,21 @@ class _ShardWorkerPublisher(BroadcastPublisher):
         t0 = sample_t0()
         clients = self.server.open_clients
         key = fid.value
-        reached = waiting = 0
+        sends = []
         for client in clients:
             target = client.negotiated.get(name)
             if not (target is None and primary or target == fid):
                 continue
             if key not in client.announced:
                 self._announce_id(client, fid)
-            if self._offer(client, frame):
-                reached += 1
-                waiting = max(waiting, client.queued_bytes)
+            sends.append((client, frame))
+        reached, queued, waiting = self._deliver(sends)
         if t0:
             observe_phase("transport", t0)
         row = self.stats.row()
         row["messages_broadcast"] += 1
         row["frames_enqueued"] += reached
-        row["bytes_queued"] += reached * len(frame)
+        row["bytes_queued"] += queued
         self.stats.mark("queue_high_water", waiting)
         self.stats.mark("subscriber_high_water", len(clients))
         return reached

@@ -129,7 +129,8 @@ class TestProtocolViolations:
         conn = Connection(ctx, a_ch)
         # raw bytes with an invalid type tag
         import queue
-        b_ch._outbox.put(Frame.__new__(Frame))  # bypassed construction
+        # bypassed construction (a Frame is a tuple: no typed field)
+        b_ch._outbox.put(tuple.__new__(Frame, (None, b"")))
         # a frame with invalid type cannot be built through the API;
         # instead check decode path via messages.decode_frame
         from repro.transport.messages import decode_frame

@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import DecodeError, EncodeError
+from repro.pbio.context import IOContext
 from repro.pbio.decode import RecordDecoder
 from repro.pbio.encode import RecordEncoder, build_header
 from repro.pbio.fields import FieldList, IOField
 from repro.pbio.format import IOFormat
+from repro.pbio.format_server import FormatServer
 from repro.pbio.machine import SPARC_32, SPARC_V9, X86_32, X86_64
 from repro.pbio.walk import MAX_RUN_GAP
 
@@ -159,3 +162,54 @@ def test_one_generated_source_per_run_length():
     wire = encoder.encode_wire({"a": 1, "b": 2.0})
     assert wire[16:] == struct.pack("<i4xd", 1, 2.0)
     assert decoder.decode(wire[16:]) == {"a": 1, "b": 2.0}
+
+
+#: one integer, one unsigned, one double and one float slot
+MIXED = [IOField("i", "integer", 4, 0),
+         IOField("u", "unsigned integer", 2, 4),
+         IOField("d", "float", 8, 8), IOField("f", "float", 4, 16)]
+
+
+@pytest.mark.parametrize("value", [True, np.int32(3), 1, "1.5", 2.5],
+                         ids=["bool", "np.int32", "int", "str", "float"])
+@pytest.mark.parametrize("slot", ["i", "u", "d", "f"])
+def test_only_a_value_of_its_slots_exact_type_skips_the_converter(
+        slot, value):
+    """The whole-record pack lets an exact ``int`` into an integer slot
+    and an exact ``float`` into a float slot uncalled; anything else
+    meets the field's converter, so ``True`` is rejected where an
+    integer is expected and ``np.int32`` / an ``int`` or ``str`` for a
+    double are coerced — byte for byte, message for message, as the
+    per-field plan does."""
+    fmt = IOFormat("M", FieldList(MIXED, architecture=X86_64))
+    record = {"i": -1, "u": 2, "d": 0.5, "f": 0.25, slot: value}
+    plain, encoder = RecordEncoder(fmt, fuse=False), RecordEncoder(fmt)
+    assert encoder._whole is not None
+    try:
+        body = bytes(plain.encode_body(record))
+    except EncodeError:
+        expected = message(plain.encode_body, record)
+        assert message(encoder.encode_wire_parts, record) == expected
+        assert message(encoder.encode_body, record) == expected
+        return
+    assert encoder.encode_wire(record)[16:] == body
+    assert bytes(encoder.encode_body(record)) == body
+
+
+def test_the_contexts_wire_decode_reads_at_16_and_fails_as_decode_does():
+    """The context's bound entry for a whole-record format is the
+    generated unpack at offset 16 of the wire — no slice, no
+    ``RecordDecoder.decode`` — with the same length check and text."""
+    fmt = IOFormat("M", FieldList(MIXED, architecture=X86_64))
+    ctx = IOContext(format_server=FormatServer())
+    ctx.register(fmt)
+    record = {"i": -1, "u": 2, "d": 0.5, "f": 0.25}
+    wire = ctx.encode(fmt, record)
+    assert ctx.decode(wire).record == record
+    decode, _name, _fid = ctx._bound["list"][fmt.format_id.to_bytes()]
+    assert decode is ctx.decoder_for(fmt)._whole
+    for n in (0, 7, fmt.field_list.record_length - 1):
+        short = build_header(fmt.format_id, n, big_endian=False) + \
+            wire[16:16 + n]
+        assert message(ctx.decode, short) == message(
+            RecordDecoder(fmt, fuse=False).decode, wire[16:16 + n])

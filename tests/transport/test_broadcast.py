@@ -40,7 +40,8 @@ def drain_socket(sock: socket.socket) -> list[Frame]:
 
 
 class _Reader(threading.Thread):
-    """Keeps one subscriber socket drained; collects its frames."""
+    """Keeps one subscriber socket drained; collects its frames, and
+    closes the socket at EOF."""
 
     def __init__(self, sock: socket.socket):
         super().__init__(daemon=True)
@@ -53,6 +54,8 @@ class _Reader(threading.Thread):
             self.frames = drain_socket(self.sock)
         except OSError:
             pass
+        finally:
+            self.sock.close()
 
 
 class TestBroadcastBasics:

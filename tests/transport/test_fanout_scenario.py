@@ -203,16 +203,17 @@ def run_round(policy: str, rng: random.Random) -> None:
     stats["lineage_negotiations"] += 1
 
     # the loop closes ``closer`` while publish ``close_at`` fans out
-    # (just before ``plain``'s data frame), and the loop drains the
-    # slow reader while the publisher waits under ``block``
-    real_enqueue, real_wait = server.enqueue, server.wait_queue_below
+    # (as the write-through pass that carries ``plain``'s data frame
+    # begins), and the loop drains the slow reader while the publisher
+    # waits under ``block``
+    real_write, real_wait = server.write_through, server.wait_queue_below
     step_now = [0]
 
-    def enqueue(client, data, **kwargs):
-        if (step_now[0] == close_at and client is clients["plain"]
-                and kwargs.get("droppable", True)):
+    def write_through(sends, *args, **kwargs):
+        if (step_now[0] == close_at and clients["closer"].open
+                and any(c is clients["plain"] for c, _ in sends)):
             server._close_client(clients["closer"], None)
-        return real_enqueue(client, data, **kwargs)
+        return real_write(sends, *args, **kwargs)
 
     def wait_queue_below(client, limit, timeout):
         if policy == "block":
@@ -220,7 +221,7 @@ def run_round(policy: str, rng: random.Random) -> None:
             server._writable(client)
         return real_wait(client, limit, timeout)
 
-    server.enqueue = enqueue
+    server.write_through = write_through
     server.wait_queue_below = wait_queue_below
 
     def announce(queue, fid):

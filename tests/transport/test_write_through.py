@@ -18,7 +18,7 @@ from repro.pbio.format_server import FormatServer
 from repro.pbio.layout import compute_layout
 from repro.transport.broadcast import BroadcastPublisher
 from repro.transport.connection import Connection
-from repro.transport.messages import Frame, FrameType
+from repro.transport.messages import Frame, FrameType, encode_lineage_req
 from repro.transport.tcp import TCPChannel
 from tests.transport.frames import iter_frames
 from tests.transport.test_broadcast import SPECS, wait_until
@@ -39,8 +39,9 @@ def make_publisher(cls=BroadcastPublisher, **kwargs):
 
 
 class Reader(threading.Thread):
-    """Collects one subscriber socket's raw bytes until EOF / reset;
-    ``resume`` unset makes it a stalled reader until set."""
+    """Collects one subscriber socket's raw bytes until EOF / reset,
+    then closes it; ``resume`` unset makes it a stalled reader until
+    set."""
 
     def __init__(self, sock: socket.socket, *, stalled: bool = False):
         super().__init__(daemon=True)
@@ -61,6 +62,8 @@ class Reader(threading.Thread):
                 self.buf.extend(chunk)
         except OSError:
             pass  # evicted: what arrived before the reset is kept
+        finally:
+            self.sock.close()
 
     def frames(self) -> list[Frame]:
         """Every whole frame received; raises if the stream lost its
@@ -140,11 +143,13 @@ def test_steady_state_never_wakes_the_loop_or_queues(monkeypatch):
     stats0 = pub.stats.as_dict()
     frame_len = 5 + len(pub.context.encode("SimpleData", record(1)))
     wakes = spy_on_wake(pub)
-    # the steady state is one enqueue per subscriber and nothing else:
-    # no client-list copy, no policy branch, no announcement probe that
-    # runs Python, no FormatID hashed
+    # the steady state is one write-through pass per publish and
+    # nothing else: no per-subscriber enqueue, no client-list copy, no
+    # policy branch, no announcement probe that runs Python, no
+    # FormatID hashed
     spies = {name: spy_calls(monkeypatch, owner, name)
-             for owner, name in ((pub.server, "enqueue"),
+             for owner, name in ((pub.server, "write_through"),
+                                 (pub.server, "enqueue"),
                                  (pub.server, "clients"),
                                  (pub, "_offer"), (pub, "_announce_id"),
                                  (FormatID, "__hash__"))}
@@ -154,8 +159,10 @@ def test_steady_state_never_wakes_the_loop_or_queues(monkeypatch):
     monkeypatch.undo()
     assert wakes == []
     assert {name: len(calls) for name, calls in spies.items()} == {
-        "enqueue": 4000, "clients": 0, "_offer": 0, "_announce_id": 0,
-        "__hash__": 0}
+        "write_through": 1000, "enqueue": 0, "clients": 0, "_offer": 0,
+        "_announce_id": 0, "__hash__": 0}
+    # each pass carried the four subscribers' one frame each
+    assert all(len(sends) == 4 for sends, *_ in spies["write_through"])
     for client, (enqueued, sent, sent_bytes) in zip(clients, base):
         assert client.frames_enqueued - enqueued == 1000
         assert client.frames_sent - sent == 1000
@@ -467,6 +474,135 @@ def test_cutover_announcements_precede_the_first_new_record(backlog):
     assert [d.record["timestep"] for d in decoded] == list(range(6))
     assert [d.format_id.to_bytes() == v2_id for d in decoded] == \
         [False] * 3 + [True] * 3
+
+
+# -- (g) one pass over a mixed set of subscribers ---------------------------
+
+class CountingSock:
+    """The accepted socket, counting the publishing thread's ``send``."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sends = 0
+
+    def send(self, data):
+        self.sends += 1
+        return self._sock.send(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_one_pass_over_backlogged_closing_over_bound_pinned_and_new():
+    """One publish meets every kind of subscriber at once: the pass
+    appends to a backlog without a send, skips (and does not count) a
+    closing client, leaves the one over its bound to the policy —
+    outside the lock, where BLOCK's wait lets the loop drain it — hands
+    a pinned subscriber its version's variant, and announces the format
+    to a new one before its data.  Afterwards every subscriber's bytes
+    are exactly its accounted frames, in enqueue order."""
+    v1 = SPECS
+    v2 = SPECS + [("units", "string")]
+    ctx = IOContext(format_server=FormatServer())
+
+    def grid_format(specs):
+        layout = compute_layout(specs, architecture=ctx.architecture)
+        return IOFormat("Grid", layout.field_list)
+
+    v1_fmt, v2_fmt = grid_format(v1), grid_format(v2)
+    ctx.register_evolution(v1_fmt)
+    pub = BroadcastPublisher(ctx, policy="block",
+                             block_timeout=30.0).start()
+    subs = {}
+    subs["over"] = subscribe(pub, sndbuf=4096, stalled=True)
+    subs["closing"] = subscribe(pub, stalled=True)
+    subs["pinned"] = subscribe(pub)
+    pinned = subs["pinned"][1]
+    subs["pinned"][0].sock.sendall(Frame(
+        FrameType.LIN_REQ,
+        encode_lineage_req("Grid", [v1_fmt.format_id])).encode())
+    assert wait_until(lambda: "Grid" in pinned.negotiated)
+    for step in range(4):
+        assert pub.publish("Grid", record(step, BIG)) == 3
+    subs["backlog"] = subscribe(pub, sndbuf=4096, stalled=True)
+    assert pub.cutover(v2_fmt) == 4
+    assert pub.publish("Grid", dict(record(4, BIG), units="m")) == 4
+    closing = subs["closing"][1]
+    pub.server.request_close(closing, None, graceful=True)
+    assert wait_until(lambda: closing.closing)
+    subs["fresh"] = subscribe(pub)
+    clients = {name: client for name, (_reader, client) in subs.items()}
+    over, backlog = clients["over"], clients["backlog"]
+
+    last = dict(record(5, BIG), units="km")
+    size = 5 + len(ctx.encode("Grid", last))
+    # the over-bound subscriber is over by one byte, the backlogged one
+    # has room to spare
+    assert 0 < backlog.queued_bytes < over.queued_bytes
+    pub.max_queue_bytes = over.queued_bytes + size - 1
+    backlog.sock = CountingSock(backlog.sock)
+    queued = len(backlog.write_queue)
+    before = {name: c.frames_enqueued for name, c in clients.items()}
+    offered = []
+    real_offer = pub._offer
+
+    def offer(client, frame):
+        # the publishing thread does not hold the server lock here
+        assert pub.server._lock.acquire(timeout=10)
+        pub.server._lock.release()
+        offered.append(client)
+        return real_offer(client, frame)
+
+    pub._offer = offer
+    resumer = threading.Thread(
+        target=lambda: (wait_until(lambda: pub.stats.block_waits > 0),
+                        subs["over"][0].resume.set()), daemon=True)
+    resumer.start()
+    stats0 = pub.stats.as_dict()
+    assert pub.publish("Grid", last) == 4
+    resumer.join(10)
+    stats = pub.stats.as_dict()
+    assert offered == [over]
+    assert stats["block_waits"] - stats0["block_waits"] == 1
+    assert stats["frames_enqueued"] - stats0["frames_enqueued"] == 4
+    assert stats["frames_down_converted"] - \
+        stats0["frames_down_converted"] == 1
+    assert backlog.sock.sends == 0
+    assert len(backlog.write_queue) == queued + 1
+    assert {name: c.frames_enqueued - before[name]
+            for name, c in clients.items()} == {
+        "over": 1, "closing": 0, "pinned": 1, "backlog": 1, "fresh": 2}
+
+    for reader, _client in subs.values():
+        reader.resume.set()
+    pub.close(timeout=30)
+    sub = IOContext(format_server=FormatServer())
+    sub.register_evolution(v1_fmt)
+    sub.register_evolution(v2_fmt)
+    got = {}
+    for name, (reader, client) in subs.items():
+        reader.join(30)
+        sent = len(reader.buf)
+        frames = reader.frames()
+        assert not reader.buf
+        assert sent == client.sent_bytes
+        assert len(frames) == client.frames_sent == client.frames_enqueued
+        got[name] = [(f.type, sub.decode(f.payload))
+                     if f.type == FrameType.DATA else f.type
+                     for f in frames]
+    steps = {name: [d.record["timestep"] for t, d in
+                    (k for k in kinds if type(k) is tuple)]
+             for name, kinds in got.items()}
+    assert steps == {"over": list(range(6)), "closing": list(range(5)),
+                     "pinned": list(range(6)), "backlog": [4, 5],
+                     "fresh": [5]}
+    pinned_ids = [d.format_id for t, d in
+                  (k for k in got["pinned"] if type(k) is tuple)]
+    assert pinned_ids == [v1_fmt.format_id] * 6
+    (data,) = [k for k in got["fresh"] if type(k) is tuple]
+    assert data[1].format_id == v2_fmt.format_id
+    assert got["fresh"] == [FrameType.HELLO, FrameType.FMT_RSP, data,
+                            FrameType.BYE]
 
 
 # -- (f) HELLO is a subscriber's first frame ----------------------------------
