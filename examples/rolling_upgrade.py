@@ -19,7 +19,8 @@ flag day:
    stream over — new metadata (FMT_RSP) and the grown lineage
    (LIN_RSP) land in every subscriber's queue ahead of v2 data;
 4. it keeps publishing, down-converting once per message for the v1
-   cohort;
+   cohort (on the sharded leg, in each shard that holds a v1
+   subscriber);
 
    *revert*: the document is edited back to v1.  The refresh reports a
    change, and ``cutover`` rejects it (v1 drops v2's fields), so the
@@ -246,11 +247,9 @@ def rolling_upgrade(make_publisher, shards: int | None):
     follower = Subscriber(host, port, [v1], negotiate=False)
     check("subscribers joined", publisher.wait_for_subscribers(3, TIMEOUT),
           True)
+    # a pin holds from its LIN_RSP on, on either topology
     for sub in v1_cohort + [follower]:
         sub.ready.wait(TIMEOUT)
-    if sharded:
-        check("pins reported", publisher.wait_for_pins(NAME, 2, TIMEOUT),
-              True)
 
     # 2. publish at v1; 3. edit the document to v2: the refresh's
     # "changed" notification cuts the stream over
@@ -263,10 +262,25 @@ def rolling_upgrade(make_publisher, shards: int | None):
     check("lineage", publisher.context.format_server.lineage(NAME),
           lineage)
 
+    def down_converted(what: str, pinned: int) -> None:
+        """One down-converted variant per message published while the
+        v1 cohort was pinned: by the loop serving a pinned subscriber,
+        so by each shard holding one, none by a shard without."""
+        if not sharded:
+            check(what, publisher.stats.frames_down_converted, pinned)
+            return
+        check(f"{what} by the publisher",
+              publisher.stats.frames_down_converted, 0)
+        counts = {label: shard["publisher"]["frames_down_converted"]
+                  for label, shard in publisher.worker_stats(TIMEOUT).items()}
+        check(f"{what} per shard",
+              {label: n in (0, pinned) for label, n in counts.items()},
+              {f"w{i}": True for i in range(shards)})
+        check(f"{what} by the fleet", sum(counts.values()) >= pinned, True)
+
     # 4. keep publishing: one down-converted variant per message
     publish(range(BEFORE, BEFORE + AFTER), 3)
-    check("down-converted after the cut",
-          publisher.stats.frames_down_converted, AFTER)
+    down_converted("down-converted after the cut", AFTER)
 
     # revert: v1 again at the URL is a change, and not an evolution
     check("refresh to the reverted v1", site.edit(V1), (NAME,))
@@ -298,13 +312,11 @@ def rolling_upgrade(make_publisher, shards: int | None):
     # 6. the v1 cohort leaves; down-conversion stops with it
     check("v1 cohort left",
           settle(lambda: publisher.subscriber_count == 2), True)
-    converted = publisher.stats.frames_down_converted
-    check("down-converted while pinned", converted, AFTER + LATE)
+    down_converted("down-converted while pinned", AFTER + LATE)
     publish(range(BEFORE + AFTER + LATE, BEFORE + AFTER + LATE + GONE),
             2)
     publisher.flush(TIMEOUT)
-    check("down-converted after the cohort left",
-          publisher.stats.frames_down_converted, converted)
+    down_converted("down-converted after the cohort left", AFTER + LATE)
     check("cutovers counted", publisher.stats.cutovers, 1)
     if sharded:
         # the fleet's one scrape body: each shard's registry under its

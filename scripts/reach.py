@@ -23,6 +23,9 @@ reached.  A line belongs to the innermost function that contains it.
 
 Traces go to ``reach-out/`` (``--out`` moves them).  The benchmark sweep
 rewrites the tracked ``BENCH_*.json`` files; they are restored after.
+A traced process that exits with another profiler (or none) in place
+of the shim's is named in a closing warning: what it ran after the
+swap is not counted.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ if _out:
         if event == "call":
             _add(frame.f_code)
     def _dump():
+        if sys.getprofile() is not _profile:  # unhooked by someone
+            with open(os.path.join(_out, f"{os.getpid()}.unhooked"),
+                      "w") as fh:
+                fh.write(" ".join(sys.argv) + "\\n")
         sys.setprofile(None)
         rows = {f"{c.co_filename}\\t{c.co_firstlineno}" for c in _seen}
         with open(os.path.join(_out, f"{os.getpid()}.txt"), "a") as fh:
@@ -89,7 +96,7 @@ def tier1_commands() -> list[list[str]]:
 def run_suite(name: str, out: Path) -> None:
     trace_dir = out / name
     trace_dir.mkdir(parents=True, exist_ok=True)
-    for old in trace_dir.glob("*.txt"):
+    for old in (*trace_dir.glob("*.txt"), *trace_dir.glob("*.unhooked")):
         old.unlink()
     benches = {p: p.read_bytes() for p in ROOT.glob("BENCH_*.json")}
     with tempfile.TemporaryDirectory() as scratch:
@@ -186,6 +193,11 @@ def report(out: Path) -> None:
     print(f"reached by neither suite: {len(neither)} functions")
     for line in neither:
         print(f"  {line}")
+    for suite in ("system", "tier1"):
+        for mark in sorted((out / suite).glob("*.unhooked")):
+            print(f"warning: {suite} process {mark.stem} "
+                  f"({mark.read_text().strip()}) exited with its profiler "
+                  "replaced: lines it ran after that are missing above")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -247,7 +247,7 @@ class FormatRegistry:
             digest = hashlib.sha256(data).hexdigest()
             if old is None or old.digest != digest:
                 before = {} if old is None else \
-                    {name: self.ir.formats.get(name)
+                    {name: self._served(name)
                      for name in old.format_names}
                 before.update(self._ingest(url, data, digest))
         except ReproError as exc:
@@ -266,16 +266,31 @@ class FormatRegistry:
         # a first load reports only the names it redefined
         events = [("added" if before.get(name) is None else "changed",
                    name) for name in (now if old else before)
-                  if before.get(name) != self.ir.formats[name]]
+                  if before.get(name) != self._served(name, before.get(name))]
         for name in before:
             if name not in now:
                 self.ir.formats.pop(name, None)
                 events.append(("removed", name))
-        for event, name in events:
+        # a listener gets the IR: compile a changed type only for one
+        for event, name in events if self._listeners else ():
             fmt = self.ir.formats.get(name)
             for listener in list(self._listeners):
                 listener(event, name, fmt)
         return tuple(name for _, name in events)
+
+    def _served(self, name: str, like=None):
+        """*name* as served, for a diff: its IR — or, for a type a lazy
+        registry still defers, unless *like* is IR to compare with, what
+        it compiles from, so a diff compiles nothing new."""
+        if self.lazy and not isinstance(like, FormatIR):
+            schema = self.ir.formats._pending.get(name)
+            if schema is not None:
+                ct = schema.complex_types[name]
+                # nested references stay symbolic in IR: equal keys
+                # compile to equal IR
+                return ct, tuple((type(t), t.name) for t in (
+                    schema.resolve(e.type_name) for e in ct.elements))
+        return self.ir.formats.get(name)
 
     def _fetch(self, url: str) -> bytes:
         """Fetch under the retry policy, honouring the negative cache."""

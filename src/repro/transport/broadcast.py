@@ -138,10 +138,13 @@ class PublishFront:
     def publish_encoded(self, wire: bytes) -> int:
         """Fan out an already-encoded record (bytes from
         :meth:`~repro.pbio.context.IOContext.encode`)."""
+        return self._fan_out(self._wire_format(wire),
+                             frame_bytes(FrameType.DATA, wire), wire)
+
+    def _wire_format(self, wire) -> IOFormat:
+        """The format the header of the wire record *wire* names."""
         fid, _ = parse_header(wire, require_body=True)
-        fmt = self.context._resolve_wire_format(fid)
-        return self._fan_out(fmt, frame_bytes(FrameType.DATA, wire),
-                             wire)
+        return self.context._resolve_wire_format(fid)
 
     def cutover(self, new_fmt: IOFormat) -> int:
         """Upgrade the stream to *new_fmt* mid-flight, zero drops.
@@ -423,13 +426,3 @@ class BroadcastPublisher(PublishFront):
         self.server.enqueue(client,
                             frame_bytes(FrameType.LIN_RSP, reply),
                             droppable=False)
-        if chosen is not None:
-            self._on_negotiated(client, name, chosen)
-
-    def _on_negotiated(self, client: ClientHandle, name: str,
-                       chosen: FormatID) -> None:
-        """Hook: one client pinned itself to *chosen* for *name*.
-
-        The sharded worker publisher overrides this to report the pin
-        upstream, so the single marshaling process knows which older
-        versions need a down-converted variant per fan-out."""

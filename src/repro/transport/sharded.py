@@ -39,11 +39,13 @@ worker round-robin, and reads every worker's reports.  Workers are
 other shard's sockets (``FD_CLOEXEC``), and each exits at EOF on its
 control socket, so none outlives its publisher.
 
-Versions: workers negotiate LIN_REQ against the replicated lineage and
-report pins upstream; the publisher down-converts **once per pinned
-version per message** and ships the variants tagged with their
-version.  A cutover replicates the grown lineage, then ``CUTOVER`` has
-each shard re-announce it to its own clients.
+Versions: a shard fans out as the single loop does.  The publisher
+ships each message once, at the current version; a worker negotiates
+LIN_REQ against its replicated lineage and, in the inherited
+``_fan_out``, down-converts **once per pinned version per message** for
+its own pinned subscribers, so a pin holds from the LIN_RSP on.  A
+cutover replicates the grown lineage, then ``CUTOVER`` has each shard
+re-announce it to its own clients.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from repro.transport.broadcast import (
     BackpressurePolicy, BroadcastPublisher, BroadcastStats,
     PublishFront,
 )
-from repro.transport.connection import encode_at_version
 from repro.transport.eventloop import ClientHandle, Poller, set_cloexec
 from repro.transport.messages import (
     MAX_FRAME, FrameReader, FrameType, count_malformed, frame_bytes,
@@ -84,7 +85,7 @@ class Shard(enum.IntEnum):
     the control messages no existing frame type carries."""
 
     # publisher -> worker
-    BCAST = 1      # primary | fid | name | one whole wire frame
+    BCAST = 1      # one whole DATA frame, at the current version
     EVOLVE = 2     # old fid | new metadata (the next lineage link)
     CUTOVER = 3    # name | new fid (re-announce to every shard client)
     BARRIER = 4    # seq (reply ACK once shard queues have drained)
@@ -93,8 +94,6 @@ class Shard(enum.IntEnum):
     # worker -> publisher
     ACK = 7        # seq | ok (barrier complete)
     COUNT = 8      # clients (shard census update)
-    PIN = 9        # name | fid (a subscriber negotiated this version)
-    UNPIN = 10     # name | fid (that subscriber went away)
 
 
 def _shard(kind: Shard, *parts: bytes) -> bytes:
@@ -149,10 +148,12 @@ class _ShardWorkerPublisher(BroadcastPublisher):
 
     A :class:`BroadcastPublisher` whose encode paths are never used:
     frames arrive pre-marshaled on the control socket (``upstream``,
-    its loop's peer) for :meth:`broadcast_frame`.  Backpressure,
-    pre-announcement, LIN_REQ negotiation and malformed-frame
-    accounting are inherited, so a shard behaves as the single-process
-    server does.  Everything runs on the loop thread: no locks.
+    its loop's peer) and go to the inherited ``_fan_out`` as relayed
+    wire bytes.  Fan-out, down-conversion for pinned subscribers,
+    backpressure, pre-announcement, LIN_REQ negotiation and
+    malformed-frame accounting are inherited, so a shard behaves as the
+    single-process server does.  Everything runs on the loop thread: no
+    locks.
     """
 
     def __init__(self, context: IOContext, ctl_sock: socket.socket, *,
@@ -177,34 +178,6 @@ class _ShardWorkerPublisher(BroadcastPublisher):
                     os.set_inheritable(fd, False)
                     self._fds.append(fd)
         return got
-
-    # -- shard data plane ---------------------------------------------------
-
-    def broadcast_frame(self, name: str, fid: FormatID, frame,
-                        primary: bool) -> int:
-        """Queue one pre-encoded wire frame to every shard subscriber
-        on the matching version; returns subscribers reached."""
-        t0 = sample_t0()
-        clients = self.server.open_clients
-        key = fid.value
-        sends = []
-        for client in clients:
-            target = client.negotiated.get(name)
-            if not (target is None and primary or target == fid):
-                continue
-            if key not in client.announced:
-                self._announce_id(client, fid)
-            sends.append((client, frame))
-        reached, queued, waiting = self._deliver(sends)
-        if t0:
-            observe_phase("transport", t0)
-        row = self.stats.row()
-        row["messages_broadcast"] += 1
-        row["frames_enqueued"] += reached
-        row["bytes_queued"] += queued
-        self.stats.mark("queue_high_water", waiting)
-        self.stats.mark("subscriber_high_water", len(clients))
-        return reached
 
     def resolve_pending(self, fid: FormatID, ok: bool) -> None:
         """The publisher sent *fid*'s metadata (or ``FMT_FAIL``): answer
@@ -233,10 +206,9 @@ class _ShardWorkerPublisher(BroadcastPublisher):
         if ftype == FrameType.SHARD:
             kind = payload[0]
             if kind == Shard.BCAST:
-                fid, offset = _take_fid(payload, 2)
-                name, offset = _unpack_name(payload, offset)
-                self.broadcast_frame(name, fid, memoryview(payload)[offset:],
-                                     primary=payload[1] == 1)
+                frame = memoryview(payload)[1:]
+                wire = frame[5:]  # past the length | type prefix
+                self._fan_out(self._wire_format(wire), frame, wire)
             elif kind == Shard.CONN:
                 if self._fds:
                     self.server.adopt(
@@ -299,13 +271,7 @@ class _ShardWorkerPublisher(BroadcastPublisher):
         if client is self.upstream:
             self.close()  # the publisher is gone: shut the shard down
             return
-        for name, fid in list(client.negotiated.items()):
-            self._up(_shard(Shard.UNPIN, _pack_name(name), fid.to_bytes()))
         self._census()
-
-    def _on_negotiated(self, client: ClientHandle, name: str,
-                       chosen: FormatID) -> None:
-        self._up(_shard(Shard.PIN, _pack_name(name), chosen.to_bytes()))
 
     def on_frame(self, client: ClientHandle, frame) -> None:
         if client is self.upstream:
@@ -421,9 +387,6 @@ class ShardedBroadcastServer(PublishFront):
         self._seq = 0
         #: seq -> replies gathered so far for that round trip
         self._acks: dict[int, list] = {}
-        #: name -> {fid: pin count} reported by workers (older
-        #: versions some subscriber negotiated down to)
-        self._pins: dict[str, dict[FormatID, int]] = {}
         self._started = False
         self._closed = False
         self.worker_failures = 0
@@ -593,16 +556,6 @@ class ShardedBroadcastServer(PublishFront):
                     self._census.notify_all()
             elif kind == Shard.ACK:
                 self._reply(handle, payload[1:])
-            elif kind in (Shard.PIN, Shard.UNPIN):
-                name, offset = _unpack_name(payload, 1)
-                fid, _ = _take_fid(payload, offset)
-                with self._census:
-                    pins = self._pins.setdefault(name, {})
-                    pins[fid] = pins.get(fid, 0) + (
-                        1 if kind == Shard.PIN else -1)
-                    if pins[fid] <= 0:
-                        del pins[fid]
-                    self._census.notify_all()
         elif ftype == FrameType.STATS_RSP:
             self._reply(handle, payload)
         elif ftype == FrameType.FMT_REQ:
@@ -688,33 +641,18 @@ class ShardedBroadcastServer(PublishFront):
         return reached
 
     def _fan_out(self, fmt: IOFormat, data: bytes, source) -> int:
-        """Hand the frame to every live shard (replicating the format
-        first where a shard lacks it); returns the shards reached."""
-        #: (fid, frame, primary) per version — the current-version
-        #: frame (clients with no pin get it) plus one down-converted
-        #: variant per *pinned version*, never per subscriber or per
-        #: worker
-        frames = [(fmt.format_id, data, True)]
-        with self._lock:
-            pinned = [fid for fid, count in
-                      self._pins.get(fmt.name, {}).items()
-                      if count > 0 and fid != fmt.format_id]
-        for fid in pinned:
-            frames.append((fid, frame_bytes(
-                FrameType.DATA, *encode_at_version(
-                    self.context, fmt, source, fid)), False))
+        """Hand the DATA frame to every live shard (replicating the
+        format first where a shard lacks it), one ``BCAST`` built once;
+        each shard down-converts for its own pinned subscribers.
+        Returns the shards reached."""
         t0 = sample_t0()
-        name_bytes = _pack_name(fmt.name)
-        # each BCAST frame is built once and written to every shard
-        bcasts = [(fid, _shard(Shard.BCAST, bytes((primary,)),
-                               fid.to_bytes(), name_bytes, frame))
-                  for fid, frame, primary in frames]
+        fid = fmt.format_id
+        bcast = _shard(Shard.BCAST, data)
         reached = 0
         for handle in self._live():
             try:
-                for fid, bcast in bcasts:
-                    self._replicate(handle, fid)
-                    handle.send(bcast)
+                self._replicate(handle, fid)
+                handle.send(bcast)
                 reached += 1
             except OSError:
                 self._mark_dead(handle)
@@ -724,11 +662,7 @@ class ShardedBroadcastServer(PublishFront):
         row["messages_broadcast"] += 1
         row["bytes_encoded"] += len(data) - 5
         row["frames_enqueued"] += reached
-        # every frame shipped to every shard reached: the current one
-        # and each down-converted variant, at its own size
-        row["bytes_queued"] += reached * sum(
-            len(frame) for _, frame, _ in frames)
-        row["frames_down_converted"] += len(pinned)
+        row["bytes_queued"] += reached * len(data)
         self.stats.mark("subscriber_high_water", self.subscriber_count)
         return reached
 
@@ -798,22 +732,6 @@ class ShardedBroadcastServer(PublishFront):
         with self._census:
             return self._census.wait_for(
                 lambda: sum(h.clients for h in self._workers) >= count,
-                timeout)
-
-    def wait_for_pins(self, name: str, count: int,
-                      timeout: float | None = None) -> bool:
-        """Block until *count* subscribers have reported version pins
-        for lineage *name*.
-
-        A shard registers a pin locally before reporting it here, so
-        once this returns True every one of those subscribers receives
-        the down-converted variant starting with the very next
-        publish.  Without the barrier a publish can race a subscriber
-        whose LIN_RSP is still in flight; that subscriber gets the
-        current version for the frames already fanned out."""
-        with self._census:
-            return self._census.wait_for(
-                lambda: sum(self._pins.get(name, {}).values()) >= count,
                 timeout)
 
     @property

@@ -46,6 +46,34 @@ CATALOG_V2 = CATALOG.replace(
     '    <xsd:element name="extra" type="xsd:int" />')
 
 
+#: one document pair for the diff test: Bound (compiled before the
+#: refresh) and Loose change, Nests (which nests Bound) does not, Gone
+#: goes and New comes
+DIFF_V1 = """
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:complexType name="Bound">
+    <xsd:element name="x" type="xsd:int" />
+  </xsd:complexType>
+  <xsd:complexType name="Loose">
+    <xsd:element name="y" type="xsd:double" />
+  </xsd:complexType>
+  <xsd:complexType name="Nests">
+    <xsd:element name="bound" type="Bound" />
+  </xsd:complexType>
+  <xsd:complexType name="Gone">
+    <xsd:element name="g" type="xsd:int" />
+  </xsd:complexType>
+</xsd:schema>
+"""
+DIFF_V2 = DIFF_V1.replace(
+    '<xsd:element name="x" type="xsd:int" />',
+    '<xsd:element name="x" type="xsd:long" />').replace(
+    '<xsd:element name="y" type="xsd:double" />',
+    '<xsd:element name="y" type="xsd:float" />').replace(
+    'name="Gone">\n    <xsd:element name="g"',
+    'name="New">\n    <xsd:element name="g"')
+
+
 def _publish(text: str) -> str:
     return publish_document(f"lazy/cat{next(_SEQ)}.xsd", text)
 
@@ -201,3 +229,24 @@ class TestStaleness:
         assert registry.stats.lazy_compiles == 1
         assert set(registry.ir.formats.pending_names()) == \
             {"Inner", "Outer"}
+
+
+def test_refresh_diffs_deferred_types_without_compiling():
+    """One document pair through both modes: a lazy refresh reports
+    the names an eager one does, compiles only what was compiled
+    before it, and drops a removed type's deferred entry."""
+    changed = {}
+    for lazy in (False, True):
+        url = _publish(DIFF_V1)
+        registry = FormatRegistry(lazy=lazy)
+        registry.load_url(url)
+        registry.ir.formats["Bound"]
+        publish_document(url[len("mem:"):], DIFF_V2)
+        changed[lazy] = registry.refresh(url)
+        assert "Gone" not in registry.ir.formats
+    assert changed[True] == changed[False] == \
+        ("Bound", "Loose", "New", "Gone")
+    fmap = registry.ir.formats
+    assert set(fmap) - set(fmap.pending_names()) == {"Bound"}
+    # Bound before the refresh, and its new version to diff against
+    assert registry.stats.lazy_compiles == 2

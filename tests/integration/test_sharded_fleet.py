@@ -48,19 +48,23 @@ class Subscriber(threading.Thread):
             ctx.register_evolution(grid_format(V1, ctx.architecture))
         self.conn = Connection(ctx, TCPChannel.connect(host, port))
         self.chosen = None
+        #: set once the LIN_RSP is read: from then on the pin holds
+        self.negotiated = threading.Event()
         self.records: list = []
         self.error: BaseException | None = None
 
     def run(self):
-        # under a fully loaded machine the census + pin barriers for
-        # 1024 threads can outlast any single receive timeout, so idle
-        # timeouts are retried against one overall deadline instead of
-        # tearing the subscriber (and its shard slot) down early
+        # under a fully loaded machine the census + negotiation waits
+        # for 1024 threads can outlast any single receive timeout, so
+        # idle timeouts are retried against one overall deadline
+        # instead of tearing the subscriber (and its shard slot) down
+        # early
         deadline = time.monotonic() + 520
         try:
             if self.pinned:
                 self.chosen = self.conn.negotiate_version("Grid",
                                                           timeout=300)
+                self.negotiated.set()
             while time.monotonic() < deadline:
                 try:
                     msg = self.conn.receive(timeout=15)
@@ -101,7 +105,9 @@ def test_mixed_fleet_across_four_shards():
             sub.start()
         assert srv.wait_for_subscribers(FLEET_SIZE, timeout=300), \
             f"census stalled at {srv.subscriber_count}"
-        assert srv.wait_for_pins("Grid", PINNED, timeout=300), \
+        deadline = time.monotonic() + 300
+        assert all(sub.negotiated.wait(max(0.0, deadline - time.monotonic()))
+                   for sub in subs if sub.pinned), \
             "pinned cohort never finished negotiating"
 
         for t in range(RECORDS):
@@ -110,9 +116,9 @@ def test_mixed_fleet_across_four_shards():
             assert srv.publish("Grid", record) == WORKERS
         assert srv.flush(timeout=300), "shard queues did not drain"
 
-        # down-conversion happened once per message for the pinned
-        # version — not once per pinned subscriber or per shard
-        assert srv.stats.frames_down_converted == RECORDS
+        # the publisher ships the current version only; each shard
+        # down-converts for its own pinned subscribers
+        assert srv.stats.frames_down_converted == 0
         assert srv.stats.frames_dropped == 0
 
         stats = srv.worker_stats(timeout=120)
@@ -124,6 +130,9 @@ def test_mixed_fleet_across_four_shards():
             total_clients += server["clients"]
             # every shard holds a real slice of the fleet...
             assert server["clients"] >= FLEET_SIZE // WORKERS - 1
+            # ...down-converted once per message for its pinned
+            # subscribers, not once per pinned subscriber...
+            assert publisher["frames_down_converted"] == RECORDS
             # ...drops and evictions never fired...
             assert publisher["frames_dropped"] == 0
             assert publisher["clients_evicted"] == 0

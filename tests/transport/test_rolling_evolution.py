@@ -8,7 +8,6 @@ parameter, not as a silent gap.
 
 import ast
 import socket
-import time
 from pathlib import Path
 
 import pytest
@@ -20,8 +19,10 @@ from repro.pbio.format import IOFormat
 from repro.pbio.format_server import FormatServer
 from repro.pbio.layout import compute_layout
 from repro.transport.broadcast import BroadcastPublisher
+from repro.transport.connection import Connection
 from repro.transport.messages import Frame, FrameType, encode_lineage_req
 from repro.transport.sharded import ShardedBroadcastServer
+from repro.transport.tcp import TCPChannel
 from tests.transport.frames import iter_frames
 
 V1 = [("timestep", "integer"), ("size", "integer"),
@@ -47,6 +48,15 @@ def start(kind: str, ctx: IOContext):
         return BroadcastPublisher(ctx).start()
     return ShardedBroadcastServer(ctx, workers=1,
                                   start_timeout=120.0).start()
+
+
+def down_converted(pub) -> int:
+    """Frames down-converted by the loops that serve the subscribers:
+    the publisher's own, or each shard's."""
+    if isinstance(pub, BroadcastPublisher):
+        return pub.stats.frames_down_converted
+    return sum(shard["publisher"]["frames_down_converted"]
+               for shard in pub.worker_stats(timeout=60).values())
 
 
 def cutovers_counted() -> float:
@@ -88,34 +98,60 @@ def test_relay_path_down_converts_for_a_pinned_subscriber(kind):
     v1_id, _ = ctx.format_server.lineage("Grid")
     pub = start(kind, ctx)
     sock = socket.create_connection((pub.host, pub.port))
+    sock.settimeout(30)
+    buf = bytearray()
+    frames = []
     try:
         sock.sendall(Frame(FrameType.LIN_REQ,
                            encode_lineage_req("Grid", [v1_id])).encode())
-        assert pub.wait_for_subscribers(1, timeout=60)
-        if kind == "sharded":
-            assert pub.wait_for_pins("Grid", 1, timeout=60)
-        else:  # the loop thread pins the client, then counts
-            deadline = time.monotonic() + 60
-            while pub.stats.lineage_negotiations < 1 and \
-                    time.monotonic() < deadline:
-                time.sleep(0.005)
+        # the pin holds once its LIN_RSP is read: no barrier
+        while FrameType.LIN_RSP not in [f.type for f in frames]:
+            buf.extend(sock.recv(1 << 16))
+            frames.extend(iter_frames(buf))
         assert pub.publish_encoded(ctx.encode("Grid", RECORD)) == 1
         assert pub.publish("Grid", RECORD) == 1
-        assert pub.stats.frames_down_converted == 2
+        assert down_converted(pub) == 2
     finally:
         pub.close()
-    sock.settimeout(30)
-    buf = bytearray()
     while chunk := sock.recv(1 << 16):
         buf.extend(chunk)
     sock.close()
-    relayed, published = [bytes(f.payload) for f in iter_frames(buf)
+    frames.extend(iter_frames(buf))
+    relayed, published = [bytes(f.payload) for f in frames
                           if f.type == FrameType.DATA]
     assert relayed == published
     # the old version decodes natively: no conversion on the receiver
     msg = context(V1).decode(relayed)
     assert msg.format_id == v1_id
     assert msg.record == {"timestep": 3, "size": 2, "data": [0.5, 1.5]}
+
+
+@KINDS
+@pytest.mark.timeout(180)
+def test_a_pin_holds_from_its_lineage_reply_on(kind):
+    """A subscriber pinned to v1 that has read its LIN_RSP receives
+    every record published afterwards at v1, with no barrier on the
+    publisher's side: the loop that answered the LIN_REQ is the one
+    that fans the next record out."""
+    ctx = context(V1, V2)
+    v1_id, _ = ctx.format_server.lineage("Grid")
+    pub = start(kind, ctx)
+    try:
+        for round_ in range(5):
+            sub = Connection(context(V1),
+                             TCPChannel.connect(pub.host, pub.port))
+            try:
+                assert sub.negotiate_version("Grid", timeout=60) == v1_id
+                for t in range(2):
+                    pub.publish("Grid", dict(RECORD, timestep=t))
+                got = [sub.receive(timeout=30) for _ in range(2)]
+                assert [(m.format_id, m.record["timestep"])
+                        for m in got] == [(v1_id, 0), (v1_id, 1)], round_
+                assert "units" not in got[0].record
+            finally:
+                sub.close()
+    finally:
+        pub.close()
 
 
 def test_one_down_convert_one_cutover_one_replication_routine():

@@ -14,7 +14,6 @@ import pytest
 import repro
 from repro.errors import ProtocolError, TransportError
 from repro.pbio.context import IOContext
-from repro.pbio.evolution import down_converter
 from repro.pbio.format import IOFormat
 from repro.pbio.format_server import FormatServer
 from repro.pbio.layout import compute_layout
@@ -61,6 +60,8 @@ class Subscriber(threading.Thread):
         self.conn = Connection(self.context,
                                TCPChannel.connect(host, port))
         self.chosen = None
+        #: set once the LIN_RSP is read: from then on the pin holds
+        self.negotiated = threading.Event()
         self.records: list = []
         self.error: BaseException | None = None
 
@@ -73,6 +74,7 @@ class Subscriber(threading.Thread):
             if self.negotiate:
                 self.chosen = self.conn.negotiate_version(
                     self.negotiate, timeout=60)
+                self.negotiated.set()
             while time.monotonic() < deadline:
                 try:
                     msg = self.conn.receive(timeout=10)
@@ -446,7 +448,6 @@ def test_a_subscriber_cannot_send_control_frames():
     closed and counted, and the frame is never acted on — here a BCAST
     that, obeyed, would reach the other subscriber."""
     with make_server(workers=1) as srv:
-        fid = srv.context.lookup_format("SimpleData").format_id
         bystander = Subscriber(srv.host, srv.port)
         bystander.start()
         rogue = socket.create_connection((srv.host, srv.port))
@@ -454,8 +455,7 @@ def test_a_subscriber_cannot_send_control_frames():
             assert srv.wait_for_subscribers(2, timeout=60)
             forged = frame_bytes(FrameType.DATA, srv.context.encode(
                 "SimpleData", {"timestep": 99, "data": [9.0]}))
-            rogue.sendall(_shard(Shard.BCAST, b"\x01", fid.to_bytes(),
-                                 _pack_name("SimpleData"), forged))
+            rogue.sendall(_shard(Shard.BCAST, forged))
             rogue.settimeout(30)
             buf = bytearray()
             while chunk := rogue.recv(1 << 16):
@@ -502,7 +502,6 @@ def test_census_counts_a_subscriber_only_once_a_publish_reaches_it():
     upstream = Upstream(ours)
     ctx = make_context()
     worker = HeldAfterConnect(ctx, theirs).start()
-    fid = ctx.lookup_format("SimpleData").format_id
     frame = frame_bytes(FrameType.DATA, ctx.encode(
         "SimpleData", {"timestep": 0, "data": [1.0]}))
 
@@ -522,9 +521,9 @@ def test_census_counts_a_subscriber_only_once_a_publish_reaches_it():
         assert census(0.2) is None
         worker.released.set()
         assert census(10) == 1
-        assert worker.broadcast_frame("SimpleData", fid, frame,
-                                      primary=True) == 1
-        worker.close()
+        # the publisher's fan-out, then its BYE: in order, on the loop
+        ours.sendall(_shard(Shard.BCAST, frame))
+        ours.sendall(frame_bytes(FrameType.BYE, b""))
         sub.settimeout(10)
         buf = bytearray()
         while chunk := sub.recv(1 << 16):
@@ -636,31 +635,28 @@ class TestShardedEvolution:
             for sub in subs:
                 sub.start()
             assert srv.wait_for_subscribers(2, timeout=60)
-            # barrier: a publish racing an in-flight LIN_RSP would
-            # legitimately hand that subscriber the current version
-            assert srv.wait_for_pins("Grid", 2, timeout=60)
+            # a pin holds once its LIN_RSP is read
+            for sub in subs:
+                assert sub.negotiated.wait(60)
             modern = Subscriber(srv.host, srv.port)
             modern.start()
             assert srv.wait_for_subscribers(3, timeout=60)
-            v1, v2 = (srv.context._resolve_wire_format(fid)
-                      for fid in chain)
             queued = 0
             for t in range(4):
                 record = {"timestep": t, "data": [t * 1.0],
                           "units": "mm"}
                 assert srv.publish("Grid", record) == 2
-                # each shard gets the current frame and the v1 variant
-                queued += 2 * (
-                    len(frame_bytes(FrameType.DATA,
-                                    srv.context.encode(v2, record)))
-                    + len(frame_bytes(FrameType.DATA,
-                                      down_converter(v2, v1)
-                                      .encode_record(record))))
+                # each shard gets the current frame only
+                queued += 2 * len(frame_bytes(
+                    FrameType.DATA, srv.context.encode("Grid", record)))
             assert srv.flush(timeout=60)
-            # one down-conversion per message for the pinned version,
-            # NOT one per pinned subscriber (2) or per shard (2)
-            assert srv.stats.frames_down_converted == 4
+            assert srv.stats.frames_down_converted == 0
             assert srv.stats.bytes_queued == queued
+            # each shard holds one pinned subscriber and down-converts
+            # once per message for it, as the single loop does
+            assert {label: shard["publisher"]["frames_down_converted"]
+                    for label, shard in srv.worker_stats(60).items()} \
+                == {"w0": 4, "w1": 4}
         for sub in subs:
             sub.join(30)
             assert sub.error is None

@@ -48,11 +48,12 @@ def python_calls(work) -> Counter:
                 name = f"{type(owner).__name__}.{name}"
             calls[name] += 1
 
+    previous = sys.getprofile()  # a coverage tracer's, say: keep it
     sys.setprofile(profile)
     try:
         work()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     calls[work.__code__.co_name] -= 1
     return +calls
 

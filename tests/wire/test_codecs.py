@@ -72,12 +72,17 @@ class TestEveryCodec:
 
     def test_roundtrip_nested(self, codec_cls):
         point = field_list_for([("x", "double", 8), ("y", "double", 8)])
-        fmt = IOFormat("Track", field_list_for(
-            [("id", "integer", 4), ("origin", "Point")],
-            subformats={"Point": point}))
-        codec = codec_cls(fmt)
-        record = {"id": 1, "origin": {"x": 1.5, "y": 2.5}}
-        assert codec.roundtrip(record) == record
+        for specs, record in [
+                ([("id", "integer", 4), ("origin", "Point")],
+                 {"id": 1, "origin": {"x": 1.5, "y": 2.5}}),
+                # a var array of structs: the dynamic-subformat paths
+                ([("id", "integer", 4), ("n", "integer", 4),
+                  ("path", "Point[n]")],
+                 {"id": 2, "n": 3, "path": [{"x": float(i), "y": i + 0.5}
+                                            for i in range(3)]})]:
+            codec = codec_cls(IOFormat("Track", field_list_for(
+                specs, subformats={"Point": point})))
+            assert codec.roundtrip(record) == record
 
     def test_roundtrip_big_endian_format(self, codec_cls):
         codec = codec_cls(simple_format(arch=SPARC_32))
